@@ -12,8 +12,7 @@ from .exprs import (ScalarFun, eval_bijet, eval_jet, parse_expr, pretty_print,
                     substitute_params)
 from .gallery import (GALLERY_NAMES, GalleryEntry, check_ab_assumption,
                       default_gallery, gallery)
-from .jets import (BiJet2, DEFAULT_ORDER, TaylorJet, derivative_at, jet_arith,
-                   jet_elementary)
+from .jets import BiJet2, DEFAULT_ORDER, TaylorJet, jet_elementary
 from .normal_forms import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
                            germ_signature, germ_signature_of_curve,
                            local_normal_form, type_nm_curvature, type_nm_curve)
@@ -43,9 +42,9 @@ __all__ = [
     "TransformResult", "ZERO_FUNCTION", "ZeroPoint", "align_congruence",
     "check_ab_assumption", "check_closed", "check_legendre", "cofactor",
     "contact_order", "curvature", "decide_equivalence", "default_gallery",
-    "derivative_at", "derive_nu", "dump_curve", "dump_signature", "eval_bijet",
+    "derive_nu", "dump_curve", "dump_signature", "eval_bijet",
     "eval_jet", "find_zeros", "gallery", "germ_signature",
-    "germ_signature_of_curve", "is_immersion", "jet_arith", "jet_elementary",
+    "germ_signature_of_curve", "is_immersion", "jet_elementary",
     "load_curve", "local_normal_form", "moving_frame", "parity_check",
     "parse_expr", "pretty_print", "pushforward_affine", "pushforward_diffeo",
     "pushforward_diffeo_curve", "pushforward_swap", "reconstruct",

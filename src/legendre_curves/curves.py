@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CurveError, LegendreError
 from .exprs import ScalarFun, eval_jet_many, pretty_print
-from .jets import TaylorJet, jet_sqrt
+from .jets import TaylorJet, derivative, jet_sqrt, mul, sub
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,6 +34,15 @@ TWO_PI = 2.0 * math.pi
 def moving_frame(nu_value):
     """Quarter anticlockwise rotation: mu = J(nu) = (-nu_2, nu_1)."""
     return (-nu_value[1], nu_value[0])
+
+
+def _along_mu(vx, vy, nx, ny):
+    """Coefficients of v' . mu with mu = J(nu) = (-nu_y, nu_x).
+
+    ``vx, vy`` are coefficient arrays of v one order above those of nu;
+    v = nu gives ell, v = gamma gives beta.
+    """
+    return sub(mul(derivative(vy), nx), mul(derivative(vx), ny))
 
 
 @dataclass
@@ -99,19 +108,34 @@ class LegendreCurve:
 
     def ell(self) -> ScalarFun:
         def jet_fn(t0, order):
-            jx, jy = self.nu_jets(t0, order + 1)
-            # mu = (-nu_y, nu_x); ell = nu' . mu
-            return jy.derivative() * jx.truncate(order) - jx.derivative() * jy.truncate(order)
+            nx, ny = self.nu_jets(t0, order + 1)
+            return TaylorJet(_along_mu(nx.array, ny.array, nx.array[:-1], ny.array[:-1]))
 
         return ScalarFun(jet_fn, name="ell")
 
     def beta(self) -> ScalarFun:
         def jet_fn(t0, order):
             gx, gy = self.gamma_jets(t0, order + 1)
-            jnx, jny = self.nu_jets(t0, order)
-            return gy.derivative() * jnx - gx.derivative() * jny
+            nx, ny = self.nu_jets(t0, order)
+            return TaylorJet(_along_mu(gx.array, gy.array, nx.array, ny.array))
 
         return ScalarFun(jet_fn, name="beta")
+
+    def curvature_jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
+        """Jets of (ell, beta) at t0 from one jet pass over (x, y, nu).
+
+        The four components are evaluated together at ``order + 1``, so
+        their shared subtrees are computed once and nu serves both parts.
+        """
+        funs = (self.x, self.y, self.nu_x, self.nu_y)
+        if self.is_expression_backed():
+            comps = eval_jet_many([f.ast for f in funs], t0, order + 1)
+        else:
+            comps = [f.jet(t0, order + 1) for f in funs]
+        gx, gy, nx, ny = (j.array for j in comps)
+        nx0, ny0 = nx[:-1], ny[:-1]
+        return (TaylorJet(_along_mu(nx, ny, nx0, ny0)),
+                TaylorJet(_along_mu(gx, gy, nx0, ny0)))
 
     def curvature_pair(self) -> "CurvaturePair":
         return CurvaturePair(self.ell(), self.beta(), self.domain, self.closed)
@@ -329,26 +353,48 @@ def load_curve(source) -> LegendreCurve:
 
     Format: {"x": str, "y": str, "nu": [str, str] (optional),
              "domain": [a, b], "closed": bool, "params": {name: number}}
+
+    An unreadable file, malformed JSON and fields of the wrong type or
+    length raise CurveError.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
-        data = json.loads(source)
-    else:
-        data = dict(source)
+    try:
+        if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+            data = json.loads(Path(source).read_text())
+        elif isinstance(source, str):
+            data = json.loads(source)
+        else:
+            data = dict(source)
+    except OSError as err:
+        raise CurveError(f"cannot read curve spec {str(source)!r}: "
+                         f"{err.strerror or err}") from None
+    except json.JSONDecodeError as err:
+        raise CurveError(f"curve spec is not valid JSON: {err}") from None
+    if not isinstance(data, dict):
+        raise CurveError("curve spec must be a JSON object")
     try:
         x = data["x"]
         y = data["y"]
-        domain = tuple(float(v) for v in data["domain"])
+        domain = data["domain"]
     except KeyError as missing:
         raise CurveError(f"curve spec is missing field {missing}") from None
+    if not (isinstance(x, str) and isinstance(y, str)):
+        raise CurveError("curve spec fields 'x' and 'y' must be expressions")
     nu = data.get("nu")
     if nu is not None:
+        if not isinstance(nu, (list, tuple)) or len(nu) != 2:
+            raise CurveError("curve spec field 'nu' must hold two expressions")
         nu = (str(nu[0]), str(nu[1]))
-    params = data.get("params") or None
+    try:
+        domain = tuple(float(v) for v in domain)
+        params = {str(k): float(v) for k, v in (data.get("params") or {}).items()}
+    except (TypeError, ValueError, AttributeError):
+        raise CurveError("curve spec fields 'domain' and 'params' must hold "
+                         "numbers") from None
+    if len(domain) != 2:
+        raise CurveError("curve spec field 'domain' must hold two numbers")
     return LegendreCurve.from_exprs(x, y, nu=nu, domain=domain,
                                     closed=bool(data.get("closed", False)),
-                                    params=params)
+                                    params=params or None)
 
 
 def dump_curve(curve: LegendreCurve) -> str:

@@ -15,16 +15,28 @@ plane.  The grammar (EBNF):
 exponents are literal non-negative integers.  There is no implicit
 multiplication, and named parameters must be substituted numerically before
 parsing (see :func:`substitute_params`).
+
+Univariate ASTs are evaluated as Taylor jets by :func:`eval_jet` and
+:func:`eval_jet_many`.  Both compile their AST set once into a tape, a flat
+list of calls to the :mod:`jets` kernels over numbered slots, each slot one
+``(K + 1, N)`` coefficient array.  Compilation is hash-consed: structurally
+equal subtrees share a slot, ``sin`` and ``cos`` of one argument share one
+recurrence, and constant subtrees are folded.  The tape is cached against
+the identity of the AST tuple and dropped when one of those ASTs is
+collected.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
+from . import jets
 from .errors import ExprSyntaxError
 from .jets import BiJet2, DEFAULT_ORDER, TaylorJet, jet_elementary
 
@@ -227,57 +239,150 @@ def pretty_print(ast: ExprAst) -> str:
 
 
 # -- evaluation ---------------------------------------------------------------
+#
+# Tape layout: slot 0 holds the jet of ``t``, a constant slot holds a float
+# fixed at compile time, and every other slot is written by one instruction.
+# A node's key is its kernel plus its operand slots, literals being interned
+# constant slots, so the images of one ``substitute_var`` call inside several
+# components share a slot although they are distinct objects.
+
+
+class _Tape:
+    """A compiled AST set: slot values known up front, instructions
+    ``(kernel, destination slot, operand slot, operand slot or None)`` and
+    the slot of each AST."""
+
+    __slots__ = ("init", "code", "outputs")
+
+    def __init__(self, asts):
+        self.init: list = [None]  # slot 0: the variable, bound per run
+        self.code: list = []
+        keys: dict = {}           # (kernel, operand slots) or literal -> slot
+        seen: dict = {}           # id(node) -> slot; shared subtrees compile once
+
+        def emit(fn, a, b=None):
+            key = (fn, a, b)
+            slot = keys.get(key)
+            if slot is None:
+                slot = keys[key] = len(self.init)
+                args = (a,) if b is None else (a, b)
+                if any(self.init[i] is None for i in args):
+                    self.init.append(None)
+                    self.code.append((fn, slot, a, b))
+                else:  # constant operands: fold
+                    self.init.append(fn(*(self.init[i] for i in args)))
+            return slot
+
+        def const(value):
+            key = ("const", repr(value))
+            slot = keys.get(key)
+            if slot is None:
+                slot = keys[key] = len(self.init)
+                self.init.append(value)
+            return slot
+
+        def visit(node):
+            slot = seen.get(id(node))
+            if slot is not None:
+                return slot
+            if isinstance(node, Number):
+                slot = const(float(node.value))
+            elif isinstance(node, Const):
+                slot = const(float(np.pi))
+            elif isinstance(node, Var):
+                if node.name != "t":
+                    raise ValueError("bivariate expression evaluated as univariate")
+                slot = 0
+            elif isinstance(node, Unary) and node.op in ("sin", "cos"):
+                pair = emit(jets.sin_cos, visit(node.child))
+                slot = emit(operator.getitem, pair, const(int(node.op == "cos")))
+            elif isinstance(node, Unary):
+                slot = emit(_kernel(node.op), visit(node.child))
+            elif isinstance(node, Binary):
+                slot = emit(_kernel(node.op), visit(node.left), visit(node.right))
+            elif isinstance(node, PowInt):
+                slot = emit(jets.pow_int, visit(node.child), const(int(node.exponent)))
+            else:
+                raise TypeError(f"not an AST node: {node!r}")
+            seen[id(node)] = slot
+            return slot
+
+        self.outputs = [visit(ast) for ast in asts]
+
+    def run(self, t0, order: int) -> list[TaylorJet]:
+        """Jets of the compiled ASTs at t0 (a scalar or an array of points)."""
+        t = np.asarray(t0, dtype=float)
+        var = np.zeros((order + 1, t.size))
+        var[0] = t.ravel()
+        if order:
+            var[1] = 1.0
+        slots = list(self.init)
+        slots[0] = var
+        for fn, dst, a, b in self.code:
+            slots[dst] = fn(slots[a]) if b is None else fn(slots[a], slots[b])
+        shape = (order + 1,) + t.shape
+        out = []
+        for slot in self.outputs:
+            value = slots[slot]
+            if not isinstance(value, np.ndarray):
+                value = jets.constant_like(value, var)
+            out.append(TaylorJet(value.reshape(shape)))
+        return out
+
+
+_KERNELS = {"neg": jets.neg, "exp": jets.exp, "sqrt": jets.sqrt, "atan": jets.atan,
+            "add": jets.add, "sub": jets.sub, "mul": jets.mul, "div": jets.div}
+
+
+def _kernel(op: str):
+    try:
+        return _KERNELS[op]
+    except KeyError:
+        raise ValueError(f"unknown operation {op!r}") from None
+
+
+class _TapeCache:
+    """Compiled tapes keyed by the identity of the AST tuple.
+
+    An entry holds weak references to its ASTs: a hit must find the very
+    same objects, and the entry is dropped as soon as one of them is
+    collected, so the cache never outlives the curves it serves.
+    """
+
+    def __init__(self):
+        self._entries: dict = {}
+
+    def get(self, asts) -> _Tape:
+        key = tuple(map(id, asts))
+        hit = self._entries.get(key)
+        if hit is not None and all(ref() is ast for ref, ast in zip(hit[0], asts)):
+            return hit[1]
+        tape = _Tape(asts)
+        entries = self._entries
+
+        def drop(_ref):
+            entries.pop(key, None)
+
+        entries[key] = (tuple(weakref.ref(ast, drop) for ast in asts), tape)
+        return tape
+
+
+_TAPES = _TapeCache()
 
 
 def eval_jet(ast: ExprAst, t0, order: int = DEFAULT_ORDER) -> TaylorJet:
     """Taylor jet of a univariate expression at t0 (scalar or ndarray)."""
-    return _eval_jet(ast, t0, order, {})
+    return _TAPES.get((ast,)).run(t0, order)[0]
 
 
 def eval_jet_many(asts, t0, order: int) -> list[TaylorJet]:
-    """Jets of several expressions at once, sharing one subtree cache.
+    """Jets of several expressions at once, from one compiled tape.
 
-    Expression trees produced by the transform laws reuse subtrees (the
-    frame norm appears in both components, for instance); evaluating them
-    together collapses the duplicates.
+    Expression trees produced by the transform laws repeat subtrees (the
+    frame norm appears in both components, for instance); the tape
+    evaluates each distinct subtree once.
     """
-    memo: dict = {}
-    return [_eval_jet(a, t0, order, memo) for a in asts]
-
-
-def _eval_jet(ast: ExprAst, t0, order: int, memo: dict) -> TaylorJet:
-    key = id(ast)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(ast, Number):
-        result = TaylorJet.constant(ast.value, order)
-    elif isinstance(ast, Const):
-        result = TaylorJet.constant(np.pi, order)
-    elif isinstance(ast, Var):
-        if ast.name != "t":
-            raise ValueError("bivariate expression evaluated as univariate")
-        result = TaylorJet.variable(t0, order)
-    elif isinstance(ast, Unary):
-        child = _eval_jet(ast.child, t0, order, memo)
-        result = -child if ast.op == "neg" else jet_elementary(ast.op, child)
-    elif isinstance(ast, Binary):
-        a = _eval_jet(ast.left, t0, order, memo)
-        b = _eval_jet(ast.right, t0, order, memo)
-        if ast.op == "add":
-            result = a + b
-        elif ast.op == "sub":
-            result = a - b
-        elif ast.op == "mul":
-            result = a * b
-        else:
-            result = a / b
-    elif isinstance(ast, PowInt):
-        result = _eval_jet(ast.child, t0, order, memo) ** ast.exponent
-    else:
-        raise TypeError(f"not an AST node: {ast!r}")
-    memo[key] = result
-    return result
+    return _TAPES.get(tuple(asts)).run(t0, order)
 
 
 def eval_bijet(ast: ExprAst, x0, y0) -> BiJet2:
@@ -454,19 +559,16 @@ class ScalarFun:
         return self._jet_fn(t0, order)
 
     def __call__(self, t: float) -> float:
-        return float(self.jet(float(t), 0).coeffs[0])
+        return float(self.jet(float(t), 0).array[0])
 
     def values(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        c0 = self.jet(ts, 0).coeffs[0]
-        return np.broadcast_to(np.asarray(c0, dtype=float), ts.shape).copy()
+        return np.broadcast_to(self.jet(ts, 0).array[0], ts.shape).copy()
 
     def dvalues(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Function and first-derivative values on a grid, one pass."""
         ts = np.asarray(ts, dtype=float)
-        j = self.jet(ts, 1)
-        v = np.broadcast_to(np.asarray(j.coeffs[0], dtype=float), ts.shape).copy()
-        d = np.broadcast_to(np.asarray(j.coeffs[1], dtype=float), ts.shape).copy()
+        v, d = np.broadcast_to(self.jet(ts, 1).array, (2,) + ts.shape).copy()
         return v, d
 
     # Algebra on scalar functions; keeps the AST form when both sides have one,

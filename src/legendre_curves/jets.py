@@ -1,18 +1,27 @@
-"""Truncated Taylor-series (jet) arithmetic.
+"""Truncated Taylor-series (jet) arithmetic over coefficient arrays.
 
-A univariate jet stores the Taylor coefficients of a function at an
-expansion point: ``coeffs[i] = f^(i)(t0) / i!`` for ``i = 0..order``.  All
+A jet stores the Taylor coefficients of a function at one or many expansion
+points as one array of shape ``(K + 1, *points)``: row ``i`` holds
+``f^(i)(t0) / i!`` for every point, ``K`` is the truncation order.  All
 combination rules propagate derivatives exactly, up to floating-point
 rounding, which is what makes jets usable as derivative oracles when
 classifying zeros by their vanishing order.
 
-Coefficients may be plain floats or numpy arrays of expansion points; every
-operation is written array-agnostic, so one code path serves both scalar
-evaluation and vectorized grid sweeps.
+The kernels below (``add``, ``sub``, ``mul``, ``div``, ``pow_int``,
+``sin_cos``, ``exp``, ``sqrt``, ``atan`` and ``derivative``) are the one
+implementation of the Taylor recurrences.  They take coefficient arrays, or
+plain floats standing for constant functions, and broadcast over the point
+axes, so one code path serves a single point and a 4097-point grid alike.
+Products are shifted-slice updates, one array operation per order; the
+other recurrences take one reduction over the order axis per coefficient.
+The compiled expression tape in :mod:`exprs` calls the kernels on raw
+arrays, and :class:`TaylorJet` wraps one array and calls them from its
+operators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Union
 
@@ -28,222 +37,306 @@ DEFAULT_ORDER = 12
 VANISH_REL = 1e-9
 VANISH_ABS = 1e-12
 
-Coeff = Union[float, np.ndarray]
+#: A coefficient array of shape (K + 1, *points), or a float for a constant.
+Coeffs = Union[float, np.ndarray]
+
+
+# -- kernels ------------------------------------------------------------------
+
+
+def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
+    """Insert point axes of length 1 after the order axis, up to ``ndim``."""
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _align(a: np.ndarray, b: np.ndarray):
+    """Make the point axes of two coefficient arrays broadcast against
+    each other; a jet at one point pairs with every point of the other."""
+    if a.ndim < b.ndim:
+        return _lift(a, b.ndim), b
+    if b.ndim < a.ndim:
+        return a, _lift(b, a.ndim)
+    return a, b
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(n: int, ndim: int) -> np.ndarray:
+    """The column 1, 2, ..., n, shaped to scale rows of an ndim-array."""
+    col = np.arange(1.0, n + 1.0).reshape((n,) + (1,) * (ndim - 1))
+    col.flags.writeable = False  # shared between calls
+    return col
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a[i] * b[i] over the order axis."""
+    if len(a) == 1:
+        return a[0] * b[0]
+    return np.einsum("i...,i...->...", a, b)
+
+
+def constant_like(c, like: np.ndarray) -> np.ndarray:
+    """Coefficient array of the constant c, shaped like ``like``."""
+    out = np.zeros_like(like)
+    out[0] = c
+    return out
+
+
+def add(a: Coeffs, b: Coeffs) -> Coeffs:
+    if isinstance(a, np.ndarray):
+        if isinstance(b, np.ndarray):
+            a, b = _align(a, b)
+            return a + b
+        out = a.copy()
+        out[0] += b
+        return out
+    if isinstance(b, np.ndarray):
+        out = b.copy()
+        out[0] += a
+        return out
+    return a + b
+
+
+def sub(a: Coeffs, b: Coeffs) -> Coeffs:
+    if isinstance(b, np.ndarray):
+        if isinstance(a, np.ndarray):
+            a, b = _align(a, b)
+            return a - b
+        out = -b
+        out[0] += a
+        return out
+    if isinstance(a, np.ndarray):
+        out = a.copy()
+        out[0] -= b
+        return out
+    return a - b
+
+
+def neg(a: Coeffs) -> Coeffs:
+    return -a
+
+
+def mul(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Cauchy product: c_k = sum_j a_j b_(k-j)."""
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)):
+        return a * b
+    a, b = _align(a, b)
+    out = a[0] * b
+    for j in range(1, len(a)):
+        out[j:] += a[j] * b[:-j]
+    return out
+
+
+def div(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Quotient: c_k = (a_k - sum_(j<k) c_j b_(k-j)) / b_0."""
+    if not isinstance(b, np.ndarray):
+        if b == 0.0:
+            raise JetDomainError("jet division by zero at expansion point")
+        return a / b
+    if not isinstance(a, np.ndarray):
+        a = constant_like(a, b)
+    a, b = _align(a, b)
+    b0 = b[0]
+    if np.any(b0 == 0.0):
+        raise JetDomainError("jet division by zero at expansion point")
+    out = a / b0
+    for k in range(1, len(b)):
+        out[k] = (a[k] - _dot(out[:k], b[k:0:-1])) / b0
+    return out
+
+
+def pow_int(a: Coeffs, n: int) -> Coeffs:
+    """a^n for a non-negative integer n, by repeated squaring."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else mul(result, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    if result is None:
+        return constant_like(1.0, a) if isinstance(a, np.ndarray) else 1.0
+    return result
+
+
+def derivative(a: np.ndarray) -> np.ndarray:
+    """Coefficients of f' from those of f, one order shorter."""
+    return a[1:] * _orders(len(a) - 1, a.ndim)
+
+
+def sin_cos(a: Coeffs):
+    """(sin a, cos a) from one shared recurrence:
+    k s_k = sum_j j a_j c_(k-j),  k c_k = -sum_j j a_j s_(k-j)."""
+    if not isinstance(a, np.ndarray):
+        return np.sin(a), np.cos(a)
+    s = np.empty_like(a)
+    c = np.empty_like(a)
+    s[0] = np.sin(a[0])
+    c[0] = np.cos(a[0])
+    da = derivative(a)
+    for k in range(1, len(a)):
+        s[k] = _dot(da[:k], c[k - 1::-1]) / k
+        c[k] = -_dot(da[:k], s[k - 1::-1]) / k
+    return s, c
+
+
+def exp(a: Coeffs) -> Coeffs:
+    """k e_k = sum_j j a_j e_(k-j)."""
+    if not isinstance(a, np.ndarray):
+        return np.exp(a)
+    e = np.empty_like(a)
+    e[0] = np.exp(a[0])
+    da = derivative(a)
+    for k in range(1, len(a)):
+        e[k] = _dot(da[:k], e[k - 1::-1]) / k
+    return e
+
+
+def sqrt(a: Coeffs) -> Coeffs:
+    """r_k = (a_k - sum_(0<j<k) r_j r_(k-j)) / (2 r_0)."""
+    if not isinstance(a, np.ndarray):
+        if a <= 0.0:
+            raise JetDomainError("sqrt domain error")
+        return np.sqrt(a)
+    if np.any(a[0] <= 0.0):
+        raise JetDomainError("sqrt domain error")
+    r = np.empty_like(a)
+    r[0] = np.sqrt(a[0])
+    twice = 2.0 * r[0]
+    for k in range(1, len(a)):
+        r[k] = (a[k] - _dot(r[1:k], r[k - 1:0:-1])) / twice
+    return r
+
+
+def atan(a: Coeffs) -> Coeffs:
+    """atan(a)' = a' / (1 + a^2): integrate the quotient series."""
+    if not isinstance(a, np.ndarray):
+        return np.arctan(a)
+    out = np.empty_like(a)
+    out[0] = np.arctan(a[0])
+    n = len(a) - 1
+    if n:
+        head = a[:n]
+        q = div(derivative(a), add(1.0, mul(head, head)))
+        out[1:] = q / _orders(n, a.ndim)
+    return out
+
+
+# -- jets as objects ------------------------------------------------------------
 
 
 class TaylorJet:
-    """Taylor coefficients of a smooth function at one expansion point."""
+    """Taylor coefficients of a smooth function at one or many points.
 
-    __slots__ = ("coeffs",)
+    ``array`` has shape ``(order + 1, *points)``; ``coeffs`` lists its rows.
+    """
+
+    __slots__ = ("array",)
 
     def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-        if not self.coeffs:
+        try:
+            a = np.asarray(coeffs, dtype=float)
+        except ValueError:  # scalar rows beside array rows
+            a = np.array(np.broadcast_arrays(*coeffs), dtype=float)
+        if a.ndim == 0 or len(a) == 0:
             raise ValueError("a jet needs at least the order-0 coefficient")
+        self.array = a
+
+    @property
+    def coeffs(self) -> list:
+        return list(self.array)
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.array) - 1
 
     @classmethod
-    def constant(cls, c: Coeff, order: int) -> "TaylorJet":
-        return cls([c] + [0.0] * order)
+    def constant(cls, c, order: int) -> "TaylorJet":
+        a = np.zeros((order + 1,) + np.shape(c))
+        a[0] = c
+        return cls(a)
 
     @classmethod
-    def variable(cls, t0: Coeff, order: int) -> "TaylorJet":
+    def variable(cls, t0, order: int) -> "TaylorJet":
         """Jet of the identity function t -> t at t0."""
-        if order == 0:
-            return cls([t0])
-        return cls([t0, 1.0] + [0.0] * (order - 1))
+        a = cls.constant(t0, order).array
+        if order:
+            a[1] = 1.0
+        return cls(a)
 
-    def value(self) -> Coeff:
-        return self.coeffs[0]
+    def value(self):
+        return self.array[0]
 
-    def derivative_value(self, k: int) -> Coeff:
+    def derivative_value(self, k: int):
         """k-th derivative at the expansion point, i.e. k! * coeffs[k]."""
         if k > self.order:
             raise JetOrderError("jet order exceeded")
-        return self.coeffs[k] * float(math.factorial(k))
+        return self.array[k] * float(math.factorial(k))
 
     def truncate(self, order: int) -> "TaylorJet":
         if order > self.order:
             raise JetOrderError("jet order exceeded")
-        return TaylorJet(self.coeffs[: order + 1])
+        return TaylorJet(self.array[: order + 1])
 
     def derivative(self) -> "TaylorJet":
         """Jet of f' at the same point, one order shorter."""
         if self.order == 0:
             raise JetOrderError("jet order exceeded")
-        return TaylorJet([(i + 1) * c for i, c in enumerate(self.coeffs[1:])])
+        return TaylorJet(derivative(self.array))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other) -> "TaylorJet":
+    def _operand(self, other) -> Coeffs:
         if isinstance(other, TaylorJet):
             if other.order != self.order:
                 raise ValueError("jets have different orders")
-            return other
+            return other.array
         if isinstance(other, np.ndarray):
-            return TaylorJet.constant(other, self.order)
-        return TaylorJet.constant(float(other), self.order)
+            return TaylorJet.constant(other, self.order).array
+        return float(other)
 
     def __add__(self, other):
-        b = self._coerce(other)
-        return TaylorJet([x + y for x, y in zip(self.coeffs, b.coeffs)])
+        return TaylorJet(add(self.array, self._operand(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        b = self._coerce(other)
-        return TaylorJet([x - y for x, y in zip(self.coeffs, b.coeffs)])
+        return TaylorJet(sub(self.array, self._operand(other)))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        return TaylorJet(sub(self._operand(other), self.array))
 
     def __neg__(self):
-        return TaylorJet([-c for c in self.coeffs])
+        return TaylorJet(-self.array)
 
     def __mul__(self, other):
-        b = self._coerce(other)
-        a = self.coeffs
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            s = a[0] * b.coeffs[k]
-            for j in range(1, k + 1):
-                s = s + a[j] * b.coeffs[k - j]
-            out.append(s)
-        return TaylorJet(out)
+        return TaylorJet(mul(self.array, self._operand(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        b = self._coerce(other)
-        b0 = b.coeffs[0]
-        if np.any(np.asarray(b0) == 0.0):
-            raise JetDomainError("jet division by zero at expansion point")
-        a = self.coeffs
-        out = [a[0] / b0]
-        for k in range(1, self.order + 1):
-            s = a[k]
-            for j in range(k):
-                s = s - out[j] * b.coeffs[k - j]
-            out.append(s / b0)
-        return TaylorJet(out)
+        return TaylorJet(div(self.array, self._operand(other)))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return TaylorJet(div(self._operand(other), self.array))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, (int, np.integer)) or exponent < 0:
             raise ValueError("jet exponent must be a non-negative integer")
-        result = TaylorJet.constant(1.0, self.order)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return TaylorJet(pow_int(self.array, int(exponent)))
 
     def __repr__(self):
-        return f"TaylorJet({self.coeffs!r})"
+        return f"TaylorJet({self.array.tolist()!r})"
 
 
 # -- elementary functions ---------------------------------------------------
 
-
-def jet_sin(a: TaylorJet) -> TaylorJet:
-    return _sin_cos(a)[0]
-
-
-def jet_cos(a: TaylorJet) -> TaylorJet:
-    return _sin_cos(a)[1]
-
-
-def _sin_cos(a: TaylorJet):
-    n = a.order
-    s = [np.sin(a.coeffs[0])]
-    c = [np.cos(a.coeffs[0])]
-    for k in range(1, n + 1):
-        sk = 0.0
-        ck = 0.0
-        for j in range(1, k + 1):
-            sk = sk + j * a.coeffs[j] * c[k - j]
-            ck = ck - j * a.coeffs[j] * s[k - j]
-        s.append(sk / k)
-        c.append(ck / k)
-    return TaylorJet(s), TaylorJet(c)
-
-
-def jet_exp(a: TaylorJet) -> TaylorJet:
-    n = a.order
-    e = [np.exp(a.coeffs[0])]
-    for k in range(1, n + 1):
-        s = 0.0
-        for j in range(1, k + 1):
-            s = s + j * a.coeffs[j] * e[k - j]
-        e.append(s / k)
-    return TaylorJet(e)
-
-
-def jet_sqrt(a: TaylorJet) -> TaylorJet:
-    a0 = np.asarray(a.coeffs[0])
-    if np.any(a0 <= 0.0):
-        raise JetDomainError("sqrt domain error")
-    n = a.order
-    r = [np.sqrt(a.coeffs[0])]
-    for k in range(1, n + 1):
-        s = a.coeffs[k]
-        for j in range(1, k):
-            s = s - r[j] * r[k - j]
-        r.append(s / (2.0 * r[0]))
-    return TaylorJet(r)
-
-
-def jet_atan(a: TaylorJet) -> TaylorJet:
-    n = a.order
-    b0 = np.arctan(a.coeffs[0])
-    if n == 0:
-        return TaylorJet([b0])
-    # atan(a)' = a' / (1 + a^2); integrate the quotient series.
-    g = (TaylorJet.constant(1.0, n) + a * a).truncate(n - 1)
-    q = a.derivative() / g
-    out = [b0]
-    for k in range(1, n + 1):
-        out.append(q.coeffs[k - 1] / k)
-    return TaylorJet(out)
-
-
 _ELEMENTARY = {
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "exp": jet_exp,
-    "sqrt": jet_sqrt,
-    "atan": jet_atan,
+    "sin": lambda a: sin_cos(a)[0],
+    "cos": lambda a: sin_cos(a)[1],
+    "exp": exp,
+    "sqrt": sqrt,
+    "atan": atan,
 }
-
-
-# -- spec-level operations --------------------------------------------------
-
-
-def jet_arith(op: str, a: TaylorJet, b) -> TaylorJet:
-    """Combine jets: op in {add, sub, mul, div, pow_int}.
-
-    For pow_int, b is a non-negative integer exponent.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow_int":
-        return a ** b
-    raise ValueError(f"unknown jet operation {op!r}")
 
 
 def jet_elementary(fn: str, a: TaylorJet) -> TaylorJet:
@@ -252,22 +345,14 @@ def jet_elementary(fn: str, a: TaylorJet) -> TaylorJet:
         impl = _ELEMENTARY[fn]
     except KeyError:
         raise ValueError(f"unknown elementary function {fn!r}") from None
-    return impl(a)
+    return TaylorJet(impl(a.array))
 
 
-def derivative_at(f, t0: float, order: int, max_order: int = DEFAULT_ORDER) -> float:
-    """Exact i-th derivative of an evaluable scalar function at t0.
+def jet_sqrt(a: TaylorJet) -> TaylorJet:
+    return TaylorJet(sqrt(a.array))
 
-    ``f`` is anything with a ``jet(t0, order)`` method, or a callable that
-    maps a :class:`TaylorJet` of the variable to the jet of the function.
-    """
-    if order > max_order:
-        raise JetOrderError("jet order exceeded")
-    if hasattr(f, "jet"):
-        j = f.jet(t0, order)
-    else:
-        j = f(TaylorJet.variable(t0, order))
-    return float(j.derivative_value(order))
+
+# -- spec-level operations --------------------------------------------------
 
 
 def compose(outer: TaylorJet, inner: TaylorJet) -> TaylorJet:
@@ -278,11 +363,14 @@ def compose(outer: TaylorJet, inner: TaylorJet) -> TaylorJet:
     if outer.order != inner.order:
         raise ValueError("jets have different orders")
     n = outer.order
-    w = TaylorJet([0.0] + list(inner.coeffs[1:]))  # h(u) - h(u0)
-    result = TaylorJet.constant(outer.coeffs[n], n)
+    w = inner.array.copy()
+    w[0] = 0.0  # h(u) - h(u0)
+    g = outer.array
+    result = constant_like(g[n], w)
     for i in range(n - 1, -1, -1):
-        result = result * w + outer.coeffs[i]
-    return result
+        result = mul(result, w)
+        result[0] += g[i]
+    return TaylorJet(result)
 
 
 def first_nonvanishing(jet: TaylorJet, scale: float = 0.0) -> int | None:

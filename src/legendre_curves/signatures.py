@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair
+from .curves import CurvaturePair, LegendreCurve
 from .errors import (CofactorError, DegenerateCurveError, RootScanError,
                      SignatureError)
 from .exprs import ScalarFun
@@ -288,14 +288,14 @@ def signature(source, config: SignatureConfig | None = None) -> Signature:
     sitting at both endpoints is recorded once.
     """
     cfg = config or DEFAULT_CONFIG
-    if isinstance(source, CurvaturePair):
-        pair = source
-    else:
-        pair = source.curvature_pair()
+    pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
     a, b = pair.domain
     scan = np.linspace(a, b, cfg.grid_n + 1)
-    ev, dev = pair.ell.dvalues(scan)
-    bv, dbv = pair.beta.dvalues(scan)
+    if isinstance(source, LegendreCurve):
+        jets = source.curvature_jets(scan, 1)
+    else:
+        jets = (pair.ell.jet(scan, 1), pair.beta.jet(scan, 1))
+    (ev, dev), (bv, dbv) = (np.broadcast_to(j.array, (2,) + scan.shape) for j in jets)
     scale = max(float(np.max(np.abs(ev))), float(np.max(np.abs(bv))))
     if scale == 0.0 or float(np.max(np.abs(bv))) <= cfg.zero_fun_rel * scale:
         raise DegenerateCurveError("degenerate: constant curve")
@@ -325,9 +325,7 @@ def _orders_at(fun: ScalarFun, roots: list[float], max_order: int,
     if not roots:
         return []
     jet = fun.jet(np.asarray(roots, dtype=float), max_order)
-    mags = np.abs(np.stack([
-        np.broadcast_to(np.asarray(c, dtype=float), (len(roots),)) for c in jet.coeffs
-    ]))
+    mags = np.abs(np.broadcast_to(jet.array, (max_order + 1, len(roots))))
     running = np.maximum.accumulate(np.maximum(mags, scale), axis=0)
     above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
     orders: list[int] = []

@@ -188,3 +188,47 @@ def test_reparam_requires_domain(specs, capsys):
     code = run(["transform", "--curve", specs["circle"], "--reparam", "2*t"])
     assert code == 1
     assert "--domain" in capsys.readouterr().err
+
+
+# -- malformed spec files: `error: ...` on stderr, exit 1 ---------------------------
+
+
+def _run_spec_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = run(["signature", "--curve", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+    return captured.err
+
+
+def test_malformed_json_spec(tmp_path, capsys):
+    err = _run_spec_error(tmp_path, capsys, '{"x": "cos(t)", "y": ')
+    assert "not valid JSON" in err
+
+
+def test_missing_spec_path(tmp_path, capsys):
+    code = run(["signature", "--curve", str(tmp_path / "absent.json")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: cannot read curve spec")
+
+
+def test_non_numeric_domain_or_params(tmp_path, capsys):
+    spec = {"x": "cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
+            "domain": [0, "two pi"]}
+    err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
+    assert "must hold numbers" in err
+    spec = {"x": "a*cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
+            "domain": [0, 1], "params": {"a": "big"}}
+    err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
+    assert "must hold numbers" in err
+
+
+@pytest.mark.parametrize("nu", [["cos(t)"], ["cos(t)", "sin(t)", "t"]])
+def test_nu_of_wrong_length(tmp_path, capsys, nu):
+    spec = {"x": "cos(t)", "y": "sin(t)", "nu": nu, "domain": [0, 1]}
+    err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
+    assert "two expressions" in err

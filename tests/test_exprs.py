@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -192,3 +193,16 @@ def test_scalar_fun_values_and_algebra():
     v, d = f.dvalues(ts)
     assert np.allclose(v, np.sin(ts), atol=1e-14)
     assert np.allclose(d, np.cos(ts), atol=1e-14)
+
+
+def test_tape_cache_entry_dies_with_its_asts():
+    from legendre_curves.exprs import _TAPES
+
+    ast = parse_expr("sin(t)*t^2")
+    tape = _TAPES.get((ast,))
+    assert _TAPES.get((ast,)) is tape  # compiled once per AST tuple
+    key = (id(ast),)
+    assert key in _TAPES._entries
+    del ast, tape
+    gc.collect()
+    assert key not in _TAPES._entries

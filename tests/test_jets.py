@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendre_curves import (ScalarFun, TaylorJet, derivative_at, jet_arith,
-                             jet_elementary)
+from legendre_curves import ScalarFun, TaylorJet, jet_elementary
+from legendre_curves import jets
 from legendre_curves.errors import JetDomainError, JetOrderError
+from legendre_curves.exprs import (Binary, Number, PowInt, Unary, Var, _Tape,
+                                   eval_jet, parse_expr)
+from legendre_curves.gallery import gallery
 from legendre_curves.jets import compose, first_nonvanishing
+from legendre_curves.transforms import reparametrize
 
 
 def jets_close(jet, expected, tol=1e-12):
@@ -19,16 +23,16 @@ def jets_close(jet, expected, tol=1e-12):
 
 def test_mul_of_variable_jets():
     t = TaylorJet.variable(0.0, 3)
-    jets_close(jet_arith("mul", t, t), [0, 0, 1, 0])
+    jets_close(t * t, [0, 0, 1, 0])
 
 
 def test_div_geometric_series():
     one = TaylorJet.constant(1.0, 2)
-    jets_close(jet_arith("div", one, TaylorJet([1.0, 1.0, 0.0])), [1, -1, 1])
+    jets_close(one / TaylorJet([1.0, 1.0, 0.0]), [1, -1, 1])
 
 
 def test_pow_int_binomial():
-    jets_close(jet_arith("pow_int", TaylorJet([1.0, 1.0, 0.0, 0.0]), 3), [1, 3, 3, 1])
+    jets_close(TaylorJet([1.0, 1.0, 0.0, 0.0]) ** 3, [1, 3, 3, 1])
 
 
 def test_sin_maclaurin():
@@ -50,7 +54,7 @@ def test_atan_series():
 
 def test_division_by_zero_jet():
     with pytest.raises(JetDomainError, match="jet division by zero"):
-        jet_arith("div", TaylorJet.constant(1.0, 2), TaylorJet([0.0, 1.0, 0.0]))
+        TaylorJet.constant(1.0, 2) / TaylorJet([0.0, 1.0, 0.0])
 
 
 def test_sqrt_domain_error():
@@ -61,19 +65,23 @@ def test_sqrt_domain_error():
 
 
 def test_derivative_at_examples():
-    assert derivative_at(ScalarFun.from_text("t^2"), 0.0, 2) == pytest.approx(2.0)
-    assert derivative_at(ScalarFun.from_text("sin(t)"), math.pi, 1) == pytest.approx(-1.0)
+    def derivative(text, t0, k):
+        return float(ScalarFun.from_text(text).jet(t0, k).derivative_value(k))
+
+    assert derivative("t^2", 0.0, 2) == pytest.approx(2.0)
+    assert derivative("sin(t)", math.pi, 1) == pytest.approx(-1.0)
     # value of the cusp's first curvature component at its singular point
-    assert derivative_at(ScalarFun.from_text("6/(9*t^2+4)"), 0.0, 0) == pytest.approx(1.5)
+    assert derivative("6/(9*t^2+4)", 0.0, 0) == pytest.approx(1.5)
 
 
 def test_derivative_at_accepts_jet_callable():
-    assert derivative_at(lambda j: j * j * j, 2.0, 2) == pytest.approx(12.0)
+    cube = ScalarFun.wrap(lambda j: j * j * j)
+    assert float(cube.jet(2.0, 2).derivative_value(2)) == pytest.approx(12.0)
 
 
 def test_order_exceeded():
     with pytest.raises(JetOrderError, match="jet order exceeded"):
-        derivative_at(ScalarFun.from_text("t^2"), 0.0, 13)
+        ScalarFun.from_text("t^2").jet(0.0, 12).derivative_value(13)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6),
@@ -147,3 +155,227 @@ def test_vectorized_jets_match_scalar():
         sc = f.jet(float(t), 2)
         for k in range(3):
             assert coeffs[k][i] == pytest.approx(float(sc.coeffs[k]), abs=1e-14)
+
+
+# -- array kernels against the list-based recurrences ---------------------------
+#
+# The references below are the scalar nested loops the kernels replaced: a
+# jet is a list of rows, each row a float or an array of points.
+
+def _ref_mul(a, b):
+    out = []
+    for k in range(len(a)):
+        s = a[0] * b[k]
+        for j in range(1, k + 1):
+            s = s + a[j] * b[k - j]
+        out.append(s)
+    return out
+
+
+def _ref_div(a, b):
+    out = [a[0] / b[0]]
+    for k in range(1, len(a)):
+        s = a[k]
+        for j in range(k):
+            s = s - out[j] * b[k - j]
+        out.append(s / b[0])
+    return out
+
+
+def _ref_sin_cos(a):
+    s = [np.sin(a[0])]
+    c = [np.cos(a[0])]
+    for k in range(1, len(a)):
+        sk = 0.0
+        ck = 0.0
+        for j in range(1, k + 1):
+            sk = sk + j * a[j] * c[k - j]
+            ck = ck - j * a[j] * s[k - j]
+        s.append(sk / k)
+        c.append(ck / k)
+    return s, c
+
+
+def _ref_exp(a):
+    e = [np.exp(a[0])]
+    for k in range(1, len(a)):
+        s = 0.0
+        for j in range(1, k + 1):
+            s = s + j * a[j] * e[k - j]
+        e.append(s / k)
+    return e
+
+
+def _ref_sqrt(a):
+    r = [np.sqrt(a[0])]
+    for k in range(1, len(a)):
+        s = a[k]
+        for j in range(1, k):
+            s = s - r[j] * r[k - j]
+        r.append(s / (2.0 * r[0]))
+    return r
+
+
+def _ref_atan(a):
+    n = len(a) - 1
+    out = [np.arctan(a[0])]
+    if n:
+        g = _ref_mul(a, a)[:n]
+        g[0] = g[0] + 1.0
+        q = _ref_div([(i + 1) * c for i, c in enumerate(a[1:])], g)
+        out += [q[k - 1] / k for k in range(1, n + 1)]
+    return out
+
+
+def _ref_const(c, order):
+    return [c] + [0.0] * order
+
+
+def assert_matches(got, want):
+    """|got_k - want_k| <= 1e-12 * max(1, max_j |want_j|), point by point."""
+    want = np.array(np.broadcast_arrays(*want), dtype=float)
+    got = np.asarray(got, dtype=float)
+    assert got.shape == want.shape
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=0))
+    assert np.all(np.abs(got - want) <= 1e-12 * scale), np.max(np.abs(got - want) / scale)
+
+
+ORDERS = (0, 1, 2, 12, 13)
+POINTS = (None, 1, 17, 4097)  # None: a single scalar point
+
+
+def _random_jet(rng, order, points):
+    """Coefficient array with a positive order-0 row (valid for div and sqrt)."""
+    shape = (order + 1,) if points is None else (order + 1, points)
+    a = rng.uniform(-1.0, 1.0, shape)
+    a[0] = rng.uniform(0.5, 2.0, shape[1:])
+    return a
+
+
+@pytest.mark.parametrize("points", POINTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_array_kernels_match_reference(order, points):
+    rng = np.random.default_rng(1000 * order + (points or 0))
+    a = _random_jet(rng, order, points)
+    b = _random_jet(rng, order, points)
+    ra, rb = list(a), list(b)
+    assert_matches(jets.add(a, b), [x + y for x, y in zip(ra, rb)])
+    assert_matches(jets.sub(a, b), [x - y for x, y in zip(ra, rb)])
+    assert_matches(jets.mul(a, b), _ref_mul(ra, rb))
+    assert_matches(jets.div(a, b), _ref_div(ra, rb))
+    assert_matches(jets.pow_int(a, 3), _ref_mul(_ref_mul(ra, ra), ra))
+    s, c = jets.sin_cos(a)
+    rs, rc = _ref_sin_cos(ra)
+    assert_matches(s, rs)
+    assert_matches(c, rc)
+    assert_matches(jets.exp(a), _ref_exp(ra))
+    assert_matches(jets.sqrt(a), _ref_sqrt(ra))
+    assert_matches(jets.atan(a), _ref_atan(ra))
+    if order:
+        assert_matches(jets.derivative(a), [(i + 1) * x for i, x in enumerate(ra[1:])])
+
+
+@pytest.mark.parametrize("points", POINTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_constant_operand_on_either_side(order, points):
+    rng = np.random.default_rng(7 + order)
+    a = _random_jet(rng, order, points)
+    ra = list(a)
+    c = 1.75
+    rc = _ref_const(c, order)
+    assert_matches(jets.add(c, a), [x + y for x, y in zip(rc, ra)])
+    assert_matches(jets.add(a, c), [x + y for x, y in zip(ra, rc)])
+    assert_matches(jets.sub(c, a), [x - y for x, y in zip(rc, ra)])
+    assert_matches(jets.sub(a, c), [x - y for x, y in zip(ra, rc)])
+    assert_matches(jets.mul(c, a), _ref_mul(rc, ra))
+    assert_matches(jets.mul(a, c), _ref_mul(ra, rc))
+    assert_matches(jets.div(c, a), _ref_div(rc, ra))
+    assert_matches(jets.div(a, c), _ref_div(ra, rc))
+
+
+def test_single_point_jet_pairs_with_grid_jet():
+    # a jet at one point combines with each point of a grid jet; five
+    # points at order 4 make a misaligned broadcast look valid
+    rng = np.random.default_rng(3)
+    one = _random_jet(rng, 4, None)
+    grid = _random_jet(rng, 4, 5)
+    cols = [list(grid[:, i]) for i in range(5)]
+    for kernel, ref in ((jets.mul, _ref_mul), (jets.div, _ref_div)):
+        left = np.array([ref(list(one), col) for col in cols]).T
+        right = np.array([ref(col, list(one)) for col in cols]).T
+        assert_matches(kernel(one, grid), list(left))
+        assert_matches(kernel(grid, one), list(right))
+    assert_matches((TaylorJet(one) * TaylorJet(grid)).array,
+                   list(np.array([_ref_mul(list(one), col) for col in cols]).T))
+    assert_matches((TaylorJet(one) / TaylorJet(grid)).array,
+                   list(np.array([_ref_div(list(one), col) for col in cols]).T))
+
+
+def _ref_eval(ast, t0, order):
+    """Recursive evaluation of an AST with the list-based references."""
+    if isinstance(ast, Number):
+        return _ref_const(ast.value, order)
+    if isinstance(ast, Var):
+        return [t0, 1.0] + [0.0] * (order - 1) if order else [t0]
+    if isinstance(ast, Unary):
+        u = _ref_eval(ast.child, t0, order)
+        if ast.op == "neg":
+            return [-x for x in u]
+        if ast.op in ("sin", "cos"):
+            return _ref_sin_cos(u)[ast.op == "cos"]
+        return {"exp": _ref_exp, "sqrt": _ref_sqrt, "atan": _ref_atan}[ast.op](u)
+    if isinstance(ast, Binary):
+        a = _ref_eval(ast.left, t0, order)
+        b = _ref_eval(ast.right, t0, order)
+        if ast.op == "add":
+            return [x + y for x, y in zip(a, b)]
+        if ast.op == "sub":
+            return [x - y for x, y in zip(a, b)]
+        return (_ref_mul if ast.op == "mul" else _ref_div)(a, b)
+    assert isinstance(ast, PowInt)
+    u = _ref_eval(ast.child, t0, order)
+    out = _ref_const(1.0, order)
+    for _ in range(ast.exponent):
+        out = _ref_mul(out, u)
+    return out
+
+
+TAPE_EXPR = ("sin(2*t)*exp(-t^2/4)/sqrt(t^2 + 2) + atan(t/3) - cos(t)^3"
+             " + 1/(2 + sin(t)) - 3 + (t - 1)*(1 - t)")
+
+
+@pytest.mark.parametrize("points", POINTS)
+@pytest.mark.parametrize("order", ORDERS)
+def test_tape_matches_reference(order, points):
+    ast = parse_expr(TAPE_EXPR)
+    if points is None:
+        t0 = 0.4
+    else:
+        t0 = np.linspace(-2.0, 2.0, points)
+    got = eval_jet(ast, t0, order)
+    assert_matches(got.array, _ref_eval(ast, t0, order))
+    assert got.order == order
+    assert got.array.shape == (order + 1,) + np.shape(t0)
+
+
+def test_equal_subtrees_compile_to_one_slot():
+    # two parses give structurally equal trees that are distinct objects
+    u1, u2 = parse_expr("sin(2*t) + t^2"), parse_expr("sin(2*t) + t^2")
+    assert u1 is not u2
+    tape = _Tape([u1, u2, Binary("mul", u1, u2)])
+    assert tape.outputs[0] == tape.outputs[1]
+    # the images of one substitute_var call in x and in nu_x of the
+    # reparametrized circle, cos(t(u)), are distinct objects, one slot
+    circle = gallery("circle").curve
+    image = reparametrize(circle, "t + 0.3*sin(t)", circle.domain).curve
+    assert image.x.ast is not image.nu_x.ast
+    tape = _Tape([image.x.ast, image.y.ast, image.nu_x.ast, image.nu_y.ast])
+    assert tape.outputs[0] == tape.outputs[2]
+    assert tape.outputs[1] == tape.outputs[3]
+
+
+def test_sin_and_cos_share_one_recurrence():
+    tape = _Tape([parse_expr("sin(t^2) + cos(t^2)")])
+    assert sum(1 for fn, *_ in tape.code if fn is jets.sin_cos) == 1
+    tape = _Tape([parse_expr("sin(t)"), parse_expr("cos(t)")])
+    assert sum(1 for fn, *_ in tape.code if fn is jets.sin_cos) == 1
