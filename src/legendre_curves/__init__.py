@@ -2,7 +2,7 @@
 transformation laws, zero signatures and equivalence decisions."""
 
 from .curves import (CurvaturePair, LegendreCurve, check_closed,
-                     check_legendre, curvature, derive_nu, dump_curve,
+                     check_legendre, derive_nu, dump_curve,
                      is_immersion, load_curve, moving_frame)
 from .errors import (CofactorError, CurveError, DegenerateCurveError,
                      ExprSyntaxError, GridMismatchError, JetDomainError,
@@ -41,7 +41,7 @@ __all__ = [
     "SignatureConfig", "SignatureError", "TaylorJet", "TransformError",
     "TransformResult", "ZERO_FUNCTION", "ZeroPoint", "align_congruence",
     "check_ab_assumption", "check_closed", "check_legendre", "cofactor",
-    "contact_order", "curvature", "decide_equivalence", "default_gallery",
+    "contact_order", "decide_equivalence", "default_gallery",
     "derive_nu", "dump_curve", "dump_signature", "eval_bijet",
     "eval_jet", "find_zeros", "gallery", "germ_signature",
     "germ_signature_of_curve", "is_immersion", "jet_elementary",

@@ -167,10 +167,6 @@ class CurvaturePair:
     closed: bool = False
 
     @classmethod
-    def from_curve(cls, curve: LegendreCurve) -> "CurvaturePair":
-        return curve.curvature_pair()
-
-    @classmethod
     def from_exprs(cls, ell: str, beta: str, domain: tuple[float, float],
                    closed: bool = False,
                    params: Optional[dict[str, float]] = None) -> "CurvaturePair":
@@ -179,12 +175,6 @@ class CurvaturePair:
 
     def __call__(self, t: float) -> tuple[float, float]:
         return self.ell(t), self.beta(t)
-
-
-def curvature(curve: LegendreCurve, t: float) -> tuple[float, float]:
-    """The curvature pair (ell, beta) at one parameter value."""
-    pair = curve.curvature_pair()
-    return pair(t)
 
 
 # -- checks -----------------------------------------------------------------
@@ -354,8 +344,8 @@ def load_curve(source) -> LegendreCurve:
     Format: {"x": str, "y": str, "nu": [str, str] (optional),
              "domain": [a, b], "closed": bool, "params": {name: number}}
 
-    An unreadable file, malformed JSON and fields of the wrong type or
-    length raise CurveError.
+    An unreadable file, malformed JSON, fields of the wrong type or length
+    and invalid parameter names raise CurveError.
     """
     try:
         if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -392,9 +382,12 @@ def load_curve(source) -> LegendreCurve:
                          "numbers") from None
     if len(domain) != 2:
         raise CurveError("curve spec field 'domain' must hold two numbers")
-    return LegendreCurve.from_exprs(x, y, nu=nu, domain=domain,
-                                    closed=bool(data.get("closed", False)),
-                                    params=params or None)
+    try:
+        return LegendreCurve.from_exprs(x, y, nu=nu, domain=domain,
+                                        closed=bool(data.get("closed", False)),
+                                        params=params or None)
+    except ValueError as err:  # substitute_params rejects a reserved or malformed name
+        raise CurveError(f"invalid curve spec: {err}") from None
 
 
 def dump_curve(curve: LegendreCurve) -> str:

@@ -57,6 +57,16 @@ def check_ab_assumption(a: int, b: int) -> bool:
     return True
 
 
+def _int_param(params: dict, name: str, default: int) -> int:
+    value = params.get(name, default)
+    try:
+        if float(value).is_integer():
+            return int(float(value))
+    except (TypeError, ValueError):
+        pass
+    raise CurveError(f"gallery parameter {name!r} must be an integer, got {value!r}")
+
+
 def _entry_from_template(name: str, x: str, y: str, nu: tuple[str, str],
                          ell: str, beta: str, params: dict, closed: bool,
                          provenance: str, domain=(0.0, 2.0 * pi)) -> GalleryEntry:
@@ -86,8 +96,8 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             {}, closed=True,
             provenance="unit circle with outward radial frame")
     if name == "gamma_ab":
-        a = int(params.get("a", 1))
-        b = int(params.get("b", 2))
+        a = _int_param(params, "a", 1)
+        b = _int_param(params, "b", 2)
         if a < 1 or b < 1:
             raise CurveError("gamma_ab needs positive integers a, b")
         if not check_ab_assumption(a, b):
@@ -104,7 +114,7 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             sub, closed=True,
             provenance=f"Lissajous frontal (sin {a}t, sin {b}t)")
     if name == "gamma_n":
-        n = int(params.get("n", 3))
+        n = _int_param(params, "n", 3)
         if n < 2:
             raise CurveError("gamma_n needs an integer n >= 2")
         return _entry_from_template(
@@ -115,7 +125,7 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             {"n": n}, closed=(n % 2 == 1),
             provenance=f"epicycloid-type frontal with half-angle frame, index {n}")
     if name == "gamma_m":
-        m = int(params.get("m", 3))
+        m = _int_param(params, "m", 3)
         if m < 1:
             raise CurveError("gamma_m needs an integer m >= 1")
         return _entry_from_template(
@@ -126,10 +136,10 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             {"m": m}, closed=(m % 2 == 1),
             provenance=f"mirrored epicycloid-type frontal, index {m}")
     if name == "type_nm":
-        n = int(params.get("n", 2))
-        m = int(params.get("m", 3))
+        n = _int_param(params, "n", 2)
+        m = _int_param(params, "m", 3)
         f = params.get("f", "1")
-        sign = int(params.get("sign", 1))
+        sign = _int_param(params, "sign", 1)
         curve = type_nm_curve(n, m, f, sign)
         ell_ast, beta_ast = type_nm_curvature(n, m, f, sign)
         pair = CurvaturePair(ScalarFun.from_ast(ell_ast), ScalarFun.from_ast(beta_ast),

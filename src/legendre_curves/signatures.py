@@ -7,6 +7,13 @@ along the parameter interval.  Two curves have equivalent curvature exactly
 when these signatures can be matched: by the identity or a reversal for
 curves on an interval, and additionally by any cyclic shift for closed
 curves.
+
+Both components are searched together.  One scan on a uniform grid gathers
+the candidates of ell and beta (sign-change brackets, derivative brackets
+of touch zeros, exact grid zeros, endpoints), each tagged with its
+component and the jet row it drives to zero; every zoom round, Newton step,
+residual check and the contact-order sweep is then one evaluation of both,
+for a ``LegendreCurve`` one pass of its (x, y, nu) tape.
 """
 
 from __future__ import annotations
@@ -85,129 +92,137 @@ DEFAULT_CONFIG = SignatureConfig()
 
 
 # -- root isolation -----------------------------------------------------------
+#
+# A source maps a 1-D point array and an order to the jets of its C
+# components, one array of shape (C, order + 1, len(pts)).
+
+_NON_FINITE = "zero set appears non-finite; refine or reject"
+_ZOOM_POINTS = 257  # 256 subintervals a round: four rounds shrink by 16^8
+_ZOOM_ROUNDS = 4
+
+
+def _source(jets):
+    """Wrap ``jets(pts, order)``, a tuple of component jets, as a source."""
+    def evaluate(pts, order):
+        shape = (order + 1, len(pts))
+        return np.stack([np.broadcast_to(j.array.reshape(order + 1, -1), shape)
+                         for j in jets(pts, order)])
+    return evaluate
+
+
+def _fun_source(fun: ScalarFun):
+    return _source(lambda pts, order: (fun.jet(pts, order),))
 
 
 def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
-               tol: float = 1e-9, half_open: bool = False,
-               samples=None) -> list[float]:
+               tol: float = 1e-9, half_open: bool = False) -> list[float]:
     """Locate the zeros of an evaluable scalar function on an interval.
 
-    Combines (i) sign-change brackets of f, refined by nested grid zooming
-    plus a guarded Newton polish, (ii) sign-change roots of f' at which |f|
-    is below tol * scale (even-order touch zeros), and the interval
-    endpoints as explicit candidates.  Roots are deduplicated within 1e-9.
-    With ``half_open`` the right endpoint is excluded, which is how closed
-    curves record a seam zero once.
-
-    ``samples`` can carry a precomputed uniform sweep (ts, f(ts), f'(ts))
-    so a caller that already scanned the function does not pay twice.
+    The one-component case of the joint search ``signature`` runs on
+    (ell, beta), see ``_zeros``: one scan gathers the candidates, and each
+    zoom round, Newton step and the residual check is one evaluation.
+    Roots are deduplicated within 1e-9.  With ``half_open`` the right
+    endpoint is excluded, which is how closed curves record a seam zero
+    once.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    fun = ScalarFun.wrap(f)
-    a, b = float(domain[0]), float(domain[1])
-    if samples is not None:
-        ts, v, dv = samples
-        grid_n = len(ts) - 1
-    else:
-        ts = np.linspace(a, b, grid_n + 1)
-        v, dv = fun.dvalues(ts)
-    scale = float(np.max(np.abs(v)))
-    if scale == 0.0:
-        raise RootScanError("zero set appears non-finite; refine or reject")
+    evaluate = _fun_source(ScalarFun.wrap(f))
+    ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
+    return _zeros(evaluate, ts, evaluate(ts, 1), (0,), tol, half_open)[0]
 
-    sign_changes = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-    exact_hits = np.nonzero(v == 0.0)[0]
-    if len(sign_changes) + len(exact_hits) > max(1, grid_n // 4):
-        raise RootScanError("zero set appears non-finite; refine or reject")
 
-    # Critical points are touch-zero candidates only where |f| is already
-    # small; the pre-filter keeps the derivative scan from chasing noise-level
-    # sign changes of f' (a constant f has f' at rounding level everywhere).
-    pre_tol = max(tol, 400.0 / grid_n ** 2) * scale
-    near = np.minimum(np.abs(v[:-1]), np.abs(v[1:])) <= pre_tol
-    dsign_changes = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near)[0]
-    exact_crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tol))[0]
-    if len(dsign_changes) + len(exact_crit) > max(1, grid_n // 4):
-        raise RootScanError("zero set appears non-finite; refine or reject")
+def _zeros(evaluate, ts: np.ndarray, scan: np.ndarray, comps: Sequence[int],
+           tol: float, half_open: bool) -> list[list[float]]:
+    """Zeros of the components ``comps`` of a source, refined together.
 
-    roots: list[float] = []
-
-    if len(sign_changes):
-        lo = ts[sign_changes]
-        hi = ts[sign_changes + 1]
-        roots.extend(_refine_brackets(fun, lo, hi))
-    # Grid samples that are exactly zero never produce a strict sign change.
-    roots.extend(float(t) for t in ts[exact_hits])
-
-    crit: list[float] = [float(t) for t in ts[exact_crit]]
-    if len(dsign_changes):
-        lo = ts[dsign_changes]
-        hi = ts[dsign_changes + 1]
-        crit.extend(_refine_brackets(fun, lo, hi, on_derivative=True))
-    if crit:
-        fv = np.abs(fun.values(np.asarray(crit)))
-        roots.extend(float(c) for c, m in zip(crit, fv) if m <= tol * scale)
-
-    # Endpoints never produce a strict sign change, so test them directly.
+    ``scan`` is the source's order-1 array on the uniform grid ``ts``.  A
+    candidate other than a zoomed sign-change bracket of f counts as a zero
+    only when |f| <= tol * scale, with scale the component's maximum |f|
+    on the grid.  Returns one sorted root list per component, empty for
+    the components not in ``comps``.
+    """
+    grid_n = len(ts) - 1
+    a, b = float(ts[0]), float(ts[-1])
     h = (b - a) / grid_n
-    ends = _polish_newton(fun, np.array([a, b]), np.array([a, b - h]),
-                          np.array([a + h, b]))
-    end_vals = np.abs(fun.values(ends))
-    roots.extend(float(c) for c, m in zip(ends, end_vals) if m <= tol * scale)
+    cap = max(1, grid_n // 4)
+    v, dv = scan[:, 0], scan[:, 1]
+    scales = np.max(np.abs(v), axis=1)
+    groups = []  # lo, hi, start (NaN: zoom the bracket first), component, jet row
+    for c in comps:
+        if scales[c] == 0.0:
+            raise RootScanError(_NON_FINITE)
+        sign_changes = np.nonzero(v[c, :-1] * v[c, 1:] < 0.0)[0]
+        exact_hits = np.nonzero(v[c] == 0.0)[0]
+        if len(sign_changes) + len(exact_hits) > cap:
+            raise RootScanError(_NON_FINITE)
+        # Critical points are touch-zero candidates only where |f| is already
+        # small; the pre-filter keeps the derivative scan from chasing
+        # noise-level sign changes of f' (a constant f has f' at rounding
+        # level everywhere).
+        pre_tol = max(tol, 400.0 / grid_n ** 2) * scales[c]
+        near = np.minimum(np.abs(v[c, :-1]), np.abs(v[c, 1:])) <= pre_tol
+        dsign_changes = np.nonzero((dv[c, :-1] * dv[c, 1:] < 0.0) & near)[0]
+        exact_crit = np.nonzero((dv[c] == 0.0) & (np.abs(v[c]) <= pre_tol))[0]
+        if len(dsign_changes) + len(exact_crit) > cap:
+            raise RootScanError(_NON_FINITE)
+        # Exact grid zeros and the endpoints never produce a strict sign
+        # change; they start Newton where they are, inside [t, t] for the
+        # grid points and inside their grid cell for the endpoints.
+        exact = ts[np.concatenate([exact_hits, exact_crit])]
+        groups += [np.broadcast_arrays(*g) for g in (
+            (ts[sign_changes], ts[sign_changes + 1], np.nan, c, 0),
+            (ts[dsign_changes], ts[dsign_changes + 1], np.nan, c, 1),
+            (exact, exact, exact, c, 0),
+            (np.array([a, b - h]), np.array([a + h, b]), np.array([a, b]), c, 0))]
+    lo, hi, x, comp, row = (np.concatenate(col) for col in zip(*groups))
+    zoom = np.isnan(x)
+    lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
+    x = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
+    small = np.abs(evaluate(x, 0)[comp, 0, np.arange(len(x))]) <= tol * scales[comp]
+    keep = (zoom & (row == 0)) | small
 
-    roots = _dedup(sorted(roots), 1e-9)
-    if half_open:
-        roots = [r for r in roots if abs(r - b) > 1e-9]
-    if len(roots) > max(1, grid_n // 4):
-        raise RootScanError("zero set appears non-finite; refine or reject")
+    roots: list[list[float]] = [[] for _ in scales]
+    for c in comps:
+        found = _dedup(sorted(x[keep & (comp == c)].tolist()), 1e-9)
+        if half_open:
+            found = [r for r in found if abs(r - b) > 1e-9]
+        if len(found) > cap:
+            raise RootScanError(_NON_FINITE)
+        roots[c] = found
     return roots
 
 
-def _refine_brackets(fun: ScalarFun, lo: np.ndarray, hi: np.ndarray,
-                     on_derivative: bool = False) -> list[float]:
-    """Shrink sign-change brackets by nested grid zooming, then Newton.
-
-    Each round samples every bracket on a 17-point subgrid in one evaluation
-    sweep and keeps the subinterval where the sign change lives, so eight
-    rounds shrink the width by 16^8 (well below 1e-12 of the original grid
-    step) at a fraction of the tree walks a scalar bisection would cost.
-    """
-
-    def fval(x):
-        if on_derivative:
-            return fun.dvalues(x)[1]
-        return fun.values(x)
-
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    n = len(lo)
-    offsets = np.linspace(0.0, 1.0, 17)
-    rows = np.arange(n)
-    for _ in range(8):
+def _zoom(evaluate, lo, hi, comp, row):
+    """Shrink sign-change brackets by nested grid zooming: each round keeps
+    the cell of a 257-point subgrid where the sign changes, all brackets in
+    one evaluation, so four rounds shrink the width by 256^4 = 16^8."""
+    if not len(lo):
+        return lo, hi
+    offsets = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    rows = np.arange(len(lo))
+    order = int(row.max())
+    for _ in range(_ZOOM_ROUNDS):
         pts = lo[:, None] + (hi - lo)[:, None] * offsets[None, :]
-        vals = fval(pts.ravel()).reshape(pts.shape)
+        vals = evaluate(pts.ravel(), order).reshape(
+            -1, order + 1, len(lo), _ZOOM_POINTS)[comp, row, rows]
         nonpos = vals[:, :-1] * vals[:, 1:] <= 0.0
         idx = np.argmax(nonpos, axis=1)
         idx = np.where(nonpos.any(axis=1), idx, 0)
         lo = pts[rows, idx]
         hi = pts[rows, idx + 1]
-    x = 0.5 * (lo + hi)
-    x = _polish_newton(fun, x, lo, hi, on_derivative=on_derivative)
-    return [float(t) for t in x]
+    return lo, hi
 
 
-def _polish_newton(fun: ScalarFun, x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   on_derivative: bool = False, steps: int = 3) -> np.ndarray:
-    """Guarded vectorized Newton; iterates that leave [lo, hi] are dropped."""
+def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3) -> np.ndarray:
+    """Guarded vectorized Newton on jet row ``row`` of component ``comp``;
+    iterates that leave [lo, hi] are dropped."""
+    cols = np.arange(len(x))
+    order = int(row.max()) + 1
     for _ in range(steps):
-        j = fun.jet(x, 2 if on_derivative else 1)
-        if on_derivative:
-            fv = np.broadcast_to(np.asarray(j.coeffs[1], float), x.shape)
-            dfv = np.broadcast_to(np.asarray(j.coeffs[2], float) * 2.0, x.shape)
-        else:
-            fv = np.broadcast_to(np.asarray(j.coeffs[0], float), x.shape)
-            dfv = np.broadcast_to(np.asarray(j.coeffs[1], float), x.shape)
+        j = evaluate(x, order)
+        fv = j[comp, row, cols]
+        dfv = j[comp, row + 1, cols] * (row + 1)
         safe = np.abs(dfv) > 0.0
         step = np.where(safe, fv / np.where(safe, dfv, 1.0), 0.0)
         xn = x - step
@@ -224,7 +239,12 @@ def refined_min_abs(fun, domain: tuple[float, float], grid_n: int = 1024) -> flo
     parameter change fails) is not missed.
     """
     fun = ScalarFun.wrap(fun)
-    return math.sqrt(max(_refined_min_sq(fun * fun, domain, grid_n), 0.0))
+
+    def square(t0, order):
+        j = fun.jet(t0, order)
+        return j * j
+
+    return math.sqrt(max(_refined_min_sq(ScalarFun(square), domain, grid_n), 0.0))
 
 
 def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> float:
@@ -235,7 +255,9 @@ def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> 
     dips = np.nonzero((dv[:-1] > 0.0) != (dv[1:] > 0.0))[0]
     if len(dips):
         lo, hi = ts[dips], ts[dips + 1]
-        crit = _polish_newton(sq, 0.5 * (lo + hi), lo, hi, on_derivative=True, steps=8)
+        comp = np.zeros(len(dips), dtype=int)
+        crit = _newton(_fun_source(sq), 0.5 * (lo + hi), lo, hi, comp, comp + 1,
+                       steps=8)
         lowest = min(lowest, float(np.min(sq.values(crit))))
     return lowest
 
@@ -282,60 +304,61 @@ def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER,
 def signature(source, config: SignatureConfig | None = None) -> Signature:
     """Signature of a curve or of a curvature pair.
 
-    Zeros of ell and beta are located, contact orders attached, and zeros
-    of the two components that coincide within the merge tolerance are
-    recorded as a single point of kind "both".  For a closed curve a zero
-    sitting at both endpoints is recorded once.
+    Zeros of ell and beta are located together and their contact orders
+    read from one jet sweep; zeros of the two components that coincide
+    within the merge tolerance are recorded as a single point of kind
+    "both".  For a closed curve a zero sitting at both endpoints is
+    recorded once.
     """
     cfg = config or DEFAULT_CONFIG
-    pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
-    a, b = pair.domain
-    scan = np.linspace(a, b, cfg.grid_n + 1)
     if isinstance(source, LegendreCurve):
-        jets = source.curvature_jets(scan, 1)
+        domain, closed, jets = source.domain, source.closed, source.curvature_jets
     else:
-        jets = (pair.ell.jet(scan, 1), pair.beta.jet(scan, 1))
-    (ev, dev), (bv, dbv) = (np.broadcast_to(j.array, (2,) + scan.shape) for j in jets)
-    scale = max(float(np.max(np.abs(ev))), float(np.max(np.abs(bv))))
-    if scale == 0.0 or float(np.max(np.abs(bv))) <= cfg.zero_fun_rel * scale:
+        pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
+        domain, closed = pair.domain, pair.closed
+
+        def jets(pts, order):
+            return pair.ell.jet(pts, order), pair.beta.jet(pts, order)
+    evaluate = _source(jets)
+    a, b = domain
+    ts = np.linspace(a, b, cfg.grid_n + 1)
+    scan = evaluate(ts, 1)
+    scales = np.max(np.abs(scan[:, 0]), axis=1)
+    scale = float(np.max(scales))
+    if scale == 0.0 or scales[1] <= cfg.zero_fun_rel * scale:
         raise DegenerateCurveError("degenerate: constant curve")
-    ell_identically_zero = float(np.max(np.abs(ev))) <= cfg.zero_fun_rel * scale
+    ell_identically_zero = bool(scales[0] <= cfg.zero_fun_rel * scale)
 
-    beta_roots = find_zeros(pair.beta, pair.domain, tol=cfg.root_tol,
-                            half_open=pair.closed, samples=(scan, bv, dbv))
-    if ell_identically_zero:
-        ell_roots = []
-    else:
-        ell_roots = find_zeros(pair.ell, pair.domain, tol=cfg.root_tol,
-                               half_open=pair.closed, samples=(scan, ev, dev))
-
-    ell_orders = _orders_at(pair.ell, ell_roots, cfg.jet_order,
-                            scale=float(np.max(np.abs(ev))))
-    beta_orders = _orders_at(pair.beta, beta_roots, cfg.jet_order,
-                             scale=float(np.max(np.abs(bv))))
-
-    zeros = _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders, cfg.merge_tol)
-    return Signature(domain=(a, b), closed=pair.closed,
+    comps = (1,) if ell_identically_zero else (0, 1)
+    roots = _zeros(evaluate, ts, scan, comps, cfg.root_tol, closed)
+    orders = _contact_orders(evaluate, roots, scales, cfg.jet_order)
+    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], cfg.merge_tol)
+    return Signature(domain=(a, b), closed=closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
 
 
-def _orders_at(fun: ScalarFun, roots: list[float], max_order: int,
-               scale: float = 0.0) -> list[int]:
-    """Contact orders at several zeros from one vectorized jet sweep."""
-    if not roots:
-        return []
-    jet = fun.jet(np.asarray(roots, dtype=float), max_order)
-    mags = np.abs(np.broadcast_to(jet.array, (max_order + 1, len(roots))))
-    running = np.maximum.accumulate(np.maximum(mags, scale), axis=0)
-    above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
-    orders: list[int] = []
-    for col in range(len(roots)):
-        hits = np.nonzero(above[:, col])[0]
+def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
+                    max_order: int) -> list[list[int]]:
+    """Contact orders at the zeros of every component, from one jet sweep.
+
+    The order of a zero is its first jet coefficient above the vanishing
+    threshold, taken against the running prefix maximum and the
+    component's scale (see ``first_nonvanishing``).
+    """
+    comp = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+    orders: list[list[int]] = [[] for _ in roots]
+    if not len(comp):
+        return orders
+    pts = np.concatenate(roots)
+    mags = np.abs(evaluate(pts, max_order))[comp, :, np.arange(len(pts))]
+    running = np.maximum.accumulate(np.maximum(mags, scales[comp, None]), axis=1)
+    for c, above in zip(comp, mags > np.maximum(VANISH_REL * running, VANISH_ABS)):
+        hits = np.nonzero(above)[0]
         if len(hits) == 0:
             raise SignatureError("contact order exceeds jet order")
         if hits[0] == 0:
             raise SignatureError("not a zero point")
-        orders.append(int(hits[0]))
+        orders[c].append(int(hits[0]))
     return orders
 
 

@@ -232,3 +232,18 @@ def test_nu_of_wrong_length(tmp_path, capsys, nu):
     spec = {"x": "cos(t)", "y": "sin(t)", "nu": nu, "domain": [0, 1]}
     err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
     assert "two expressions" in err
+
+
+def test_invalid_param_name_in_spec(tmp_path, capsys):
+    spec = {"x": "cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
+            "domain": [0, 1], "params": {"pi": 2}}
+    err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
+    assert "invalid parameter name 'pi'" in err
+
+
+def test_examples_get_non_integer_param(capsys):
+    code = run(["examples", "get", "gamma_n", "--param", "n=x"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: gallery parameter 'n' must be an integer")
+    assert captured.out == ""

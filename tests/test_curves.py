@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from legendre_curves import (CurvaturePair, LegendreCurve, ScalarFun,
-                             check_closed, check_legendre, curvature,
+                             check_closed, check_legendre,
                              derive_nu, dump_curve, gallery, is_immersion,
                              load_curve, moving_frame, type_nm_curve)
 from legendre_curves.errors import CurveError
@@ -47,20 +47,20 @@ def test_check_legendre_violation():
 
 def test_curvature_circle(circle):
     for t in (0.0, 1.0, 4.5):
-        assert curvature(circle, t) == pytest.approx((1.0, 1.0))
+        assert circle.curvature_pair()(t) == pytest.approx((1.0, 1.0))
 
 
 def test_curvature_gamma_n3():
     curve = gallery("gamma_n", {"n": 3}).curve
-    ell, beta = curvature(curve, math.pi / 2)
+    ell, beta = curve.curvature_pair()(math.pi / 2)
     assert (ell, beta) == pytest.approx((2.0, 6.0))
-    ell, beta = curvature(curve, 0.7)
+    ell, beta = curve.curvature_pair()(0.7)
     assert (ell, beta) == pytest.approx((2.0, 6 * math.sin(0.7)))
 
 
 def test_curvature_cusp_at_origin():
     cusp = type_nm_curve(2, 3)
-    assert curvature(cusp, 0.0) == pytest.approx((1.5, 0.0))
+    assert cusp.curvature_pair()(0.0) == pytest.approx((1.5, 0.0))
 
 
 def test_derive_nu_circle():

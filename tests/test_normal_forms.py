@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from legendre_curves import (GermData, GermSignature, ZERO_FUNCTION,
-                             check_legendre, curvature, germ_signature,
+                             check_legendre, germ_signature,
                              germ_signature_of_curve, local_normal_form,
                              signature, type_nm_curvature, type_nm_curve)
 from legendre_curves.errors import CurveError
@@ -14,7 +14,7 @@ from legendre_curves.exprs import ScalarFun
 def test_cusp_construction():
     cusp = type_nm_curve(2, 3)
     assert check_legendre(cusp, samples=512, tol=1e-9).ok
-    assert curvature(cusp, 0.0) == pytest.approx((1.5, 0.0))
+    assert cusp.curvature_pair()(0.0) == pytest.approx((1.5, 0.0))
     # nu = (-3t, 2)/sqrt(9t^2+4)
     for t in (-0.7, 0.0, 0.4):
         r = math.sqrt(9 * t * t + 4)
@@ -24,7 +24,7 @@ def test_cusp_construction():
 
 def test_type_35_has_degenerate_singular_point():
     germ = type_nm_curve(3, 5)
-    ell, beta = curvature(germ, 0.0)
+    ell, beta = germ.curvature_pair()(0.0)
     assert ell == pytest.approx(0.0)
     assert beta == pytest.approx(0.0)
     assert germ_signature_of_curve(germ) == GermSignature(1, 2)
@@ -32,7 +32,7 @@ def test_type_35_has_degenerate_singular_point():
 
 def test_type_12_is_regular():
     r = type_nm_curve(1, 2)
-    ell, beta = curvature(r, 0.0)
+    ell, beta = r.curvature_pair()(0.0)
     assert beta == pytest.approx(-1.0)  # beta = -sqrt(4 t^2 f^2 + 1) at 0
     for t in (-0.5, 0.25):
         assert r.curvature_pair().beta(t) == pytest.approx(-math.sqrt(4 * t * t + 1))
@@ -61,7 +61,7 @@ def test_negative_branch_sign():
     curve = type_nm_curve(2, 3, sign=-1)
     assert check_legendre(curve, samples=256, tol=1e-9).ok
     assert curve.x(0.5) == pytest.approx(-0.25)
-    assert curvature(curve, 0.0)[0] == pytest.approx(-1.5)
+    assert curve.curvature_pair()(0.0)[0] == pytest.approx(-1.5)
 
 
 @pytest.mark.parametrize("germ, expected", [

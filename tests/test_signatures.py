@@ -4,10 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from legendre_curves import (CurvaturePair, ScalarFun, Signature, ZeroPoint,
-                             cofactor, contact_order, decide_equivalence,
-                             find_zeros, gallery, parity_check, signature,
-                             signature_from_dict, signature_to_dict)
+from hypothesis import given, settings, strategies as st
+
+from legendre_curves import (AffineMap, CurvaturePair, ScalarFun, Signature,
+                             ZeroPoint, cofactor, contact_order,
+                             decide_equivalence, find_zeros, gallery, negate,
+                             parity_check, pushforward_affine, pushforward_swap,
+                             reparametrize, signature, signature_from_dict,
+                             signature_to_dict)
+from legendre_curves import exprs
 from legendre_curves.errors import (CofactorError, DegenerateCurveError,
                                     RootScanError, SignatureError)
 
@@ -299,3 +304,72 @@ def test_find_zeros_randomized_against_brute_force():
         assert len(found) == len(oracle), text
         if found:
             assert np.max(np.abs(np.array(found) - np.array(oracle))) <= 1e-7, text
+
+
+def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
+    # Every zoom round, Newton step, residual check and the contact-order
+    # sweep evaluate ell and beta together from the one (x, y, nu) tape.
+    runs, compiles = [], []
+    run, init = exprs._Tape.run, exprs._Tape.__init__
+
+    def counted_run(self, t0, order):
+        runs.append(order)
+        return run(self, t0, order)
+
+    def counted_init(self, asts):
+        compiles.append(len(asts))
+        init(self, asts)
+
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
+    m = AffineMap(1.3, -0.4, 0.7, 0.9)
+    for entry in roster:
+        image = pushforward_affine(entry.curve, m).curve
+        runs.clear()
+        compiles.clear()
+        signature(image)
+        assert len(runs) <= 12, (entry.name, runs)
+        assert compiles == [4], entry.name
+
+
+def test_signature_of_curve_matches_its_curvature_pair(roster):
+    m = AffineMap(-0.8, 1.1, 0.6, 1.5)
+    curves = [entry.curve for entry in roster]
+    curves += [pushforward_affine(c, m).curve for c in curves]
+    curves.append(gallery("type_nm", {"n": 3, "m": 5}).curve)
+    for curve in curves:
+        by_curve = signature(curve)
+        by_pair = signature(curve.curvature_pair())
+        assert by_pair.key() == by_curve.key()
+        assert [z.t for z in by_pair.zeros] == pytest.approx(
+            [z.t for z in by_curve.zeros], abs=1e-12)
+
+
+def _affine_step():
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    return st.tuples(entries, entries, entries, entries).filter(
+        lambda m: abs(m[0] * m[3] - m[1] * m[2]) >= 0.1).map(
+        lambda m: lambda curve: pushforward_affine(curve, AffineMap(*m)))
+
+
+def _reparam_step():
+    # t + c sin(k t) with |c k| < 1 fixes 0 and 2 pi and keeps t' > 0
+    return st.tuples(st.integers(1, 3), st.floats(-0.85, 0.85)).map(
+        lambda kc: lambda curve: reparametrize(
+            curve, f"t + {kc[1] / kc[0]!r}*sin({kc[0]}*t)", curve.domain))
+
+
+_TRANSFORM_STEPS = st.one_of(
+    _affine_step(), _reparam_step(), st.just(pushforward_swap),
+    st.sampled_from(["nu", "gamma"]).map(
+        lambda which: lambda curve: negate(curve, which)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, 7), steps=st.lists(_TRANSFORM_STEPS, min_size=1, max_size=3))
+def test_signature_key_invariant_under_transform_compositions(roster, index, steps):
+    curve = roster[index].curve
+    base = signature(curve).key()
+    for step in steps:
+        curve = step(curve).curve
+    assert signature(curve).key() == base

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from legendre_curves import (AffineMap, DiffeoSpec, check_legendre, curvature,
+from legendre_curves import (AffineMap, DiffeoSpec, check_legendre,
                              derive_nu, gallery, negate, pushforward_affine,
                              pushforward_diffeo, pushforward_diffeo_curve,
                              pushforward_swap, reparametrize, type_nm_curve)
@@ -153,7 +153,7 @@ def test_diffeo_shear_on_line_matches_parabola_oracle():
                              nux, nuy, (-1, 1))
     for t in (0.0, 0.3, -0.6):
         ell_t, beta_t, nu_t = pushforward_diffeo(line, shear, t)
-        want = curvature(parabola, t)
+        want = parabola.curvature_pair()(t)
         assert ell_t == pytest.approx(want[0], rel=1e-12, abs=1e-12)
         assert beta_t == pytest.approx(want[1], rel=1e-12, abs=1e-12)
         assert nu_t[0] == pytest.approx(-2 * t / math.sqrt(4 * t * t + 1))
