@@ -262,35 +262,35 @@ class ImmersionReport:
 
 
 def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
-    """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros."""
-    from .signatures import find_zeros  # local import avoids a module cycle
+    """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
 
-    pair = curve.curvature_pair()
+    Both components come from one ``curvature_jets`` scan on a grid of
+    ``samples`` steps and their zeros from one joint search.
+    """
+    from .signatures import _source, _zeros  # local import avoids a module cycle
+
+    evaluate = _source(curve.curvature_jets)
     a, b = curve.domain
-    ts = np.linspace(a, b, samples)
-    ev = pair.ell.values(ts)
-    bv = pair.beta.values(ts)
-    combined = np.maximum(np.abs(ev), np.abs(bv))
-    min_combined = float(np.min(combined))
+    ts = np.linspace(a, b, samples + 1)
+    scan = evaluate(ts, 1)
+    ev, bv = scan[0][0], scan[1][0]
+    min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
     scale_e = float(np.max(np.abs(ev)))
     scale_b = float(np.max(np.abs(bv)))
 
-    witnesses: list[float] = []
-    coincide = 1e-8
     if scale_e <= 1e-10 * max(scale_b, 1e-300) and scale_b <= 1e-10 * max(scale_e, 1e-300):
         # both identically zero on the grid: every point degenerate
         return ImmersionReport(False, tuple(float(t) for t in ts[:: max(1, samples // 8)]),
                                min_combined)
-    if scale_e <= 1e-10 * scale_b:
-        witnesses = list(find_zeros(pair.beta, curve.domain, grid_n=samples))
-    elif scale_b <= 1e-10 * scale_e:
-        witnesses = list(find_zeros(pair.ell, curve.domain, grid_n=samples))
+    # Where one component vanishes on the grid the zeros of the other are
+    # witnesses; otherwise the witnesses are the common zeros.
+    comps = [c for c, (s, other) in enumerate(((scale_e, scale_b), (scale_b, scale_e)))
+             if s > 1e-10 * other]
+    ell_zeros, beta_zeros = _zeros(evaluate, ts, scan, comps, 1e-9, False)
+    if len(comps) == 2:
+        witnesses = [r for r in ell_zeros if any(abs(r - s) <= 1e-8 for s in beta_zeros)]
     else:
-        ell_zeros = find_zeros(pair.ell, curve.domain, grid_n=samples)
-        beta_zeros = find_zeros(pair.beta, curve.domain, grid_n=samples)
-        for r in ell_zeros:
-            if any(abs(r - s) <= coincide for s in beta_zeros):
-                witnesses.append(r)
+        witnesses = ell_zeros + beta_zeros
     witnesses = sorted(set(witnesses))
     return ImmersionReport(ok=(not witnesses), witnesses=tuple(witnesses),
                            min_combined=min_combined)

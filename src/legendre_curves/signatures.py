@@ -93,25 +93,34 @@ DEFAULT_CONFIG = SignatureConfig()
 
 # -- root isolation -----------------------------------------------------------
 #
-# A source maps a 1-D point array and an order to the jets of its C
-# components, one array of shape (C, order + 1, len(pts)).
+# A source maps a 1-D point array and an order to the jets of its
+# components, a tuple of (order + 1, len(pts)) arrays.
 
 _NON_FINITE = "zero set appears non-finite; refine or reject"
-_ZOOM_POINTS = 257  # 256 subintervals a round: four rounds shrink by 16^8
-_ZOOM_ROUNDS = 4
+_ZOOM_BITS = 32        # a zoomed bracket shrinks by 2^32 = 16^8
+_ZOOM_BUDGET = 512     # about this many zoom points a round, over all brackets
 
 
 def _source(jets):
     """Wrap ``jets(pts, order)``, a tuple of component jets, as a source."""
     def evaluate(pts, order):
         shape = (order + 1, len(pts))
-        return np.stack([np.broadcast_to(j.array.reshape(order + 1, -1), shape)
-                         for j in jets(pts, order)])
+        return tuple(np.broadcast_to(j.array.reshape(order + 1, -1), shape)
+                     for j in jets(pts, order))
     return evaluate
 
 
 def _fun_source(fun: ScalarFun):
     return _source(lambda pts, order: (fun.jet(pts, order),))
+
+
+def _pick(arrays, comp, row, cols) -> np.ndarray:
+    """Entry (row[i], cols[i]) of the jet array of component comp[i]."""
+    out = np.empty(len(cols))
+    for c, array in enumerate(arrays):
+        at = comp == c
+        out[at] = array[row[at], cols[at]]
+    return out
 
 
 def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
@@ -132,28 +141,28 @@ def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
     return _zeros(evaluate, ts, evaluate(ts, 1), (0,), tol, half_open)[0]
 
 
-def _zeros(evaluate, ts: np.ndarray, scan: np.ndarray, comps: Sequence[int],
+def _zeros(evaluate, ts: np.ndarray, scan, comps: Sequence[int],
            tol: float, half_open: bool) -> list[list[float]]:
     """Zeros of the components ``comps`` of a source, refined together.
 
-    ``scan`` is the source's order-1 array on the uniform grid ``ts``.  A
-    candidate other than a zoomed sign-change bracket of f counts as a zero
-    only when |f| <= tol * scale, with scale the component's maximum |f|
-    on the grid.  Returns one sorted root list per component, empty for
-    the components not in ``comps``.
+    ``scan`` is the source's order-1 evaluation on the uniform grid ``ts``.
+    A candidate other than a zoomed sign-change bracket of f counts as a
+    zero only when |f| <= tol * scale, with scale the component's maximum
+    |f| on the grid.  Returns one sorted root list per component, empty
+    for the components not in ``comps``.
     """
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
     h = (b - a) / grid_n
     cap = max(1, grid_n // 4)
-    v, dv = scan[:, 0], scan[:, 1]
-    scales = np.max(np.abs(v), axis=1)
+    scales = np.array([np.max(np.abs(v)) for v, _ in scan])
     groups = []  # lo, hi, start (NaN: zoom the bracket first), component, jet row
     for c in comps:
+        v, dv = scan[c]
         if scales[c] == 0.0:
             raise RootScanError(_NON_FINITE)
-        sign_changes = np.nonzero(v[c, :-1] * v[c, 1:] < 0.0)[0]
-        exact_hits = np.nonzero(v[c] == 0.0)[0]
+        sign_changes = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+        exact_hits = np.nonzero(v == 0.0)[0]
         if len(sign_changes) + len(exact_hits) > cap:
             raise RootScanError(_NON_FINITE)
         # Critical points are touch-zero candidates only where |f| is already
@@ -161,9 +170,9 @@ def _zeros(evaluate, ts: np.ndarray, scan: np.ndarray, comps: Sequence[int],
         # noise-level sign changes of f' (a constant f has f' at rounding
         # level everywhere).
         pre_tol = max(tol, 400.0 / grid_n ** 2) * scales[c]
-        near = np.minimum(np.abs(v[c, :-1]), np.abs(v[c, 1:])) <= pre_tol
-        dsign_changes = np.nonzero((dv[c, :-1] * dv[c, 1:] < 0.0) & near)[0]
-        exact_crit = np.nonzero((dv[c] == 0.0) & (np.abs(v[c]) <= pre_tol))[0]
+        near = np.minimum(np.abs(v[:-1]), np.abs(v[1:])) <= pre_tol
+        dsign_changes = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near)[0]
+        exact_crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tol))[0]
         if len(dsign_changes) + len(exact_crit) > cap:
             raise RootScanError(_NON_FINITE)
         # Exact grid zeros and the endpoints never produce a strict sign
@@ -179,10 +188,10 @@ def _zeros(evaluate, ts: np.ndarray, scan: np.ndarray, comps: Sequence[int],
     zoom = np.isnan(x)
     lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
     x = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
-    small = np.abs(evaluate(x, 0)[comp, 0, np.arange(len(x))]) <= tol * scales[comp]
-    keep = (zoom & (row == 0)) | small
+    fx = _pick(evaluate(x, 0), comp, 0 * row, np.arange(len(x)))
+    keep = (zoom & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
 
-    roots: list[list[float]] = [[] for _ in scales]
+    roots: list[list[float]] = [[] for _ in scan]
     for c in comps:
         found = _dedup(sorted(x[keep & (comp == c)].tolist()), 1e-9)
         if half_open:
@@ -194,18 +203,27 @@ def _zeros(evaluate, ts: np.ndarray, scan: np.ndarray, comps: Sequence[int],
 
 
 def _zoom(evaluate, lo, hi, comp, row):
-    """Shrink sign-change brackets by nested grid zooming: each round keeps
-    the cell of a 257-point subgrid where the sign changes, all brackets in
-    one evaluation, so four rounds shrink the width by 256^4 = 16^8."""
+    """Shrink sign-change brackets by nested grid zooming.
+
+    Each round samples every bracket on a 2^k + 1 point subgrid in one
+    evaluation and keeps the cell where the sign changes, until the width
+    has shrunk by 2^32 = 16^8.  A run costs a fixed overhead plus a share
+    per point; on the gallery tapes the overhead is worth 600-1000 points.
+    So k is chosen from the bracket count to keep a round near
+    ``_ZOOM_BUDGET`` points: one or two brackets take four rounds of 257
+    points (k = 8), and 17 or more take eight rounds of 17 (k = 4), 136
+    points per bracket.
+    """
     if not len(lo):
         return lo, hi
-    offsets = np.linspace(0.0, 1.0, _ZOOM_POINTS)
+    bits = min(8, max(4, (_ZOOM_BUDGET // len(lo)).bit_length() - 1))
+    offsets = np.linspace(0.0, 1.0, 2 ** bits + 1)
+    cols = np.arange(len(lo) * len(offsets))
+    at = (np.repeat(comp, len(offsets)), np.repeat(row, len(offsets)), cols)
     rows = np.arange(len(lo))
-    order = int(row.max())
-    for _ in range(_ZOOM_ROUNDS):
+    for _ in range(-(-_ZOOM_BITS // bits)):
         pts = lo[:, None] + (hi - lo)[:, None] * offsets[None, :]
-        vals = evaluate(pts.ravel(), order).reshape(
-            -1, order + 1, len(lo), _ZOOM_POINTS)[comp, row, rows]
+        vals = _pick(evaluate(pts.ravel(), int(row.max())), *at).reshape(pts.shape)
         nonpos = vals[:, :-1] * vals[:, 1:] <= 0.0
         idx = np.argmax(nonpos, axis=1)
         idx = np.where(nonpos.any(axis=1), idx, 0)
@@ -218,11 +236,10 @@ def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3) -> np.ndarray:
     """Guarded vectorized Newton on jet row ``row`` of component ``comp``;
     iterates that leave [lo, hi] are dropped."""
     cols = np.arange(len(x))
-    order = int(row.max()) + 1
     for _ in range(steps):
-        j = evaluate(x, order)
-        fv = j[comp, row, cols]
-        dfv = j[comp, row + 1, cols] * (row + 1)
+        j = evaluate(x, int(row.max()) + 1)
+        fv = _pick(j, comp, row, cols)
+        dfv = _pick(j, comp, row + 1, cols) * (row + 1)
         safe = np.abs(dfv) > 0.0
         step = np.where(safe, fv / np.where(safe, dfv, 1.0), 0.0)
         xn = x - step
@@ -263,16 +280,10 @@ def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> 
 
 
 def _dedup(sorted_roots: Sequence[float], tol: float) -> list[float]:
-    out: list[float] = []
-    cluster: list[float] = []
-    for r in sorted_roots:
-        if cluster and r - cluster[-1] > tol:
-            out.append(float(np.mean(cluster)))
-            cluster = []
-        cluster.append(r)
-    if cluster:
-        out.append(float(np.mean(cluster)))
-    return out
+    """Means of the runs of sorted roots that lie within tol of a neighbour."""
+    r = np.asarray(sorted_roots, dtype=float)
+    starts = np.flatnonzero(np.diff(r, prepend=-np.inf) > tol)
+    return (np.add.reduceat(r, starts) / np.diff(starts, append=len(r))).tolist()
 
 
 # -- contact orders -----------------------------------------------------------
@@ -323,7 +334,7 @@ def signature(source, config: SignatureConfig | None = None) -> Signature:
     a, b = domain
     ts = np.linspace(a, b, cfg.grid_n + 1)
     scan = evaluate(ts, 1)
-    scales = np.max(np.abs(scan[:, 0]), axis=1)
+    scales = np.array([np.max(np.abs(v)) for v, _ in scan])
     scale = float(np.max(scales))
     if scale == 0.0 or scales[1] <= cfg.zero_fun_rel * scale:
         raise DegenerateCurveError("degenerate: constant curve")
@@ -349,8 +360,8 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
     orders: list[list[int]] = [[] for _ in roots]
     if not len(comp):
         return orders
-    pts = np.concatenate(roots)
-    mags = np.abs(evaluate(pts, max_order))[comp, :, np.arange(len(pts))]
+    arrays = evaluate(np.concatenate(roots), max_order)
+    mags = np.abs([arrays[c][:, i] for i, c in enumerate(comp)])
     running = np.maximum.accumulate(np.maximum(mags, scales[comp, None]), axis=1)
     for c, above in zip(comp, mags > np.maximum(VANISH_REL * running, VANISH_ABS)):
         hits = np.nonzero(above)[0]

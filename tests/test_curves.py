@@ -99,6 +99,43 @@ def test_is_immersion_cases(circle):
     assert rep.witnesses == pytest.approx((0.0,), abs=1e-9)
 
 
+def test_is_immersion_one_component_and_degenerate_cases():
+    rep = is_immersion(LegendreCurve.from_exprs("t^3", "0", nu=("0", "1"), domain=(-1, 2)))
+    assert not rep.ok  # ell vanishes identically, beta = 3 t^2 at t = 0
+    assert rep.witnesses == pytest.approx((0.0,), abs=1e-9)
+    assert is_immersion(LegendreCurve.from_exprs("t", "0", nu=("0", "1"), domain=(-1, 2))).ok
+    rep = is_immersion(LegendreCurve.from_exprs("0", "0", nu=("0", "1"), domain=(-1, 2)),
+                       samples=64)
+    assert not rep.ok and rep.min_combined == 0.0
+    assert rep.witnesses == pytest.approx(np.linspace(-1, 2, 9))
+
+
+def test_is_immersion_evaluates_ell_and_beta_together(monkeypatch):
+    # The scan, zoom rounds, Newton steps and residual check each run the
+    # one (x, y, nu) tape once for both components.
+    from legendre_curves import exprs
+
+    runs, compiles = [], []
+    run, init = exprs._Tape.run, exprs._Tape.__init__
+
+    def counted_run(self, t0, order):
+        runs.append(order)
+        return run(self, t0, order)
+
+    def counted_init(self, asts):
+        compiles.append(len(asts))
+        init(self, asts)
+
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
+    for name, params in (("gamma_n", {"n": 3}), ("gamma_m", {"m": 1})):
+        curve = gallery(name, params).curve
+        runs.clear()
+        compiles.clear()
+        is_immersion(curve)
+        assert len(runs) <= 11 and compiles == [4], (name, runs, compiles)
+
+
 def test_check_closed_gallery(circle):
     assert check_closed(circle, max_order=8).closed_to_checked_order
     assert check_closed(gallery("gamma_n", {"n": 3}).curve, max_order=8).closed_to_checked_order

@@ -48,6 +48,29 @@ def test_find_zeros_against_brute_force():
         assert np.max(np.abs(np.array(found) - np.array(oracle))) <= 1e-8
 
 
+def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
+    # A run costs a fixed overhead plus a share per point, so few brackets
+    # zoom in a few wide rounds; with 400 brackets every round stays at 17
+    # points a bracket, eight rounds shrinking each by 16^8.
+    sizes = []
+    run = exprs._Tape.run
+
+    def counted_run(self, t0, order):
+        sizes.append(np.size(t0))
+        return run(self, t0, order)
+
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    roots = find_zeros("sin(200*t)", (0, TWO_PI))
+    assert roots == pytest.approx([k * math.pi / 200 for k in range(401)], abs=1e-12)
+    scan, zoom, rest = sizes[0], sizes[1:-4], sizes[-4:]
+    assert scan == 2049
+    assert len(zoom) == 8 and max(zoom) <= 17 * len(roots)
+    assert max(rest) <= len(roots) + 2
+    sizes.clear()
+    assert len(find_zeros("sin(t)", (0, TWO_PI))) == 3
+    assert sizes[1:-4] == [257] * 4
+
+
 def test_find_zeros_rejects_zero_function():
     with pytest.raises(RootScanError, match="non-finite"):
         find_zeros("0*t", (0, 1))
