@@ -71,6 +71,32 @@ def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
     assert sizes[1:-4] == [257] * 4
 
 
+def test_dedup_matches_loop_reference():
+    from legendre_curves.signatures import _dedup
+
+    def reference(sorted_roots, tol):
+        out, cluster = [], []
+        for r in sorted_roots:
+            if cluster and r - cluster[-1] > tol:
+                out.append(float(np.mean(cluster)))
+                cluster = []
+            cluster.append(r)
+        if cluster:
+            out.append(float(np.mean(cluster)))
+        return out
+
+    rng = np.random.default_rng(3)
+    assert _dedup([], 1e-9) == []
+    for _ in range(50):
+        centres = np.sort(rng.uniform(-10.0, 10.0, rng.integers(1, 30)))
+        sizes = rng.integers(1, 12, len(centres))
+        roots = sorted(np.concatenate(
+            [c + rng.uniform(0.0, 3e-9, k) for c, k in zip(centres, sizes)]).tolist())
+        # Summation order differs from np.mean only for runs of 8 or more.
+        assert _dedup(roots, 1e-9) == pytest.approx(reference(roots, 1e-9),
+                                                     rel=1e-14, abs=1e-14)
+
+
 def test_find_zeros_rejects_zero_function():
     with pytest.raises(RootScanError, match="non-finite"):
         find_zeros("0*t", (0, 1))
