@@ -25,8 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CurveError, LegendreError
-from .exprs import ScalarFun, eval_jet_many, pretty_print
-from .jets import TaylorJet, derivative, jet_sqrt, mul, sub
+from .exprs import ScalarFun, ast_derivative, eval_jet_many, pretty_print
+from .jets import TaylorJet, derivative, mul, sub
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,9 +45,17 @@ def _along_mu(vx, vy, nx, ny):
     return sub(mul(derivative(vy), nx), mul(derivative(vx), ny))
 
 
+def _check_domain(domain) -> tuple[float, float]:
+    a, b = (float(v) for v in domain)
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise CurveError(f"domain must be a finite interval [a, b] with a < b, "
+                         f"got [{a!r}, {b!r}]")
+    return a, b
+
+
 @dataclass
 class LegendreCurve:
-    """Curve plus unit frame, each component an evaluable scalar function."""
+    """Curve plus unit frame, each component an expression-backed function."""
 
     x: ScalarFun
     y: ScalarFun
@@ -55,6 +63,11 @@ class LegendreCurve:
     nu_y: ScalarFun
     domain: tuple[float, float]
     closed: bool = False
+
+    def __post_init__(self):
+        if any(f.ast is None for f in (self.x, self.y, self.nu_x, self.nu_y)):
+            raise CurveError("curve components must be expressions")
+        self.domain = _check_domain(self.domain)
 
     @classmethod
     def from_exprs(cls, x: str, y: str, nu: Optional[tuple[str, str]] = None,
@@ -66,6 +79,7 @@ class LegendreCurve:
         Omitting ``nu`` is only valid for regular curves; a curve with a
         singular point must supply its frame explicitly.
         """
+        domain = _check_domain(domain)
         xf = ScalarFun.from_text(x, params)
         yf = ScalarFun.from_text(y, params)
         if nu is not None:
@@ -73,7 +87,7 @@ class LegendreCurve:
             nyf = ScalarFun.from_text(nu[1], params)
         else:
             nxf, nyf = derive_nu(xf, yf, domain)
-        curve = cls(xf, yf, nxf, nyf, (float(domain[0]), float(domain[1])), bool(closed))
+        curve = cls(xf, yf, nxf, nyf, domain, bool(closed))
         if curve.closed:
             rep = check_closed(curve, max_order=1, tol=1e-9)
             if rep.closed_order < 1:
@@ -84,16 +98,12 @@ class LegendreCurve:
     # -- evaluation -----------------------------------------------------
 
     def gamma_jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
-        if self.x.ast is not None and self.y.ast is not None:
-            jx, jy = eval_jet_many([self.x.ast, self.y.ast], t0, order)
-            return jx, jy
-        return self.x.jet(t0, order), self.y.jet(t0, order)
+        jx, jy = eval_jet_many([self.x.ast, self.y.ast], t0, order)
+        return jx, jy
 
     def nu_jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
-        if self.nu_x.ast is not None and self.nu_y.ast is not None:
-            jx, jy = eval_jet_many([self.nu_x.ast, self.nu_y.ast], t0, order)
-            return jx, jy
-        return self.nu_x.jet(t0, order), self.nu_y.jet(t0, order)
+        jx, jy = eval_jet_many([self.nu_x.ast, self.nu_y.ast], t0, order)
+        return jx, jy
 
     def gamma(self, ts) -> np.ndarray:
         """Curve points, shape (..., 2)."""
@@ -127,12 +137,8 @@ class LegendreCurve:
         The four components are evaluated together at ``order + 1``, so
         their shared subtrees are computed once and nu serves both parts.
         """
-        funs = (self.x, self.y, self.nu_x, self.nu_y)
-        if self.is_expression_backed():
-            comps = eval_jet_many([f.ast for f in funs], t0, order + 1)
-        else:
-            comps = [f.jet(t0, order + 1) for f in funs]
-        gx, gy, nx, ny = (j.array for j in comps)
+        asts = [f.ast for f in (self.x, self.y, self.nu_x, self.nu_y)]
+        gx, gy, nx, ny = (j.array for j in eval_jet_many(asts, t0, order + 1))
         nx0, ny0 = nx[:-1], ny[:-1]
         return (TaylorJet(_along_mu(nx, ny, nx0, ny0)),
                 TaylorJet(_along_mu(gx, gy, nx0, ny0)))
@@ -140,14 +146,8 @@ class LegendreCurve:
     def curvature_pair(self) -> "CurvaturePair":
         return CurvaturePair(self.ell(), self.beta(), self.domain, self.closed)
 
-    def is_expression_backed(self) -> bool:
-        return all(f.ast is not None for f in (self.x, self.y, self.nu_x, self.nu_y))
-
     def spec_dict(self) -> dict:
-        """Curve spec file content (JSON syntax); expression-backed only."""
-        if not self.is_expression_backed():
-            raise CurveError("curve components are not expression-backed; "
-                             "cannot emit a spec file")
+        """Curve spec file content (JSON syntax)."""
         return {
             "x": pretty_print(self.x.ast),
             "y": pretty_print(self.y.ast),
@@ -166,12 +166,15 @@ class CurvaturePair:
     domain: tuple[float, float]
     closed: bool = False
 
+    def __post_init__(self):
+        self.domain = _check_domain(self.domain)
+
     @classmethod
     def from_exprs(cls, ell: str, beta: str, domain: tuple[float, float],
                    closed: bool = False,
                    params: Optional[dict[str, float]] = None) -> "CurvaturePair":
         return cls(ScalarFun.from_text(ell, params), ScalarFun.from_text(beta, params),
-                   (float(domain[0]), float(domain[1])), bool(closed))
+                   domain, bool(closed))
 
     def __call__(self, t: float) -> tuple[float, float]:
         return self.ell(t), self.beta(t)
@@ -225,33 +228,19 @@ def derive_nu(x, y, domain: tuple[float, float],
               grid_n: int = 2048, tol: float = 1e-9) -> tuple[ScalarFun, ScalarFun]:
     """Frame of a regular curve: nu = J(gamma') / |gamma'|, so beta = -|gamma'|.
 
-    The squared speed is swept on a grid and its interior minima are
+    The frame is an expression, (-y', x') / sqrt(x'^2 + y'^2) with the
+    derivatives spelled out by ``ast_derivative``.  The squared speed
+    under the root is swept on a grid and its interior minima are
     polished, so a singular point between grid nodes is still caught; a
     singular curve must supply its frame as data.
     """
-    xf = ScalarFun.wrap(x)
-    yf = ScalarFun.wrap(y)
-
-    def speed2_jet(t0, order):
-        dxj = xf.jet(t0, order + 1).derivative()
-        dyj = yf.jet(t0, order + 1).derivative()
-        return dxj * dxj + dyj * dyj
-
-    speed2 = ScalarFun(speed2_jet, name="speed^2")
+    dx, dy = (ScalarFun.from_ast(ast_derivative(ScalarFun.wrap(f).ast)) for f in (x, y))
+    speed2 = dx * dx + dy * dy
     from .signatures import _refined_min_sq  # deferred: avoids a module cycle
     if _refined_min_sq(speed2, domain, grid_n) <= tol * tol:
         raise CurveError("curve has a singular point; supply ν explicitly")
-
-    def make(component: str) -> ScalarFun:
-        def jet_fn(t0, order):
-            dxj = xf.jet(t0, order + 1).derivative()
-            dyj = yf.jet(t0, order + 1).derivative()
-            norm = jet_sqrt(dxj * dxj + dyj * dyj)
-            return (-dyj if component == "x" else dxj) / norm
-
-        return ScalarFun(jet_fn, name=f"nu_{component}")
-
-    return make("x"), make("y")
+    speed = speed2.sqrt()
+    return -dy / speed, dx / speed
 
 
 @dataclass(frozen=True)
@@ -344,8 +333,9 @@ def load_curve(source) -> LegendreCurve:
     Format: {"x": str, "y": str, "nu": [str, str] (optional),
              "domain": [a, b], "closed": bool, "params": {name: number}}
 
-    An unreadable file, malformed JSON, fields of the wrong type or length
-    and invalid parameter names raise CurveError.
+    An unreadable file, malformed JSON, fields of the wrong type or length,
+    non-finite numbers, a domain with a >= b and invalid parameter names
+    raise CurveError.
     """
     try:
         if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -382,6 +372,8 @@ def load_curve(source) -> LegendreCurve:
                          "numbers") from None
     if len(domain) != 2:
         raise CurveError("curve spec field 'domain' must hold two numbers")
+    if not all(map(math.isfinite, params.values())):
+        raise CurveError("curve spec field 'params' must hold finite numbers")
     try:
         return LegendreCurve.from_exprs(x, y, nu=nu, domain=domain,
                                         closed=bool(data.get("closed", False)),

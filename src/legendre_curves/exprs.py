@@ -24,6 +24,12 @@ equal subtrees share a slot, ``sin`` and ``cos`` of one argument share one
 recurrence, and constant subtrees are folded.  The tape is cached against
 the identity of the AST tuple and dropped when one of those ASTs is
 collected.
+
+:class:`ScalarFun` is the evaluable function the rest of the package
+passes around.  It has one representation per function: an AST run through
+the tape, or, for the curvature pair of a curve and the transformation laws
+built on it, a jet rule.  Arithmetic on ScalarFuns builds the combined AST
+whenever every operand has one.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 
 from . import jets
 from .errors import ExprSyntaxError
-from .jets import BiJet2, DEFAULT_ORDER, TaylorJet, jet_elementary
+from .jets import BiJet2, DEFAULT_ORDER, TaylorJet
 
 # -- AST ---------------------------------------------------------------------
 
@@ -518,11 +524,14 @@ def substitute_params(text: str, params: dict[str, float] | None) -> str:
 class ScalarFun:
     """A scalar function of the curve parameter, evaluable as a Taylor jet.
 
-    Wraps either a parsed expression or a derived jet rule (for quantities
-    like a normalized tangent frame that live outside the DSL).  Because jet
-    arithmetic is array-agnostic, ``jet`` accepts an ndarray of expansion
-    points, which gives vectorized grid evaluation through the same code
-    path as scalar calls.
+    A function of the DSL is its AST, and ``jet`` runs the compiled tape of
+    that AST (:meth:`from_ast`).  Only a quantity the DSL cannot spell out,
+    the curvature pair of a curve and the transformation laws built on it,
+    is a jet rule ``jet_fn(t0, order)`` with ``ast`` None.  Algebra keeps
+    the AST form when every operand has one; otherwise it makes a jet rule
+    that calls the tape's own kernel on the operands' jets.  ``t0`` may be
+    a scalar or an ndarray of expansion points, so grids and single points
+    share one code path.
     """
 
     __slots__ = ("_jet_fn", "ast", "name")
@@ -544,15 +553,15 @@ class ScalarFun:
 
     @classmethod
     def wrap(cls, f) -> "ScalarFun":
-        """Coerce an AST, expression text, ScalarFun or plain callable."""
+        """Coerce a number, expression text, AST or ScalarFun."""
         if isinstance(f, ScalarFun):
             return f
         if isinstance(f, str):
             return cls.from_text(f)
+        if isinstance(f, (int, float)):
+            return cls.from_ast(Number(float(f)))
         if isinstance(f, (Number, Var, Const, Unary, Binary, PowInt)):
             return cls.from_ast(f)
-        if callable(f):
-            return cls(lambda t0, order: _jet_from_callable(f, t0, order))
         raise TypeError(f"cannot interpret {f!r} as a scalar function")
 
     def jet(self, t0, order: int) -> TaylorJet:
@@ -571,72 +580,35 @@ class ScalarFun:
         v, d = np.broadcast_to(self.jet(ts, 1).array, (2,) + ts.shape).copy()
         return v, d
 
-    # Algebra on scalar functions; keeps the AST form when both sides have one,
-    # so downstream transforms stay expression-backed whenever possible.
-
-    def _combine(self, other, op: str):
-        other = ScalarFun.wrap(other) if not isinstance(other, ScalarFun) else other
-        mine, theirs = self._jet_fn, other._jet_fn
-
-        def jet_fn(t0, order):
-            a = mine(t0, order)
-            b = theirs(t0, order)
-            if op == "add":
-                return a + b
-            if op == "sub":
-                return a - b
-            if op == "mul":
-                return a * b
-            return a / b
-
-        ast = None
-        if self.ast is not None and other.ast is not None:
-            ast = Binary(op, self.ast, other.ast)
-        return ScalarFun(jet_fn, ast=ast)
-
     def __add__(self, other):
-        return self._combine(_as_fun(other), "add")
+        return _lift("add", self, other)
 
     def __radd__(self, other):
-        return _as_fun(other)._combine(self, "add")
+        return _lift("add", other, self)
 
     def __sub__(self, other):
-        return self._combine(_as_fun(other), "sub")
+        return _lift("sub", self, other)
 
     def __rsub__(self, other):
-        return _as_fun(other)._combine(self, "sub")
+        return _lift("sub", other, self)
 
     def __mul__(self, other):
-        return self._combine(_as_fun(other), "mul")
+        return _lift("mul", self, other)
 
     def __rmul__(self, other):
-        return _as_fun(other)._combine(self, "mul")
+        return _lift("mul", other, self)
 
     def __truediv__(self, other):
-        return self._combine(_as_fun(other), "div")
+        return _lift("div", self, other)
 
     def __rtruediv__(self, other):
-        return _as_fun(other)._combine(self, "div")
+        return _lift("div", other, self)
 
     def __neg__(self):
-        fn = self._jet_fn
-        ast = None
-        if self.ast is not None:
-            if isinstance(self.ast, Number):
-                ast = Number(-self.ast.value)
-            else:
-                ast = Unary("neg", self.ast)
-        return ScalarFun(lambda t0, order: -fn(t0, order), ast=ast)
+        return _lift("neg", self)
 
     def sqrt(self) -> "ScalarFun":
-        fn = self._jet_fn
-        ast = Unary("sqrt", self.ast) if self.ast is not None else None
-        return ScalarFun(lambda t0, order: jet_elementary("sqrt", fn(t0, order)), ast=ast)
-
-    def squared(self) -> "ScalarFun":
-        fn = self._jet_fn
-        ast = PowInt(self.ast, 2) if self.ast is not None else None
-        return ScalarFun(lambda t0, order: fn(t0, order) ** 2, ast=ast)
+        return _lift("sqrt", self)
 
     def __repr__(self):
         if self.ast is not None:
@@ -644,16 +616,21 @@ class ScalarFun:
         return f"ScalarFun(<{self.name or 'derived'}>)"
 
 
-def _as_fun(value) -> ScalarFun:
-    if isinstance(value, ScalarFun):
-        return value
-    if isinstance(value, (int, float)):
-        return ScalarFun.from_ast(Number(float(value)))
-    return ScalarFun.wrap(value)
+def _lift(op: str, *operands) -> ScalarFun:
+    """``op`` (a unary or binary kernel name) applied to scalar functions.
 
+    With every operand expression-backed the result is the combined AST,
+    evaluated by the tape; otherwise it is a jet rule running the tape's
+    kernel for ``op`` on the operands' jets.
+    """
+    funs = [ScalarFun.wrap(f) for f in operands]
+    asts = [f.ast for f in funs]
+    if None not in asts:
+        node = Unary(op, *asts) if len(asts) == 1 else Binary(op, *asts)
+        return ScalarFun.from_ast(node)
+    kernel = _kernel(op)
 
-def _jet_from_callable(f, t0, order):
-    jet = f(TaylorJet.variable(t0, order))
-    if not isinstance(jet, TaylorJet):
-        raise TypeError("callable scalar functions must map jets to jets")
-    return jet
+    def jet_fn(t0, order):
+        return TaylorJet(kernel(*(f.jet(t0, order).array for f in funs)))
+
+    return ScalarFun(jet_fn)

@@ -37,10 +37,6 @@ class GalleryEntry:
     provenance: str
     spec: dict
 
-    @property
-    def label(self) -> str:
-        return self.name
-
 
 def check_ab_assumption(a: int, b: int) -> bool:
     """No common zero of cos(at) and cos(bt) on [0, 2pi).

@@ -21,7 +21,7 @@ from typing import Optional, Union
 from .curves import LegendreCurve
 from .errors import CurveError
 from .exprs import (Binary, ExprAst, Number, PowInt, ScalarFun, Unary, Var,
-                    ast_derivative, parse_expr)
+                    ast_derivative)
 
 #: ord_ell value for a germ whose ell vanishes identically.
 ZERO_FUNCTION = "zero-function"
@@ -58,9 +58,6 @@ class GermData:
     n: int
     m: int
     p: Optional[int] = None       # perturbation order, diagonal-perturbed only
-    sign: int = 1
-    f_expr: Optional[ExprAst] = None  # nonvanishing factor, below-diagonal germs
-    c: float = 1.0                # diagonal constant, recorded but normalized away
 
     def __post_init__(self):
         if self.case not in GERM_CASES:
@@ -75,10 +72,6 @@ class GermData:
             raise ValueError("diagonal germs need n = m")
         if self.case == "diagonal-perturbed" and (self.p is None or self.p < 1):
             raise ValueError("diagonal-perturbed germs need a positive p")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if self.c == 0.0:
-            raise ValueError("diagonal constant c must be nonzero")
 
     @property
     def k(self) -> int:
@@ -143,17 +136,10 @@ def type_nm_curvature(n: int, m: int, f_expr=None, sign: int = 1):
 
 
 def _as_f_ast(f_expr) -> ExprAst:
-    if f_expr is None:
-        return Number(1.0)
-    if isinstance(f_expr, (int, float)):
-        return Number(float(f_expr))
-    if isinstance(f_expr, str):
-        return parse_expr(f_expr, "one-var")
-    if isinstance(f_expr, ScalarFun):
-        if f_expr.ast is None:
-            raise CurveError("f must be expression-backed")
-        return f_expr.ast
-    return f_expr
+    ast = ScalarFun.wrap(1.0 if f_expr is None else f_expr).ast
+    if ast is None:
+        raise CurveError("f must be expression-backed")
+    return ast
 
 
 def local_normal_form(germ: GermData) -> LegendreCurve:

@@ -256,12 +256,7 @@ def refined_min_abs(fun, domain: tuple[float, float], grid_n: int = 1024) -> flo
     parameter change fails) is not missed.
     """
     fun = ScalarFun.wrap(fun)
-
-    def square(t0, order):
-        j = fun.jet(t0, order)
-        return j * j
-
-    return math.sqrt(max(_refined_min_sq(ScalarFun(square), domain, grid_n), 0.0))
+    return math.sqrt(max(_refined_min_sq(fun * fun, domain, grid_n), 0.0))
 
 
 def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> float:

@@ -61,7 +61,7 @@ class DiffeoSpec:
 
 @dataclass
 class TransformResult:
-    curve: object  # LegendreCurve (expression/jet backed) or DiffeoCurve
+    curve: object  # LegendreCurve or DiffeoCurve
     law: CurvaturePair
 
 
@@ -78,8 +78,9 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     from .signatures import refined_min_abs  # deferred: avoids a module cycle
 
     tfun = ScalarFun.wrap(t_of_u)
+    tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
     c, d = float(new_domain[0]), float(new_domain[1])
-    if refined_min_abs(_derivative_fun(tfun), (c, d)) <= 1e-12:
+    if refined_min_abs(tprime, (c, d)) <= 1e-12:
         raise TransformError("not a parameter change")
     us = np.linspace(c, d, 1025)
     tv = tfun.values(us)
@@ -97,7 +98,6 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
         closed=_composition_closed(curve, tfun, (c, d)),
     )
     pair = curve.curvature_pair()
-    tprime = _derivative_fun(tfun)
     law = CurvaturePair(_compose_fun(pair.ell, tfun) * tprime,
                         _compose_fun(pair.beta, tfun) * tprime,
                         (c, d), new_curve.closed)
@@ -105,23 +105,15 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
 
 
 def _compose_fun(outer: ScalarFun, inner: ScalarFun) -> ScalarFun:
-    def jet_fn(u0, order):
+    if outer.ast is not None:
+        return ScalarFun.from_ast(substitute_var(outer.ast, "t", inner.ast))
+
+    def jet_fn(u0, order):  # a curvature law: compose its jets
         ij = inner.jet(u0, order)
         oj = outer.jet(ij.coeffs[0], order)
         return compose(oj, ij)
 
-    ast = None
-    if outer.ast is not None and inner.ast is not None:
-        ast = substitute_var(outer.ast, "t", inner.ast)
-    return ScalarFun(jet_fn, ast=ast)
-
-
-def _derivative_fun(fun: ScalarFun) -> ScalarFun:
-    def jet_fn(t0, order):
-        return fun.jet(t0, order + 1).derivative()
-
-    ast = ast_derivative(fun.ast) if fun.ast is not None else None
-    return ScalarFun(jet_fn, ast=ast)
+    return ScalarFun(jet_fn)
 
 
 def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,

@@ -247,3 +247,40 @@ def test_examples_get_non_integer_param(capsys):
     assert code == 1
     assert captured.err.startswith("error: gallery parameter 'n' must be an integer")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("domain, params", [
+    ("[0, NaN]", '{"n": 1}'),
+    ("[0, Infinity]", '{"n": 1}'),
+    ("[0, 1]", '{"n": 1e400}'),
+], ids=["nan-domain", "infinite-domain", "overflowing-param"])
+def test_non_finite_spec_values(tmp_path, capsys, domain, params):
+    text = ('{"x": "n*cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"], '
+            f'"domain": {domain}, "params": {params}}}')
+    err = _run_spec_error(tmp_path, capsys, text)
+    assert "finite" in err
+
+
+def test_reversed_domain_spec(tmp_path, capsys):
+    spec = {"x": "cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
+            "domain": [2 * math.pi, 0]}
+    err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
+    assert "a < b" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--affine", "0.8,0.3,-0.2,1.1"],
+    ["--swap"],
+    ["--reparam", "t + 0.3*sin(t)", "--domain", f"0:{2 * math.pi!r}"],
+], ids=["affine", "swap", "reparam"])
+def test_transform_frameless_spec(tmp_path, capsys, args):
+    from legendre_curves import check_legendre, decide_equivalence
+
+    path = tmp_path / "frameless.json"
+    path.write_text(json.dumps({"x": "cos(t)", "y": "sin(t) + 0.6*sin(2*t)",
+                                "domain": [0, 2 * math.pi], "closed": True}))
+    assert run(["transform", "--curve", str(path)] + args) == 0
+    image = load_curve(json.loads(capsys.readouterr().out))
+    assert check_legendre(image).ok
+    verdict = decide_equivalence(signature(load_curve(str(path))), signature(image))
+    assert verdict.equivalent

@@ -219,3 +219,21 @@ def test_spec_file_missing_field():
 def test_curvature_pair_from_exprs():
     pair = CurvaturePair.from_exprs("1", "1", (0, TWO_PI), closed=True)
     assert pair(0.3) == (1.0, 1.0)
+
+
+def test_curve_components_must_be_expressions(circle):
+    jet_rule = ScalarFun(circle.x._jet_fn)  # the same jets, without the AST
+    with pytest.raises(CurveError, match="must be expressions"):
+        LegendreCurve(jet_rule, circle.y, circle.nu_x, circle.nu_y, circle.domain)
+
+
+@pytest.mark.parametrize("domain", [(TWO_PI, 0.0), (1.0, 1.0), (0.0, math.nan),
+                                    (-math.inf, 0.0)])
+def test_domain_must_be_finite_and_increasing(circle, domain):
+    with pytest.raises(CurveError, match="a < b"):
+        LegendreCurve(circle.x, circle.y, circle.nu_x, circle.nu_y, domain)
+    with pytest.raises(CurveError, match="a < b"):
+        LegendreCurve.from_exprs("cos(t)", "sin(t)", nu=("cos(t)", "sin(t)"),
+                                 domain=domain)
+    with pytest.raises(CurveError, match="a < b"):
+        CurvaturePair.from_exprs("1", "1", domain)

@@ -206,3 +206,38 @@ def test_tape_cache_entry_dies_with_its_asts():
     del ast, tape
     gc.collect()
     assert key not in _TAPES._entries
+
+
+# -- one representation per function ------------------------------------------
+
+_LIFTED = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
+           "mul": lambda f, g: f * g, "div": lambda f, g: f / g,
+           "neg": lambda f, g: -f, "sqrt": lambda f, g: f.sqrt()}
+
+
+@pytest.mark.parametrize("op, stripped", [(op, side) for op in sorted(_LIFTED)
+                                            for side in ("left", "right")
+                                            if side == "left" or op not in ("neg", "sqrt")])
+def test_jet_rule_matches_tape_of_combined_ast(op, stripped):
+    f = ScalarFun.from_text("2 + sin(t)")
+    g = ScalarFun.from_text("exp(t/3) + t^2")
+    combined = _LIFTED[op](f, g).ast
+    assert combined is not None
+    # ScalarFun(fun._jet_fn) has the same jets as fun but no AST
+    if stripped == "left":
+        lhs, rhs = ScalarFun(f._jet_fn), g
+    else:
+        lhs, rhs = f, ScalarFun(g._jet_fn)
+    rule = _LIFTED[op](lhs, rhs)
+    assert rule.ast is None
+    for t0 in (0.4, np.linspace(-1.0, 1.0, 17)):
+        for order in (0, 1, 12):
+            got = rule.jet(t0, order).array
+            want = eval_jet(combined, t0, order).array
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_wrap_refuses_callables():
+    with pytest.raises(TypeError, match="cannot interpret"):
+        ScalarFun.wrap(lambda j: j)

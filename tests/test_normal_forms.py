@@ -129,6 +129,4 @@ def test_germ_data_validation():
     with pytest.raises(ValueError):
         GermData("diagonal-perturbed", 2, 2)  # missing p
     with pytest.raises(ValueError):
-        GermData("diagonal-plain", 2, 2, c=0.0)
-    with pytest.raises(ValueError):
         GermData("sideways", 2, 3)

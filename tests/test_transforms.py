@@ -194,3 +194,28 @@ def test_transforms_preserve_signature(circle):
     assert signature(affine.curve).key() == base
     reparam = reparametrize(entry.curve, "t + 0.3*sin(t)", entry.curve.domain)
     assert signature(reparam.curve).key() == base
+
+
+def test_reversing_parameter_change_keeps_increasing_domain(circle):
+    res = reparametrize(circle, "-t", (-TWO_PI, 0.0))
+    assert res.curve.domain == (-TWO_PI, 0.0)
+    assert check_legendre(res.curve, samples=256).ok
+    assert res.law(-1.0) == pytest.approx((-1.0, -1.0))
+
+
+def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
+    # an image component is one AST, so its values take one tape run; the
+    # law mixes the base curvature (a jet rule) with frame-norm ASTs
+    from legendre_curves import exprs
+
+    runs = []
+    run = exprs._Tape.run
+    monkeypatch.setattr(exprs._Tape, "run",
+                        lambda tape, *a: runs.append(1) or run(tape, *a))
+    ts = np.linspace(0.0, TWO_PI, 1000)
+    for entry in roster:
+        res = pushforward_affine(entry.curve, AffineMap(0.8, 0.3, -0.2, 1.1))
+        for fun, most in ((res.curve.nu_x, 1), (res.law.ell, 3), (res.law.beta, 3)):
+            runs.clear()
+            fun.values(ts)
+            assert 1 <= len(runs) <= most, (entry.name, fun)
