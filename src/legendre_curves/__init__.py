@@ -6,8 +6,8 @@ from .curves import (CurvaturePair, LegendreCurve, check_closed,
                      is_immersion, load_curve, moving_frame)
 from .errors import (CofactorError, CurveError, DegenerateCurveError,
                      ExprSyntaxError, GridMismatchError, JetDomainError,
-                     JetOrderError, LegendreError, RootScanError,
-                     SignatureError, TransformError)
+                     JetOrderError, LegendreError, ReconstructionError,
+                     RootScanError, SignatureError, TransformError)
 from .exprs import (ScalarFun, eval_bijet, eval_jet, parse_expr, pretty_print,
                     substitute_params)
 from .gallery import (GALLERY_NAMES, GalleryEntry, check_ab_assumption,
@@ -37,9 +37,9 @@ __all__ = [
     "DiffeoCurve", "DiffeoSpec", "EquivalenceVerdict", "ExprSyntaxError",
     "GALLERY_NAMES", "GERM_CASES", "GalleryEntry", "GermData", "GermSignature",
     "GridMismatchError", "JetDomainError", "JetOrderError", "LegendreCurve",
-    "LegendreError", "RootScanError", "SampledCurve", "ScalarFun", "Signature",
-    "SignatureConfig", "SignatureError", "TaylorJet", "TransformError",
-    "TransformResult", "ZERO_FUNCTION", "ZeroPoint", "align_congruence",
+    "LegendreError", "ReconstructionError", "RootScanError", "SampledCurve",
+    "ScalarFun", "Signature", "SignatureConfig", "SignatureError", "TaylorJet",
+    "TransformError", "TransformResult", "ZERO_FUNCTION", "ZeroPoint", "align_congruence",
     "check_ab_assumption", "check_closed", "check_legendre", "cofactor",
     "contact_order", "decide_equivalence", "default_gallery",
     "derive_nu", "dump_curve", "dump_signature", "eval_bijet",

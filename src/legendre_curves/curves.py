@@ -253,16 +253,15 @@ class ImmersionReport:
 def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
 
-    Both components come from one ``curvature_jets`` scan on a grid of
-    ``samples`` steps and their zeros from one joint search.
+    Both components come from one order-0 ``curvature_jets`` scan on a
+    grid of ``samples`` steps and their zeros from one joint search.
     """
-    from .signatures import _source, _zeros  # local import avoids a module cycle
+    from .signatures import _grid_values, _source, _zeros  # avoids a module cycle
 
     evaluate = _source(curve.curvature_jets)
     a, b = curve.domain
     ts = np.linspace(a, b, samples + 1)
-    scan = evaluate(ts, 1)
-    ev, bv = scan[0][0], scan[1][0]
+    ev, bv = values = _grid_values(evaluate, ts)
     min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
     scale_e = float(np.max(np.abs(ev)))
     scale_b = float(np.max(np.abs(bv)))
@@ -275,7 +274,7 @@ def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
     # witnesses; otherwise the witnesses are the common zeros.
     comps = [c for c, (s, other) in enumerate(((scale_e, scale_b), (scale_b, scale_e)))
              if s > 1e-10 * other]
-    ell_zeros, beta_zeros = _zeros(evaluate, ts, scan, comps, 1e-9, False)
+    ell_zeros, beta_zeros = _zeros(evaluate, ts, values, comps, 1e-9, False)
     if len(comps) == 2:
         witnesses = [r for r in ell_zeros if any(abs(r - s) <= 1e-8 for s in beta_zeros)]
     else:

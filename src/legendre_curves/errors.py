@@ -34,6 +34,10 @@ class TransformError(LegendreError):
     """A transformation hypothesis fails (t' vanishing, singular Jacobian)."""
 
 
+class ReconstructionError(LegendreError):
+    """Invalid quadrature input: too few steps or an odd step count."""
+
+
 class GridMismatchError(LegendreError):
     """Two sampled curves do not share a parameter grid."""
 

@@ -203,25 +203,23 @@ def germ_signature_of_curve(curve, t0: float = 0.0,
                             max_order: int = 12) -> GermSignature:
     """Measure the germ signature of an actual curve at a point.
 
-    Orders are read off the jets of (ell, beta); a component whose jet
-    vanishes entirely and whose values vanish on the whole germ interval is
-    flagged as the zero function.
+    Orders are read off the jets of (ell, beta), both from one pass over
+    the curve's (x, y, nu) tape; a component whose jet vanishes entirely
+    and whose values vanish on the whole germ interval is flagged as the
+    zero function.
     """
     import numpy as np
 
     from .jets import first_nonvanishing
 
-    pair = curve.curvature_pair()
-    ej = pair.ell.jet(float(t0), max_order)
-    bj = pair.beta.jet(float(t0), max_order)
+    ej, bj = curve.curvature_jets(float(t0), max_order)
     e_idx = first_nonvanishing(ej)
     b_idx = first_nonvanishing(bj)
     if b_idx is None:
         raise CurveError("beta vanishes to high order; not a germ of finite type")
     if e_idx is None:
         ts = np.linspace(curve.domain[0], curve.domain[1], 512)
-        ev = pair.ell.values(ts)
-        bv = pair.beta.values(ts)
+        ev, bv = (jet.value() for jet in curve.curvature_jets(ts, 0))
         scale = max(float(np.max(np.abs(ev))), float(np.max(np.abs(bv))))
         if float(np.max(np.abs(ev))) <= 1e-10 * scale:
             return GermSignature(ZERO_FUNCTION, b_idx)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .curves import _check_domain
+from .errors import GridMismatchError, ReconstructionError
 from .exprs import ScalarFun
 
 
@@ -94,15 +95,16 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
     """Curve with prescribed curvature, sampled on a uniform grid.
 
     ``steps`` counts subintervals and must be even (the quadrature works on
-    Simpson pairs); fourth-order accurate in the step size.
+    Simpson pairs); fourth-order accurate in the step size.  The domain
+    must be a finite interval with a < b (``CurveError`` otherwise).
     """
     if steps < 16:
-        raise ValueError("steps must be at least 16")
+        raise ReconstructionError("steps must be at least 16")
     if steps % 2 != 0:
-        raise ValueError("steps must be even (Simpson pairs)")
+        raise ReconstructionError("steps must be even (Simpson pairs)")
+    a, b = _check_domain(domain)
     ell = ScalarFun.wrap(ell)
     beta = ScalarFun.wrap(beta)
-    a, b = float(domain[0]), float(domain[1])
     ts = np.linspace(a, b, steps + 1)
     h = (b - a) / steps
     ell_vals = ell.values(ts)

@@ -14,6 +14,14 @@ of touch zeros, exact grid zeros, endpoints), each tagged with its
 component and the jet row it drives to zero; every zoom round, Newton step,
 residual check and the contact-order sweep is then one evaluation of both,
 for a ``LegendreCurve`` one pass of its (x, y, nu) tape.
+
+Each evaluation carries only the Taylor orders its decision reads.  Taylor
+recurrences are causal (coefficient k depends on coefficients 0..k only),
+so a lower truncation changes no coefficient it keeps.  The grid scan reads
+values only; f' comes from one more evaluation at the ends of the cells
+where |f| is small, the only place the touch-zero tests look.  Contact
+orders are read from a low-order sweep first, and only zeros it leaves
+open are evaluated again at the full jet order.
 """
 
 from __future__ import annotations
@@ -99,6 +107,7 @@ DEFAULT_CONFIG = SignatureConfig()
 _NON_FINITE = "zero set appears non-finite; refine or reject"
 _ZOOM_BITS = 32        # a zoomed bracket shrinks by 2^32 = 16^8
 _ZOOM_BUDGET = 512     # about this many zoom points a round, over all brackets
+_FIRST_SWEEP = 4       # contact orders read first; gallery zeros have orders 1-3
 
 
 def _source(jets):
@@ -128,51 +137,94 @@ def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
     """Locate the zeros of an evaluable scalar function on an interval.
 
     The one-component case of the joint search ``signature`` runs on
-    (ell, beta), see ``_zeros``: one scan gathers the candidates, and each
-    zoom round, Newton step and the residual check is one evaluation.
-    Roots are deduplicated within 1e-9.  With ``half_open`` the right
-    endpoint is excluded, which is how closed curves record a seam zero
-    once.
+    (ell, beta), see ``_zeros``: an order-0 scan of the grid gathers the
+    candidates, with f' read only near small |f|, and each zoom round,
+    Newton step and the residual check is one evaluation.  Roots are
+    deduplicated within 1e-9.  With ``half_open`` the right endpoint is
+    excluded, which is how closed curves record a seam zero once.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
     evaluate = _fun_source(ScalarFun.wrap(f))
     ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
-    return _zeros(evaluate, ts, evaluate(ts, 1), (0,), tol, half_open)[0]
+    return _zeros(evaluate, ts, _grid_values(evaluate, ts), (0,), tol, half_open)[0]
 
 
-def _zeros(evaluate, ts: np.ndarray, scan, comps: Sequence[int],
+def _grid_values(evaluate, ts: np.ndarray) -> list[np.ndarray]:
+    """Values of every component of a source on the grid ``ts``."""
+    return [jet[0] for jet in evaluate(ts, 0)]
+
+
+def _zeros(evaluate, ts: np.ndarray, values, comps: Sequence[int],
            tol: float, half_open: bool) -> list[list[float]]:
     """Zeros of the components ``comps`` of a source, refined together.
 
-    ``scan`` is the source's order-1 evaluation on the uniform grid ``ts``.
-    A candidate other than a zoomed sign-change bracket of f counts as a
-    zero only when |f| <= tol * scale, with scale the component's maximum
-    |f| on the grid.  Returns one sorted root list per component, empty
-    for the components not in ``comps``.
+    ``values`` are the source's component values on the uniform grid
+    ``ts``.  A candidate other than a zoomed sign-change bracket of f
+    counts as a zero only when |f| <= tol * scale, with scale the
+    component's maximum |f| on the grid.  Returns one sorted root list per
+    component, empty for the components not in ``comps``.
+    """
+    b = float(ts[-1])
+    cap = max(1, (len(ts) - 1) // 4)
+    scales = np.array([np.max(np.abs(v)) for v in values])
+    lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps, tol)
+    zoom = np.isnan(x)
+    lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
+    x = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
+    fx = _pick(evaluate(x, 0), comp, 0 * row, np.arange(len(x)))
+    keep = (zoom & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
+
+    roots: list[list[float]] = [[] for _ in values]
+    for c in comps:
+        found = _dedup(sorted(x[keep & (comp == c)].tolist()), 1e-9)
+        if half_open:
+            found = [r for r in found if abs(r - b) > 1e-9]
+        if len(found) > cap:
+            raise RootScanError(_NON_FINITE)
+        roots[c] = found
+    return roots
+
+
+def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
+                comps: Sequence[int], tol: float):
+    """Starting points of the joint search, from the grid values.
+
+    Sign-change brackets of f, derivative brackets of touch zeros, exact
+    grid zeros and the endpoints, each tagged with its component and the
+    jet row it drives to zero.  f' is read only at the ends of the cells
+    where min |f| is below the pre-filter tolerance, the one place the
+    derivative tests look, by one order-1 evaluation over all components,
+    or none when no cell qualifies.  Returns the arrays lo, hi, start (NaN: zoom the bracket
+    first), component and row.
     """
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
     h = (b - a) / grid_n
     cap = max(1, grid_n // 4)
-    scales = np.array([np.max(np.abs(v)) for v, _ in scan])
-    groups = []  # lo, hi, start (NaN: zoom the bracket first), component, jet row
+    if any(scales[c] == 0.0 for c in comps):
+        raise RootScanError(_NON_FINITE)
+    # Critical points are touch-zero candidates only where |f| is already
+    # small; the pre-filter keeps the derivative scan from chasing
+    # noise-level sign changes of f' (a constant f has f' at rounding
+    # level everywhere).
+    pre_tols = max(tol, 400.0 / grid_n ** 2) * scales
+    near = {c: np.minimum(np.abs(values[c][:-1]), np.abs(values[c][1:])) <= pre_tols[c]
+            for c in comps}
+    cells = np.logical_or.reduce(list(near.values()))
+    at = np.nonzero(np.append(cells, False) | np.insert(cells, 0, False))[0]
+    slopes = np.zeros((len(values), len(ts)))
+    if len(at):
+        slopes[:, at] = [jet[1] for jet in evaluate(ts[at], 1)]
+    groups = []
     for c in comps:
-        v, dv = scan[c]
-        if scales[c] == 0.0:
-            raise RootScanError(_NON_FINITE)
+        v, dv = values[c], slopes[c]
         sign_changes = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
         exact_hits = np.nonzero(v == 0.0)[0]
         if len(sign_changes) + len(exact_hits) > cap:
             raise RootScanError(_NON_FINITE)
-        # Critical points are touch-zero candidates only where |f| is already
-        # small; the pre-filter keeps the derivative scan from chasing
-        # noise-level sign changes of f' (a constant f has f' at rounding
-        # level everywhere).
-        pre_tol = max(tol, 400.0 / grid_n ** 2) * scales[c]
-        near = np.minimum(np.abs(v[:-1]), np.abs(v[1:])) <= pre_tol
-        dsign_changes = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near)[0]
-        exact_crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tol))[0]
+        dsign_changes = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near[c])[0]
+        exact_crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tols[c]))[0]
         if len(dsign_changes) + len(exact_crit) > cap:
             raise RootScanError(_NON_FINITE)
         # Exact grid zeros and the endpoints never produce a strict sign
@@ -184,22 +236,7 @@ def _zeros(evaluate, ts: np.ndarray, scan, comps: Sequence[int],
             (ts[dsign_changes], ts[dsign_changes + 1], np.nan, c, 1),
             (exact, exact, exact, c, 0),
             (np.array([a, b - h]), np.array([a + h, b]), np.array([a, b]), c, 0))]
-    lo, hi, x, comp, row = (np.concatenate(col) for col in zip(*groups))
-    zoom = np.isnan(x)
-    lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
-    x = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
-    fx = _pick(evaluate(x, 0), comp, 0 * row, np.arange(len(x)))
-    keep = (zoom & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
-
-    roots: list[list[float]] = [[] for _ in scan]
-    for c in comps:
-        found = _dedup(sorted(x[keep & (comp == c)].tolist()), 1e-9)
-        if half_open:
-            found = [r for r in found if abs(r - b) > 1e-9]
-        if len(found) > cap:
-            raise RootScanError(_NON_FINITE)
-        roots[c] = found
-    return roots
+    return tuple(np.concatenate(col) for col in zip(*groups))
 
 
 def _zoom(evaluate, lo, hi, comp, row):
@@ -328,15 +365,15 @@ def signature(source, config: SignatureConfig | None = None) -> Signature:
     evaluate = _source(jets)
     a, b = domain
     ts = np.linspace(a, b, cfg.grid_n + 1)
-    scan = evaluate(ts, 1)
-    scales = np.array([np.max(np.abs(v)) for v, _ in scan])
+    values = _grid_values(evaluate, ts)
+    scales = np.array([np.max(np.abs(v)) for v in values])
     scale = float(np.max(scales))
     if scale == 0.0 or scales[1] <= cfg.zero_fun_rel * scale:
         raise DegenerateCurveError("degenerate: constant curve")
     ell_identically_zero = bool(scales[0] <= cfg.zero_fun_rel * scale)
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots = _zeros(evaluate, ts, scan, comps, cfg.root_tol, closed)
+    roots = _zeros(evaluate, ts, values, comps, cfg.root_tol, closed)
     orders = _contact_orders(evaluate, roots, scales, cfg.jet_order)
     zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], cfg.merge_tol)
     return Signature(domain=(a, b), closed=closed,
@@ -345,26 +382,37 @@ def signature(source, config: SignatureConfig | None = None) -> Signature:
 
 def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
                     max_order: int) -> list[list[int]]:
-    """Contact orders at the zeros of every component, from one jet sweep.
+    """Contact orders at the zeros of every component.
 
     The order of a zero is its first jet coefficient above the vanishing
     threshold, taken against the running prefix maximum and the
-    component's scale (see ``first_nonvanishing``).
+    component's scale (see ``first_nonvanishing``).  Coefficient k and the
+    prefix maximum up to k do not depend on the truncation order, so one
+    sweep at ``_FIRST_SWEEP`` settles every zero of lower order, and only
+    the zeros it leaves open are evaluated again at ``max_order``.
     """
     comp = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     orders: list[list[int]] = [[] for _ in roots]
     if not len(comp):
         return orders
-    arrays = evaluate(np.concatenate(roots), max_order)
-    mags = np.abs([arrays[c][:, i] for i, c in enumerate(comp)])
-    running = np.maximum.accumulate(np.maximum(mags, scales[comp, None]), axis=1)
-    for c, above in zip(comp, mags > np.maximum(VANISH_REL * running, VANISH_ABS)):
-        hits = np.nonzero(above)[0]
-        if len(hits) == 0:
+    pts = np.concatenate(roots)
+    first = np.full(len(comp), -1)
+    for order in sorted({min(_FIRST_SWEEP, max_order), max_order}):
+        at = np.nonzero(first < 0)[0]
+        if not len(at):
+            break
+        arrays = evaluate(pts[at], order)
+        mags = np.abs([arrays[c][:, i] for i, c in enumerate(comp[at])])
+        running = np.maximum.accumulate(np.maximum(mags, scales[comp[at], None]), axis=1)
+        above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
+        hit = above.any(axis=1)
+        first[at[hit]] = np.argmax(above[hit], axis=1)
+    for c, r in zip(comp, first):
+        if r < 0:
             raise SignatureError("contact order exceeds jet order")
-        if hits[0] == 0:
+        if r == 0:
             raise SignatureError("not a zero point")
-        orders[c].append(int(hits[0]))
+        orders[c].append(int(r))
     return orders
 
 

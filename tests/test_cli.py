@@ -68,6 +68,23 @@ def test_reconstruct_csv(capsys):
     assert len(lines) == 34
 
 
+@pytest.mark.parametrize("domain, steps, message", [
+    ("0:nan", "16", "finite"),
+    ("0:inf", "16", "finite"),
+    ("1:0", "16", "a < b"),
+    ("1:1", "16", "a < b"),
+    ("0:1", "8", "at least 16"),
+    ("0:1", "17", "even"),
+], ids=["nan-domain", "infinite-domain", "reversed-domain", "empty-domain",
+        "too-few-steps", "odd-steps"])
+def test_reconstruct_rejects_bad_input(capsys, domain, steps, message):
+    assert run(["reconstruct", "--ell", "1", "--beta", "1",
+                "--domain", domain, "--steps", steps]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_transform_commands(specs, capsys):
     assert run(["transform", "--curve", specs["circle"], "--swap"]) == 0
     spec = json.loads(capsys.readouterr().out)

@@ -8,6 +8,7 @@ from legendre_curves import (GermData, GermSignature, ZERO_FUNCTION,
                              germ_signature_of_curve, local_normal_form,
                              signature, type_nm_curvature, type_nm_curve)
 from legendre_curves.errors import CurveError
+from legendre_curves import exprs
 from legendre_curves.exprs import ScalarFun
 
 
@@ -90,6 +91,26 @@ def test_normal_forms_realize_their_signature(germ):
     curve = local_normal_form(germ)
     assert check_legendre(curve, samples=512, tol=1e-9).ok
     assert germ_signature_of_curve(curve) == germ_signature(germ)
+
+
+@pytest.mark.parametrize("germ, orders", [
+    (GermData("below-diagonal", 2, 4), [13]),
+    (GermData("diagonal-plain", 2, 2), [13, 1]),
+], ids=["below-diagonal", "diagonal-plain"])
+def test_germ_signature_reads_one_curvature_pass(germ, orders, monkeypatch):
+    # Both jets at t0 come from one (x, y, nu) pass at order 12 + 1; the
+    # zero-function test reads ell and beta on its grid from one more.
+    curve = local_normal_form(germ)
+    runs = []
+    run = exprs._Tape.run
+
+    def counted_run(self, t0, order):
+        runs.append(order)
+        return run(self, t0, order)
+
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    assert germ_signature_of_curve(curve) == germ_signature(germ)
+    assert runs == orders
 
 
 def test_normal_form_signature_via_signature_module():

@@ -7,7 +7,7 @@ import pytest
 from legendre_curves import (Congruence, align_congruence, gallery,
                              reconstruct, richardson_defect, sample_curve,
                              sampled_curvature, type_nm_curve)
-from legendre_curves.errors import GridMismatchError
+from legendre_curves.errors import GridMismatchError, ReconstructionError
 from legendre_curves.reconstruction import cumulative_simpson
 
 TWO_PI = 2 * math.pi
@@ -92,9 +92,9 @@ def test_grid_mismatch():
 
 
 def test_reconstruct_validates_steps():
-    with pytest.raises(ValueError, match="at least 16"):
+    with pytest.raises(ReconstructionError, match="at least 16"):
         reconstruct("1", "1", (0, 1), steps=8)
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ReconstructionError, match="even"):
         reconstruct("1", "1", (0, 1), steps=17)
 
 

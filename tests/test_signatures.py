@@ -6,13 +6,13 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from legendre_curves import (AffineMap, CurvaturePair, ScalarFun, Signature,
-                             ZeroPoint, cofactor, contact_order,
-                             decide_equivalence, find_zeros, gallery, negate,
+from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
+                             LegendreCurve, ScalarFun, Signature, ZeroPoint,
+                             cofactor, contact_order, decide_equivalence, find_zeros, gallery, negate,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
-from legendre_curves import exprs
+from legendre_curves import exprs, signatures
 from legendre_curves.errors import (CofactorError, DegenerateCurveError,
                                     RootScanError, SignatureError)
 
@@ -48,27 +48,41 @@ def test_find_zeros_against_brute_force():
         assert np.max(np.abs(np.array(found) - np.array(oracle))) <= 1e-8
 
 
-def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
-    # A run costs a fixed overhead plus a share per point, so few brackets
-    # zoom in a few wide rounds; with 400 brackets every round stays at 17
-    # points a bracket, eight rounds shrinking each by 16^8.
-    sizes = []
+def _record_runs(monkeypatch):
+    """Patch the tape so every run logs its points and its order."""
+    runs = []
     run = exprs._Tape.run
 
     def counted_run(self, t0, order):
-        sizes.append(np.size(t0))
+        runs.append((np.array(t0, dtype=float), order))
         return run(self, t0, order)
 
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    return runs
+
+
+def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
+    # A run costs a fixed overhead plus a share per point, so few brackets
+    # zoom in a few wide rounds; with 400 brackets every round stays at 17
+    # points a bracket, eight rounds shrinking each by 16^8.  The runs are
+    # the order-0 scan, f' near the small values, the zoom rounds, three
+    # Newton steps and the residual check.
+    runs = _record_runs(monkeypatch)
+
+    def zoom_sizes():
+        (scan, scan_order), (slopes, slope_order) = runs[:2]
+        assert (len(scan), scan_order) == (2049, 0)
+        assert slope_order == 1 and len(slopes) < len(scan)
+        return [len(pts) for pts, _ in runs[2:-4]], [len(pts) for pts, _ in runs[-4:]]
+
     roots = find_zeros("sin(200*t)", (0, TWO_PI))
     assert roots == pytest.approx([k * math.pi / 200 for k in range(401)], abs=1e-12)
-    scan, zoom, rest = sizes[0], sizes[1:-4], sizes[-4:]
-    assert scan == 2049
+    zoom, rest = zoom_sizes()
     assert len(zoom) == 8 and max(zoom) <= 17 * len(roots)
     assert max(rest) <= len(roots) + 2
-    sizes.clear()
+    runs.clear()
     assert len(find_zeros("sin(t)", (0, TWO_PI))) == 3
-    assert sizes[1:-4] == [257] * 4
+    assert zoom_sizes()[0] == [257] * 4
 
 
 def test_dedup_matches_loop_reference():
@@ -379,6 +393,112 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
         signature(image)
         assert len(runs) <= 12, (entry.name, runs)
         assert compiles == [4], entry.name
+
+
+def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch):
+    # One order-0 scan of (ell, beta), a tape run at order 1 on the grid;
+    # f' (tape order 2) only at the ends of cells where min |f| is small;
+    # contact orders from a sweep below the full jet order.
+    cfg = signatures.DEFAULT_CONFIG
+    m = AffineMap(1.3, -0.4, 0.7, 0.9)
+    runs = _record_runs(monkeypatch)
+    for entry in roster:
+        image = pushforward_affine(entry.curve, m).curve
+        ts = np.linspace(*image.domain, cfg.grid_n + 1)
+        values = [jet.value() for jet in image.curvature_jets(ts, 0)]
+        runs.clear()
+        sig = signature(image)
+        comps = (1,) if sig.ell_identically_zero else (0, 1)
+        near = np.zeros(cfg.grid_n, dtype=bool)
+        for c in comps:
+            v = np.abs(values[c])
+            pre_tol = max(cfg.root_tol, 400.0 / cfg.grid_n ** 2) * np.max(v)
+            near |= np.minimum(v[:-1], v[1:]) <= pre_tol
+        ends = ts[np.union1d(np.nonzero(near)[0], np.nonzero(near)[0] + 1)]
+
+        grid_runs = [order for pts, order in runs if len(pts) == len(ts)]
+        assert grid_runs == [1], entry.name
+        assert np.array_equal(runs[0][0], ts)
+        if len(ends):
+            pts, order = runs[1]
+            assert order == 2 and np.array_equal(pts, ends), entry.name
+            assert len(ends) < len(ts) // 20, entry.name
+        else:  # no f' run at all: no interior grid point is evaluated again
+            assert not any(np.isin(pts, ts[1:-1]).any() for pts, _ in runs[1:])
+        assert max(order for _, order in runs) < cfg.jet_order + 1, entry.name
+        if sig.zeros:
+            assert runs[-1][1] == signatures._FIRST_SWEEP + 1, entry.name
+
+
+@pytest.mark.parametrize("source, orders", [
+    (CurvaturePair.from_exprs("1", "(t-1)^6", (0, 2)), [(None, 6)]),
+    (CurvaturePair.from_exprs("t^5", "t^3", (-1, 1)), [(5, 3)]),
+    (CurvaturePair.from_exprs("sin(t)", "(t-2)^12", (0, 4)),
+     [(1, None), (None, 12), (1, None)]),
+    (gallery("type_nm", {"n": 1, "m": 5}).curve, [(3, None)]),
+    (gallery("type_nm", {"n": 1, "m": 7}).curve, [(5, None)]),
+    (gallery("type_nm", {"n": 6, "m": 7}).curve, [(None, 5)]),
+], ids=["pair-order-6", "pair-orders-5-3", "pair-order-12", "type_nm-1-5",
+        "type_nm-1-7", "type_nm-6-7"])
+def test_contact_orders_above_the_first_sweep_match_a_full_read(
+        source, orders, monkeypatch):
+    runs = _record_runs(monkeypatch)
+    sig = signature(source)
+    assert [(z.ord_ell, z.ord_beta) for z in sig.zeros] == orders
+    # A zero of order above the first sweep is read again at the jet order.
+    tape_order = DEFAULT_ORDER + isinstance(source, LegendreCurve)
+    high = max(max(o for o in pair if o is not None) for pair in orders)
+    assert (runs[-1][1] == tape_order) == (high > signatures._FIRST_SWEEP)
+    monkeypatch.setattr(signatures, "_FIRST_SWEEP", DEFAULT_ORDER)
+    assert signature(source) == sig
+
+
+def _full_scan_candidates(evaluate, ts, comps, tol):
+    """Candidates from f and f' on the whole grid, one order-1 evaluation."""
+    scan = evaluate(ts, 1)
+    grid_n = len(ts) - 1
+    a, b, h = ts[0], ts[-1], (ts[-1] - ts[0]) / grid_n
+    groups = []
+    for c in comps:
+        v, dv = scan[c]
+        pre_tol = max(tol, 400.0 / grid_n ** 2) * np.max(np.abs(v))
+        near = np.minimum(np.abs(v[:-1]), np.abs(v[1:])) <= pre_tol
+        sign = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+        dsign = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near)[0]
+        exact = ts[np.concatenate([np.nonzero(v == 0.0)[0],
+                                   np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tol))[0]])]
+        groups += [np.broadcast_arrays(*g) for g in (
+            (ts[sign], ts[sign + 1], np.nan, c, 0),
+            (ts[dsign], ts[dsign + 1], np.nan, c, 1),
+            (exact, exact, exact, c, 0),
+            (np.array([a, b - h]), np.array([a + h, b]), np.array([a, b]), c, 0))]
+    return [np.concatenate(col) for col in zip(*groups)]
+
+
+def test_candidates_match_a_full_grid_order_1_scan(roster):
+    m = AffineMap(-0.8, 1.1, 0.6, 1.5)
+    sources = [(signatures._source(curve.curvature_jets), curve.domain, 4096)
+               for curve in [e.curve for e in roster]
+               + [pushforward_affine(e.curve, m).curve for e in roster]
+               + [gallery("type_nm", {"n": 3, "m": 5}).curve]]
+    for text, domain in [("sin(200*t)", (0, TWO_PI)), ("t^2", (-1, 1)),
+                         ("(t-0.3712345)^2*(t+0.61)^2", (-1, 1)),
+                         ("t^3*(t-0.5)^2", (-1, 1)), ("cos(t)^2", (0, 7)),
+                         ("sin(3*t)*exp(-t/2) + 0.001", (0, TWO_PI)),
+                         ("1 + 0*t", (0, 1))]:
+        sources.append((signatures._fun_source(ScalarFun.wrap(text)), domain, 2048))
+    touch_brackets = 0
+    for evaluate, domain, grid_n in sources:
+        ts = np.linspace(*domain, grid_n + 1)
+        values = signatures._grid_values(evaluate, ts)
+        scales = np.array([np.max(np.abs(v)) for v in values])
+        comps = [c for c in range(len(values)) if scales[c] > 1e-10 * np.max(scales)]
+        got = signatures._candidates(evaluate, ts, values, scales, comps, 1e-9)
+        want = _full_scan_candidates(evaluate, ts, comps, 1e-9)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        touch_brackets += int(np.sum(got[4] == 1))
+    assert touch_brackets >= 4
 
 
 def test_signature_of_curve_matches_its_curvature_pair(roster):
