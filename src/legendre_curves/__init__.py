@@ -2,8 +2,7 @@
 transformation laws, zero signatures and equivalence decisions."""
 
 from .curves import (CurvaturePair, LegendreCurve, check_closed,
-                     check_legendre, derive_nu, dump_curve,
-                     is_immersion, load_curve, moving_frame)
+                     check_legendre, derive_nu, dump_curve, load_curve)
 from .errors import (CofactorError, CurveError, DegenerateCurveError,
                      ExprSyntaxError, GridMismatchError, JetDomainError,
                      JetOrderError, LegendreError, ReconstructionError,
@@ -17,13 +16,12 @@ from .normal_forms import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
                            germ_signature, germ_signature_of_curve,
                            local_normal_form, type_nm_curvature, type_nm_curve)
 from .reconstruction import (AlignResult, Congruence, SampledCurve,
-                             align_congruence, reconstruct, richardson_defect,
-                             sample_curve, sampled_curvature)
-from .signatures import (EquivalenceVerdict, Signature, SignatureConfig,
-                         ZeroPoint, cofactor, contact_order,
-                         decide_equivalence, dump_signature, find_zeros,
-                         parity_check, signature, signature_from_dict,
-                         signature_to_dict)
+                             align_congruence, reconstruct, sample_curve,
+                             sampled_curvature)
+from .signatures import (EquivalenceVerdict, Signature, ZeroPoint, cofactor,
+                         contact_order, decide_equivalence, dump_signature,
+                         find_zeros, is_immersion, parity_check, signature,
+                         signature_from_dict, signature_to_dict)
 from .transforms import (AffineMap, DiffeoCurve, DiffeoSpec, TransformResult,
                          negate, pushforward_affine, pushforward_diffeo,
                          pushforward_diffeo_curve, pushforward_swap,
@@ -38,17 +36,17 @@ __all__ = [
     "GALLERY_NAMES", "GERM_CASES", "GalleryEntry", "GermData", "GermSignature",
     "GridMismatchError", "JetDomainError", "JetOrderError", "LegendreCurve",
     "LegendreError", "ReconstructionError", "RootScanError", "SampledCurve",
-    "ScalarFun", "Signature", "SignatureConfig", "SignatureError", "TaylorJet",
+    "ScalarFun", "Signature", "SignatureError", "TaylorJet",
     "TransformError", "TransformResult", "ZERO_FUNCTION", "ZeroPoint", "align_congruence",
     "check_ab_assumption", "check_closed", "check_legendre", "cofactor",
     "contact_order", "decide_equivalence", "default_gallery",
     "derive_nu", "dump_curve", "dump_signature", "eval_bijet",
     "eval_jet", "find_zeros", "gallery", "germ_signature",
     "germ_signature_of_curve", "is_immersion", "jet_elementary",
-    "load_curve", "local_normal_form", "moving_frame", "parity_check",
+    "load_curve", "local_normal_form", "parity_check",
     "parse_expr", "pretty_print", "pushforward_affine", "pushforward_diffeo",
     "pushforward_diffeo_curve", "pushforward_swap", "reconstruct",
-    "reparametrize", "richardson_defect", "sample_curve", "sampled_curvature",
+    "reparametrize", "sample_curve", "sampled_curvature",
     "signature", "signature_from_dict", "signature_to_dict",
     "substitute_params", "type_nm_curvature", "type_nm_curve",
 ]

@@ -27,6 +27,7 @@ from .transforms import (AffineMap, DiffeoSpec, negate, pushforward_affine,
                          pushforward_diffeo, pushforward_swap, reparametrize)
 
 _FMT = "%.17g"
+_MARGIN = 0.08  # share of the width and height left blank on each side
 
 
 @dataclass
@@ -34,17 +35,12 @@ class RenderConfig:
     width: int = 800
     height: int = 600
     samples: int = 1024
-    mark_singular: bool = True
-    mark_inflection: bool = True
-    margin_fraction: float = 0.08
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("width and height must be positive")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
-        if not (0.0 <= self.margin_fraction < 0.5):
-            raise ValueError("margin_fraction must be in [0, 0.5)")
 
 
 def render_svg(curve, sig, cfg: RenderConfig) -> str:
@@ -67,8 +63,8 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
     elif ymax - ymin < 1e-12:
         pad = 0.5 * (xmax - xmin)
         ymin, ymax = ymin - pad, ymax + pad
-    usable_w = cfg.width * (1.0 - 2.0 * cfg.margin_fraction)
-    usable_h = cfg.height * (1.0 - 2.0 * cfg.margin_fraction)
+    usable_w = cfg.width * (1.0 - 2.0 * _MARGIN)
+    usable_h = cfg.height * (1.0 - 2.0 * _MARGIN)
     scale = min(usable_w / (xmax - xmin), usable_h / (ymax - ymin))
     cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
 
@@ -88,10 +84,10 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
     if sig is not None:
         for z in sig.zeros:
             px, py = to_px(curve.gamma(np.array([z.t]))[0])
-            if cfg.mark_singular and z.kind in ("singular", "both"):
+            if z.kind in ("singular", "both"):
                 markers.append(f'<circle cx="{_FMT % px}" cy="{_FMT % py}" r="4" '
                                f'fill="black"/>')
-            if cfg.mark_inflection and z.kind in ("inflection", "both"):
+            if z.kind in ("inflection", "both"):
                 markers.append(f'<circle cx="{_FMT % px}" cy="{_FMT % py}" r="6" '
                                f'fill="none" stroke="black" stroke-width="1.5"/>')
     body = "\n  ".join(
@@ -111,6 +107,17 @@ def _parse_domain(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _int_from(lo: int):
+    """Argument type: an integer >= lo; anything else is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="legcurve",
                                 description="Toolkit for plane curves with a unit "
@@ -119,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("curvature", help="sample (ell, beta) along a curve")
     c.add_argument("--curve", required=True)
-    c.add_argument("--samples", type=int, default=1000)
+    c.add_argument("--samples", type=_int_from(1), default=1000)
 
     s = sub.add_parser("signature", help="zero signature of a curve")
     s.add_argument("--curve", required=True)
@@ -145,16 +152,16 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--diffeo", metavar="P1;P2")
     t.add_argument("--domain", type=_parse_domain,
                    help="new parameter domain (with --reparam)")
-    t.add_argument("--samples", type=int, default=256,
+    t.add_argument("--samples", type=_int_from(1), default=256,
                    help="sample count (with --diffeo)")
 
     n = sub.add_parser("normal-form", help="local normal form representative")
     n.add_argument("--case", required=True,
                    choices=["below-diagonal", "diagonal-plain",
                             "diagonal-perturbed", "above-diagonal"])
-    n.add_argument("--n", type=int, required=True)
-    n.add_argument("--m", type=int)
-    n.add_argument("--p", type=int)
+    n.add_argument("--n", type=_int_from(1), required=True)
+    n.add_argument("--m", type=_int_from(1))
+    n.add_argument("--p", type=_int_from(1))
 
     pa = sub.add_parser("parity", help="odd-contact-order parity of a closed curve")
     pa.add_argument("--curve", required=True)
@@ -169,9 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
     re_ = sub.add_parser("render", help="render a curve to SVG")
     re_.add_argument("--curve", required=True)
     re_.add_argument("-o", "--output", required=True)
-    re_.add_argument("--width", type=int, default=800)
-    re_.add_argument("--height", type=int, default=600)
-    re_.add_argument("--samples", type=int, default=1024)
+    re_.add_argument("--width", type=_int_from(1), default=800)
+    re_.add_argument("--height", type=_int_from(1), default=600)
+    re_.add_argument("--samples", type=_int_from(2), default=1024)
 
     ch = sub.add_parser("check", help="tangency and closedness report")
     ch.add_argument("--curve", required=True)

@@ -31,11 +31,6 @@ from .jets import TaylorJet, derivative, mul, sub
 TWO_PI = 2.0 * math.pi
 
 
-def moving_frame(nu_value):
-    """Quarter anticlockwise rotation: mu = J(nu) = (-nu_2, nu_1)."""
-    return (-nu_value[1], nu_value[0])
-
-
 def _along_mu(vx, vy, nx, ny):
     """Coefficients of v' . mu with mu = J(nu) = (-nu_y, nu_x).
 
@@ -241,47 +236,6 @@ def derive_nu(x, y, domain: tuple[float, float],
         raise CurveError("curve has a singular point; supply ν explicitly")
     speed = speed2.sqrt()
     return -dy / speed, dx / speed
-
-
-@dataclass(frozen=True)
-class ImmersionReport:
-    ok: bool
-    witnesses: tuple[float, ...]
-    min_combined: float
-
-
-def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
-    """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
-
-    Both components come from one order-0 ``curvature_jets`` scan on a
-    grid of ``samples`` steps and their zeros from one joint search.
-    """
-    from .signatures import _grid_values, _source, _zeros  # avoids a module cycle
-
-    evaluate = _source(curve.curvature_jets)
-    a, b = curve.domain
-    ts = np.linspace(a, b, samples + 1)
-    ev, bv = values = _grid_values(evaluate, ts)
-    min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
-    scale_e = float(np.max(np.abs(ev)))
-    scale_b = float(np.max(np.abs(bv)))
-
-    if scale_e <= 1e-10 * max(scale_b, 1e-300) and scale_b <= 1e-10 * max(scale_e, 1e-300):
-        # both identically zero on the grid: every point degenerate
-        return ImmersionReport(False, tuple(float(t) for t in ts[:: max(1, samples // 8)]),
-                               min_combined)
-    # Where one component vanishes on the grid the zeros of the other are
-    # witnesses; otherwise the witnesses are the common zeros.
-    comps = [c for c, (s, other) in enumerate(((scale_e, scale_b), (scale_b, scale_e)))
-             if s > 1e-10 * other]
-    ell_zeros, beta_zeros = _zeros(evaluate, ts, values, comps, 1e-9, False)
-    if len(comps) == 2:
-        witnesses = [r for r in ell_zeros if any(abs(r - s) <= 1e-8 for s in beta_zeros)]
-    else:
-        witnesses = ell_zeros + beta_zeros
-    witnesses = sorted(set(witnesses))
-    return ImmersionReport(ok=(not witnesses), witnesses=tuple(witnesses),
-                           min_combined=min_combined)
 
 
 @dataclass(frozen=True)

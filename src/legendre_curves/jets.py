@@ -32,11 +32,6 @@ from .errors import JetDomainError, JetOrderError
 #: Default truncation order; covers the contact orders of interest with margin.
 DEFAULT_ORDER = 12
 
-#: Scale-free coefficient vanishing test: a coefficient counts as zero when
-#: |c_i| <= max(VANISH_REL * max_j |c_j|, VANISH_ABS).
-VANISH_REL = 1e-9
-VANISH_ABS = 1e-12
-
 #: A coefficient array of shape (K + 1, *points), or a float for a constant.
 Coeffs = Union[float, np.ndarray]
 
@@ -272,17 +267,6 @@ class TaylorJet:
             raise JetOrderError("jet order exceeded")
         return self.array[k] * float(math.factorial(k))
 
-    def truncate(self, order: int) -> "TaylorJet":
-        if order > self.order:
-            raise JetOrderError("jet order exceeded")
-        return TaylorJet(self.array[: order + 1])
-
-    def derivative(self) -> "TaylorJet":
-        """Jet of f' at the same point, one order shorter."""
-        if self.order == 0:
-            raise JetOrderError("jet order exceeded")
-        return TaylorJet(derivative(self.array))
-
     # -- arithmetic ---------------------------------------------------------
 
     def _operand(self, other) -> Coeffs:
@@ -371,28 +355,6 @@ def compose(outer: TaylorJet, inner: TaylorJet) -> TaylorJet:
         result = mul(result, w)
         result[0] += g[i]
     return TaylorJet(result)
-
-
-def first_nonvanishing(jet: TaylorJet, scale: float = 0.0) -> int | None:
-    """Smallest index whose coefficient survives the vanishing threshold.
-
-    A coefficient counts as zero when it is small against the running
-    prefix maximum and against the caller's function scale.  The prefix
-    rule matters: Taylor coefficients of frame quotients grow geometrically
-    when the nearest complex singularity is close, and a threshold tied to
-    the largest coefficient of the whole jet would swamp genuine low-order
-    entries.  Rounding noise at index k only stems from indices <= k, so
-    the prefix maximum is the right reference.
-
-    Returns None when every coefficient vanishes.  Scalar jets only.
-    """
-    mags = [abs(float(c)) for c in jet.coeffs]
-    running = float(scale)
-    for i, m in enumerate(mags):
-        running = max(running, m)
-        if m > max(VANISH_REL * running, VANISH_ABS):
-            return i
-    return None
 
 
 # -- order-2 bivariate jets -------------------------------------------------

@@ -18,10 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+import numpy as np
+
 from .curves import LegendreCurve
 from .errors import CurveError
 from .exprs import (Binary, ExprAst, Number, PowInt, ScalarFun, Unary, Var,
                     ast_derivative)
+from .signatures import _first_significant, _scan, _source, _vanishing
 
 #: ord_ell value for a germ whose ell vanishes identically.
 ZERO_FUNCTION = "zero-function"
@@ -61,17 +64,17 @@ class GermData:
 
     def __post_init__(self):
         if self.case not in GERM_CASES:
-            raise ValueError(f"unknown germ case {self.case!r}")
+            raise CurveError(f"unknown germ case {self.case!r}")
         if self.n < 1 or self.m < 1:
-            raise ValueError("orders n, m must be positive integers")
+            raise CurveError("orders n, m must be positive integers")
         if self.case == "below-diagonal" and not self.n < self.m:
-            raise ValueError("below-diagonal germs need n < m")
+            raise CurveError("below-diagonal germs need n < m")
         if self.case == "above-diagonal" and not self.n > self.m:
-            raise ValueError("above-diagonal germs need n > m")
+            raise CurveError("above-diagonal germs need n > m")
         if self.case.startswith("diagonal") and self.n != self.m:
-            raise ValueError("diagonal germs need n = m")
+            raise CurveError("diagonal germs need n = m")
         if self.case == "diagonal-perturbed" and (self.p is None or self.p < 1):
-            raise ValueError("diagonal-perturbed germs need a positive p")
+            raise CurveError("diagonal-perturbed germs need a positive p")
 
     @property
     def k(self) -> int:
@@ -94,9 +97,9 @@ def type_nm_curve(n: int, m: int, f_expr=None, sign: int = 1) -> LegendreCurve:
     fully expression-backed.
     """
     if not (1 <= n < m):
-        raise ValueError("type (n, m) needs 1 <= n < m")
+        raise CurveError("type (n, m) needs 1 <= n < m")
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise CurveError("sign must be +1 or -1")
     f_ast = _as_f_ast(f_expr)
     if abs(ScalarFun.from_ast(f_ast)(0.0)) <= 1e-12:
         raise CurveError("f must not vanish at 0")
@@ -204,24 +207,19 @@ def germ_signature_of_curve(curve, t0: float = 0.0,
     """Measure the germ signature of an actual curve at a point.
 
     Orders are read off the jets of (ell, beta), both from one pass over
-    the curve's (x, y, nu) tape; a component whose jet vanishes entirely
-    and whose values vanish on the whole germ interval is flagged as the
-    zero function.
+    the curve's (x, y, nu) tape, by the contact-order rule of
+    ``signatures`` (order 0: not a zero).  An ell whose jet vanishes
+    entirely and which passes the zero-function test on a 512-point grid
+    of the germ interval is flagged as the zero function.
     """
-    import numpy as np
-
-    from .jets import first_nonvanishing
-
     ej, bj = curve.curvature_jets(float(t0), max_order)
-    e_idx = first_nonvanishing(ej)
-    b_idx = first_nonvanishing(bj)
-    if b_idx is None:
+    e_idx, b_idx = (int(i) for i in _first_significant(
+        np.abs([ej.array.ravel(), bj.array.ravel()]), 0.0))
+    if b_idx < 0:
         raise CurveError("beta vanishes to high order; not a germ of finite type")
-    if e_idx is None:
-        ts = np.linspace(curve.domain[0], curve.domain[1], 512)
-        ev, bv = (jet.value() for jet in curve.curvature_jets(ts, 0))
-        scale = max(float(np.max(np.abs(ev))), float(np.max(np.abs(bv))))
-        if float(np.max(np.abs(ev))) <= 1e-10 * scale:
+    if e_idx < 0:
+        _, _, scales = _scan(_source(curve.curvature_jets), curve.domain, 511)
+        if _vanishing(scales)[0]:
             return GermSignature(ZERO_FUNCTION, b_idx)
         raise CurveError("ell vanishes to high order at 0 but not identically")
     return GermSignature(e_idx, b_idx)

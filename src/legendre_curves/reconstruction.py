@@ -117,21 +117,6 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
     return SampledCurve(ts=ts, gammas=gammas, nus=nus)
 
 
-def richardson_defect(ell, beta, domain: tuple[float, float], steps: int) -> float:
-    """Worst deviation between the full and half-resolution reconstructions.
-
-    A cheap a posteriori check on the quadrature: the half grid shares every
-    other node with the full grid, so the comparison needs no interpolation.
-    """
-    if steps % 4 != 0:
-        raise ValueError("steps must be divisible by 4 for the halving check")
-    full = reconstruct(ell, beta, domain, steps)
-    half = reconstruct(ell, beta, domain, steps // 2)
-    d_gamma = np.max(np.abs(full.gammas[::2] - half.gammas))
-    d_nu = np.max(np.abs(full.nus[::2] - half.nus))
-    return float(max(d_gamma, d_nu))
-
-
 def sample_curve(curve, ts) -> SampledCurve:
     """Sample an exact curve and its frame on a given grid."""
     ts = np.asarray(ts, dtype=float)

@@ -22,6 +22,15 @@ values only; f' comes from one more evaluation at the ends of the cells
 where |f| is small, the only place the touch-zero tests look.  Contact
 orders are read from a low-order sweep first, and only zeros it leaves
 open are evaluated again at the full jet order.
+
+Each zero decision has one rule here, shared by ``signature``,
+``is_immersion``, ``find_zeros``, ``contact_order`` and the germ
+signature: a component is the zero function when its scale (max |f| on
+the grid) is <= ``_ZERO_FUN_REL`` times the largest scale; a candidate is
+a root when |f| <= ``_ROOT_TOL`` * scale; the contact order is the first
+coefficient above ``VANISH_REL`` * running prefix maximum (seeded with the
+scale) and ``VANISH_ABS``; zeros of ell and beta within ``_MERGE_TOL``
+coincide.  The signature grid has ``_GRID_N`` steps.
 """
 
 from __future__ import annotations
@@ -37,7 +46,11 @@ from .curves import CurvaturePair, LegendreCurve
 from .errors import (CofactorError, DegenerateCurveError, RootScanError,
                      SignatureError)
 from .exprs import ScalarFun
-from .jets import (DEFAULT_ORDER, VANISH_ABS, VANISH_REL, first_nonvanishing)
+from .jets import DEFAULT_ORDER
+
+#: Scale-free coefficient vanishing test of the contact-order rule.
+VANISH_REL = 1e-9
+VANISH_ABS = 1e-12
 
 
 # -- data types ---------------------------------------------------------------
@@ -88,15 +101,10 @@ class EquivalenceVerdict:
 
 
 @dataclass(frozen=True)
-class SignatureConfig:
-    grid_n: int = 4096        # sweep resolution for roots and the zero-function test
-    root_tol: float = 1e-9    # acceptance threshold |f| <= root_tol * scale
-    merge_tol: float = 1e-8   # coincidence tolerance for kind="both"
-    zero_fun_rel: float = 1e-10
-    jet_order: int = DEFAULT_ORDER
-
-
-DEFAULT_CONFIG = SignatureConfig()
+class ImmersionReport:
+    ok: bool
+    witnesses: tuple[float, ...]
+    min_combined: float
 
 
 # -- root isolation -----------------------------------------------------------
@@ -108,6 +116,10 @@ _NON_FINITE = "zero set appears non-finite; refine or reject"
 _ZOOM_BITS = 32        # a zoomed bracket shrinks by 2^32 = 16^8
 _ZOOM_BUDGET = 512     # about this many zoom points a round, over all brackets
 _FIRST_SWEEP = 4       # contact orders read first; gallery zeros have orders 1-3
+_GRID_N = 4096         # grid steps of the signature scan
+_ROOT_TOL = 1e-9       # a zero has |f| <= _ROOT_TOL * scale
+_MERGE_TOL = 1e-8      # zeros of ell and beta this close coincide
+_ZERO_FUN_REL = 1e-10  # a component this small against the largest is zero
 
 
 def _source(jets):
@@ -133,7 +145,7 @@ def _pick(arrays, comp, row, cols) -> np.ndarray:
 
 
 def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
-               tol: float = 1e-9, half_open: bool = False) -> list[float]:
+               tol: float = _ROOT_TOL, half_open: bool = False) -> list[float]:
     """Locate the zeros of an evaluable scalar function on an interval.
 
     The one-component case of the joint search ``signature`` runs on
@@ -146,28 +158,34 @@ def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
     evaluate = _fun_source(ScalarFun.wrap(f))
+    ts, values, scales = _scan(evaluate, domain, grid_n)
+    return _zeros(evaluate, ts, values, scales, (0,), tol, half_open)[0]
+
+
+def _scan(evaluate, domain: tuple[float, float], grid_n: int):
+    """The uniform grid of ``grid_n`` steps, the component values on it
+    from one order-0 evaluation, and each component's scale (max |f|)."""
     ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
-    return _zeros(evaluate, ts, _grid_values(evaluate, ts), (0,), tol, half_open)[0]
+    values = [jet[0] for jet in evaluate(ts, 0)]
+    return ts, values, np.array([np.max(np.abs(v)) for v in values])
 
 
-def _grid_values(evaluate, ts: np.ndarray) -> list[np.ndarray]:
-    """Values of every component of a source on the grid ``ts``."""
-    return [jet[0] for jet in evaluate(ts, 0)]
+def _vanishing(scales: np.ndarray) -> np.ndarray:
+    """The zero-function test: which components are identically zero."""
+    return scales <= _ZERO_FUN_REL * np.max(scales)
 
 
-def _zeros(evaluate, ts: np.ndarray, values, comps: Sequence[int],
-           tol: float, half_open: bool) -> list[list[float]]:
+def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
+           comps: Sequence[int], tol: float, half_open: bool) -> list[list[float]]:
     """Zeros of the components ``comps`` of a source, refined together.
 
-    ``values`` are the source's component values on the uniform grid
-    ``ts``.  A candidate other than a zoomed sign-change bracket of f
-    counts as a zero only when |f| <= tol * scale, with scale the
-    component's maximum |f| on the grid.  Returns one sorted root list per
+    ``values`` and ``scales`` come from ``_scan`` on the grid ``ts``.  A
+    candidate other than a zoomed sign-change bracket of f counts as a
+    zero only when |f| <= tol * scale.  Returns one sorted root list per
     component, empty for the components not in ``comps``.
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
-    scales = np.array([np.max(np.abs(v)) for v in values])
     lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps, tol)
     zoom = np.isnan(x)
     lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
@@ -321,6 +339,19 @@ def _dedup(sorted_roots: Sequence[float], tol: float) -> list[float]:
 # -- contact orders -----------------------------------------------------------
 
 
+def _first_significant(mags: np.ndarray, scales) -> np.ndarray:
+    """The contact-order rule: per row of |jet coefficients|, the first
+    index above max(VANISH_REL * running, VANISH_ABS), -1 if none.
+
+    ``running`` is the prefix maximum seeded with the row's scale, not the
+    whole-jet maximum: coefficients of frame quotients can grow
+    geometrically, and rounding noise at index k stems from indices <= k.
+    """
+    running = np.maximum.accumulate(np.maximum(mags, np.reshape(scales, (-1, 1))), axis=1)
+    above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
+    return np.where(above.any(axis=1), np.argmax(above, axis=1), -1)
+
+
 def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER,
                   scale: float = 0.0) -> Optional[int]:
     """Smallest r >= 1 with a non-vanishing r-th jet coefficient at a zero.
@@ -330,21 +361,17 @@ def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER,
     Returns None when every coefficient up to max_order vanishes, which the
     signature machinery reports as "contact order exceeds jet order".
     """
-    fun = ScalarFun.wrap(f)
-    jet = fun.jet(float(t0), max_order)
-    mags = [abs(float(c)) for c in jet.coeffs]
-    if mags[0] > max(VANISH_REL * max(max(mags), scale), VANISH_ABS):
-        raise SignatureError("not a zero point")
-    idx = first_nonvanishing(jet, scale=scale)
+    jet = ScalarFun.wrap(f).jet(float(t0), max_order)
+    idx = int(_first_significant(np.abs(jet.array.reshape(1, -1)), scale)[0])
     if idx == 0:
         raise SignatureError("not a zero point")
-    return idx
+    return None if idx < 0 else idx
 
 
 # -- signatures ---------------------------------------------------------------
 
 
-def signature(source, config: SignatureConfig | None = None) -> Signature:
+def signature(source) -> Signature:
     """Signature of a curve or of a curvature pair.
 
     Zeros of ell and beta are located together and their contact orders
@@ -353,7 +380,6 @@ def signature(source, config: SignatureConfig | None = None) -> Signature:
     "both".  For a closed curve a zero sitting at both endpoints is
     recorded once.
     """
-    cfg = config or DEFAULT_CONFIG
     if isinstance(source, LegendreCurve):
         domain, closed, jets = source.domain, source.closed, source.curvature_jets
     else:
@@ -363,33 +389,58 @@ def signature(source, config: SignatureConfig | None = None) -> Signature:
         def jets(pts, order):
             return pair.ell.jet(pts, order), pair.beta.jet(pts, order)
     evaluate = _source(jets)
-    a, b = domain
-    ts = np.linspace(a, b, cfg.grid_n + 1)
-    values = _grid_values(evaluate, ts)
-    scales = np.array([np.max(np.abs(v)) for v in values])
-    scale = float(np.max(scales))
-    if scale == 0.0 or scales[1] <= cfg.zero_fun_rel * scale:
+    ts, values, scales = _scan(evaluate, domain, _GRID_N)
+    vanishing = _vanishing(scales)
+    if vanishing[1]:
         raise DegenerateCurveError("degenerate: constant curve")
-    ell_identically_zero = bool(scales[0] <= cfg.zero_fun_rel * scale)
+    ell_identically_zero = bool(vanishing[0])
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots = _zeros(evaluate, ts, values, comps, cfg.root_tol, closed)
-    orders = _contact_orders(evaluate, roots, scales, cfg.jet_order)
-    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], cfg.merge_tol)
-    return Signature(domain=(a, b), closed=closed,
+    roots = _zeros(evaluate, ts, values, scales, comps, _ROOT_TOL, closed)
+    orders = _contact_orders(evaluate, roots, scales, DEFAULT_ORDER)
+    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], _MERGE_TOL)
+    return Signature(domain=domain, closed=closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
+
+
+def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
+    """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
+
+    Both components come from one order-0 ``curvature_jets`` scan on a
+    grid of ``samples`` steps and their zeros from one joint search, with
+    the zero-function test, root and coincidence tolerances of
+    ``signature``.
+    """
+    evaluate = _source(curve.curvature_jets)
+    ts, (ev, bv), scales = _scan(evaluate, curve.domain, samples)
+    min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
+    vanishing = _vanishing(scales)
+    if vanishing.all():  # every point degenerate
+        return ImmersionReport(False, tuple(float(t) for t in ts[:: max(1, samples // 8)]),
+                               min_combined)
+    # Where one component is the zero function the zeros of the other are
+    # witnesses; otherwise the witnesses are the common zeros.
+    comps = [c for c in (0, 1) if not vanishing[c]]
+    ell_zeros, beta_zeros = _zeros(evaluate, ts, [ev, bv], scales, comps, _ROOT_TOL, False)
+    if len(comps) == 2:
+        witnesses = [r for r in ell_zeros
+                     if any(abs(r - s) <= _MERGE_TOL for s in beta_zeros)]
+    else:
+        witnesses = ell_zeros + beta_zeros
+    witnesses = sorted(set(witnesses))
+    return ImmersionReport(ok=(not witnesses), witnesses=tuple(witnesses),
+                           min_combined=min_combined)
 
 
 def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
                     max_order: int) -> list[list[int]]:
     """Contact orders at the zeros of every component.
 
-    The order of a zero is its first jet coefficient above the vanishing
-    threshold, taken against the running prefix maximum and the
-    component's scale (see ``first_nonvanishing``).  Coefficient k and the
-    prefix maximum up to k do not depend on the truncation order, so one
-    sweep at ``_FIRST_SWEEP`` settles every zero of lower order, and only
-    the zeros it leaves open are evaluated again at ``max_order``.
+    The order of a zero is given by ``_first_significant`` against the
+    component's scale.  Its answer for coefficient k does not depend on
+    the truncation order, so one sweep at ``_FIRST_SWEEP`` settles every
+    zero of lower order, and only the zeros it leaves open are evaluated
+    again at ``max_order``.
     """
     comp = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     orders: list[list[int]] = [[] for _ in roots]
@@ -403,10 +454,7 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
             break
         arrays = evaluate(pts[at], order)
         mags = np.abs([arrays[c][:, i] for i, c in enumerate(comp[at])])
-        running = np.maximum.accumulate(np.maximum(mags, scales[comp[at], None]), axis=1)
-        above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
-        hit = above.any(axis=1)
-        first[at[hit]] = np.argmax(above[hit], axis=1)
+        first[at] = _first_significant(mags, scales[comp[at]])
     for c, r in zip(comp, first):
         if r < 0:
             raise SignatureError("contact order exceeds jet order")

@@ -13,6 +13,7 @@ frame computation on the transformed curve:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class AffineMap:
     a22: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a11, self.a12, self.a21, self.a22))):
+            raise TransformError("affine map entries must be finite numbers")
         if self.det == 0.0:
             raise TransformError("affine map must have nonzero determinant")
 
@@ -41,7 +44,10 @@ class AffineMap:
 
     @classmethod
     def from_string(cls, text: str) -> "AffineMap":
-        parts = [float(p) for p in text.split(",")]
+        try:
+            parts = [float(p) for p in text.split(",")]
+        except ValueError:
+            raise TransformError(f"affine map entries must be numbers, got {text!r}") from None
         if len(parts) != 4:
             raise TransformError("affine map needs four comma-separated entries")
         return cls(*parts)

@@ -196,9 +196,40 @@ def test_render_config_validation():
     with pytest.raises(ValueError):
         RenderConfig(width=0)
     with pytest.raises(ValueError):
-        RenderConfig(margin_fraction=0.7)
-    with pytest.raises(ValueError):
         RenderConfig(samples=1)
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["curvature", "--curve", "circle", "--samples", "-5"], 2, "must be at least 1"),
+    (["render", "--curve", "circle", "-o", "out.svg", "--samples", "1"], 2,
+     "must be at least 2"),
+    (["render", "--curve", "circle", "-o", "out.svg", "--width", "0"], 2,
+     "must be at least 1"),
+    (["transform", "--curve", "circle", "--diffeo", "x;y", "--samples", "-1"], 2,
+     "must be at least 1"),
+    (["normal-form", "--case", "below-diagonal", "--n", "0", "--m", "2"], 2,
+     "must be at least 1"),
+    (["transform", "--curve", "circle", "--affine=1,2,3,x"], 1, "must be numbers"),
+    (["transform", "--curve", "circle", "--affine=1,0,0,nan"], 1, "must be finite"),
+    (["normal-form", "--case", "below-diagonal", "--n", "2", "--m", "1"], 1, "need n < m"),
+    (["normal-form", "--case", "diagonal-perturbed", "--n", "2"], 1, "positive p"),
+    (["examples", "get", "type_nm", "--param", "n=3", "--param", "m=2"], 1,
+     "needs 1 <= n < m"),
+], ids=["curvature-samples", "render-samples", "render-width", "diffeo-samples",
+        "germ-n", "affine-text", "affine-nan", "germ-below", "germ-no-p", "type_nm"])
+def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
+                                                   args, code, message):
+    # out-of-range numbers are usage errors (exit 2), failed assumptions
+    # domain errors (exit 1); neither prints anything to stdout
+    args = [specs[a] if a == "circle" else str(tmp_path / a) if a == "out.svg" else a
+            for a in args]
+    assert run(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    if code == 1:
+        assert captured.err.startswith("error: ")
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_reparam_requires_domain(specs, capsys):

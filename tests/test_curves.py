@@ -7,7 +7,7 @@ import pytest
 from legendre_curves import (CurvaturePair, LegendreCurve, ScalarFun,
                              check_closed, check_legendre,
                              derive_nu, dump_curve, gallery, is_immersion,
-                             load_curve, moving_frame, type_nm_curve)
+                             load_curve, type_nm_curve)
 from legendre_curves.errors import CurveError
 
 TWO_PI = 2 * math.pi
@@ -18,12 +18,17 @@ def circle():
     return gallery("circle").curve
 
 
-def test_moving_frame_quarter_rotation():
-    assert moving_frame((1.0, 0.0)) == (0.0, 1.0)
-    assert moving_frame((0.0, 1.0)) == (-1.0, 0.0)
-    th = 0.3
-    mu = moving_frame((math.cos(th), math.sin(th)))
-    assert mu == pytest.approx((-math.sin(th), math.cos(th)))
+def test_moving_frame_quarter_rotation(circle):
+    # ell = nu' . mu and beta = gamma' . mu with mu = J(nu) = (-nu_y, nu_x),
+    # the anticlockwise quarter rotation; the circle's nu is (cos t, sin t)
+    ts = np.array([0.0, math.pi / 2, 0.3])
+    (nx, ny), (gx, gy) = circle.nu_jets(ts, 1), circle.gamma_jets(ts, 1)
+    mu_x, mu_y = -ny.coeffs[0], nx.coeffs[0]
+    assert np.allclose(mu_x, [0.0, -1.0, -math.sin(0.3)], atol=1e-15)
+    assert np.allclose(mu_y, [1.0, 0.0, math.cos(0.3)], atol=1e-15)
+    pair = circle.curvature_pair()
+    assert np.allclose(nx.coeffs[1] * mu_x + ny.coeffs[1] * mu_y, pair.ell.values(ts))
+    assert np.allclose(gx.coeffs[1] * mu_x + gy.coeffs[1] * mu_y, pair.beta.values(ts))
 
 
 def test_check_legendre_circle(circle):

@@ -42,7 +42,7 @@ def test_type_12_is_regular():
 def test_type_nm_rejects_vanishing_factor():
     with pytest.raises(CurveError, match="must not vanish"):
         type_nm_curve(2, 3, "t")
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveError):
         type_nm_curve(3, 2)
 
 
@@ -143,11 +143,11 @@ def test_above_diagonal_mirrors_below_diagonal():
 
 
 def test_germ_data_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveError):
         GermData("below-diagonal", 3, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveError):
         GermData("above-diagonal", 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveError):
         GermData("diagonal-perturbed", 2, 2)  # missing p
-    with pytest.raises(ValueError):
+    with pytest.raises(CurveError):
         GermData("sideways", 2, 3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from legendre_curves import (Congruence, align_congruence, gallery,
-                             reconstruct, richardson_defect, sample_curve,
+                             reconstruct, sample_curve,
                              sampled_curvature, type_nm_curve)
 from legendre_curves.errors import GridMismatchError, ReconstructionError
 from legendre_curves.reconstruction import cumulative_simpson
@@ -118,7 +118,11 @@ def test_cumulative_simpson_fourth_order():
 
 
 def test_richardson_defect_small_for_smooth_data():
-    assert richardson_defect("1 + sin(t)/3", "cos(t)", (0, TWO_PI), 8192) <= 1e-9
+    # the half grid shares every other node with the full grid
+    full = reconstruct("1 + sin(t)/3", "cos(t)", (0, TWO_PI), 8192)
+    half = reconstruct("1 + sin(t)/3", "cos(t)", (0, TWO_PI), 4096)
+    assert np.max(np.abs(full.gammas[::2] - half.gammas)) <= 1e-9
+    assert np.max(np.abs(full.nus[::2] - half.nus)) <= 1e-9
 
 
 def test_csv_output_shape():

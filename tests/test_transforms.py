@@ -77,6 +77,10 @@ def test_affine_reflection(circle):
 def test_affine_requires_invertibility():
     with pytest.raises(TransformError, match="determinant"):
         AffineMap(1, 2, 2, 4)
+    with pytest.raises(TransformError, match="finite"):
+        AffineMap(1, 0, 0, math.nan)
+    with pytest.raises(TransformError, match="numbers"):
+        AffineMap.from_string("1,2,3,x")
 
 
 def test_swap_circle(circle):
