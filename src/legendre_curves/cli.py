@@ -187,9 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit_curvature(curve, samples: int) -> None:
     ts = np.linspace(curve.domain[0], curve.domain[1], samples)
-    pair = curve.curvature_pair()
-    ev = pair.ell.values(ts)
-    bv = pair.beta.values(ts)
+    ev, bv = (j.array[0] for j in curve.curvature_pair().jets(ts, 0))
     print("t,ell,beta")
     for t, e, b in zip(ts, ev, bv):
         print(f"{_FMT % t},{_FMT % e},{_FMT % b}")

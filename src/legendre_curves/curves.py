@@ -8,10 +8,11 @@ and the curvature pair is
     ell(t)  = nu'(t) . mu(t)
     beta(t) = gamma'(t) . mu(t)
 
-``beta`` vanishes exactly at the singular points of ``gamma``; ``ell``
-vanishes at inflection points.  The pair determines the curve up to a
-rotation and a translation, which is what the reconstruction and signature
-modules build on.
+Each curve builds both once as expressions with the derivative node of
+:mod:`exprs`.  ``beta`` vanishes exactly at the singular points of
+``gamma``; ``ell`` at inflection points.  The pair determines the curve up
+to a rotation and a translation, which is what the reconstruction and
+signature modules build on.
 """
 
 from __future__ import annotations
@@ -25,19 +26,18 @@ from typing import Optional
 import numpy as np
 
 from .errors import CurveError, LegendreError
-from .exprs import ScalarFun, ast_derivative, eval_jet_many, pretty_print
-from .jets import TaylorJet, derivative, mul, sub
+from .exprs import (Binary, ScalarFun, Unary, ast_derivative, eval_jet_many,
+                    pretty_print)
+from .jets import TaylorJet
 
 TWO_PI = 2.0 * math.pi
 
 
 def _along_mu(vx, vy, nx, ny):
-    """Coefficients of v' . mu with mu = J(nu) = (-nu_y, nu_x).
-
-    ``vx, vy`` are coefficient arrays of v one order above those of nu;
-    v = nu gives ell, v = gamma gives beta.
-    """
-    return sub(mul(derivative(vy), nx), mul(derivative(vx), ny))
+    """AST of v' . mu with mu = J(nu) = (-nu_y, nu_x); v = nu gives ell,
+    v = gamma gives beta."""
+    return Binary("sub", Binary("mul", Unary("d", vy), nx),
+                  Binary("mul", Unary("d", vx), ny))
 
 
 def _check_domain(domain) -> tuple[float, float]:
@@ -63,6 +63,9 @@ class LegendreCurve:
         if any(f.ast is None for f in (self.x, self.y, self.nu_x, self.nu_y)):
             raise CurveError("curve components must be expressions")
         self.domain = _check_domain(self.domain)
+        nx, ny = self.nu_x.ast, self.nu_y.ast
+        self._ell = _along_mu(nx, ny, nx, ny)
+        self._beta = _along_mu(self.x.ast, self.y.ast, nx, ny)
 
     @classmethod
     def from_exprs(cls, x: str, y: str, nu: Optional[tuple[str, str]] = None,
@@ -112,31 +115,10 @@ class LegendreCurve:
     # -- curvature ------------------------------------------------------
 
     def ell(self) -> ScalarFun:
-        def jet_fn(t0, order):
-            nx, ny = self.nu_jets(t0, order + 1)
-            return TaylorJet(_along_mu(nx.array, ny.array, nx.array[:-1], ny.array[:-1]))
-
-        return ScalarFun(jet_fn, name="ell")
+        return ScalarFun.from_ast(self._ell, name="ell")
 
     def beta(self) -> ScalarFun:
-        def jet_fn(t0, order):
-            gx, gy = self.gamma_jets(t0, order + 1)
-            nx, ny = self.nu_jets(t0, order)
-            return TaylorJet(_along_mu(gx.array, gy.array, nx.array, ny.array))
-
-        return ScalarFun(jet_fn, name="beta")
-
-    def curvature_jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
-        """Jets of (ell, beta) at t0 from one jet pass over (x, y, nu).
-
-        The four components are evaluated together at ``order + 1``, so
-        their shared subtrees are computed once and nu serves both parts.
-        """
-        asts = [f.ast for f in (self.x, self.y, self.nu_x, self.nu_y)]
-        gx, gy, nx, ny = (j.array for j in eval_jet_many(asts, t0, order + 1))
-        nx0, ny0 = nx[:-1], ny[:-1]
-        return (TaylorJet(_along_mu(nx, ny, nx0, ny0)),
-                TaylorJet(_along_mu(gx, gy, nx0, ny0)))
+        return ScalarFun.from_ast(self._beta, name="beta")
 
     def curvature_pair(self) -> "CurvaturePair":
         return CurvaturePair(self.ell(), self.beta(), self.domain, self.closed)
@@ -173,6 +155,13 @@ class CurvaturePair:
 
     def __call__(self, t: float) -> tuple[float, float]:
         return self.ell(t), self.beta(t)
+
+    def jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
+        """Jets of (ell, beta) at t0: one tape pass over both ASTs, or the
+        components' own jets for a diffeomorphism image's jet-rule pair."""
+        if self.ell.ast is None or self.beta.ast is None:
+            return self.ell.jet(t0, order), self.beta.jet(t0, order)
+        return tuple(eval_jet_many([self.ell.ast, self.beta.ast], t0, order))
 
 
 # -- checks -----------------------------------------------------------------

@@ -16,20 +16,24 @@ exponents are literal non-negative integers.  There is no implicit
 multiplication, and named parameters must be substituted numerically before
 parsing (see :func:`substitute_params`).
 
+An internal node ``Unary("d", f)``, the t-derivative of f, never made by
+the parser nor found in a curve's components, spells out the curvature
+pair, so it and every transformation law built on it are ASTs too.
+
 Univariate ASTs are evaluated as Taylor jets by :func:`eval_jet` and
 :func:`eval_jet_many`.  Both compile their AST set once into a tape, a flat
 list of calls to the :mod:`jets` kernels over numbered slots, each slot one
 ``(K + 1, N)`` coefficient array.  Compilation is hash-consed: structurally
 equal subtrees share a slot, ``sin`` and ``cos`` of one argument share one
-recurrence, and constant subtrees are folded.  The tape is cached against
-the identity of the AST tuple and dropped when one of those ASTs is
-collected.
+recurrence, and constant subtrees are folded.  A ``d`` node is the
+one-row shift ``jets.derivative``, so the tape runs one order higher per
+nested ``d``.  Each slot is released after its last use.  The tape is
+cached against the identity of the AST tuple and dropped when one of
+those ASTs is collected.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
-passes around.  It has one representation per function: an AST run through
-the tape, or, for the curvature pair of a curve and the transformation laws
-built on it, a jet rule.  Arithmetic on ScalarFuns builds the combined AST
-whenever every operand has one.
+passes around, one AST run through the tape; only the first-order image
+of a target diffeomorphism is a jet rule.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class Const:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg, sin, cos, exp, sqrt, atan
+    op: str  # neg, sin, cos, exp, sqrt, atan; internal: d, the t-derivative
     child: "ExprAst"
 
 
@@ -255,43 +259,50 @@ def pretty_print(ast: ExprAst) -> str:
 
 class _Tape:
     """A compiled AST set: slot values known up front, instructions
-    ``(kernel, destination slot, operand slot, operand slot or None)`` and
-    the slot of each AST."""
+    ``(kernel, destination slot, operand slot, operand slot or None, slots
+    released after it)``, the slot of each AST and the d-depth of the set."""
 
-    __slots__ = ("init", "code", "outputs")
+    __slots__ = ("init", "code", "outputs", "depth")
 
     def __init__(self, asts):
-        self.init: list = [None]  # slot 0: the variable, bound per run
-        self.code: list = []
+        self.init = init = [None]  # slot 0: the variable, bound per run
+        code: list = []
         keys: dict = {}           # (kernel, operand slots) or literal -> slot
         seen: dict = {}           # id(node) -> slot; shared subtrees compile once
+        depth: list = [0]         # slot -> nesting depth of d nodes under it
 
         def emit(fn, a, b=None):
             key = (fn, a, b)
             slot = keys.get(key)
             if slot is None:
-                slot = keys[key] = len(self.init)
-                args = (a,) if b is None else (a, b)
-                if any(self.init[i] is None for i in args):
-                    self.init.append(None)
-                    self.code.append((fn, slot, a, b))
-                else:  # constant operands: fold
-                    self.init.append(fn(*(self.init[i] for i in args)))
+                slot = keys[key] = len(init)
+                if b is None:
+                    depth.append(depth[a] + (fn is jets.derivative))
+                    value = None if init[a] is None else fn(init[a])
+                else:  # constant operands fold
+                    depth.append(max(depth[a], depth[b]))
+                    value = None if init[a] is None or init[b] is None else fn(init[a], init[b])
+                init.append(value)
+                if value is None:
+                    code.append((fn, slot, a, b))
             return slot
 
         def const(value):
             key = ("const", repr(value))
             slot = keys.get(key)
             if slot is None:
-                slot = keys[key] = len(self.init)
-                self.init.append(value)
+                slot = keys[key] = len(init)
+                init.append(value)
+                depth.append(0)
             return slot
 
         def visit(node):
             slot = seen.get(id(node))
             if slot is not None:
                 return slot
-            if isinstance(node, Number):
+            if isinstance(node, Binary):  # the commonest node first
+                slot = emit(_kernel(node.op), visit(node.left), visit(node.right))
+            elif isinstance(node, Number):
                 slot = const(float(node.value))
             elif isinstance(node, Const):
                 slot = const(float(np.pi))
@@ -304,8 +315,6 @@ class _Tape:
                 slot = emit(operator.getitem, pair, const(int(node.op == "cos")))
             elif isinstance(node, Unary):
                 slot = emit(_kernel(node.op), visit(node.child))
-            elif isinstance(node, Binary):
-                slot = emit(_kernel(node.op), visit(node.left), visit(node.right))
             elif isinstance(node, PowInt):
                 slot = emit(jets.pow_int, visit(node.child), const(int(node.exponent)))
             else:
@@ -314,29 +323,42 @@ class _Tape:
             return slot
 
         self.outputs = [visit(ast) for ast in asts]
+        self.depth = max((depth[slot] for slot in self.outputs), default=0)
+        # Release every computed slot after the instruction that reads it last.
+        last = {slot: i for i, ins in enumerate(code) for slot in ins[2:]}
+        free = [[] for _ in code]
+        for slot, i in last.items():
+            if slot is not None and self.init[slot] is None and slot not in self.outputs:
+                free[i].append(slot)
+        self.code = [ins + (tuple(f),) for ins, f in zip(code, free)]
 
     def run(self, t0, order: int) -> list[TaylorJet]:
-        """Jets of the compiled ASTs at t0 (a scalar or an array of points)."""
+        """Jets of the compiled ASTs at t0 (a scalar or an array of points),
+        from a run ``depth`` orders higher, since each d costs a row."""
         t = np.asarray(t0, dtype=float)
-        var = np.zeros((order + 1, t.size))
+        var = np.zeros((order + self.depth + 1, t.size))
         var[0] = t.ravel()
-        if order:
-            var[1] = 1.0
+        var[1:2] = 1.0  # the slope row, if the run has one
         slots = list(self.init)
         slots[0] = var
-        for fn, dst, a, b in self.code:
+        for fn, dst, a, b, free in self.code:
             slots[dst] = fn(slots[a]) if b is None else fn(slots[a], slots[b])
+            for i in free:
+                slots[i] = None
         shape = (order + 1,) + t.shape
         out = []
         for slot in self.outputs:
             value = slots[slot]
-            if not isinstance(value, np.ndarray):
-                value = jets.constant_like(value, var)
+            if isinstance(value, np.ndarray):
+                value = value[:order + 1]
+            else:
+                value = jets.constant_like(value, var[:order + 1])
             out.append(TaylorJet(value.reshape(shape)))
         return out
 
 
 _KERNELS = {"neg": jets.neg, "exp": jets.exp, "sqrt": jets.sqrt, "atan": jets.atan,
+            "d": jets.derivative,
             "add": jets.add, "sub": jets.sub, "mul": jets.mul, "div": jets.div}
 
 
@@ -426,19 +448,39 @@ def eval_bijet(ast: ExprAst, x0, y0) -> BiJet2:
 # -- structural helpers -------------------------------------------------------
 
 
+def _memoized(ast: ExprAst, step) -> ExprAst:
+    """``step(node, recurse)`` once per distinct node of ``ast``."""
+    memo: dict = {}  # id -> (node, image); holding node keeps its id unique
+
+    def recurse(node):
+        hit = memo.get(id(node))
+        if hit is None:
+            hit = memo[id(node)] = (node, step(node, recurse))
+        return hit[1]
+
+    return recurse(ast)
+
+
 def substitute_var(ast: ExprAst, name: str, replacement: ExprAst) -> ExprAst:
-    """Replace every occurrence of a variable with another AST."""
-    if isinstance(ast, Var) and ast.name == name:
-        return replacement
-    if isinstance(ast, Unary):
-        return Unary(ast.op, substitute_var(ast.child, name, replacement))
-    if isinstance(ast, Binary):
-        return Binary(ast.op,
-                      substitute_var(ast.left, name, replacement),
-                      substitute_var(ast.right, name, replacement))
-    if isinstance(ast, PowInt):
-        return PowInt(substitute_var(ast.child, name, replacement), ast.exponent)
-    return ast
+    """Replace every occurrence of a variable with another AST.
+
+    A ``d(f)`` is spelled out as ``ast_derivative(f)`` first, since
+    d(f) o s is not d(f o s).  Shared subtrees stay shared.
+    """
+    def step(node, sub):
+        if isinstance(node, Var) and node.name == name:
+            return replacement
+        if isinstance(node, Unary) and node.op == "d":
+            return sub(ast_derivative(node.child))
+        if isinstance(node, Unary):
+            return Unary(node.op, sub(node.child))
+        if isinstance(node, Binary):
+            return Binary(node.op, sub(node.left), sub(node.right))
+        if isinstance(node, PowInt):
+            return PowInt(sub(node.child), node.exponent)
+        return node
+
+    return _memoized(ast, step)
 
 
 def ast_derivative(ast: ExprAst) -> ExprAst:
@@ -446,14 +488,20 @@ def ast_derivative(ast: ExprAst) -> ExprAst:
 
     Internal helper used to spell out frame expressions that involve the
     derivative of a user-supplied factor; the DSL itself has no
-    differentiation operator.
+    differentiation operator.  ``d(f)`` differentiates to f'' spelled out.
     """
+    return _memoized(ast, _derivative_step)
+
+
+def _derivative_step(ast: ExprAst, der) -> ExprAst:
     if isinstance(ast, (Number, Const)):
         return Number(0.0)
     if isinstance(ast, Var):
         return Number(1.0)
     if isinstance(ast, Unary):
-        du = ast_derivative(ast.child)
+        if ast.op == "d":
+            return der(der(ast.child))
+        du = der(ast.child)
         u = ast.child
         if ast.op == "neg":
             return Unary("neg", du)
@@ -468,8 +516,8 @@ def ast_derivative(ast: ExprAst) -> ExprAst:
         if ast.op == "atan":
             return Binary("div", du, Binary("add", Number(1.0), PowInt(u, 2)))
     if isinstance(ast, Binary):
-        da = ast_derivative(ast.left)
-        db = ast_derivative(ast.right)
+        da = der(ast.left)
+        db = der(ast.right)
         a, b = ast.left, ast.right
         if ast.op == "add":
             return Binary("add", da, db)
@@ -482,7 +530,7 @@ def ast_derivative(ast: ExprAst) -> ExprAst:
     if isinstance(ast, PowInt):
         if ast.exponent == 0:
             return Number(0.0)
-        du = ast_derivative(ast.child)
+        du = der(ast.child)
         term = Binary("mul", Number(float(ast.exponent)),
                       PowInt(ast.child, ast.exponent - 1))
         return Binary("mul", term, du)
@@ -524,14 +572,11 @@ def substitute_params(text: str, params: dict[str, float] | None) -> str:
 class ScalarFun:
     """A scalar function of the curve parameter, evaluable as a Taylor jet.
 
-    A function of the DSL is its AST, and ``jet`` runs the compiled tape of
-    that AST (:meth:`from_ast`).  Only a quantity the DSL cannot spell out,
-    the curvature pair of a curve and the transformation laws built on it,
-    is a jet rule ``jet_fn(t0, order)`` with ``ast`` None.  Algebra keeps
-    the AST form when every operand has one; otherwise it makes a jet rule
-    that calls the tape's own kernel on the operands' jets.  ``t0`` may be
-    a scalar or an ndarray of expansion points, so grids and single points
-    share one code path.
+    A function is its AST, and ``jet`` runs the compiled tape of that AST
+    (:meth:`from_ast`); algebra builds the combined AST.  Only a
+    diffeomorphism image's first-order curvature is a jet rule
+    ``jet_fn(t0, order)`` with ``ast`` None, which algebra refuses.  ``t0``
+    may be a scalar or an ndarray of expansion points.
     """
 
     __slots__ = ("_jet_fn", "ast", "name")
@@ -617,20 +662,9 @@ class ScalarFun:
 
 
 def _lift(op: str, *operands) -> ScalarFun:
-    """``op`` (a unary or binary kernel name) applied to scalar functions.
-
-    With every operand expression-backed the result is the combined AST,
-    evaluated by the tape; otherwise it is a jet rule running the tape's
-    kernel for ``op`` on the operands' jets.
-    """
-    funs = [ScalarFun.wrap(f) for f in operands]
-    asts = [f.ast for f in funs]
-    if None not in asts:
-        node = Unary(op, *asts) if len(asts) == 1 else Binary(op, *asts)
-        return ScalarFun.from_ast(node)
-    kernel = _kernel(op)
-
-    def jet_fn(t0, order):
-        return TaylorJet(kernel(*(f.jet(t0, order).array for f in funs)))
-
-    return ScalarFun(jet_fn)
+    """``op`` (a unary or binary kernel name) applied to scalar functions:
+    the combined AST, evaluated by the tape."""
+    asts = [ScalarFun.wrap(f).ast for f in operands]
+    if None in asts:
+        raise TypeError("scalar function algebra needs expression-backed operands")
+    return ScalarFun.from_ast(Unary(op, *asts) if len(asts) == 1 else Binary(op, *asts))

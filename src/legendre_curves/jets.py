@@ -12,6 +12,8 @@ The kernels below (``add``, ``sub``, ``mul``, ``div``, ``pow_int``,
 implementation of the Taylor recurrences.  They take coefficient arrays, or
 plain floats standing for constant functions, and broadcast over the point
 axes, so one code path serves a single point and a 4097-point grid alike.
+``derivative`` drops a row, and a binary kernel cuts its longer operand:
+coefficient k of every recurrence depends on coefficients 0..k only.
 Products are shifted-slice updates, one array operation per order; the
 other recurrences take one reduction over the order axis per coefficient.
 The compiled expression tape in :mod:`exprs` calls the kernels on raw
@@ -45,8 +47,11 @@ def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def _align(a: np.ndarray, b: np.ndarray):
-    """Make the point axes of two coefficient arrays broadcast against
-    each other; a jet at one point pairs with every point of the other."""
+    """Cut two coefficient arrays to common rows and make their point axes
+    broadcast; a jet at one point pairs with every point of the other."""
+    if len(a) != len(b):
+        n = min(len(a), len(b))
+        a, b = a[:n], b[:n]
     if a.ndim < b.ndim:
         return _lift(a, b.ndim), b
     if b.ndim < a.ndim:
@@ -153,9 +158,10 @@ def pow_int(a: Coeffs, n: int) -> Coeffs:
     return result
 
 
-def derivative(a: np.ndarray) -> np.ndarray:
-    """Coefficients of f' from those of f, one order shorter."""
-    return a[1:] * _orders(len(a) - 1, a.ndim)
+def derivative(a: Coeffs) -> Coeffs:
+    """Coefficients of f' from those of f, one order shorter; 0.0 for a
+    constant."""
+    return a[1:] * _orders(len(a) - 1, a.ndim) if isinstance(a, np.ndarray) else 0.0
 
 
 def sin_cos(a: Coeffs):

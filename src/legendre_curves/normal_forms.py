@@ -206,19 +206,20 @@ def germ_signature_of_curve(curve, t0: float = 0.0,
                             max_order: int = 12) -> GermSignature:
     """Measure the germ signature of an actual curve at a point.
 
-    Orders are read off the jets of (ell, beta), both from one pass over
-    the curve's (x, y, nu) tape, by the contact-order rule of
-    ``signatures`` (order 0: not a zero).  An ell whose jet vanishes
-    entirely and which passes the zero-function test on a 512-point grid
-    of the germ interval is flagged as the zero function.
+    Orders are read off the jets of (ell, beta), from one tape pass, by the
+    contact-order rule of ``signatures`` (order 0: not a zero), seeded like
+    ``signature`` with the scales on a 512-point grid of the interval.  An
+    ell whose jet vanishes and which passes the zero-function test on that
+    grid is flagged as the zero function.
     """
-    ej, bj = curve.curvature_jets(float(t0), max_order)
+    pair = curve.curvature_pair()
+    _, _, scales = _scan(_source(pair.jets), pair.domain, 511)
+    ej, bj = pair.jets(float(t0), max_order)
     e_idx, b_idx = (int(i) for i in _first_significant(
-        np.abs([ej.array.ravel(), bj.array.ravel()]), 0.0))
+        np.abs([ej.array.ravel(), bj.array.ravel()]), scales))
     if b_idx < 0:
         raise CurveError("beta vanishes to high order; not a germ of finite type")
     if e_idx < 0:
-        _, _, scales = _scan(_source(curve.curvature_jets), curve.domain, 511)
         if _vanishing(scales)[0]:
             return GermSignature(ZERO_FUNCTION, b_idx)
         raise CurveError("ell vanishes to high order at 0 but not identically")

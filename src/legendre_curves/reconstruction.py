@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _check_domain
+from .curves import CurvaturePair
 from .errors import GridMismatchError, ReconstructionError
 from .exprs import ScalarFun
 
@@ -102,13 +102,11 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
         raise ReconstructionError("steps must be at least 16")
     if steps % 2 != 0:
         raise ReconstructionError("steps must be even (Simpson pairs)")
-    a, b = _check_domain(domain)
-    ell = ScalarFun.wrap(ell)
-    beta = ScalarFun.wrap(beta)
+    pair = CurvaturePair(ScalarFun.wrap(ell), ScalarFun.wrap(beta), domain)
+    a, b = pair.domain
     ts = np.linspace(a, b, steps + 1)
     h = (b - a) / steps
-    ell_vals = ell.values(ts)
-    beta_vals = beta.values(ts)
+    ell_vals, beta_vals = (np.broadcast_to(j.array[0], ts.shape) for j in pair.jets(ts, 0))
     theta = cumulative_simpson(ell_vals, h)
     nus = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     gx = -cumulative_simpson(beta_vals * np.sin(theta), h)

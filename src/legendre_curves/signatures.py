@@ -13,7 +13,7 @@ the candidates of ell and beta (sign-change brackets, derivative brackets
 of touch zeros, exact grid zeros, endpoints), each tagged with its
 component and the jet row it drives to zero; every zoom round, Newton step,
 residual check and the contact-order sweep is then one evaluation of both,
-for a ``LegendreCurve`` one pass of its (x, y, nu) tape.
+one pass of the tape of the two ASTs (``CurvaturePair.jets``).
 
 Each evaluation carries only the Taylor orders its decision reads.  Taylor
 recurrences are causal (coefficient k depends on coefficients 0..k only),
@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair, LegendreCurve
+from .curves import CurvaturePair
 from .errors import (CofactorError, DegenerateCurveError, RootScanError,
                      SignatureError)
 from .exprs import ScalarFun
@@ -380,38 +380,31 @@ def signature(source) -> Signature:
     "both".  For a closed curve a zero sitting at both endpoints is
     recorded once.
     """
-    if isinstance(source, LegendreCurve):
-        domain, closed, jets = source.domain, source.closed, source.curvature_jets
-    else:
-        pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
-        domain, closed = pair.domain, pair.closed
-
-        def jets(pts, order):
-            return pair.ell.jet(pts, order), pair.beta.jet(pts, order)
-    evaluate = _source(jets)
-    ts, values, scales = _scan(evaluate, domain, _GRID_N)
+    pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
+    evaluate = _source(pair.jets)
+    ts, values, scales = _scan(evaluate, pair.domain, _GRID_N)
     vanishing = _vanishing(scales)
     if vanishing[1]:
         raise DegenerateCurveError("degenerate: constant curve")
     ell_identically_zero = bool(vanishing[0])
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots = _zeros(evaluate, ts, values, scales, comps, _ROOT_TOL, closed)
+    roots = _zeros(evaluate, ts, values, scales, comps, _ROOT_TOL, pair.closed)
     orders = _contact_orders(evaluate, roots, scales, DEFAULT_ORDER)
     zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], _MERGE_TOL)
-    return Signature(domain=domain, closed=closed,
+    return Signature(domain=pair.domain, closed=pair.closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
 
 
 def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
 
-    Both components come from one order-0 ``curvature_jets`` scan on a
-    grid of ``samples`` steps and their zeros from one joint search, with
+    Both components come from one order-0 ``CurvaturePair.jets`` scan on
+    a grid of ``samples`` steps and their zeros from one joint search, with
     the zero-function test, root and coincidence tolerances of
     ``signature``.
     """
-    evaluate = _source(curve.curvature_jets)
+    evaluate = _source(curve.curvature_pair().jets)
     ts, (ev, bv), scales = _scan(evaluate, curve.domain, samples)
     min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
     vanishing = _vanishing(scales)

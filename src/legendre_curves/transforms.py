@@ -22,7 +22,7 @@ from .curves import CurvaturePair, LegendreCurve
 from .errors import TransformError
 from .exprs import (ExprAst, ScalarFun, ast_derivative, eval_bijet, parse_expr,
                     substitute_var)
-from .jets import TaylorJet, compose
+from .jets import TaylorJet
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,12 @@ class AffineMap:
     a22: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a11, self.a12, self.a21, self.a22))):
+        entries = (self.a11, self.a12, self.a21, self.a22)
+        if not all(map(math.isfinite, entries)):
             raise TransformError("affine map entries must be finite numbers")
+        if not (math.isfinite(self.det) and math.isfinite(sum(a * a for a in entries))):
+            raise TransformError("affine map overflows: its determinant or squared "
+                                 "entries are not finite")
         if self.det == 0.0:
             raise TransformError("affine map must have nonzero determinant")
 
@@ -95,31 +99,15 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     if float(np.min(tv)) < a - pad or float(np.max(tv)) > b + pad:
         raise TransformError("parameter change leaves the curve's domain")
 
-    new_curve = LegendreCurve(
-        x=_compose_fun(curve.x, tfun),
-        y=_compose_fun(curve.y, tfun),
-        nu_x=_compose_fun(curve.nu_x, tfun),
-        nu_y=_compose_fun(curve.nu_y, tfun),
-        domain=(c, d),
-        closed=_composition_closed(curve, tfun, (c, d)),
-    )
+    def compose(f: ScalarFun) -> ScalarFun:
+        return ScalarFun.from_ast(substitute_var(f.ast, "t", tfun.ast))
+
+    new_curve = LegendreCurve(*map(compose, (curve.x, curve.y, curve.nu_x, curve.nu_y)),
+                              (c, d), _composition_closed(curve, tfun, (c, d)))
     pair = curve.curvature_pair()
-    law = CurvaturePair(_compose_fun(pair.ell, tfun) * tprime,
-                        _compose_fun(pair.beta, tfun) * tprime,
+    law = CurvaturePair(compose(pair.ell) * tprime, compose(pair.beta) * tprime,
                         (c, d), new_curve.closed)
     return TransformResult(new_curve, law)
-
-
-def _compose_fun(outer: ScalarFun, inner: ScalarFun) -> ScalarFun:
-    if outer.ast is not None:
-        return ScalarFun.from_ast(substitute_var(outer.ast, "t", inner.ast))
-
-    def jet_fn(u0, order):  # a curvature law: compose its jets
-        ij = inner.jet(u0, order)
-        oj = outer.jet(ij.coeffs[0], order)
-        return compose(oj, ij)
-
-    return ScalarFun(jet_fn)
 
 
 def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,
@@ -205,7 +193,7 @@ def pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, t):
     nxj, nyj = curve.nu_jets(t, 0)
     x, y = gx.coeffs[0], gy.coeffs[0]
     a, b = nxj.coeffs[0], nyj.coeffs[0]
-    ell, beta = _frenet_values(curve, t)
+    ell, beta = (j.coeffs[0] for j in curve.curvature_pair().jets(t, 0))
 
     p1 = eval_bijet(diffeo.phi1, x, y)
     p2 = eval_bijet(diffeo.phi2, x, y)
@@ -225,13 +213,6 @@ def pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, t):
     ) / r2
     beta_t = r * beta
     return ell_t, beta_t, (nbx / r, nby / r)
-
-
-def _frenet_values(curve, t):
-    pair = curve.curvature_pair()
-    ej = pair.ell.jet(t, 0)
-    bj = pair.beta.jet(t, 0)
-    return ej.coeffs[0], bj.coeffs[0]
 
 
 def _require_local_diffeo(p1, p2) -> None:

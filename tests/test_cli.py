@@ -35,6 +35,30 @@ def test_curvature_csv(specs, capsys):
         assert float(beta) == pytest.approx(1.0)
 
 
+def test_curvature_runs_one_tape_once(specs, capsys, monkeypatch):
+    # ell and beta are two ASTs on one compiled tape, evaluated in one run
+    from legendre_curves import exprs
+
+    runs, compiles = [], []
+    run_, init = exprs._Tape.run, exprs._Tape.__init__
+
+    def counted_run(self, t0, order):
+        runs.append(order)
+        return run_(self, t0, order)
+
+    def counted_init(self, asts):
+        init(self, asts)
+        compiles.append((len(asts), self.depth))
+
+    curve = load_curve(specs["circle"])
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
+    monkeypatch.setattr("legendre_curves.cli.load_curve", lambda path: curve)
+    assert run(["curvature", "--curve", specs["circle"], "--samples", "500"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 501
+    assert runs == [0] and compiles == [(2, 1)]
+
+
 def test_signature_json(specs, capsys):
     assert run(["signature", "--curve", specs["g3"]]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -211,12 +235,15 @@ def test_render_config_validation():
      "must be at least 1"),
     (["transform", "--curve", "circle", "--affine=1,2,3,x"], 1, "must be numbers"),
     (["transform", "--curve", "circle", "--affine=1,0,0,nan"], 1, "must be finite"),
+    (["transform", "--curve", "circle", "--affine=1e200,0,0,1e200"], 1, "overflows"),
+    (["transform", "--curve", "circle", "--affine=1,1e200,-1e-200,1"], 1, "overflows"),
     (["normal-form", "--case", "below-diagonal", "--n", "2", "--m", "1"], 1, "need n < m"),
     (["normal-form", "--case", "diagonal-perturbed", "--n", "2"], 1, "positive p"),
     (["examples", "get", "type_nm", "--param", "n=3", "--param", "m=2"], 1,
      "needs 1 <= n < m"),
 ], ids=["curvature-samples", "render-samples", "render-width", "diffeo-samples",
-        "germ-n", "affine-text", "affine-nan", "germ-below", "germ-no-p", "type_nm"])
+        "germ-n", "affine-text", "affine-nan", "affine-det-overflow",
+        "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm"])
 def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
                                                    args, code, message):
     # out-of-range numbers are usage errors (exit 2), failed assumptions

@@ -117,7 +117,8 @@ def test_is_immersion_one_component_and_degenerate_cases():
 
 def test_is_immersion_evaluates_ell_and_beta_together(monkeypatch):
     # The scan, zoom rounds, Newton steps and residual check each run the
-    # one (x, y, nu) tape once for both components.
+    # one tape of the (ell, beta) ASTs once for both components; the ASTs
+    # hold one level of derivative nodes.
     from legendre_curves import exprs
 
     runs, compiles = [], []
@@ -128,8 +129,8 @@ def test_is_immersion_evaluates_ell_and_beta_together(monkeypatch):
         return run(self, t0, order)
 
     def counted_init(self, asts):
-        compiles.append(len(asts))
         init(self, asts)
+        compiles.append((len(asts), self.depth))
 
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
     monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
@@ -138,7 +139,7 @@ def test_is_immersion_evaluates_ell_and_beta_together(monkeypatch):
         runs.clear()
         compiles.clear()
         is_immersion(curve)
-        assert len(runs) <= 11 and compiles == [4], (name, runs, compiles)
+        assert len(runs) <= 11 and compiles == [(2, 1)], (name, runs, compiles)
 
 
 def test_check_closed_gallery(circle):

@@ -8,8 +8,9 @@ import pytest
 from legendre_curves import (ScalarFun, eval_bijet, eval_jet, parse_expr,
                              pretty_print, substitute_params)
 from legendre_curves.errors import ExprSyntaxError
+from legendre_curves import jets
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var,
-                                   ast_derivative, substitute_var)
+                                   _kernel, ast_derivative, substitute_var)
 
 from conftest import random_ast
 
@@ -219,20 +220,23 @@ _LIFTED = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
                                             for side in ("left", "right")
                                             if side == "left" or op not in ("neg", "sqrt")])
 def test_jet_rule_matches_tape_of_combined_ast(op, stripped):
+    # Algebra refuses an operand without an AST; with ASTs the combined
+    # tape equals the jet rule that runs the kernel on the operands' jets.
     f = ScalarFun.from_text("2 + sin(t)")
     g = ScalarFun.from_text("exp(t/3) + t^2")
-    combined = _LIFTED[op](f, g).ast
-    assert combined is not None
     # ScalarFun(fun._jet_fn) has the same jets as fun but no AST
     if stripped == "left":
         lhs, rhs = ScalarFun(f._jet_fn), g
     else:
         lhs, rhs = f, ScalarFun(g._jet_fn)
-    rule = _LIFTED[op](lhs, rhs)
-    assert rule.ast is None
+    with pytest.raises(TypeError, match="expression-backed"):
+        _LIFTED[op](lhs, rhs)
+    combined = _LIFTED[op](f, g).ast
+    assert combined is not None
+    operands = (f,) if op in ("neg", "sqrt") else (f, g)
     for t0 in (0.4, np.linspace(-1.0, 1.0, 17)):
         for order in (0, 1, 12):
-            got = rule.jet(t0, order).array
+            got = _kernel(op)(*(h.jet(t0, order).array for h in operands))
             want = eval_jet(combined, t0, order).array
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -241,3 +245,64 @@ def test_jet_rule_matches_tape_of_combined_ast(op, stripped):
 def test_wrap_refuses_callables():
     with pytest.raises(TypeError, match="cannot interpret"):
         ScalarFun.wrap(lambda j: j)
+
+
+# -- the internal derivative node -----------------------------------------------
+
+_D_CASES = ["sin(t)*t^2", "exp(t/3) + atan(t)", "sqrt(2 + cos(t))/(1 + t^2)",
+            "(t - 0.2)^5", "t", "3", "pi"]
+
+
+@pytest.mark.parametrize("text", _D_CASES)
+def test_derivative_node_is_a_one_row_shift(text):
+    f = parse_expr(text)
+    for t0 in (0.4, np.linspace(-1.0, 1.0, 17)):
+        for order in (0, 1, 5, 12):
+            g = f
+            for nested in (1, 2):
+                g = Unary("d", g)
+                want = eval_jet(f, t0, order + nested).array
+                for _ in range(nested):
+                    want = jets.derivative(want)
+                got = eval_jet(g, t0, order).array
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), (text, order, nested)
+                # the structural derivative agrees with the shift; for d(d(f))
+                # ast_derivative spells out the inner d node itself
+                spelled = ast_derivative(f if nested == 1 else Unary("d", f))
+                other = eval_jet(spelled, t0, order).array
+                assert np.max(np.abs(other - got)) <= 1e-12 * max(1.0, np.max(np.abs(got)))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_derivative_node_beside_a_longer_operand(op):
+    # g runs one row longer than d(f) on the tape and is cut to its rows
+    f, g = parse_expr("exp(t) + sin(t)/2"), parse_expr("2 + exp(t/3)")
+    ts = np.linspace(-1.0, 1.0, 9)
+    for order in (0, 3):
+        df = jets.derivative(eval_jet(f, ts, order + 1).array)
+        gj = eval_jet(g, ts, order).array
+        for left, right, want in ((Unary("d", f), g, _kernel(op)(df, gj)),
+                                  (g, Unary("d", f), _kernel(op)(gj, df))):
+            got = eval_jet(Binary(op, left, right), ts, order).array
+            assert np.array_equal(got, want), (op, order)
+
+
+def test_derivative_node_of_a_constant_is_zero():
+    for node in (Unary("d", Number(3.0)), Unary("d", Unary("d", Const("pi")))):
+        got = eval_jet(node, np.linspace(0.0, 1.0, 5), 4).array
+        assert got.shape == (5, 5) and not got.any()
+
+
+def test_substitute_var_spells_out_derivative_nodes():
+    # d(f) o s is f' o s, not (f o s)'; shared subtrees stay shared
+    f = parse_expr("sin(t)*t^2")
+    s = parse_expr("t + 0.3*sin(t)")
+    shared = Unary("d", f)
+    image = substitute_var(Binary("mul", shared, shared), "t", s)
+    assert image.left is image.right
+    want = substitute_var(ast_derivative(f), "t", s)
+    ts = np.linspace(-1.0, 1.0, 9)
+    for order in (0, 3):
+        assert np.array_equal(eval_jet(image.left, ts, order).array,
+                              eval_jet(want, ts, order).array)

@@ -377,3 +377,19 @@ def test_sin_and_cos_share_one_recurrence():
     assert sum(1 for fn, *_ in tape.code if fn is jets.sin_cos) == 1
     tape = _Tape([parse_expr("sin(t)"), parse_expr("cos(t)")])
     assert sum(1 for fn, *_ in tape.code if fn is jets.sin_cos) == 1
+
+
+def test_tape_releases_each_computed_slot_after_its_last_reader():
+    curve = gallery("gamma_n", {"n": 3}).curve
+    pair = curve.curvature_pair()
+    tape = _Tape([pair.ell.ast, pair.beta.ast])
+    assert tape.depth == 1
+    last = {}
+    for i, (_, dst, a, b, _) in enumerate(tape.code):
+        last[a] = last[b] = i
+    released = [slot for *_, free in tape.code for slot in free]
+    assert len(released) == len(set(released))
+    computed = {dst for _, dst, *_ in tape.code} | {0}
+    assert set(released) == computed - set(tape.outputs)
+    for i, (*_, free) in enumerate(tape.code):
+        assert all(last[slot] == i for slot in free)

@@ -7,6 +7,7 @@ from legendre_curves import (GermData, GermSignature, ZERO_FUNCTION,
                              check_legendre, germ_signature,
                              germ_signature_of_curve, local_normal_form,
                              signature, type_nm_curvature, type_nm_curve)
+from legendre_curves.curves import LegendreCurve
 from legendre_curves.errors import CurveError
 from legendre_curves import exprs
 from legendre_curves.exprs import ScalarFun
@@ -94,23 +95,35 @@ def test_normal_forms_realize_their_signature(germ):
 
 
 @pytest.mark.parametrize("germ, orders", [
-    (GermData("below-diagonal", 2, 4), [13]),
-    (GermData("diagonal-plain", 2, 2), [13, 1]),
+    (GermData("below-diagonal", 2, 4), [1, 13]),
+    (GermData("diagonal-plain", 2, 2), [1, 13]),
 ], ids=["below-diagonal", "diagonal-plain"])
 def test_germ_signature_reads_one_curvature_pass(germ, orders, monkeypatch):
-    # Both jets at t0 come from one (x, y, nu) pass at order 12 + 1; the
-    # zero-function test reads ell and beta on its grid from one more.
+    # The component scales, which seed the contact-order rule and serve the
+    # zero-function test, come from one order-0 scan of (ell, beta) on the
+    # germ interval; both jets at t0 from one more pass at order 12.  Each
+    # runs one order higher: the ASTs hold one level of derivative nodes.
     curve = local_normal_form(germ)
     runs = []
     run = exprs._Tape.run
 
     def counted_run(self, t0, order):
-        runs.append(order)
+        runs.append(order + self.depth)
         return run(self, t0, order)
 
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
     assert germ_signature_of_curve(curve) == germ_signature(germ)
     assert runs == orders
+
+
+def test_germ_signature_seeds_the_contact_order_rule_with_the_scale():
+    # beta = -1e3 (3 t^2 + 1e-10): its constant term sits below VANISH_REL
+    # times the scale, so beta vanishes to order 2 at 0 for both readers
+    curve = LegendreCurve.from_exprs("1e3*(t^3 + 1e-10*t)", "0", nu=("0", "1"),
+                                     domain=(-1, 1))
+    (zero,) = signature(curve).zeros
+    assert (zero.kind, zero.ord_beta) == ("singular", 2)
+    assert germ_signature_of_curve(curve) == GermSignature(ZERO_FUNCTION, 2)
 
 
 def test_normal_form_signature_via_signature_module():

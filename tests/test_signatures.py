@@ -50,12 +50,14 @@ def test_find_zeros_against_brute_force():
 
 
 def _record_runs(monkeypatch):
-    """Patch the tape so every run logs its points and its order."""
+    """Patch the tape so every run logs its points and the order it runs
+    at, one above the request for a curve's (ell, beta), whose ASTs hold
+    one level of derivative nodes."""
     runs = []
     run = exprs._Tape.run
 
     def counted_run(self, t0, order):
-        runs.append((np.array(t0, dtype=float), order))
+        runs.append((np.array(t0, dtype=float), order + self.depth))
         return run(self, t0, order)
 
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
@@ -372,7 +374,8 @@ def test_find_zeros_randomized_against_brute_force():
 
 def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
     # Every zoom round, Newton step, residual check and the contact-order
-    # sweep evaluate ell and beta together from the one (x, y, nu) tape.
+    # sweep evaluate ell and beta together from the one tape of their ASTs,
+    # which hold one level of derivative nodes.
     runs, compiles = [], []
     run, init = exprs._Tape.run, exprs._Tape.__init__
 
@@ -381,8 +384,8 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
         return run(self, t0, order)
 
     def counted_init(self, asts):
-        compiles.append(len(asts))
         init(self, asts)
+        compiles.append((len(asts), self.depth))
 
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
     monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
@@ -393,7 +396,7 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
         compiles.clear()
         signature(image)
         assert len(runs) <= 12, (entry.name, runs)
-        assert compiles == [4], entry.name
+        assert compiles == [(2, 1)], entry.name
 
 
 def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch):
@@ -406,7 +409,7 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
     for entry in roster:
         image = pushforward_affine(entry.curve, m).curve
         ts = np.linspace(*image.domain, grid_n + 1)
-        values = [jet.value() for jet in image.curvature_jets(ts, 0)]
+        values = [jet.value() for jet in image.curvature_pair().jets(ts, 0)]
         runs.clear()
         sig = signature(image)
         comps = (1,) if sig.ell_identically_zero else (0, 1)
@@ -478,7 +481,7 @@ def _full_scan_candidates(evaluate, ts, comps, tol):
 
 def test_candidates_match_a_full_grid_order_1_scan(roster):
     m = AffineMap(-0.8, 1.1, 0.6, 1.5)
-    sources = [(signatures._source(curve.curvature_jets), curve.domain, 4096)
+    sources = [(signatures._source(curve.curvature_pair().jets), curve.domain, 4096)
                for curve in [e.curve for e in roster]
                + [pushforward_affine(e.curve, m).curve for e in roster]
                + [gallery("type_nm", {"n": 3, "m": 5}).curve]]
@@ -541,6 +544,23 @@ def test_signature_key_invariant_under_transform_compositions(roster, index, ste
     for step in steps:
         curve = step(curve).curve
     assert signature(curve).key() == base
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, 7), steps=st.lists(_TRANSFORM_STEPS, min_size=1, max_size=3))
+def test_transform_laws_are_expressions_that_match_their_images(roster, index, steps):
+    # Each law is an AST over the previous curve's curvature ASTs; its
+    # zeros and values are those of the image's own frame computation.
+    curve = roster[index].curve
+    ts = np.linspace(*curve.domain, 1000)
+    for step in steps:
+        result = step(curve)
+        curve, law = result.curve, result.law
+        assert law.ell.ast is not None and law.beta.ast is not None
+        assert signature(law).key() == signature(curve).key()
+        for frame_values, law_values in zip(curve.curvature_pair().jets(ts, 0),
+                                            law.jets(ts, 0)):
+            assert np.max(np.abs(frame_values.value() - law_values.value())) <= 1e-8
 
 
 _SIGNATURES: dict = {}  # one signature per curve spec, across examples
