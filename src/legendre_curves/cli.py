@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import check_closed, check_legendre, dump_curve, load_curve
+from .curves import (_require_finite, check_closed, check_legendre, dump_curve,
+                     load_curve)
 from .errors import ExprSyntaxError, LegendreError
 from .gallery import GALLERY_NAMES, gallery
 from .normal_forms import GermData, local_normal_form
@@ -187,7 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit_curvature(curve, samples: int) -> None:
     ts = np.linspace(curve.domain[0], curve.domain[1], samples)
-    ev, bv = (j.array[0] for j in curve.curvature_pair().jets(ts, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev, bv = (j.array[0] for j in curve.curvature_pair().jets(ts, 0))
+    _require_finite(ts, "curvature", ev, bv)
     print("t,ell,beta")
     for t, e, b in zip(ts, ev, bv):
         print(f"{_FMT % t},{_FMT % e},{_FMT % b}")

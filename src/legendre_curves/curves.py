@@ -40,6 +40,15 @@ def _along_mu(vx, vy, nx, ny):
                   Binary("mul", Unary("d", vx), ny))
 
 
+def _require_finite(ts, what: str, *arrays, error=LegendreError) -> None:
+    """Raise ``error`` naming the first t at which a row of ``arrays``
+    (each of len(ts) rows) holds a value that is not finite."""
+    ok = np.logical_and.reduce([np.isfinite(a).reshape(len(ts), -1).all(axis=1)
+                                for a in arrays])
+    if not ok.all():
+        raise error(f"{what} is not finite at t={float(ts[np.argmin(ok)])!r}")
+
+
 def _check_domain(domain) -> tuple[float, float]:
     a, b = (float(v) for v in domain)
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
@@ -104,13 +113,14 @@ class LegendreCurve:
         return jx, jy
 
     def gamma(self, ts) -> np.ndarray:
-        """Curve points, shape (..., 2)."""
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([self.x.values(ts), self.y.values(ts)], axis=-1)
+        """Curve points, shape (..., 2), from one pass over both components."""
+        jx, jy = self.gamma_jets(np.asarray(ts, dtype=float), 0)
+        return np.stack([jx.array[0], jy.array[0]], axis=-1)
 
     def nu(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.stack([self.nu_x.values(ts), self.nu_y.values(ts)], axis=-1)
+        """Frame vectors, shape (..., 2), from one pass over both components."""
+        jx, jy = self.nu_jets(np.asarray(ts, dtype=float), 0)
+        return np.stack([jx.array[0], jy.array[0]], axis=-1)
 
     # -- curvature ------------------------------------------------------
 

@@ -35,7 +35,8 @@ class TransformError(LegendreError):
 
 
 class ReconstructionError(LegendreError):
-    """Invalid quadrature input: too few steps or an odd step count."""
+    """Invalid quadrature input: too few steps, an odd step count, or a
+    curvature or integral that is not finite."""
 
 
 class GridMismatchError(LegendreError):

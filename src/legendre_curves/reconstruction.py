@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurvaturePair
+from .curves import CurvaturePair, _require_finite
 from .errors import GridMismatchError, ReconstructionError
 from .exprs import ScalarFun
 
@@ -96,7 +96,9 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
 
     ``steps`` counts subintervals and must be even (the quadrature works on
     Simpson pairs); fourth-order accurate in the step size.  The domain
-    must be a finite interval with a < b (``CurveError`` otherwise).
+    must be a finite interval with a < b (``CurveError`` otherwise).  A
+    curvature sample or running integral that is not finite raises
+    ``ReconstructionError`` naming the first t where it occurs.
     """
     if steps < 16:
         raise ReconstructionError("steps must be at least 16")
@@ -106,13 +108,18 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
     a, b = pair.domain
     ts = np.linspace(a, b, steps + 1)
     h = (b - a) / steps
-    ell_vals, beta_vals = (np.broadcast_to(j.array[0], ts.shape) for j in pair.jets(ts, 0))
-    theta = cumulative_simpson(ell_vals, h)
-    nus = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    gx = -cumulative_simpson(beta_vals * np.sin(theta), h)
-    gy = cumulative_simpson(beta_vals * np.cos(theta), h)
-    gammas = np.stack([gx, gy], axis=-1)
-    return SampledCurve(ts=ts, gammas=gammas, nus=nus)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell_vals, beta_vals = (np.broadcast_to(j.array[0], ts.shape)
+                               for j in pair.jets(ts, 0))
+        _require_finite(ts, "curvature", ell_vals, beta_vals, error=ReconstructionError)
+        theta = cumulative_simpson(ell_vals, h)
+        cos, sin = np.cos(theta), np.sin(theta)
+        gx = -cumulative_simpson(beta_vals * sin, h)
+        gy = cumulative_simpson(beta_vals * cos, h)
+    _require_finite(ts, "integral of the curvature", theta, gx, gy,
+                    error=ReconstructionError)
+    return SampledCurve(ts=ts, gammas=np.stack([gx, gy], axis=-1),
+                        nus=np.stack([cos, sin], axis=-1))
 
 
 def sample_curve(curve, ts) -> SampledCurve:
@@ -140,10 +147,15 @@ def align_congruence(curve1, curve2) -> AlignResult:
     rot = Congruence(angle, (0.0, 0.0))
     translation = s2.gammas[0] - rot.rotate(s1.gammas[0][None, :])[0]
     motion = Congruence(angle, (float(translation[0]), float(translation[1])))
-    gamma_residual = np.linalg.norm(s2.gammas - motion.apply(s1.gammas), axis=1)
-    nu_residual = np.linalg.norm(s2.nus - motion.rotate(s1.nus), axis=1)
-    residual = float(max(np.max(gamma_residual), np.max(nu_residual)))
+    residual = max(_max_row_length(s2.gammas - motion.apply(s1.gammas)),
+                   _max_row_length(s2.nus - motion.rotate(s1.nus)))
     return AlignResult(congruence=motion, residual=residual)
+
+
+def _max_row_length(d: np.ndarray) -> float:
+    """max |row| of an (N, 2) array; the same sum of squares and sqrt as
+    ``np.linalg.norm(d, axis=1)``, without its general-axis reduction."""
+    return float(np.max(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
 
 
 def _as_sampled_pair(curve1, curve2):

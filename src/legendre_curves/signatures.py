@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair
+from .curves import CurvaturePair, _require_finite
 from .errors import (CofactorError, DegenerateCurveError, RootScanError,
                      SignatureError)
 from .exprs import ScalarFun
@@ -164,9 +164,12 @@ def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
 
 def _scan(evaluate, domain: tuple[float, float], grid_n: int):
     """The uniform grid of ``grid_n`` steps, the component values on it
-    from one order-0 evaluation, and each component's scale (max |f|)."""
+    from one order-0 evaluation, and each component's scale (max |f|).
+    A value that is not finite raises ``RootScanError`` naming its t."""
     ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
-    values = [jet[0] for jet in evaluate(ts, 0)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [jet[0] for jet in evaluate(ts, 0)]
+    _require_finite(ts, "function value", *values, error=RootScanError)
     return ts, values, np.array([np.max(np.abs(v)) for v in values])
 
 
@@ -289,7 +292,9 @@ def _zoom(evaluate, lo, hi, comp, row):
 
 def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3) -> np.ndarray:
     """Guarded vectorized Newton on jet row ``row`` of component ``comp``;
-    iterates that leave [lo, hi] are dropped."""
+    iterates that leave [lo, hi] are dropped.  A step that leaves every
+    iterate unchanged bit for bit ends the loop, since each later step
+    would repeat it."""
     cols = np.arange(len(x))
     for _ in range(steps):
         j = evaluate(x, int(row.max()) + 1)
@@ -299,7 +304,10 @@ def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3) -> np.ndarray:
         step = np.where(safe, fv / np.where(safe, dfv, 1.0), 0.0)
         xn = x - step
         ok = (xn >= lo) & (xn <= hi) & np.isfinite(xn)
-        x = np.where(ok, xn, x)
+        xn = np.where(ok, xn, x)
+        if xn.tobytes() == x.tobytes():
+            break
+        x = xn
     return x
 
 

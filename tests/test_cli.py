@@ -359,3 +359,25 @@ def test_transform_frameless_spec(tmp_path, capsys, args):
     assert check_legendre(image).ok
     verdict = decide_equivalence(signature(load_curve(str(path))), signature(image))
     assert verdict.equivalent
+
+
+_OVERFLOWING = '{"x": "exp(800*t)", "y": "0", "nu": ["0", "1"], "domain": [0, 1]}'
+
+
+@pytest.mark.parametrize("args, message", [
+    (["reconstruct", "--ell=exp(1000*t)", "--beta=1", "--domain=0:1", "--steps", "16"],
+     "curvature is not finite at t=0.75"),
+    (["reconstruct", "--ell=1", "--beta=exp(800*t)", "--domain=0:1", "--steps", "16"],
+     "curvature is not finite at t=0.9375"),
+    (["curvature", "--curve", "spec"], "curvature is not finite at t="),
+    (["signature", "--curve", "spec"], "function value is not finite at t="),
+], ids=["reconstruct-ell", "reconstruct-beta", "curvature", "signature"])
+def test_non_finite_curvature_is_refused(tmp_path, capsys, args, message):
+    # an overflowing curvature is an error, not nan/inf rows or a
+    # "constant curve" verdict drawn from an infinite scale
+    spec = tmp_path / "spec.json"
+    spec.write_text(_OVERFLOWING)
+    assert run([str(spec) if a == "spec" else a for a in args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from legendre_curves import (Congruence, align_congruence, gallery,
-                             reconstruct, sample_curve,
+from legendre_curves import (AffineMap, Congruence, LegendreCurve,
+                             align_congruence, gallery, pushforward_affine,
+                             reconstruct, reparametrize, sample_curve,
                              sampled_curvature, type_nm_curve)
 from legendre_curves.errors import GridMismatchError, ReconstructionError
 from legendre_curves.reconstruction import cumulative_simpson
@@ -131,3 +132,74 @@ def test_csv_output_shape():
     assert lines[0] == "t,gx,gy,nx,ny"
     assert len(lines) == 18
     assert len(lines[1].split(",")) == 5
+
+
+def _frame_sources(roster):
+    """The gallery, an affine and a reparametrized image of each member,
+    and a curve with constant components."""
+    curves = []
+    for entry in roster:
+        curve = entry.curve
+        a, b = curve.domain
+        curves += [curve, pushforward_affine(curve, AffineMap(1.3, 0.4, -0.2, 0.9)).curve,
+                   reparametrize(curve, f"{a!r} + {b - a!r}*(t + 0.1*t*(1 - t))",
+                                 (0.0, 1.0)).curve]
+    return curves + [LegendreCurve.from_exprs("t", "0", nu=("0", "1"), domain=(0, 1))]
+
+
+def test_frame_pairs_match_per_component_values_bitwise(roster):
+    # gamma and nu read row 0 of one joint tape run; the reference is the
+    # per-component ``values`` path, one tape per component
+    for curve in _frame_sources(roster):
+        a, b = curve.domain
+        for ts in (np.array(0.3 * a + 0.7 * b), np.array([a]), np.linspace(a, b, 32769)):
+            want_gamma = np.stack([curve.x.values(ts), curve.y.values(ts)], axis=-1)
+            want_nu = np.stack([curve.nu_x.values(ts), curve.nu_y.values(ts)], axis=-1)
+            for got, want in ((curve.gamma(ts), want_gamma), (curve.nu(ts), want_nu)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            sc = sample_curve(curve, np.atleast_1d(ts))
+            assert sc.gammas.tobytes() == np.atleast_2d(want_gamma).tobytes()
+            assert sc.nus.tobytes() == np.atleast_2d(want_nu).tobytes()
+
+
+def test_sample_curve_runs_two_tapes_once_each(monkeypatch):
+    from legendre_curves import exprs
+
+    curve = gallery("gamma_n", {"n": 3}).curve
+    runs = []
+    run = exprs._Tape.run
+
+    def counted_run(self, t0, order):
+        runs.append(id(self))
+        return run(self, t0, order)
+
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    sample_curve(curve, np.linspace(0, TWO_PI, 257))
+    assert len(runs) == 2 and len(set(runs)) == 2
+
+
+def test_alignment_residual_matches_linalg_norm_bitwise(roster):
+    for entry in roster:
+        curve = entry.curve
+        pair = curve.curvature_pair()
+        sc = reconstruct(pair.ell, pair.beta, curve.domain, steps=2048)
+        exact = sample_curve(curve, sc.ts)
+        res = align_congruence(sc, exact)
+        motion = res.congruence
+        want = float(max(
+            np.max(np.linalg.norm(exact.gammas - motion.apply(sc.gammas), axis=1)),
+            np.max(np.linalg.norm(exact.nus - motion.rotate(sc.nus), axis=1))))
+        assert res.residual == want
+
+
+@pytest.mark.parametrize("ell, beta, domain, message", [
+    ("exp(1000*t)", "1", (0, 1), "curvature is not finite at t=0.75"),
+    ("1", "exp(800*t)", (0, 1), "curvature is not finite at t=0.9375"),
+    ("0", "1e308", (0, 16), "integral of the curvature is not finite at t=1.0"),
+])
+def test_reconstruct_refuses_non_finite_curvature(ell, beta, domain, message):
+    # the first grid point where a sample or a running integral overflows
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct(ell, beta, domain, steps=16)
+    assert str(err.value) == message
