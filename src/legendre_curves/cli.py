@@ -49,10 +49,13 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
 
     Singular points are filled circles, inflection points open circles; a
     point of both kinds gets both markers.  A degenerate bounding box falls
-    back to a unit box around the curve's midpoint.
+    back to a unit box around the curve's midpoint.  A curve point that
+    is not finite raises ``LegendreError`` naming its t.
     """
     ts = np.linspace(curve.domain[0], curve.domain[1], cfg.samples)
-    pts = curve.gamma(ts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = curve.gamma(ts)
+    _require_finite(ts, "curve point", pts)
     xmin, ymin = np.min(pts, axis=0)
     xmax, ymax = np.max(pts, axis=0)
     if xmax - xmin < 1e-12 and ymax - ymin < 1e-12:
@@ -287,8 +290,9 @@ def run(argv) -> int:
                 sig = None
             cfg = RenderConfig(width=args.width, height=args.height,
                                samples=args.samples)
+            svg = render_svg(curve, sig, cfg)
             with open(args.output, "w") as fh:
-                fh.write(render_svg(curve, sig, cfg))
+                fh.write(svg)
         elif args.command == "check":
             curve = load_curve(args.curve)
             leg = check_legendre(curve)

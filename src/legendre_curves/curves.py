@@ -185,23 +185,26 @@ class LegendreReport:
 
 
 def check_legendre(curve, samples: int = 2048, tol: float = 1e-9) -> LegendreReport:
-    """Verify gamma' . nu = 0 and |nu| = 1 on a uniform grid."""
+    """Verify gamma' . nu = 0 and |nu| = 1 on a uniform grid.  A defect
+    that is not finite raises ``CurveError`` naming its t."""
     if samples < 2:
         raise ValueError("samples must be at least 2")
     a, b = curve.domain
     ts = np.linspace(a, b, samples)
-    try:
-        gx, gy = curve.gamma_jets(ts, 1)
-        nx, ny = curve.nu_jets(ts, 0)
-    except LegendreError as err:
-        t_bad = _locate_failure(curve, ts)
-        raise CurveError(f"expression evaluation failed at t={t_bad!r}: {err}") from err
-    dgx = np.broadcast_to(np.asarray(gx.coeffs[1], dtype=float), ts.shape)
-    dgy = np.broadcast_to(np.asarray(gy.coeffs[1], dtype=float), ts.shape)
-    nxv = np.broadcast_to(np.asarray(nx.coeffs[0], dtype=float), ts.shape)
-    nyv = np.broadcast_to(np.asarray(ny.coeffs[0], dtype=float), ts.shape)
-    tangency = np.abs(dgx * nxv + dgy * nyv)
-    norm_defect = np.abs(np.hypot(nxv, nyv) - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            gx, gy = curve.gamma_jets(ts, 1)
+            nx, ny = curve.nu_jets(ts, 0)
+        except LegendreError as err:
+            t_bad = _locate_failure(curve, ts)
+            raise CurveError(f"expression evaluation failed at t={t_bad!r}: {err}") from err
+        dgx = np.broadcast_to(np.asarray(gx.coeffs[1], dtype=float), ts.shape)
+        dgy = np.broadcast_to(np.asarray(gy.coeffs[1], dtype=float), ts.shape)
+        nxv = np.broadcast_to(np.asarray(nx.coeffs[0], dtype=float), ts.shape)
+        nyv = np.broadcast_to(np.asarray(ny.coeffs[0], dtype=float), ts.shape)
+        tangency = np.abs(dgx * nxv + dgy * nyv)
+        norm_defect = np.abs(np.hypot(nxv, nyv) - 1.0)
+    _require_finite(ts, "tangency defect", tangency, norm_defect, error=CurveError)
     max_defect = float(np.max(tangency))
     max_norm = float(np.max(norm_defect))
     return LegendreReport(ok=(max_defect <= tol and max_norm <= tol),
@@ -256,23 +259,21 @@ def check_closed(curve, max_order: int = 8, tol: float = 1e-8) -> ClosedReport:
 
     Each order is compared with a mixed absolute/relative tolerance, since
     high-order derivatives of oscillatory components grow like n^k and an
-    absolute comparison would drown in float rounding.
+    absolute comparison would drown in float rounding.  A derivative that
+    is not finite, at or below the first order that differs, raises
+    ``CurveError`` naming its endpoint; orders past it decide nothing.
     """
-    a, b = curve.domain
-    ja = list(curve.gamma_jets(a, max_order)) + list(curve.nu_jets(a, max_order))
-    jb = list(curve.gamma_jets(b, max_order)) + list(curve.nu_jets(b, max_order))
-    closed_order = -1
-    for k in range(max_order + 1):
-        ok = True
-        for ca, cb in zip(ja, jb):
-            da = float(ca.derivative_value(k))
-            db = float(cb.derivative_value(k))
-            if abs(da - db) > tol * (1.0 + max(abs(da), abs(db))):
-                ok = False
-                break
-        if not ok:
-            break
-        closed_order = k
+    ends = np.array(curve.domain)
+    factorials = np.array([float(math.factorial(k)) for k in range(max_order + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        derivs = np.array([[j.array for j in curve.gamma_jets(t, max_order)
+                            + curve.nu_jets(t, max_order)] for t in ends]) * factorials
+        da, db = derivs
+        differ = np.abs(da - db) > tol * (1.0 + np.maximum(np.abs(da), np.abs(db)))
+    flagged = (differ | ~np.isfinite(derivs).all(axis=0)).any(axis=0)
+    first = int(np.argmax(flagged)) if flagged.any() else max_order + 1
+    _require_finite(ends, "endpoint derivative", derivs[..., :first + 1], error=CurveError)
+    closed_order = first - 1
     return ClosedReport(closed_order, max_order, closed_order == max_order)
 
 

@@ -14,8 +14,13 @@ plain floats standing for constant functions, and broadcast over the point
 axes, so one code path serves a single point and a 4097-point grid alike.
 ``derivative`` drops a row, and a binary kernel cuts its longer operand:
 coefficient k of every recurrence depends on coefficients 0..k only.
-Products are shifted-slice updates, one array operation per order; the
-other recurrences take one reduction over the order axis per coefficient.
+Products are shifted-slice updates, one array operation per order.  The
+other recurrences take one reduction over the order axis per coefficient,
+except that on arrays of 2 or 3 rows ``div``, ``sqrt`` and ``sin_cos``
+write those rows out, a few ufunc calls each: on short jets numpy's
+per-call cost outweighs the arithmetic.  The written-out rows keep the
+loop's order of operations, so the two agree byte for byte; a two-term
+sum is ``(0.0 + p) + q`` because ``einsum`` sums from +0.0.
 The compiled expression tape in :mod:`exprs` calls the kernels on raw
 arrays, and :class:`TaylorJet` wraps one array and calls them from its
 operators.
@@ -122,7 +127,8 @@ def mul(a: Coeffs, b: Coeffs) -> Coeffs:
     a, b = _align(a, b)
     out = a[0] * b
     for j in range(1, len(a)):
-        out[j:] += a[j] * b[:-j]
+        row = out[j:]  # += on a view copies nothing back into out
+        row += a[j] * b[:-j]
     return out
 
 
@@ -136,10 +142,16 @@ def div(a: Coeffs, b: Coeffs) -> Coeffs:
         a = constant_like(a, b)
     a, b = _align(a, b)
     b0 = b[0]
-    if np.any(b0 == 0.0):
+    if not b0.all():
         raise JetDomainError("jet division by zero at expansion point")
     out = a / b0
-    for k in range(1, len(b)):
+    n = len(b)
+    if n == 2 or n == 3:  # the loop below, row by row
+        out[1] = (a[1] - out[0] * b[1]) / b0
+        if n == 3:
+            out[2] = (a[2] - ((0.0 + out[0] * b[2]) + out[1] * b[1])) / b0
+        return out
+    for k in range(1, n):
         out[k] = (a[k] - _dot(out[:k], b[k:0:-1])) / b0
     return out
 
@@ -173,8 +185,17 @@ def sin_cos(a: Coeffs):
     c = np.empty_like(a)
     s[0] = np.sin(a[0])
     c[0] = np.cos(a[0])
+    n = len(a)
+    if n == 2 or n == 3:  # the loop below, row by row
+        s[1] = a[1] * c[0]
+        c[1] = -(a[1] * s[0])
+        if n == 3:
+            da1 = a[2] * 2.0
+            s[2] = ((0.0 + a[1] * c[1]) + da1 * c[0]) / 2
+            c[2] = -((0.0 + a[1] * s[1]) + da1 * s[0]) / 2
+        return s, c
     da = derivative(a)
-    for k in range(1, len(a)):
+    for k in range(1, n):
         s[k] = _dot(da[:k], c[k - 1::-1]) / k
         c[k] = -_dot(da[:k], s[k - 1::-1]) / k
     return s, c
@@ -198,12 +219,18 @@ def sqrt(a: Coeffs) -> Coeffs:
         if a <= 0.0:
             raise JetDomainError("sqrt domain error")
         return np.sqrt(a)
-    if np.any(a[0] <= 0.0):
+    if (a[0] <= 0.0).any():
         raise JetDomainError("sqrt domain error")
     r = np.empty_like(a)
     r[0] = np.sqrt(a[0])
     twice = 2.0 * r[0]
-    for k in range(1, len(a)):
+    n = len(a)
+    if n == 2 or n == 3:  # the loop below, row by row
+        r[1] = a[1] / twice
+        if n == 3:
+            r[2] = (a[2] - r[1] * r[1]) / twice
+        return r
+    for k in range(1, n):
         r[k] = (a[k] - _dot(r[1:k], r[k - 1:0:-1])) / twice
     return r
 

@@ -126,7 +126,8 @@ def _source(jets):
     """Wrap ``jets(pts, order)``, a tuple of component jets, as a source."""
     def evaluate(pts, order):
         shape = (order + 1, len(pts))
-        return tuple(np.broadcast_to(j.array.reshape(order + 1, -1), shape)
+        return tuple(j.array if j.array.shape == shape
+                     else np.broadcast_to(j.array.reshape(order + 1, -1), shape)
                      for j in jets(pts, order))
     return evaluate
 

@@ -371,13 +371,20 @@ _OVERFLOWING = '{"x": "exp(800*t)", "y": "0", "nu": ["0", "1"], "domain": [0, 1]
      "curvature is not finite at t=0.9375"),
     (["curvature", "--curve", "spec"], "curvature is not finite at t="),
     (["signature", "--curve", "spec"], "function value is not finite at t="),
-], ids=["reconstruct-ell", "reconstruct-beta", "curvature", "signature"])
+    (["check", "--curve", "spec"], "tangency defect is not finite at t="),
+    (["render", "--curve", "spec", "-o", "svg"], "curve point is not finite at t="),
+], ids=["reconstruct-ell", "reconstruct-beta", "curvature", "signature", "check",
+        "render"])
 def test_non_finite_curvature_is_refused(tmp_path, capsys, args, message):
-    # an overflowing curvature is an error, not nan/inf rows or a
-    # "constant curve" verdict drawn from an infinite scale
+    # an overflowing curvature is an error, not nan/inf rows, a NaN in the
+    # check report, an SVG path of nan coordinates or a "constant curve"
+    # verdict drawn from an infinite scale
     spec = tmp_path / "spec.json"
     spec.write_text(_OVERFLOWING)
-    assert run([str(spec) if a == "spec" else a for a in args]) == 1
+    svg = tmp_path / "out.svg"
+    paths = {"spec": str(spec), "svg": str(svg)}
+    assert run([paths.get(a, a) for a in args]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    assert not svg.exists()

@@ -151,6 +151,30 @@ def test_check_closed_gallery(circle):
     assert rep.describe() == "not C0-closed"
 
 
+def test_check_closed_reports_the_first_order_that_differs():
+    # x'' is -1 at t = 0 and 1 at t = 1; lower orders agree
+    curve = LegendreCurve.from_exprs("t^2*(t-1)^2*(t-0.5)", "0", nu=("0", "1"),
+                                     domain=(0, 1))
+    rep = check_closed(curve)
+    assert rep.closed_order == 1
+    assert rep.describe() == "C^1-closed but not C^2"
+
+
+def test_checks_refuse_non_finite_values():
+    # inf - inf is NaN and NaN > tol is false: without the refusal every
+    # comparison would pass
+    curve = LegendreCurve.from_exprs("exp(800*t)", "0", nu=("0", "1"), domain=(0, 1))
+    with pytest.raises(CurveError, match=r"endpoint derivative is not finite at t=1\.0"):
+        check_closed(curve)
+    with pytest.raises(CurveError, match="tangency defect is not finite at t="):
+        check_legendre(curve)
+    # x'' overflows at t = 1, but the values already differ there, so the
+    # verdict needs no order past 0
+    curve = LegendreCurve.from_exprs("exp(700*t)", "0", nu=("0", "1"), domain=(0, 1))
+    assert check_legendre(curve).max_defect == 0.0
+    assert check_closed(curve).describe() == "not C0-closed"
+
+
 def test_check_closed_detects_anti_periodic_frame():
     # even-index member: the curve itself is periodic but the frame flips sign
     entry = gallery("gamma_m", {"m": 2})

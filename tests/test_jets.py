@@ -291,6 +291,110 @@ def test_constant_operand_on_either_side(order, points):
     assert_matches(jets.div(a, c), _ref_div(ra, rc))
 
 
+# -- short-row closed forms against the general recurrence ----------------------
+#
+# For 2 and 3 rows, div, sqrt and sin_cos write their rows out.  The
+# functions below are the general recurrences they stand in for, and the
+# two must agree byte for byte, signs of zero included: einsum sums from
+# +0.0, so (-0.0) + (-0.0) comes out +0.0 there.
+
+def _gen_dot(a, b):
+    if len(a) == 1:
+        return a[0] * b[0]
+    return np.einsum("i...,i...->...", a, b)
+
+
+def _gen_div(a, b):
+    if not isinstance(a, np.ndarray):
+        a = jets.constant_like(a, b)
+    a, b = jets._align(a, b)
+    out = a / b[0]
+    for k in range(1, len(b)):
+        out[k] = (a[k] - _gen_dot(out[:k], b[k:0:-1])) / b[0]
+    return out
+
+
+def _gen_sin_cos(a):
+    s = np.empty_like(a)
+    c = np.empty_like(a)
+    s[0] = np.sin(a[0])
+    c[0] = np.cos(a[0])
+    da = a[1:] * np.arange(1.0, len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
+    for k in range(1, len(a)):
+        s[k] = _gen_dot(da[:k], c[k - 1::-1]) / k
+        c[k] = -_gen_dot(da[:k], s[k - 1::-1]) / k
+    return s, c
+
+
+def _gen_sqrt(a):
+    r = np.empty_like(a)
+    r[0] = np.sqrt(a[0])
+    twice = 2.0 * r[0]
+    for k in range(1, len(a)):
+        r[k] = (a[k] - _gen_dot(r[1:k], r[k - 1:0:-1])) / twice
+    return r
+
+
+def _signed_zero_jet(rng, rows, points, head):
+    """Rows of random numbers, about a third of them +0.0 or -0.0; row 0
+    drawn by ``head`` (None: like the other rows)."""
+    shape = (rows,) if points is None else (rows, points)
+    a = rng.uniform(-2.0, 2.0, shape)
+    zero = rng.random(shape) < 0.35
+    a[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    if head is not None:
+        a[0] = head(rng, shape[1:])
+    return a
+
+
+def _nonzero(rng, shape):
+    return rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+def _positive(rng, shape):
+    return rng.uniform(0.5, 2.0, shape)
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", POINTS)
+@pytest.mark.parametrize("rows", (1, 2, 3))
+def test_short_row_kernels_match_the_general_recurrence(rows, points):
+    rng = np.random.default_rng(100 * rows + (points or 0))
+    for _ in range(4):
+        a = _signed_zero_jet(rng, rows, points, None)
+        den = _signed_zero_jet(rng, rows, points, _nonzero)
+        pos = _signed_zero_jet(rng, rows, points, _positive)
+        one = _signed_zero_jet(rng, rows, None, _nonzero)  # one point against the grid
+        assert_same_bytes(jets.div(a, den), _gen_div(a, den))
+        assert_same_bytes(jets.div(a, one), _gen_div(a, one))
+        assert_same_bytes(jets.div(one, den), _gen_div(one, den))
+        assert_same_bytes(jets.sqrt(pos), _gen_sqrt(pos))
+        for got, want in zip(jets.sin_cos(a), _gen_sin_cos(a)):
+            assert_same_bytes(got, want)
+        for c in (1.75, -0.0):  # a constant operand on either side
+            assert_same_bytes(jets.div(c, den), _gen_div(c, den))
+
+
+@pytest.mark.parametrize("points", (None, 17))
+@pytest.mark.parametrize("rows", (2, 3))
+def test_short_row_kernels_take_no_reduction(rows, points, monkeypatch):
+    def no_dot(a, b):
+        raise AssertionError("general recurrence on a short jet")
+
+    monkeypatch.setattr(jets, "_dot", no_dot)
+    rng = np.random.default_rng(rows)
+    a = _random_jet(rng, rows - 1, points)
+    jets.div(a, a)
+    jets.div(1.0, a)
+    jets.sqrt(a)
+    jets.sin_cos(a)
+
+
 def test_single_point_jet_pairs_with_grid_jet():
     # a jet at one point combines with each point of a grid jet; five
     # points at order 4 make a misaligned broadcast look valid
