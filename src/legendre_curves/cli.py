@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -291,8 +292,11 @@ def run(argv) -> int:
             cfg = RenderConfig(width=args.width, height=args.height,
                                samples=args.samples)
             svg = render_svg(curve, sig, cfg)
-            with open(args.output, "w") as fh:
-                fh.write(svg)
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(svg)
+            except OSError as err:
+                raise LegendreError(f"cannot write {args.output}: {err.strerror}") from None
         elif args.command == "check":
             curve = load_curve(args.curve)
             leg = check_legendre(curve)
@@ -314,7 +318,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Console entry point.  A reader that closes stdout early (``| head``)
+    ends the run with exit code 1 and no traceback."""
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

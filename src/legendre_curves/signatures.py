@@ -11,17 +11,20 @@ curves.
 Both components are searched together.  One scan on a uniform grid gathers
 the candidates of ell and beta (sign-change brackets, derivative brackets
 of touch zeros, exact grid zeros, endpoints), each tagged with its
-component and the jet row it drives to zero; every zoom round, Newton step,
-residual check and the contact-order sweep is then one evaluation of both,
-one pass of the tape of the two ASTs (``CurvaturePair.jets``).
+component and the jet row it drives to zero; every zoom round, Newton step
+and contact-order sweep is then one evaluation of both, one pass of the
+tape of the two ASTs (``CurvaturePair.jets``).  The residual check is no
+evaluation of its own: it reads the jets of Newton's final iterates.
 
 Each evaluation carries only the Taylor orders its decision reads.  Taylor
 recurrences are causal (coefficient k depends on coefficients 0..k only),
 so a lower truncation changes no coefficient it keeps.  The grid scan reads
 values only; f' comes from one more evaluation at the ends of the cells
-where |f| is small, the only place the touch-zero tests look.  Contact
-orders are read from a low-order sweep first, and only zeros it leaves
-open are evaluated again at the full jet order.
+where |f| is small, the only place the touch-zero tests look.  The contact
+order of a zero that is one of Newton's final iterates is read from
+Newton's jets when they reach it.  The zeros they leave open go to a
+low-order sweep, and only the zeros it leaves open are evaluated again at
+the full jet order.
 
 Each zero decision has one rule here, shared by ``signature``,
 ``is_immersion``, ``find_zeros``, ``contact_order`` and the germ
@@ -151,16 +154,17 @@ def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
 
     The one-component case of the joint search ``signature`` runs on
     (ell, beta), see ``_zeros``: an order-0 scan of the grid gathers the
-    candidates, with f' read only near small |f|, and each zoom round,
-    Newton step and the residual check is one evaluation.  Roots are
-    deduplicated within 1e-9.  With ``half_open`` the right endpoint is
-    excluded, which is how closed curves record a seam zero once.
+    candidates, with f' read only near small |f|, each zoom round and
+    Newton step is one evaluation, and the residual check reads Newton's
+    final jets.  Roots are deduplicated within 1e-9.  With ``half_open``
+    the right endpoint is excluded, which is how closed curves record a
+    seam zero once.
     """
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
     evaluate = _fun_source(ScalarFun.wrap(f))
     ts, values, scales = _scan(evaluate, domain, grid_n)
-    return _zeros(evaluate, ts, values, scales, (0,), tol, half_open)[0]
+    return _zeros(evaluate, ts, values, scales, (0,), tol, half_open)[0][0]
 
 
 def _scan(evaluate, domain: tuple[float, float], grid_n: int):
@@ -180,21 +184,23 @@ def _vanishing(scales: np.ndarray) -> np.ndarray:
 
 
 def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
-           comps: Sequence[int], tol: float, half_open: bool) -> list[list[float]]:
+           comps: Sequence[int], tol: float, half_open: bool):
     """Zeros of the components ``comps`` of a source, refined together.
 
     ``values`` and ``scales`` come from ``_scan`` on the grid ``ts``.  A
     candidate other than a zoomed sign-change bracket of f counts as a
-    zero only when |f| <= tol * scale.  Returns one sorted root list per
-    component, empty for the components not in ``comps``.
+    zero only when |f| <= tol * scale, read from Newton's final jets.
+    Returns one sorted root list per component, empty for the components
+    not in ``comps``, and Newton's final iterates, their components and
+    their jets.
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
     lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps, tol)
     zoom = np.isnan(x)
     lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
-    x = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
-    fx = _pick(evaluate(x, 0), comp, 0 * row, np.arange(len(x)))
+    x, jets = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
+    fx = _pick(jets, comp, 0 * row, np.arange(len(x)))
     keep = (zoom & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
 
     roots: list[list[float]] = [[] for _ in values]
@@ -205,7 +211,7 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
         if len(found) > cap:
             raise RootScanError(_NON_FINITE)
         roots[c] = found
-    return roots
+    return roots, (x, comp, jets)
 
 
 def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
@@ -291,14 +297,20 @@ def _zoom(evaluate, lo, hi, comp, row):
     return lo, hi
 
 
-def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3) -> np.ndarray:
+def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3):
     """Guarded vectorized Newton on jet row ``row`` of component ``comp``;
-    iterates that leave [lo, hi] are dropped.  A step that leaves every
-    iterate unchanged bit for bit ends the loop, since each later step
-    would repeat it."""
+    iterates that leave [lo, hi] are dropped.
+
+    Returns the final iterates and the jets of every component at them,
+    at Newton's order ``row.max() + 1``.  A step that leaves every iterate
+    unchanged bit for bit ends the loop, since each later step would
+    repeat it, and the evaluation it made is those jets; when the steps
+    run out, one more evaluation at the last iterates gives them.
+    """
+    order = int(row.max()) + 1
     cols = np.arange(len(x))
     for _ in range(steps):
-        j = evaluate(x, int(row.max()) + 1)
+        j = evaluate(x, order)
         fv = _pick(j, comp, row, cols)
         dfv = _pick(j, comp, row + 1, cols) * (row + 1)
         safe = np.abs(dfv) > 0.0
@@ -307,9 +319,9 @@ def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3) -> np.ndarray:
         ok = (xn >= lo) & (xn <= hi) & np.isfinite(xn)
         xn = np.where(ok, xn, x)
         if xn.tobytes() == x.tobytes():
-            break
+            return x, j
         x = xn
-    return x
+    return x, evaluate(x, order)
 
 
 def refined_min_abs(fun, domain: tuple[float, float], grid_n: int = 1024) -> float:
@@ -332,9 +344,9 @@ def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> 
     if len(dips):
         lo, hi = ts[dips], ts[dips + 1]
         comp = np.zeros(len(dips), dtype=int)
-        crit = _newton(_fun_source(sq), 0.5 * (lo + hi), lo, hi, comp, comp + 1,
-                       steps=8)
-        lowest = min(lowest, float(np.min(sq.values(crit))))
+        _, jets = _newton(_fun_source(sq), 0.5 * (lo + hi), lo, hi, comp, comp + 1,
+                          steps=8)
+        lowest = min(lowest, float(np.min(jets[0][0])))
     return lowest
 
 
@@ -398,8 +410,8 @@ def signature(source) -> Signature:
     ell_identically_zero = bool(vanishing[0])
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots = _zeros(evaluate, ts, values, scales, comps, _ROOT_TOL, pair.closed)
-    orders = _contact_orders(evaluate, roots, scales, DEFAULT_ORDER)
+    roots, newton = _zeros(evaluate, ts, values, scales, comps, _ROOT_TOL, pair.closed)
+    orders = _contact_orders(evaluate, roots, scales, DEFAULT_ORDER, newton)
     zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], _MERGE_TOL)
     return Signature(domain=pair.domain, closed=pair.closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
@@ -423,7 +435,8 @@ def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
     # Where one component is the zero function the zeros of the other are
     # witnesses; otherwise the witnesses are the common zeros.
     comps = [c for c in (0, 1) if not vanishing[c]]
-    ell_zeros, beta_zeros = _zeros(evaluate, ts, [ev, bv], scales, comps, _ROOT_TOL, False)
+    (ell_zeros, beta_zeros), _ = _zeros(evaluate, ts, [ev, bv], scales, comps, _ROOT_TOL,
+                                        False)
     if len(comps) == 2:
         witnesses = [r for r in ell_zeros
                      if any(abs(r - s) <= _MERGE_TOL for s in beta_zeros)]
@@ -435,28 +448,36 @@ def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
 
 
 def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
-                    max_order: int) -> list[list[int]]:
+                    max_order: int, newton) -> list[list[int]]:
     """Contact orders at the zeros of every component.
 
     The order of a zero is given by ``_first_significant`` against the
     component's scale.  Its answer for coefficient k does not depend on
-    the truncation order, so one sweep at ``_FIRST_SWEEP`` settles every
-    zero of lower order, and only the zeros it leaves open are evaluated
-    again at ``max_order``.
+    the truncation order.  So ``newton``, the final iterates of
+    ``_zeros`` with their components and jets, settles every zero that is
+    bitwise one of those iterates of its component and whose order those
+    jets reach.  A sweep at ``_FIRST_SWEEP`` settles the rest of lower
+    order, and only the zeros it leaves open are evaluated again at
+    ``max_order``.  A read of order 0 is left to the sweeps, which report
+    it.
     """
     comp = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     orders: list[list[int]] = [[] for _ in roots]
     if not len(comp):
         return orders
     pts = np.concatenate(roots)
+    x, x_comp, jets = newton
+    same = (pts.view(np.int64)[:, None] == x.view(np.int64)) & (comp[:, None] == x_comp)
+    known = np.nonzero(same.any(axis=1))[0]
     first = np.full(len(comp), -1)
+    if len(known):
+        read = _read_orders(jets, comp[known], np.argmax(same[known], axis=1), scales)
+        first[known] = np.where(read > 0, read, -1)
     for order in sorted({min(_FIRST_SWEEP, max_order), max_order}):
         at = np.nonzero(first < 0)[0]
         if not len(at):
             break
-        arrays = evaluate(pts[at], order)
-        mags = np.abs([arrays[c][:, i] for i, c in enumerate(comp[at])])
-        first[at] = _first_significant(mags, scales[comp[at]])
+        first[at] = _read_orders(evaluate(pts[at], order), comp[at], range(len(at)), scales)
     for c, r in zip(comp, first):
         if r < 0:
             raise SignatureError("contact order exceeds jet order")
@@ -464,6 +485,12 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
             raise SignatureError("not a zero point")
         orders[c].append(int(r))
     return orders
+
+
+def _read_orders(arrays, comp, cols, scales: np.ndarray) -> np.ndarray:
+    """``_first_significant`` of column cols[i] of the jets of comp[i]."""
+    mags = np.abs([arrays[c][:, i] for c, i in zip(comp, cols)])
+    return _first_significant(mags, scales[comp])
 
 
 def _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders, merge_tol):

@@ -9,12 +9,18 @@ frame computation on the transformed curve:
   - coordinate swap (x, y) -> (y, x): -ell, beta
   - general target diffeomorphism:    second-order formula via BiJet2
   - sign flips of nu or gamma:        ell, -beta
+
+The law is built on the first read of ``TransformResult.law``, since a
+caller that wants only the image never reads it.  Every check on the
+transformation itself runs before the result is returned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -71,8 +77,15 @@ class DiffeoSpec:
 
 @dataclass
 class TransformResult:
+    """The transformed curve, and the curvature law that ``make_law``
+    builds on the first read of ``law``."""
+
     curve: object  # LegendreCurve or DiffeoCurve
-    law: CurvaturePair
+    make_law: Callable[[], CurvaturePair]
+
+    @cached_property
+    def law(self) -> CurvaturePair:
+        return self.make_law()
 
 
 # -- parameter change ---------------------------------------------------------
@@ -104,10 +117,9 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
 
     new_curve = LegendreCurve(*map(compose, (curve.x, curve.y, curve.nu_x, curve.nu_y)),
                               (c, d), _composition_closed(curve, tfun, (c, d)))
-    pair = curve.curvature_pair()
-    law = CurvaturePair(compose(pair.ell) * tprime, compose(pair.beta) * tprime,
-                        (c, d), new_curve.closed)
-    return TransformResult(new_curve, law)
+    return TransformResult(new_curve, lambda: CurvaturePair(
+        compose(curve.ell()) * tprime, compose(curve.beta()) * tprime,
+        (c, d), new_curve.closed))
 
 
 def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,
@@ -120,14 +132,12 @@ def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,
     if not curve.closed:
         return False
     a, b = curve.domain
-    jc = tfun.jet(new_domain[0], order)
-    jd = tfun.jet(new_domain[1], order)
-    gap = abs(float(jc.coeffs[0]) - float(jd.coeffs[0]))
+    jc, jd = tfun.jet(np.array(new_domain), order).array.T.tolist()
+    gap = abs(jc[0] - jd[0])
     period = abs(b - a)
     if min(gap, abs(gap - period)) > 1e-9 * (1.0 + period):
         return False
-    for k in range(1, order + 1):
-        ck, dk = float(jc.coeffs[k]), float(jd.coeffs[k])
+    for ck, dk in zip(jc[1:], jd[1:]):
         if abs(ck - dk) > 1e-9 * (1.0 + max(abs(ck), abs(dk))):
             return False
     return True
@@ -149,19 +159,17 @@ def pushforward_affine(curve: LegendreCurve, m: AffineMap) -> TransformResult:
     norm = (nbx * nbx + nby * nby).sqrt()
     new_curve = LegendreCurve(gx, gy, nbx / norm, nby / norm,
                               curve.domain, curve.closed)
-    pair = curve.curvature_pair()
-    law = CurvaturePair(m.det * pair.ell / (norm * norm), norm * pair.beta,
-                        curve.domain, curve.closed)
-    return TransformResult(new_curve, law)
+    return TransformResult(new_curve, lambda: CurvaturePair(
+        m.det * curve.ell() / (norm * norm), norm * curve.beta(),
+        curve.domain, curve.closed))
 
 
 def pushforward_swap(curve: LegendreCurve) -> TransformResult:
     """Image under (x, y) -> (y, x); frame (-b, -a), curvature (-ell, beta)."""
     new_curve = LegendreCurve(curve.y, curve.x, -curve.nu_y, -curve.nu_x,
                               curve.domain, curve.closed)
-    pair = curve.curvature_pair()
-    law = CurvaturePair(-pair.ell, pair.beta, curve.domain, curve.closed)
-    return TransformResult(new_curve, law)
+    return TransformResult(new_curve, lambda: CurvaturePair(
+        -curve.ell(), curve.beta(), curve.domain, curve.closed))
 
 
 def negate(curve: LegendreCurve, which: str) -> TransformResult:
@@ -174,9 +182,8 @@ def negate(curve: LegendreCurve, which: str) -> TransformResult:
                                   curve.domain, curve.closed)
     else:
         raise ValueError("which must be 'nu' or 'gamma'")
-    pair = curve.curvature_pair()
-    law = CurvaturePair(pair.ell, -pair.beta, curve.domain, curve.closed)
-    return TransformResult(new_curve, law)
+    return TransformResult(new_curve, lambda: CurvaturePair(
+        curve.ell(), -curve.beta(), curve.domain, curve.closed))
 
 
 # -- general target diffeomorphisms ---------------------------------------------
@@ -327,5 +334,5 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
 
         return ScalarFun(jet_fn)
 
-    law = CurvaturePair(law_component(0), law_component(1), curve.domain, curve.closed)
-    return TransformResult(image, law)
+    return TransformResult(image, lambda: CurvaturePair(
+        law_component(0), law_component(1), curve.domain, curve.closed))

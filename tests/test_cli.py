@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import legendre_curves
 from legendre_curves import gallery, load_curve, signature
 from legendre_curves.cli import RenderConfig, render_svg, run
 
@@ -388,3 +392,26 @@ def test_non_finite_curvature_is_refused(tmp_path, capsys, args, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert not svg.exists()
+
+
+def test_render_into_a_missing_directory_is_an_error(specs, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    assert run(["render", "--curve", specs["g3"], "-o", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_closed_stdout_ends_without_a_traceback(specs):
+    # a reader that stops after one line, as `| head -1` does
+    package = os.path.dirname(os.path.dirname(legendre_curves.__file__))
+    env = dict(os.environ, PYTHONPATH=package)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "legendre_curves.cli", "curvature", "--curve", specs["g3"],
+         "--samples", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"t,ell,beta\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err

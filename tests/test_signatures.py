@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,10 @@ def test_find_zeros_lissajous_numerator():
 def test_find_zeros_touch_zero():
     assert find_zeros("t^2", (-1, 1)) == pytest.approx([0.0], abs=1e-12)
     assert find_zeros("(t-0.3712345)^2", (-1, 1)) == pytest.approx([0.3712345], abs=1e-9)
+    # A dip short of zero is a touch candidate, but no root: the residual
+    # check reads f, row 0 of Newton's jets, not the f' Newton drove to 0.
+    assert find_zeros("(t-1.0123)^2 + 1e-6", (0, 2)) == []
+    assert signature(CurvaturePair.from_exprs("1", "(t-1.0123)^2 + 1e-7", (0, 2))).zeros == ()
 
 
 def test_find_zeros_against_brute_force():
@@ -64,22 +70,70 @@ def _record_runs(monkeypatch):
     return runs
 
 
+def _record_newton(monkeypatch, runs):
+    """Patch ``_newton`` so every call logs the iterates it returns, their
+    components, its order and the slice of ``runs`` its tape runs fill."""
+    calls = []
+    newton = signatures._newton
+
+    def recorded(evaluate, x, lo, hi, comp, row, *args, **kwargs):
+        start = len(runs)
+        x, jets = newton(evaluate, x, lo, hi, comp, row, *args, **kwargs)
+        calls.append({"x": x, "comp": comp, "order": int(row.max()) + 1,
+                      "runs": slice(start, len(runs))})
+        return x, jets
+
+    monkeypatch.setattr(signatures, "_newton", recorded)
+    return calls
+
+
+def _newton_steps(runs, call):
+    """Newton's tape runs: at its order, each at new points, the last at
+    the iterates it returns.  Three steps, and one more run at the last
+    iterates when no step stops the loop."""
+    steps = runs[call["runs"]]
+    assert 1 <= len(steps) <= 4
+    assert all(order == call["order"] for _, order in steps)
+    assert not any(np.array_equal(a, b) for (a, _), (b, _) in zip(steps, steps[1:]))
+    assert np.array_equal(steps[-1][0], call["x"])
+    return steps
+
+
+@contextlib.contextmanager
+def _fresh_newton_jets():
+    """Oracle for the answers read off Newton's final jets (residuals and
+    contact orders): hand them out as a fresh evaluation at the same
+    points at ``DEFAULT_ORDER``, the truncation of a full read."""
+    newton = signatures._newton
+
+    def fresh(evaluate, *args, **kwargs):
+        x, _ = newton(evaluate, *args, **kwargs)
+        return x, evaluate(x, DEFAULT_ORDER)
+
+    with mock.patch.object(signatures, "_newton", fresh):
+        yield
+
+
 def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
     # A run costs a fixed overhead plus a share per point, so few brackets
     # zoom in a few wide rounds; with 400 brackets every round stays at 17
     # points a bracket, eight rounds shrinking each by 16^8.  The runs are
-    # the order-0 scan, f' near the small values, the order-0 zoom rounds,
-    # one to three order-1 Newton steps (fewer once the iterates stop
-    # moving) and the order-0 residual check.
+    # the order-0 scan, f' near the small values, the order-0 zoom rounds
+    # and Newton's order-1 runs.  The residual check reads Newton's last
+    # run, so no run follows it.
     runs = _record_runs(monkeypatch)
+    newton = _record_newton(monkeypatch, runs)
 
     def zoom_sizes():
         (scan, scan_order), (slopes, slope_order) = runs[:2]
         assert (len(scan), scan_order) == (2049, 0)
         assert slope_order == 1 and len(slopes) < len(scan)
-        newton = next(i for i in range(2, len(runs)) if runs[i][1] == 1)
-        assert 1 <= len(runs) - 1 - newton <= 3 and runs[-1][1] == 0
-        return [len(pts) for pts, _ in runs[2:newton]], [len(pts) for pts, _ in runs[newton:]]
+        (call,) = newton
+        assert call["order"] == 1 and call["runs"].stop == len(runs)
+        steps = _newton_steps(runs, call)
+        zoom = runs[2:call["runs"].start]
+        assert all(order == 0 for _, order in zoom)
+        return [len(pts) for pts, _ in zoom], [len(pts) for pts, _ in steps]
 
     roots = find_zeros("sin(200*t)", (0, TWO_PI))
     assert roots == pytest.approx([k * math.pi / 200 for k in range(401)], abs=1e-12)
@@ -87,6 +141,7 @@ def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
     assert len(zoom) == 8 and max(zoom) <= 17 * len(roots)
     assert max(rest) <= len(roots) + 2
     runs.clear()
+    newton.clear()
     assert len(find_zeros("sin(t)", (0, TWO_PI))) == 3
     assert zoom_sizes()[0] == [257] * 4
 
@@ -405,11 +460,26 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
 def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch):
     # One order-0 scan of (ell, beta), a tape run at order 1 on the grid;
     # f' (tape order 2) only at the ends of cells where min |f| is small;
-    # contact orders from a sweep below the full jet order.
+    # residuals and contact orders from Newton's final jets, and a sweep
+    # below the full jet order only at the zeros those leave open.
     grid_n, root_tol = signatures._GRID_N, signatures._ROOT_TOL
     m = AffineMap(1.3, -0.4, 0.7, 0.9)
     runs = _record_runs(monkeypatch)
-    for entry in roster:
+    newton = _record_newton(monkeypatch, runs)
+    read = []
+    contact_orders = signatures._contact_orders
+
+    def recorded_orders(evaluate, roots, *args):
+        orders = contact_orders(evaluate, roots, *args)
+        read.append((roots, orders))
+        return orders
+
+    monkeypatch.setattr(signatures, "_contact_orders", recorded_orders)
+    swept = settled = 0
+    germs = [gallery("type_nm", {"n": n, "m": 5}) for n in (1, 3)]
+    for entry in roster + germs:
+        newton.clear()
+        read.clear()
         image = pushforward_affine(entry.curve, m).curve
         ts = np.linspace(*image.domain, grid_n + 1)
         values = [jet.value() for jet in image.curvature_pair().jets(ts, 0)]
@@ -433,8 +503,27 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
         else:  # no f' run at all: no interior grid point is evaluated again
             assert not any(np.isin(pts, ts[1:-1]).any() for pts, _ in runs[1:])
         assert max(order for _, order in runs) < DEFAULT_ORDER + 1, entry.name
-        if sig.zeros:
-            assert runs[-1][1] == signatures._FIRST_SWEEP + 1, entry.name
+
+        # Newton's jets (tape order one above its own) settle each zero
+        # that is bitwise one of its iterates of that component and whose
+        # order they reach; only the others are swept, after Newton's runs.
+        (call,), ((roots, orders),) = newton, read
+        call = dict(call, order=call["order"] + 1)
+        _newton_steps(runs, call)
+        open_pts = [t for c in (0, 1) for t, r in zip(roots[c], orders[c])
+                    if r >= call["order"] or not np.isin(
+                        np.array([t]).view(np.int64),
+                        call["x"][call["comp"] == c].view(np.int64))[0]]
+        after = runs[call["runs"].stop:]
+        if open_pts:
+            assert len(after) == 1, entry.name
+            assert after[0][1] == signatures._FIRST_SWEEP + 1, entry.name
+            assert np.array_equal(after[0][0], open_pts), entry.name
+        else:
+            assert after == [], entry.name
+        swept += len(open_pts)
+        settled += sum(map(len, orders)) - len(open_pts)
+    assert swept and settled > swept
 
 
 @pytest.mark.parametrize("source, orders", [
@@ -456,8 +545,22 @@ def test_contact_orders_above_the_first_sweep_match_a_full_read(
     tape_order = DEFAULT_ORDER + isinstance(source, LegendreCurve)
     high = max(max(o for o in pair if o is not None) for pair in orders)
     assert (runs[-1][1] == tape_order) == (high > signatures._FIRST_SWEEP)
+    with _fresh_newton_jets():
+        assert signature(source) == sig
     monkeypatch.setattr(signatures, "_FIRST_SWEEP", DEFAULT_ORDER)
     assert signature(source) == sig
+
+
+def test_fresh_jets_in_place_of_newtons_give_the_same_signature(roster):
+    m = AffineMap(1.3, -0.4, 0.7, 0.9)
+    curves = []
+    for entry in roster:
+        curves += [entry.curve, pushforward_affine(entry.curve, m).curve,
+                   reparametrize(entry.curve, "t + 0.3*sin(2*t)", entry.curve.domain).curve]
+    sigs = [signature(curve) for curve in curves]
+    assert sum(len(sig.zeros) for sig in sigs) >= 40
+    with _fresh_newton_jets():
+        assert [signature(curve) for curve in curves] == sigs
 
 
 def _full_scan_candidates(evaluate, ts, comps, tol):
@@ -546,7 +649,10 @@ def test_signature_key_invariant_under_transform_compositions(roster, index, ste
     base = signature(curve).key()
     for step in steps:
         curve = step(curve).curve
-    assert signature(curve).key() == base
+    sig = signature(curve)
+    assert sig.key() == base
+    with _fresh_newton_jets():
+        assert signature(curve) == sig
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -226,3 +226,31 @@ def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
             runs.clear()
             fun.values(ts)
             assert len(runs) == 1, (entry.name, fun)
+
+
+def test_laws_are_built_on_first_read(circle, monkeypatch):
+    # Building a law costs AST work that a caller wanting only the image
+    # never needs: the two compositions of reparametrize, and for every
+    # transform the CurvaturePair of the law.
+    from legendre_curves import transforms
+
+    substituted, laws = [], []
+    substitute, pair = transforms.substitute_var, transforms.CurvaturePair
+    monkeypatch.setattr(transforms, "substitute_var",
+                        lambda *a: substituted.append(1) or substitute(*a))
+    monkeypatch.setattr(transforms, "CurvaturePair",
+                        lambda *a: laws.append(1) or pair(*a))
+    result = reparametrize(circle, "t + 0.3*sin(t)", circle.domain)
+    assert len(substituted) == 4 and not laws
+    law = result.law
+    assert len(substituted) == 6 and len(laws) == 1
+    assert result.law is law
+    for transform in (lambda c: pushforward_affine(c, AffineMap(0.8, 0.3, -0.2, 1.1)),
+                      pushforward_swap, lambda c: negate(c, "nu"),
+                      lambda c: negate(c, "gamma"),
+                      lambda c: pushforward_diffeo_curve(
+                          c, DiffeoSpec.from_texts("x + 0.01*y^2", "y"))):
+        laws.clear()
+        result = transform(circle)
+        assert not laws
+        assert result.law is result.law and len(laws) == 1
