@@ -3,10 +3,10 @@ transformation laws, zero signatures and equivalence decisions."""
 
 from .curves import (CurvaturePair, LegendreCurve, check_closed,
                      check_legendre, derive_nu, dump_curve, load_curve)
-from .errors import (CofactorError, CurveError, DegenerateCurveError,
-                     ExprSyntaxError, GridMismatchError, JetDomainError,
-                     JetOrderError, LegendreError, ReconstructionError,
-                     RootScanError, SignatureError, TransformError)
+from .errors import (CurveError, DegenerateCurveError, ExprSyntaxError,
+                     GridMismatchError, JetDomainError, JetOrderError,
+                     LegendreError, ReconstructionError, RootScanError,
+                     SignatureError, TransformError)
 from .exprs import (ScalarFun, eval_bijet, eval_jet, parse_expr, pretty_print,
                     substitute_params)
 from .gallery import (GALLERY_NAMES, GalleryEntry, check_ab_assumption,
@@ -18,7 +18,7 @@ from .normal_forms import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
 from .reconstruction import (AlignResult, Congruence, SampledCurve,
                              align_congruence, reconstruct, sample_curve,
                              sampled_curvature)
-from .signatures import (EquivalenceVerdict, Signature, ZeroPoint, cofactor,
+from .signatures import (EquivalenceVerdict, Signature, ZeroPoint,
                          contact_order, decide_equivalence, dump_signature,
                          find_zeros, is_immersion, parity_check, signature,
                          signature_from_dict, signature_to_dict)
@@ -30,7 +30,7 @@ from .transforms import (AffineMap, DiffeoCurve, DiffeoSpec, TransformResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap", "AlignResult", "BiJet2", "CofactorError", "Congruence",
+    "AffineMap", "AlignResult", "BiJet2", "Congruence",
     "CurvaturePair", "CurveError", "DEFAULT_ORDER", "DegenerateCurveError",
     "DiffeoCurve", "DiffeoSpec", "EquivalenceVerdict", "ExprSyntaxError",
     "GALLERY_NAMES", "GERM_CASES", "GalleryEntry", "GermData", "GermSignature",
@@ -38,7 +38,7 @@ __all__ = [
     "LegendreError", "ReconstructionError", "RootScanError", "SampledCurve",
     "ScalarFun", "Signature", "SignatureError", "TaylorJet",
     "TransformError", "TransformResult", "ZERO_FUNCTION", "ZeroPoint", "align_congruence",
-    "check_ab_assumption", "check_closed", "check_legendre", "cofactor",
+    "check_ab_assumption", "check_closed", "check_legendre",
     "contact_order", "decide_equivalence", "default_gallery",
     "derive_nu", "dump_curve", "dump_signature", "eval_bijet",
     "eval_jet", "find_zeros", "gallery", "germ_signature",

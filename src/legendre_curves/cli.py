@@ -193,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _emit_curvature(curve, samples: int) -> None:
     ts = np.linspace(curve.domain[0], curve.domain[1], samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        ev, bv = (j.array[0] for j in curve.curvature_pair().jets(ts, 0))
+        ev, bv = (j[0] for j in curve.curvature_pair().jets(ts, 0))
     _require_finite(ts, "curvature", ev, bv)
     print("t,ell,beta")
     for t, e, b in zip(ts, ev, bv):

@@ -13,6 +13,9 @@ Each curve builds both once as expressions with the derivative node of
 ``gamma``; ``ell`` at inflection points.  The pair determines the curve up
 to a rotation and a translation, which is what the reconstruction and
 signature modules build on.
+
+Every jet method returns the tape's float arrays, one per component, each
+of shape ``(order + 1,) + np.shape(t0)``; row k holds f^(k)(t0) / k!.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ import numpy as np
 from .errors import CurveError, LegendreError
 from .exprs import (Binary, ScalarFun, Unary, ast_derivative, eval_jet_many,
                     pretty_print)
-from .jets import TaylorJet
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,23 +106,23 @@ class LegendreCurve:
 
     # -- evaluation -----------------------------------------------------
 
-    def gamma_jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
+    def gamma_jets(self, t0, order: int) -> tuple[np.ndarray, np.ndarray]:
         jx, jy = eval_jet_many([self.x.ast, self.y.ast], t0, order)
         return jx, jy
 
-    def nu_jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
+    def nu_jets(self, t0, order: int) -> tuple[np.ndarray, np.ndarray]:
         jx, jy = eval_jet_many([self.nu_x.ast, self.nu_y.ast], t0, order)
         return jx, jy
 
     def gamma(self, ts) -> np.ndarray:
         """Curve points, shape (..., 2), from one pass over both components."""
         jx, jy = self.gamma_jets(np.asarray(ts, dtype=float), 0)
-        return np.stack([jx.array[0], jy.array[0]], axis=-1)
+        return np.stack([jx[0], jy[0]], axis=-1)
 
     def nu(self, ts) -> np.ndarray:
         """Frame vectors, shape (..., 2), from one pass over both components."""
         jx, jy = self.nu_jets(np.asarray(ts, dtype=float), 0)
-        return np.stack([jx.array[0], jy.array[0]], axis=-1)
+        return np.stack([jx[0], jy[0]], axis=-1)
 
     # -- curvature ------------------------------------------------------
 
@@ -166,7 +168,7 @@ class CurvaturePair:
     def __call__(self, t: float) -> tuple[float, float]:
         return self.ell(t), self.beta(t)
 
-    def jets(self, t0, order: int) -> tuple[TaylorJet, TaylorJet]:
+    def jets(self, t0, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Jets of (ell, beta) at t0: one tape pass over both ASTs, or the
         components' own jets for a diffeomorphism image's jet-rule pair."""
         if self.ell.ast is None or self.beta.ast is None:
@@ -198,12 +200,8 @@ def check_legendre(curve, samples: int = 2048, tol: float = 1e-9) -> LegendreRep
         except LegendreError as err:
             t_bad = _locate_failure(curve, ts)
             raise CurveError(f"expression evaluation failed at t={t_bad!r}: {err}") from err
-        dgx = np.broadcast_to(np.asarray(gx.coeffs[1], dtype=float), ts.shape)
-        dgy = np.broadcast_to(np.asarray(gy.coeffs[1], dtype=float), ts.shape)
-        nxv = np.broadcast_to(np.asarray(nx.coeffs[0], dtype=float), ts.shape)
-        nyv = np.broadcast_to(np.asarray(ny.coeffs[0], dtype=float), ts.shape)
-        tangency = np.abs(dgx * nxv + dgy * nyv)
-        norm_defect = np.abs(np.hypot(nxv, nyv) - 1.0)
+        tangency = np.abs(gx[1] * nx[0] + gy[1] * ny[0])
+        norm_defect = np.abs(np.hypot(nx[0], ny[0]) - 1.0)
     _require_finite(ts, "tangency defect", tangency, norm_defect, error=CurveError)
     max_defect = float(np.max(tangency))
     max_norm = float(np.max(norm_defect))
@@ -221,20 +219,20 @@ def _locate_failure(curve, ts):
     return None
 
 
-def derive_nu(x, y, domain: tuple[float, float],
-              grid_n: int = 2048, tol: float = 1e-9) -> tuple[ScalarFun, ScalarFun]:
+def derive_nu(x, y, domain: tuple[float, float]) -> tuple[ScalarFun, ScalarFun]:
     """Frame of a regular curve: nu = J(gamma') / |gamma'|, so beta = -|gamma'|.
 
     The frame is an expression, (-y', x') / sqrt(x'^2 + y'^2) with the
     derivatives spelled out by ``ast_derivative``.  The squared speed
-    under the root is swept on a grid and its interior minima are
-    polished, so a singular point between grid nodes is still caught; a
-    singular curve must supply its frame as data.
+    under the root is swept on a 2048-step grid and its interior minima
+    are polished, so a singular point between grid nodes is still caught.
+    A speed of 1e-9 or less is singular, and a singular curve must supply
+    its frame as data.
     """
     dx, dy = (ScalarFun.from_ast(ast_derivative(ScalarFun.wrap(f).ast)) for f in (x, y))
     speed2 = dx * dx + dy * dy
     from .signatures import _refined_min_sq  # deferred: avoids a module cycle
-    if _refined_min_sq(speed2, domain, grid_n) <= tol * tol:
+    if _refined_min_sq(speed2, domain, 2048) <= 1e-9 * 1e-9:
         raise CurveError("curve has a singular point; supply ν explicitly")
     speed = speed2.sqrt()
     return -dy / speed, dx / speed
@@ -266,8 +264,8 @@ def check_closed(curve, max_order: int = 8, tol: float = 1e-8) -> ClosedReport:
     ends = np.array(curve.domain)
     factorials = np.array([float(math.factorial(k)) for k in range(max_order + 1)])
     with np.errstate(over="ignore", invalid="ignore"):
-        derivs = np.array([[j.array for j in curve.gamma_jets(t, max_order)
-                            + curve.nu_jets(t, max_order)] for t in ends]) * factorials
+        derivs = np.array([curve.gamma_jets(t, max_order) + curve.nu_jets(t, max_order)
+                           for t in ends]) * factorials
         da, db = derivs
         differ = np.abs(da - db) > tol * (1.0 + np.maximum(np.abs(da), np.abs(db)))
     flagged = (differ | ~np.isfinite(derivs).all(axis=0)).any(axis=0)

@@ -53,7 +53,3 @@ class SignatureError(LegendreError):
 
 class DegenerateCurveError(SignatureError):
     """The curve is constant (beta identically zero); no signature exists."""
-
-
-class CofactorError(LegendreError):
-    """The cofactor hypothesis (equal zero sets and orders) is violated."""

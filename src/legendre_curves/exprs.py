@@ -21,9 +21,11 @@ the parser nor found in a curve's components, spells out the curvature
 pair, so it and every transformation law built on it are ASTs too.
 
 Univariate ASTs are evaluated as Taylor jets by :func:`eval_jet` and
-:func:`eval_jet_many`.  Both compile their AST set once into a tape, a flat
-list of calls to the :mod:`jets` kernels over numbered slots, each slot one
-``(K + 1, N)`` coefficient array.  Compilation is hash-consed: structurally
+:func:`eval_jet_many`, each jet a float array of shape
+``(order + 1,) + np.shape(t0)`` whose row k is f^(k)(t0) / k!.  Both
+compile their AST set once into a tape, a flat list of calls to the
+:mod:`jets` kernels over numbered slots, each slot one ``(K + 1, N)``
+coefficient array.  Compilation is hash-consed: structurally
 equal subtrees share a slot, ``sin`` and ``cos`` of one argument share one
 recurrence, and constant subtrees are folded.  A ``d`` node is the
 one-row shift ``jets.derivative``, so the tape runs one order higher per
@@ -33,11 +35,12 @@ those ASTs is collected.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
 passes around, one AST run through the tape; only the first-order image
-of a target diffeomorphism is a jet rule.
+of a target diffeomorphism is a jet rule, which returns the same arrays.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import weakref
@@ -47,8 +50,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import jets
-from .errors import ExprSyntaxError
-from .jets import BiJet2, DEFAULT_ORDER, TaylorJet
+from .errors import ExprSyntaxError, LegendreError
+from .jets import BiJet2, DEFAULT_ORDER
 
 # -- AST ---------------------------------------------------------------------
 
@@ -187,7 +190,10 @@ class _Parser:
         tok = self.next()
         kind, text, pos = tok
         if kind == "num":
-            return Number(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} overflows", pos)
+            return Number(value)
         if kind == "op" and text == "-":
             child = self.base()
             if isinstance(child, Number):
@@ -332,7 +338,7 @@ class _Tape:
                 free[i].append(slot)
         self.code = [ins + (tuple(f),) for ins, f in zip(code, free)]
 
-    def run(self, t0, order: int) -> list[TaylorJet]:
+    def run(self, t0, order: int) -> list[np.ndarray]:
         """Jets of the compiled ASTs at t0 (a scalar or an array of points),
         from a run ``depth`` orders higher, since each d costs a row."""
         t = np.asarray(t0, dtype=float)
@@ -353,7 +359,7 @@ class _Tape:
                 value = value[:order + 1]
             else:
                 value = jets.constant_like(value, var[:order + 1])
-            out.append(TaylorJet(value.reshape(shape)))
+            out.append(value.reshape(shape))
         return out
 
 
@@ -398,12 +404,13 @@ class _TapeCache:
 _TAPES = _TapeCache()
 
 
-def eval_jet(ast: ExprAst, t0, order: int = DEFAULT_ORDER) -> TaylorJet:
-    """Taylor jet of a univariate expression at t0 (scalar or ndarray)."""
+def eval_jet(ast: ExprAst, t0, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Taylor jet of a univariate expression at t0 (scalar or ndarray), an
+    array of shape ``(order + 1,) + np.shape(t0)``."""
     return _TAPES.get((ast,)).run(t0, order)[0]
 
 
-def eval_jet_many(asts, t0, order: int) -> list[TaylorJet]:
+def eval_jet_many(asts, t0, order: int) -> list[np.ndarray]:
     """Jets of several expressions at once, from one compiled tape.
 
     Expression trees produced by the transform laws repeat subtrees (the
@@ -576,12 +583,13 @@ class ScalarFun:
     (:meth:`from_ast`); algebra builds the combined AST.  Only a
     diffeomorphism image's first-order curvature is a jet rule
     ``jet_fn(t0, order)`` with ``ast`` None, which algebra refuses.  ``t0``
-    may be a scalar or an ndarray of expansion points.
+    may be a scalar or an ndarray of expansion points, and a jet is an
+    array of shape ``(order + 1,) + np.shape(t0)``.
     """
 
     __slots__ = ("_jet_fn", "ast", "name")
 
-    def __init__(self, jet_fn: Callable[[object, int], TaylorJet],
+    def __init__(self, jet_fn: Callable[[object, int], np.ndarray],
                  ast: Optional[ExprAst] = None, name: str = ""):
         self._jet_fn = jet_fn
         self.ast = ast
@@ -604,25 +612,25 @@ class ScalarFun:
         if isinstance(f, str):
             return cls.from_text(f)
         if isinstance(f, (int, float)):
+            if not math.isfinite(f):
+                raise LegendreError(f"a constant function must be finite, got {f!r}")
             return cls.from_ast(Number(float(f)))
         if isinstance(f, (Number, Var, Const, Unary, Binary, PowInt)):
             return cls.from_ast(f)
         raise TypeError(f"cannot interpret {f!r} as a scalar function")
 
-    def jet(self, t0, order: int) -> TaylorJet:
+    def jet(self, t0, order: int) -> np.ndarray:
         return self._jet_fn(t0, order)
 
     def __call__(self, t: float) -> float:
-        return float(self.jet(float(t), 0).array[0])
+        return float(self.jet(float(t), 0)[0])
 
     def values(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.broadcast_to(self.jet(ts, 0).array[0], ts.shape).copy()
+        return self.jet(np.asarray(ts, dtype=float), 0)[0]
 
     def dvalues(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Function and first-derivative values on a grid, one pass."""
-        ts = np.asarray(ts, dtype=float)
-        v, d = np.broadcast_to(self.jet(ts, 1).array, (2,) + ts.shape).copy()
+        v, d = self.jet(np.asarray(ts, dtype=float), 1)
         return v, d
 
     def __add__(self, other):

@@ -18,7 +18,7 @@ flag is set accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import gcd, pi
 from typing import Optional
 
 from .curves import CurvaturePair, LegendreCurve
@@ -42,15 +42,14 @@ def check_ab_assumption(a: int, b: int) -> bool:
     """No common zero of cos(at) and cos(bt) on [0, 2pi).
 
     Equivalent to: no integers n, m with 0 <= 1+2n < 4a, 0 <= 1+2m < 4b and
-    b(1+2n) = a(1+2m).  Scanned exhaustively over the finite ranges.
+    b(1+2n) = a(1+2m).  With g = gcd(a, b), such n, m exist exactly when
+    a/g and b/g are both odd: then 1+2n = a/g and 1+2m = b/g solve it, and
+    otherwise one side of b(1+2n) = a(1+2m) is even and the other odd.
     """
     if a == b:
         raise CurveError("requires a ≠ b")
-    for n in range(0, 2 * a):
-        for m in range(0, 2 * b):
-            if b * (1 + 2 * n) == a * (1 + 2 * m):
-                return False
-    return True
+    g = gcd(a, b)
+    return (a // g) % 2 == 0 or (b // g) % 2 == 0
 
 
 def _int_param(params: dict, name: str, default: int) -> int:

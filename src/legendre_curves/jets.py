@@ -21,9 +21,12 @@ write those rows out, a few ufunc calls each: on short jets numpy's
 per-call cost outweighs the arithmetic.  The written-out rows keep the
 loop's order of operations, so the two agree byte for byte; a two-term
 sum is ``(0.0 + p) + q`` because ``einsum`` sums from +0.0.
-The compiled expression tape in :mod:`exprs` calls the kernels on raw
-arrays, and :class:`TaylorJet` wraps one array and calls them from its
-operators.
+Every jet the package hands out is such an array: the compiled expression
+tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
+a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
+``jet_elementary``, ``jet_sqrt`` and ``compose`` are an object API over the
+same kernels.  No package module uses them; they stay because the
+benchmark's tracer (``bench/tracer.py``) binds them.
 """
 
 from __future__ import annotations
@@ -290,9 +293,6 @@ class TaylorJet:
         if order:
             a[1] = 1.0
         return cls(a)
-
-    def value(self):
-        return self.array[0]
 
     def derivative_value(self, k: int):
         """k-th derivative at the expansion point, i.e. k! * coeffs[k]."""

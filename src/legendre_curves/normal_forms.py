@@ -24,7 +24,8 @@ from .curves import LegendreCurve
 from .errors import CurveError
 from .exprs import (Binary, ExprAst, Number, PowInt, ScalarFun, Unary, Var,
                     ast_derivative)
-from .signatures import _first_significant, _scan, _source, _vanishing
+from .jets import DEFAULT_ORDER
+from .signatures import _first_significant, _scan, _vanishing
 
 #: ord_ell value for a germ whose ell vanishes identically.
 ZERO_FUNCTION = "zero-function"
@@ -202,21 +203,19 @@ def germ_signature(germ: GermData) -> GermSignature:
     return GermSignature(germ.k - 1, germ.m - 1)
 
 
-def germ_signature_of_curve(curve, t0: float = 0.0,
-                            max_order: int = 12) -> GermSignature:
+def germ_signature_of_curve(curve, t0: float = 0.0) -> GermSignature:
     """Measure the germ signature of an actual curve at a point.
 
-    Orders are read off the jets of (ell, beta), from one tape pass, by the
-    contact-order rule of ``signatures`` (order 0: not a zero), seeded like
-    ``signature`` with the scales on a 512-point grid of the interval.  An
-    ell whose jet vanishes and which passes the zero-function test on that
-    grid is flagged as the zero function.
+    Orders are read off the jets of (ell, beta) at ``DEFAULT_ORDER``, from
+    one tape pass, by the contact-order rule of ``signatures`` (order 0:
+    not a zero), seeded like ``signature`` with the scales on a 512-point
+    grid of the interval.  An ell whose jet vanishes and which passes the
+    zero-function test on that grid is flagged as the zero function.
     """
     pair = curve.curvature_pair()
-    _, _, scales = _scan(_source(pair.jets), pair.domain, 511)
-    ej, bj = pair.jets(float(t0), max_order)
+    _, _, scales = _scan(pair.jets, pair.domain, 511)
     e_idx, b_idx = (int(i) for i in _first_significant(
-        np.abs([ej.array.ravel(), bj.array.ravel()]), scales))
+        np.abs(pair.jets(float(t0), DEFAULT_ORDER)), scales))
     if b_idx < 0:
         raise CurveError("beta vanishes to high order; not a germ of finite type")
     if e_idx < 0:

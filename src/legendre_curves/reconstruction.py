@@ -109,8 +109,7 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
     ts = np.linspace(a, b, steps + 1)
     h = (b - a) / steps
     with np.errstate(over="ignore", invalid="ignore"):
-        ell_vals, beta_vals = (np.broadcast_to(j.array[0], ts.shape)
-                               for j in pair.jets(ts, 0))
+        ell_vals, beta_vals = (j[0] for j in pair.jets(ts, 0))
         _require_finite(ts, "curvature", ell_vals, beta_vals, error=ReconstructionError)
         theta = cumulative_simpson(ell_vals, h)
         cos, sin = np.cos(theta), np.sin(theta)

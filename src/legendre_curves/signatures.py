@@ -13,8 +13,9 @@ the candidates of ell and beta (sign-change brackets, derivative brackets
 of touch zeros, exact grid zeros, endpoints), each tagged with its
 component and the jet row it drives to zero; every zoom round, Newton step
 and contact-order sweep is then one evaluation of both, one pass of the
-tape of the two ASTs (``CurvaturePair.jets``).  The residual check is no
-evaluation of its own: it reads the jets of Newton's final iterates.
+tape of the two ASTs (``CurvaturePair.jets``), whose jets are the tape's
+``(order + 1, len(pts))`` arrays.  The residual check is no evaluation of
+its own: it reads the jets of Newton's final iterates.
 
 Each evaluation carries only the Taylor orders its decision reads.  Taylor
 recurrences are causal (coefficient k depends on coefficients 0..k only),
@@ -46,8 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .curves import CurvaturePair, _require_finite
-from .errors import (CofactorError, DegenerateCurveError, RootScanError,
-                     SignatureError)
+from .errors import DegenerateCurveError, RootScanError, SignatureError
 from .exprs import ScalarFun
 from .jets import DEFAULT_ORDER
 
@@ -113,7 +113,8 @@ class ImmersionReport:
 # -- root isolation -----------------------------------------------------------
 #
 # A source maps a 1-D point array and an order to the jets of its
-# components, a tuple of (order + 1, len(pts)) arrays.
+# components, a sequence of (order + 1, len(pts)) arrays, as
+# ``CurvaturePair.jets`` does.
 
 _NON_FINITE = "zero set appears non-finite; refine or reject"
 _ZOOM_BITS = 32        # a zoomed bracket shrinks by 2^32 = 16^8
@@ -125,18 +126,8 @@ _MERGE_TOL = 1e-8      # zeros of ell and beta this close coincide
 _ZERO_FUN_REL = 1e-10  # a component this small against the largest is zero
 
 
-def _source(jets):
-    """Wrap ``jets(pts, order)``, a tuple of component jets, as a source."""
-    def evaluate(pts, order):
-        shape = (order + 1, len(pts))
-        return tuple(j.array if j.array.shape == shape
-                     else np.broadcast_to(j.array.reshape(order + 1, -1), shape)
-                     for j in jets(pts, order))
-    return evaluate
-
-
 def _fun_source(fun: ScalarFun):
-    return _source(lambda pts, order: (fun.jet(pts, order),))
+    return lambda pts, order: (fun.jet(pts, order),)
 
 
 def _pick(arrays, comp, row, cols) -> np.ndarray:
@@ -324,15 +315,15 @@ def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3):
     return x, evaluate(x, order)
 
 
-def refined_min_abs(fun, domain: tuple[float, float], grid_n: int = 1024) -> float:
+def refined_min_abs(fun, domain: tuple[float, float]) -> float:
     """Minimum of |f| on an interval, with interior dips polished.
 
-    Scans f^2 on a uniform grid and runs a few Newton steps on its critical
-    points, so a pinch between grid nodes (the typical way a putative
-    parameter change fails) is not missed.
+    Scans f^2 on a uniform grid of 1024 steps and runs a few Newton steps
+    on its critical points, so a pinch between grid nodes (the typical way
+    a putative parameter change fails) is not missed.
     """
     fun = ScalarFun.wrap(fun)
-    return math.sqrt(max(_refined_min_sq(fun * fun, domain, grid_n), 0.0))
+    return math.sqrt(max(_refined_min_sq(fun * fun, domain, 1024), 0.0))
 
 
 def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> float:
@@ -383,7 +374,7 @@ def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER,
     signature machinery reports as "contact order exceeds jet order".
     """
     jet = ScalarFun.wrap(f).jet(float(t0), max_order)
-    idx = int(_first_significant(np.abs(jet.array.reshape(1, -1)), scale)[0])
+    idx = int(_first_significant(np.abs(jet.reshape(1, -1)), scale)[0])
     if idx == 0:
         raise SignatureError("not a zero point")
     return None if idx < 0 else idx
@@ -402,7 +393,7 @@ def signature(source) -> Signature:
     recorded once.
     """
     pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
-    evaluate = _source(pair.jets)
+    evaluate = pair.jets
     ts, values, scales = _scan(evaluate, pair.domain, _GRID_N)
     vanishing = _vanishing(scales)
     if vanishing[1]:
@@ -417,21 +408,21 @@ def signature(source) -> Signature:
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
 
 
-def is_immersion(curve, samples: int = 2048) -> ImmersionReport:
+def is_immersion(curve) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
 
     Both components come from one order-0 ``CurvaturePair.jets`` scan on
-    a grid of ``samples`` steps and their zeros from one joint search, with
-    the zero-function test, root and coincidence tolerances of
-    ``signature``.
+    a grid of 2048 steps and their zeros from one joint search, with the
+    zero-function test, root and coincidence tolerances of ``signature``.
+    When every point is degenerate, nine evenly spaced grid points are the
+    witnesses.
     """
-    evaluate = _source(curve.curvature_pair().jets)
-    ts, (ev, bv), scales = _scan(evaluate, curve.domain, samples)
+    evaluate = curve.curvature_pair().jets
+    ts, (ev, bv), scales = _scan(evaluate, curve.domain, 2048)
     min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
     vanishing = _vanishing(scales)
     if vanishing.all():  # every point degenerate
-        return ImmersionReport(False, tuple(float(t) for t in ts[:: max(1, samples // 8)]),
-                               min_combined)
+        return ImmersionReport(False, tuple(float(t) for t in ts[::256]), min_combined)
     # Where one component is the zero function the zeros of the other are
     # witnesses; otherwise the witnesses are the common zeros.
     comps = [c for c in (0, 1) if not vanishing[c]]
@@ -580,53 +571,6 @@ def parity_check(sig: Signature) -> ParityReport:
     ell_odd = sum(1 for z in sig.zeros if z.ord_ell is not None and z.ord_ell % 2 == 1)
     beta_odd = sum(1 for z in sig.zeros if z.ord_beta is not None and z.ord_beta % 2 == 1)
     return ParityReport(ell_odd, beta_odd, ok=(ell_odd % 2 == 0 and beta_odd % 2 == 0))
-
-
-# -- cofactor ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CofactorSample:
-    ts: np.ndarray
-    values: np.ndarray
-    min_abs: float
-
-
-def cofactor(f, g, domain: tuple[float, float],
-             shared_zeros: Sequence[tuple[float, int]],
-             grid_n: int = 1024, max_order: int = DEFAULT_ORDER) -> CofactorSample:
-    """Sample the nowhere-zero ratio lambda with f = lambda * g.
-
-    ``shared_zeros`` lists (t, order) pairs where both functions vanish to
-    the same order; at those points the ratio is taken between the leading
-    jet coefficients, elsewhere it is the plain quotient.
-    """
-    ff = ScalarFun.wrap(f)
-    gg = ScalarFun.wrap(g)
-    ratio_at: dict[float, float] = {}
-    for t0, order in shared_zeros:
-        of = contact_order(ff, t0, max_order)
-        og = contact_order(gg, t0, max_order)
-        if of != order or og != order:
-            raise CofactorError("cofactor hypothesis violated")
-        cf = float(ff.jet(float(t0), order).coeffs[order])
-        cg = float(gg.jet(float(t0), order).coeffs[order])
-        ratio_at[float(t0)] = cf / cg
-
-    ts = np.linspace(domain[0], domain[1], grid_n + 1)
-    fv = ff.values(ts)
-    gv = gg.values(ts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = fv / gv
-    for t0, r in ratio_at.items():
-        mask = np.abs(ts - t0) <= 1e-9
-        lam[mask] = r
-    if not np.all(np.isfinite(lam)):
-        raise CofactorError("cofactor hypothesis violated")
-    min_abs = float(np.min(np.abs(lam)))
-    if min_abs == 0.0 or (float(np.min(lam)) < 0.0 < float(np.max(lam))):
-        raise CofactorError("cofactor hypothesis violated")
-    return CofactorSample(ts=ts, values=lam, min_abs=min_abs)
 
 
 # -- signature files -----------------------------------------------------------

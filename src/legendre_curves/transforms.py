@@ -12,7 +12,9 @@ frame computation on the transformed curve:
 
 The law is built on the first read of ``TransformResult.law``, since a
 caller that wants only the image never reads it.  Every check on the
-transformation itself runs before the result is returned.
+transformation itself runs before the result is returned.  Jets are float
+arrays of shape ``(order + 1,) + np.shape(t)``, as the tape returns them;
+a diffeomorphism image and its law build theirs row by row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .curves import CurvaturePair, LegendreCurve
 from .errors import TransformError
 from .exprs import (ExprAst, ScalarFun, ast_derivative, eval_bijet, parse_expr,
                     substitute_var)
-from .jets import TaylorJet
+from .signatures import refined_min_abs
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,6 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     into the curve's domain.  The returned law is ((ell o t) t',
     (beta o t) t').
     """
-    from .signatures import refined_min_abs  # deferred: avoids a module cycle
-
     tfun = ScalarFun.wrap(t_of_u)
     tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
     c, d = float(new_domain[0]), float(new_domain[1])
@@ -132,7 +132,7 @@ def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,
     if not curve.closed:
         return False
     a, b = curve.domain
-    jc, jd = tfun.jet(np.array(new_domain), order).array.T.tolist()
+    jc, jd = tfun.jet(np.array(new_domain), order).T.tolist()
     gap = abs(jc[0] - jd[0])
     period = abs(b - a)
     if min(gap, abs(gap - period)) > 1e-9 * (1.0 + period):
@@ -198,9 +198,9 @@ def pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, t):
     """
     gx, gy = curve.gamma_jets(t, 1)
     nxj, nyj = curve.nu_jets(t, 0)
-    x, y = gx.coeffs[0], gy.coeffs[0]
-    a, b = nxj.coeffs[0], nyj.coeffs[0]
-    ell, beta = (j.coeffs[0] for j in curve.curvature_pair().jets(t, 0))
+    x, y = gx[0], gy[0]
+    a, b = nxj[0], nyj[0]
+    ell, beta = (j[0] for j in curve.curvature_pair().jets(t, 0))
 
     p1 = eval_bijet(diffeo.phi1, x, y)
     p2 = eval_bijet(diffeo.phi2, x, y)
@@ -247,10 +247,10 @@ class DiffeoCurve:
     def _chain(self, t):
         gx, gy = self.base.gamma_jets(t, 1)
         nx, ny = self.base.nu_jets(t, 1)
-        x, y = gx.coeffs[0], gy.coeffs[0]
-        dx, dy = gx.coeffs[1], gy.coeffs[1]
-        a, b = nx.coeffs[0], ny.coeffs[0]
-        da, db = nx.coeffs[1], ny.coeffs[1]
+        x, y = gx[0], gy[0]
+        dx, dy = gx[1], gy[1]
+        a, b = nx[0], ny[0]
+        da, db = nx[1], ny[1]
         p1 = eval_bijet(self.diffeo.phi1, x, y)
         p2 = eval_bijet(self.diffeo.phi2, x, y)
         _require_local_diffeo(p1, p2)
@@ -260,8 +260,8 @@ class DiffeoCurve:
         if order > 1:
             raise TransformError("diffeomorphism images carry first-order jets only")
         p1, p2, dx, dy, *_ = self._chain(t)
-        jx = TaylorJet([p1.value, p1.dx * dx + p1.dy * dy][: order + 1])
-        jy = TaylorJet([p2.value, p2.dx * dx + p2.dy * dy][: order + 1])
+        jx = np.stack([p1.value, p1.dx * dx + p1.dy * dy][: order + 1])
+        jy = np.stack([p2.value, p2.dx * dx + p2.dy * dy][: order + 1])
         return jx, jy
 
     def nu_jets(self, t, order: int):
@@ -282,28 +282,24 @@ class DiffeoCurve:
             raise TransformError("diffeomorphism degenerates along the curve")
         r = np.sqrt(r2)
         dr = (nbx * dnbx + nby * dnby) / r
-        jx = TaylorJet([nbx / r, dnbx / r - nbx * dr / r2][: order + 1])
-        jy = TaylorJet([nby / r, dnby / r - nby * dr / r2][: order + 1])
+        jx = np.stack([nbx / r, dnbx / r - nbx * dr / r2][: order + 1])
+        jy = np.stack([nby / r, dnby / r - nby * dr / r2][: order + 1])
         return jx, jy
 
     def gamma(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        jx, jy = self.gamma_jets(ts, 0)
-        return np.stack([np.broadcast_to(np.asarray(jx.coeffs[0], float), ts.shape),
-                         np.broadcast_to(np.asarray(jy.coeffs[0], float), ts.shape)], axis=-1)
+        jx, jy = self.gamma_jets(np.asarray(ts, dtype=float), 0)
+        return np.stack([jx[0], jy[0]], axis=-1)
 
     def nu(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        jx, jy = self.nu_jets(ts, 0)
-        return np.stack([np.broadcast_to(np.asarray(jx.coeffs[0], float), ts.shape),
-                         np.broadcast_to(np.asarray(jy.coeffs[0], float), ts.shape)], axis=-1)
+        jx, jy = self.nu_jets(np.asarray(ts, dtype=float), 0)
+        return np.stack([jx[0], jy[0]], axis=-1)
 
     def ell(self) -> ScalarFun:
         def jet_fn(t0, order):
             if order > 0:
                 raise TransformError("diffeomorphism images carry first-order jets only")
             nx, ny = self.nu_jets(t0, 1)
-            return TaylorJet([ny.coeffs[1] * nx.coeffs[0] - nx.coeffs[1] * ny.coeffs[0]])
+            return np.stack([ny[1] * nx[0] - nx[1] * ny[0]])
 
         return ScalarFun(jet_fn, name="ell")
 
@@ -313,7 +309,7 @@ class DiffeoCurve:
                 raise TransformError("diffeomorphism images carry first-order jets only")
             gx, gy = self.gamma_jets(t0, 1)
             nx, ny = self.nu_jets(t0, 0)
-            return TaylorJet([gy.coeffs[1] * nx.coeffs[0] - gx.coeffs[1] * ny.coeffs[0]])
+            return np.stack([gy[1] * nx[0] - gx[1] * ny[0]])
 
         return ScalarFun(jet_fn, name="beta")
 
@@ -329,8 +325,7 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
         def jet_fn(t0, order):
             if order > 0:
                 raise TransformError("diffeomorphism images carry first-order jets only")
-            vals = pushforward_diffeo(curve, diffeo, t0)
-            return TaylorJet([vals[index]])
+            return np.stack([pushforward_diffeo(curve, diffeo, t0)[index]])
 
         return ScalarFun(jet_fn)
 

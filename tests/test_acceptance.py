@@ -214,7 +214,7 @@ def test_criterion_8_numerics_oracles(roster):
         a, b = entry.curve.domain
         for fun in (entry.curve.x, entry.curve.y, entry.curve.nu_x, entry.curve.nu_y):
             for t in rng.uniform(a + 10 * h, b - 10 * h, 100):
-                d = float(fun.jet(float(t), 1).coeffs[1])
+                d = float(fun.jet(float(t), 1)[1])
                 fd = (fun(t + h) - fun(t - h)) / (2 * h)
                 assert abs(d - fd) <= 1e-6 * max(abs(fd), 1e-2)
                 checked += 1

@@ -328,16 +328,28 @@ def test_examples_get_non_integer_param(capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("domain, params", [
-    ("[0, NaN]", '{"n": 1}'),
-    ("[0, Infinity]", '{"n": 1}'),
-    ("[0, 1]", '{"n": 1e400}'),
-], ids=["nan-domain", "infinite-domain", "overflowing-param"])
-def test_non_finite_spec_values(tmp_path, capsys, domain, params):
-    text = ('{"x": "n*cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"], '
-            f'"domain": {domain}, "params": {params}}}')
-    err = _run_spec_error(tmp_path, capsys, text)
-    assert "finite" in err
+@pytest.mark.parametrize("args, x, domain, params, code, message", [
+    (["signature"], "n*cos(t)", "[0, NaN]", '{"n": 1}', 1, "finite"),
+    (["signature"], "n*cos(t)", "[0, Infinity]", '{"n": 1}', 1, "finite"),
+    (["signature"], "n*cos(t)", "[0, 1]", '{"n": 1e400}', 1, "finite"),
+    (["transform", "--swap"], "1e400*t", "[0, 1]", "{}", 2, "'1e400' overflows"),
+    (["examples", "get", "type_nm", "--param", "f=nan"], None, None, None, 1, "finite"),
+    (["examples", "get", "type_nm", "--param", "f=inf"], None, None, None, 1, "finite"),
+], ids=["nan-domain", "infinite-domain", "overflowing-param", "overflowing-literal",
+        "nan-factor", "infinite-factor"])
+def test_non_finite_spec_values(tmp_path, capsys, args, x, domain, params, code, message):
+    # a non-finite number is refused where it enters, not printed into a
+    # spec that cannot be read back
+    if x is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"x": "{x}", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"], '
+                        f'"domain": {domain}, "params": {params}}}')
+        args = args + ["--curve", str(path)]
+    assert run(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("syntax error: " if code == 2 else "error: ")
+    assert message in captured.err
 
 
 def test_reversed_domain_spec(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from legendre_curves import (ScalarFun, eval_bijet, eval_jet, parse_expr,
                              pretty_print, substitute_params)
-from legendre_curves.errors import ExprSyntaxError
+from legendre_curves.errors import ExprSyntaxError, LegendreError
 from legendre_curves import jets
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var,
                                    _kernel, ast_derivative, substitute_var)
@@ -62,9 +62,9 @@ def test_precedence_and_unary_minus():
 
 def test_eval_jet_examples():
     j = eval_jet(parse_expr("sin(t)"), 0.0, 1)
-    assert [float(c) for c in j.coeffs] == pytest.approx([0.0, 1.0])
+    assert [float(c) for c in j] == pytest.approx([0.0, 1.0])
     j = eval_jet(parse_expr("sqrt(9*t^2+4)"), 0.0, 0)
-    assert float(j.coeffs[0]) == pytest.approx(2.0)
+    assert float(j[0]) == pytest.approx(2.0)
     f = ScalarFun.from_text("2*cos(t)*sin(2*t)-sin(t)*cos(2*t)")
     assert f(math.pi / 2) == pytest.approx(1.0)
 
@@ -115,7 +115,7 @@ def test_value_agrees_with_plain_evaluation():
         if not math.isfinite(want) or abs(want) > 1e12:
             continue
         try:
-            got = float(eval_jet(ast, t, 0).coeffs[0])
+            got = float(eval_jet(ast, t, 0)[0])
         except Exception:
             continue
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -141,6 +141,12 @@ def test_syntax_error_positions():
         parse_expr("t^2.5")
     with pytest.raises(ExprSyntaxError):
         parse_expr("t^-2")
+    # a literal that overflows to inf is refused, not printed as "inf"
+    with pytest.raises(ExprSyntaxError, match="'1e400' overflows") as err:
+        parse_expr("2 + 1e400*t")
+    assert err.value.offset == 4
+    with pytest.raises(ExprSyntaxError, match="overflows"):
+        parse_expr("-1e309")
 
 
 def test_arity_enforcement():
@@ -178,7 +184,7 @@ def test_ast_derivative_matches_jets():
         df = ScalarFun.from_ast(dast)
         for _ in range(10):
             t = rng.uniform(-1.5, 1.5)
-            assert df(t) == pytest.approx(float(f.jet(t, 1).coeffs[1]), rel=1e-10, abs=1e-10)
+            assert df(t) == pytest.approx(float(f.jet(t, 1)[1]), rel=1e-10, abs=1e-10)
 
 
 def test_scalar_fun_values_and_algebra():
@@ -236,8 +242,8 @@ def test_jet_rule_matches_tape_of_combined_ast(op, stripped):
     operands = (f,) if op in ("neg", "sqrt") else (f, g)
     for t0 in (0.4, np.linspace(-1.0, 1.0, 17)):
         for order in (0, 1, 12):
-            got = _kernel(op)(*(h.jet(t0, order).array for h in operands))
-            want = eval_jet(combined, t0, order).array
+            got = _kernel(op)(*(h.jet(t0, order) for h in operands))
+            want = eval_jet(combined, t0, order)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -245,6 +251,9 @@ def test_jet_rule_matches_tape_of_combined_ast(op, stripped):
 def test_wrap_refuses_callables():
     with pytest.raises(TypeError, match="cannot interpret"):
         ScalarFun.wrap(lambda j: j)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(LegendreError, match="must be finite"):
+            ScalarFun.wrap(value)
 
 
 # -- the internal derivative node -----------------------------------------------
@@ -261,16 +270,16 @@ def test_derivative_node_is_a_one_row_shift(text):
             g = f
             for nested in (1, 2):
                 g = Unary("d", g)
-                want = eval_jet(f, t0, order + nested).array
+                want = eval_jet(f, t0, order + nested)
                 for _ in range(nested):
                     want = jets.derivative(want)
-                got = eval_jet(g, t0, order).array
+                got = eval_jet(g, t0, order)
                 assert got.shape == want.shape
                 assert np.array_equal(got, want), (text, order, nested)
                 # the structural derivative agrees with the shift; for d(d(f))
                 # ast_derivative spells out the inner d node itself
                 spelled = ast_derivative(f if nested == 1 else Unary("d", f))
-                other = eval_jet(spelled, t0, order).array
+                other = eval_jet(spelled, t0, order)
                 assert np.max(np.abs(other - got)) <= 1e-12 * max(1.0, np.max(np.abs(got)))
 
 
@@ -280,17 +289,17 @@ def test_derivative_node_beside_a_longer_operand(op):
     f, g = parse_expr("exp(t) + sin(t)/2"), parse_expr("2 + exp(t/3)")
     ts = np.linspace(-1.0, 1.0, 9)
     for order in (0, 3):
-        df = jets.derivative(eval_jet(f, ts, order + 1).array)
-        gj = eval_jet(g, ts, order).array
+        df = jets.derivative(eval_jet(f, ts, order + 1))
+        gj = eval_jet(g, ts, order)
         for left, right, want in ((Unary("d", f), g, _kernel(op)(df, gj)),
                                   (g, Unary("d", f), _kernel(op)(gj, df))):
-            got = eval_jet(Binary(op, left, right), ts, order).array
+            got = eval_jet(Binary(op, left, right), ts, order)
             assert np.array_equal(got, want), (op, order)
 
 
 def test_derivative_node_of_a_constant_is_zero():
     for node in (Unary("d", Number(3.0)), Unary("d", Unary("d", Const("pi")))):
-        got = eval_jet(node, np.linspace(0.0, 1.0, 5), 4).array
+        got = eval_jet(node, np.linspace(0.0, 1.0, 5), 4)
         assert got.shape == (5, 5) and not got.any()
 
 
@@ -304,5 +313,5 @@ def test_substitute_var_spells_out_derivative_nodes():
     want = substitute_var(ast_derivative(f), "t", s)
     ts = np.linspace(-1.0, 1.0, 9)
     for order in (0, 3):
-        assert np.array_equal(eval_jet(image.left, ts, order).array,
-                              eval_jet(want, ts, order).array)
+        assert np.array_equal(eval_jet(image.left, ts, order),
+                              eval_jet(want, ts, order))

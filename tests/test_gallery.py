@@ -10,10 +10,24 @@ from legendre_curves.errors import CurveError
 TWO_PI = 2 * math.pi
 
 
+def _ab_assumption_by_search(a, b):
+    """The definition: no n, m with 0 <= 1+2n < 4a, 0 <= 1+2m < 4b and
+    b(1+2n) = a(1+2m), searched over the finite ranges."""
+    return not any(b * (1 + 2 * n) == a * (1 + 2 * m)
+                   for n in range(2 * a) for m in range(2 * b))
+
+
 def test_ab_assumption():
     assert check_ab_assumption(1, 2) is True
     assert check_ab_assumption(1, 3) is False  # 3*(1+0) == 1*(1+2)
     assert check_ab_assumption(2, 3) is True
+    for a in range(1, 40):
+        for b in range(1, 40):
+            if a != b:
+                assert check_ab_assumption(a, b) is _ab_assumption_by_search(a, b), (a, b)
+    # the closed form answers at once where the search would take years
+    assert check_ab_assumption(999_999_937, 2 * 999_999_937) is True
+    assert check_ab_assumption(999_999_999, 3 * 999_999_999) is False
 
 
 def test_ab_assumption_requires_distinct():

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from legendre_curves import ScalarFun, TaylorJet, contact_order, jet_elementary
+from legendre_curves import (CurvaturePair, DiffeoSpec, LegendreCurve, ScalarFun,
+                             TaylorJet, contact_order, jet_elementary,
+                             pushforward_diffeo_curve)
 from legendre_curves import jets
 from legendre_curves.errors import JetDomainError, JetOrderError
 from legendre_curves.exprs import (Binary, Number, PowInt, Unary, Var, _Tape,
-                                   eval_jet, parse_expr)
+                                   eval_jet, eval_jet_many, parse_expr)
 from legendre_curves.gallery import gallery
 from legendre_curves.jets import compose
 from legendre_curves.transforms import reparametrize
@@ -66,7 +68,7 @@ def test_sqrt_domain_error():
 
 def test_derivative_at_examples():
     def derivative(text, t0, k):
-        return float(ScalarFun.from_text(text).jet(t0, k).derivative_value(k))
+        return float(ScalarFun.from_text(text).jet(t0, k)[k]) * math.factorial(k)
 
     assert derivative("t^2", 0.0, 2) == pytest.approx(2.0)
     assert derivative("sin(t)", math.pi, 1) == pytest.approx(-1.0)
@@ -76,12 +78,12 @@ def test_derivative_at_examples():
 
 def test_derivative_at_accepts_jet_callable():
     cube = ScalarFun.wrap("t*t*t")
-    assert float(cube.jet(2.0, 2).derivative_value(2)) == pytest.approx(12.0)
+    assert float(cube.jet(2.0, 2)[2]) * 2 == pytest.approx(12.0)
 
 
 def test_order_exceeded():
     with pytest.raises(JetOrderError, match="jet order exceeded"):
-        ScalarFun.from_text("t^2").jet(0.0, 12).derivative_value(13)
+        TaylorJet(ScalarFun.from_text("t^2").jet(0.0, 12)).derivative_value(13)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6),
@@ -106,7 +108,7 @@ def test_first_derivative_matches_finite_differences(roster):
         for fun in (entry.curve.x, entry.curve.y, entry.curve.nu_x, entry.curve.nu_y):
             ts = rng.uniform(a + 10 * h, b - 10 * h, 100)
             for t in ts:
-                d = fun.jet(float(t), 1).coeffs[1]
+                d = fun.jet(float(t), 1)[1]
                 fd = (fun(t + h) - fun(t - h)) / (2 * h)
                 assert abs(d - fd) <= 1e-6 * max(abs(fd), 1e-2)
 
@@ -138,21 +140,20 @@ def test_compose_against_direct_evaluation():
     inner = ScalarFun.from_text("exp(t) - 1")
     u0 = 0.4
     ij = inner.jet(u0, 6)
-    oj = outer.jet(float(ij.coeffs[0]), 6)
-    composed = compose(oj, ij)
+    oj = outer.jet(float(ij[0]), 6)
+    composed = compose(TaylorJet(oj), TaylorJet(ij))
     direct = ScalarFun.from_text("sin(exp(t) - 1) + (exp(t) - 1)^2").jet(u0, 6)
-    jets_close(composed, [float(c) for c in direct.coeffs], tol=1e-10)
+    jets_close(composed, [float(c) for c in direct], tol=1e-10)
 
 
 def test_vectorized_jets_match_scalar():
     f = ScalarFun.from_text("sin(3*t)/sqrt(t^2+2)")
     ts = np.linspace(-2, 2, 17)
     vec = f.jet(ts, 2)
-    coeffs = [np.broadcast_to(np.asarray(c, dtype=float), ts.shape) for c in vec.coeffs]
     for i, t in enumerate(ts):
         sc = f.jet(float(t), 2)
         for k in range(3):
-            assert coeffs[k][i] == pytest.approx(float(sc.coeffs[k]), abs=1e-14)
+            assert vec[k][i] == pytest.approx(float(sc[k]), abs=1e-14)
 
 
 # -- array kernels against the list-based recurrences ---------------------------
@@ -455,9 +456,36 @@ def test_tape_matches_reference(order, points):
     else:
         t0 = np.linspace(-2.0, 2.0, points)
     got = eval_jet(ast, t0, order)
-    assert_matches(got.array, _ref_eval(ast, t0, order))
-    assert got.order == order
-    assert got.array.shape == (order + 1,) + np.shape(t0)
+    assert_matches(got, _ref_eval(ast, t0, order))
+    assert len(got) - 1 == order
+    assert got.shape == (order + 1,) + np.shape(t0)
+
+
+def test_every_jet_producer_returns_an_array():
+    # A jet is one float array of shape (order + 1,) + np.shape(t0), also
+    # for a constant component and for the row-by-row diffeomorphism image.
+    curve = LegendreCurve.from_exprs("t", "0", nu=("0", "1"), domain=(0.0, 1.0))
+    pair = CurvaturePair.from_exprs("1", "t^2 - 0.25", (0.0, 1.0))
+    diffeo = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts("x + 0.1*y^2", "y + x^3"))
+    image = diffeo.curve
+    ast = parse_expr("sin(t)")
+
+    def producers(t0, order):
+        yield eval_jet(ast, t0, order)
+        yield eval_jet(Number(2.0), t0, order)
+        yield from eval_jet_many([ast, Number(2.0)], t0, order)
+        yield ScalarFun.wrap(3.0).jet(t0, order)
+        yield from curve.gamma_jets(t0, order) + curve.nu_jets(t0, order)
+        yield from curve.curvature_pair().jets(t0, order) + pair.jets(t0, order)
+        yield from image.gamma_jets(t0, order) + image.nu_jets(t0, order)
+        if order == 0:  # the jet rules of a diffeomorphism image stop at order 0
+            yield from image.curvature_pair().jets(t0, 0) + diffeo.law.jets(t0, 0)
+
+    for t0 in (0.3, np.array([0.3]), np.linspace(0.0, 1.0, 17)):
+        for order in (0, 1):
+            for jet in producers(t0, order):
+                assert type(jet) is np.ndarray and jet.dtype == float
+                assert jet.shape == (order + 1,) + np.shape(t0)
 
 
 def test_equal_subtrees_compile_to_one_slot():

@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
                              LegendreCurve, ScalarFun, Signature, ZeroPoint,
-                             cofactor, contact_order, decide_equivalence, dump_curve,
+                             contact_order, decide_equivalence, dump_curve,
                              find_zeros, gallery, negate,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
 from legendre_curves import exprs, signatures
-from legendre_curves.errors import (CofactorError, DegenerateCurveError,
-                                    RootScanError, SignatureError)
+from legendre_curves.errors import (DegenerateCurveError, RootScanError,
+                                    SignatureError)
 
 TWO_PI = 2 * math.pi
 
@@ -369,34 +369,6 @@ def test_sign_pattern_around_zeros():
                 assert left * right > 0
 
 
-def test_cofactor_constant_ratio():
-    sample = cofactor("2*sin(t)", "sin(t)", (-1, 4), [(0.0, 1), (math.pi, 1)])
-    assert np.allclose(sample.values, 2.0, atol=1e-9)
-    assert sample.min_abs == pytest.approx(2.0)
-
-
-def test_cofactor_removable_ratio():
-    sample = cofactor("t^2", "t^2*(1+t^2)", (-1, 1), [(0.0, 2)])
-    mid = len(sample.ts) // 2
-    assert sample.ts[mid] == pytest.approx(0.0)
-    assert sample.values[mid] == pytest.approx(1.0)
-    assert np.allclose(sample.values, 1.0 / (1.0 + sample.ts ** 2), atol=1e-9)
-
-
-def test_cofactor_between_gallery_constants():
-    ell5 = gallery("gamma_n", {"n": 5}).curve.curvature_pair().ell
-    ell_m3 = gallery("gamma_m", {"m": 3}).curve.curvature_pair().ell
-    sample = cofactor(ell5, ell_m3, (0, TWO_PI), [])
-    assert np.allclose(sample.values, 3.0, atol=1e-9)
-
-
-def test_cofactor_hypothesis_violations():
-    with pytest.raises(CofactorError):
-        cofactor("t", "t^2", (-1, 1), [(0.0, 1)])       # orders differ
-    with pytest.raises(CofactorError):
-        cofactor("sin(t)", "1 + 0*t", (0, TWO_PI), [])  # f vanishes, g does not
-
-
 def test_sk_multiplication_leaves_signature_unchanged(roster):
     # multiplying either component by a nowhere-zero factor is invisible
     for entry in roster:
@@ -482,7 +454,7 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
         read.clear()
         image = pushforward_affine(entry.curve, m).curve
         ts = np.linspace(*image.domain, grid_n + 1)
-        values = [jet.value() for jet in image.curvature_pair().jets(ts, 0)]
+        values = [jet[0] for jet in image.curvature_pair().jets(ts, 0)]
         runs.clear()
         sig = signature(image)
         comps = (1,) if sig.ell_identically_zero else (0, 1)
@@ -587,7 +559,7 @@ def _full_scan_candidates(evaluate, ts, comps, tol):
 
 def test_candidates_match_a_full_grid_order_1_scan(roster):
     m = AffineMap(-0.8, 1.1, 0.6, 1.5)
-    sources = [(signatures._source(curve.curvature_pair().jets), curve.domain, 4096)
+    sources = [(curve.curvature_pair().jets, curve.domain, 4096)
                for curve in [e.curve for e in roster]
                + [pushforward_affine(e.curve, m).curve for e in roster]
                + [gallery("type_nm", {"n": 3, "m": 5}).curve]]
@@ -669,7 +641,7 @@ def test_transform_laws_are_expressions_that_match_their_images(roster, index, s
         assert signature(law).key() == signature(curve).key()
         for frame_values, law_values in zip(curve.curvature_pair().jets(ts, 0),
                                             law.jets(ts, 0)):
-            assert np.max(np.abs(frame_values.value() - law_values.value())) <= 1e-8
+            assert np.max(np.abs(frame_values[0] - law_values[0])) <= 1e-8
 
 
 _SIGNATURES: dict = {}  # one signature per curve spec, across examples
