@@ -26,7 +26,7 @@ from .reconstruction import reconstruct
 from .signatures import (decide_equivalence, dump_signature, parity_check,
                          signature)
 from .transforms import (AffineMap, DiffeoSpec, negate, pushforward_affine,
-                         pushforward_diffeo, pushforward_swap, reparametrize)
+                         pushforward_diffeo_curve, pushforward_swap, reparametrize)
 
 _FMT = "%.17g"
 _MARGIN = 0.08  # share of the width and height left blank on each side
@@ -157,8 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--diffeo", metavar="P1;P2")
     t.add_argument("--domain", type=_parse_domain,
                    help="new parameter domain (with --reparam)")
-    t.add_argument("--samples", type=_int_from(1), default=256,
-                   help="sample count (with --diffeo)")
 
     n = sub.add_parser("normal-form", help="local normal form representative")
     n.add_argument("--case", required=True,
@@ -218,14 +216,7 @@ def _cmd_transform(args) -> None:
         parts = args.diffeo.split(";")
         if len(parts) != 2:
             raise LegendreError("--diffeo needs two expressions 'P1;P2'")
-        diffeo = DiffeoSpec.from_texts(parts[0], parts[1])
-        ts = np.linspace(curve.domain[0], curve.domain[1], args.samples)
-        ell, beta, (nx, ny) = pushforward_diffeo(curve, diffeo, ts)
-        print("t,ell,beta,nx,ny")
-        for row in zip(ts, np.atleast_1d(ell), np.atleast_1d(beta),
-                       np.atleast_1d(nx), np.atleast_1d(ny)):
-            print(",".join(_FMT % v for v in row))
-        return
+        result = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts(*parts))
     print(dump_curve(result.curve))
 
 

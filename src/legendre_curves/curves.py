@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -170,7 +171,7 @@ class CurvaturePair:
 
     def jets(self, t0, order: int) -> tuple[np.ndarray, np.ndarray]:
         """Jets of (ell, beta) at t0: one tape pass over both ASTs, or the
-        components' own jets for a diffeomorphism image's jet-rule pair."""
+        components' own jets for the diffeomorphism law, a jet-rule pair."""
         if self.ell.ast is None or self.beta.ast is None:
             return self.ell.jet(t0, order), self.beta.jet(t0, order)
         return tuple(eval_jet_many([self.ell.ast, self.beta.ast], t0, order))
@@ -286,7 +287,9 @@ def load_curve(source) -> LegendreCurve:
 
     An unreadable file, malformed JSON, fields of the wrong type or length,
     non-finite numbers, a domain with a >= b and invalid parameter names
-    raise CurveError.
+    raise CurveError.  ``domain`` must be an array of two numbers,
+    ``closed`` a boolean and each ``params`` value a number; a boolean is
+    not a number.
     """
     try:
         if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -315,20 +318,23 @@ def load_curve(source) -> LegendreCurve:
         if not isinstance(nu, (list, tuple)) or len(nu) != 2:
             raise CurveError("curve spec field 'nu' must hold two expressions")
         nu = (str(nu[0]), str(nu[1]))
-    try:
-        domain = tuple(float(v) for v in domain)
-        params = {str(k): float(v) for k, v in (data.get("params") or {}).items()}
-    except (TypeError, ValueError, AttributeError):
-        raise CurveError("curve spec fields 'domain' and 'params' must hold "
-                         "numbers") from None
-    if len(domain) != 2:
+    if not isinstance(domain, (list, tuple)) or len(domain) != 2:
         raise CurveError("curve spec field 'domain' must hold two numbers")
+    params = data.get("params") or {}
+    if not isinstance(params, dict):
+        raise CurveError("curve spec field 'params' must map names to numbers")
+    for field, values in (("domain", domain), ("params", params.values())):
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            raise CurveError(f"curve spec field {field!r} must hold numbers")
     if not all(map(math.isfinite, params.values())):
         raise CurveError("curve spec field 'params' must hold finite numbers")
+    closed = data.get("closed", False)
+    if not isinstance(closed, bool):
+        raise CurveError("curve spec field 'closed' must be true or false")
+    params = {str(k): float(v) for k, v in params.items()}
     try:
-        return LegendreCurve.from_exprs(x, y, nu=nu, domain=domain,
-                                        closed=bool(data.get("closed", False)),
-                                        params=params or None)
+        return LegendreCurve.from_exprs(x, y, nu=nu, domain=tuple(map(float, domain)),
+                                        closed=closed, params=params or None)
     except ValueError as err:  # substitute_params rejects a reserved or malformed name
         raise CurveError(f"invalid curve spec: {err}") from None
 

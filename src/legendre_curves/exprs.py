@@ -19,6 +19,9 @@ parsing (see :func:`substitute_params`).
 An internal node ``Unary("d", f)``, the t-derivative of f, never made by
 the parser nor found in a curve's components, spells out the curvature
 pair, so it and every transformation law built on it are ASTs too.
+A two-variable AST becomes univariate by :func:`substitute_var` of x and
+y; with its partials from ``ast_derivative(ast, var)``, the image of a
+curve under a target map is an AST too.
 
 Univariate ASTs are evaluated as Taylor jets by :func:`eval_jet` and
 :func:`eval_jet_many`, each jet a float array of shape
@@ -34,8 +37,8 @@ cached against the identity of the AST tuple and dropped when one of
 those ASTs is collected.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
-passes around, one AST run through the tape; only the first-order image
-of a target diffeomorphism is a jet rule, which returns the same arrays.
+passes around, one AST run through the tape; only the curvature law of a
+target diffeomorphism is a jet rule, which returns the same arrays.
 """
 
 from __future__ import annotations
@@ -490,21 +493,23 @@ def substitute_var(ast: ExprAst, name: str, replacement: ExprAst) -> ExprAst:
     return _memoized(ast, step)
 
 
-def ast_derivative(ast: ExprAst) -> ExprAst:
-    """Structural t-derivative of a univariate AST.
+def ast_derivative(ast: ExprAst, var: str = "t") -> ExprAst:
+    """Structural derivative of an AST in the variable ``var``.
 
     Internal helper used to spell out frame expressions that involve the
-    derivative of a user-supplied factor; the DSL itself has no
-    differentiation operator.  ``d(f)`` differentiates to f'' spelled out.
+    derivative of a user-supplied factor, and the partials of a target
+    map; the DSL itself has no differentiation operator.  A ``Var``
+    differentiates to 1 when it is ``var``, otherwise to 0.  ``d(f)``
+    differentiates to f'' spelled out.
     """
-    return _memoized(ast, _derivative_step)
+    return _memoized(ast, lambda node, der: _derivative_step(node, der, var))
 
 
-def _derivative_step(ast: ExprAst, der) -> ExprAst:
+def _derivative_step(ast: ExprAst, der, var: str) -> ExprAst:
     if isinstance(ast, (Number, Const)):
         return Number(0.0)
     if isinstance(ast, Var):
-        return Number(1.0)
+        return Number(float(ast.name == var))
     if isinstance(ast, Unary):
         if ast.op == "d":
             return der(der(ast.child))
@@ -580,11 +585,11 @@ class ScalarFun:
     """A scalar function of the curve parameter, evaluable as a Taylor jet.
 
     A function is its AST, and ``jet`` runs the compiled tape of that AST
-    (:meth:`from_ast`); algebra builds the combined AST.  Only a
-    diffeomorphism image's first-order curvature is a jet rule
-    ``jet_fn(t0, order)`` with ``ast`` None, which algebra refuses.  ``t0``
-    may be a scalar or an ndarray of expansion points, and a jet is an
-    array of shape ``(order + 1,) + np.shape(t0)``.
+    (:meth:`from_ast`); algebra builds the combined AST.  Only the
+    diffeomorphism law is a jet rule ``jet_fn(t0, order)`` with ``ast``
+    None, which algebra refuses.  ``t0`` may be a scalar or an ndarray of
+    expansion points, and a jet is an array of shape
+    ``(order + 1,) + np.shape(t0)``.
     """
 
     __slots__ = ("_jet_fn", "ast", "name")

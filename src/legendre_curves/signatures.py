@@ -139,23 +139,21 @@ def _pick(arrays, comp, row, cols) -> np.ndarray:
     return out
 
 
-def find_zeros(f, domain: tuple[float, float], grid_n: int = 2048,
-               tol: float = _ROOT_TOL, half_open: bool = False) -> list[float]:
+def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[float]:
     """Locate the zeros of an evaluable scalar function on an interval.
 
     The one-component case of the joint search ``signature`` runs on
     (ell, beta), see ``_zeros``: an order-0 scan of the grid gathers the
     candidates, with f' read only near small |f|, each zoom round and
     Newton step is one evaluation, and the residual check reads Newton's
-    final jets.  Roots are deduplicated within 1e-9.  With ``half_open``
+    final jets, on a grid of 2048 steps with the root tolerance of
+    ``signature``.  Roots are deduplicated within 1e-9.  With ``half_open``
     the right endpoint is excluded, which is how closed curves record a
     seam zero once.
     """
-    if grid_n < 64:
-        raise ValueError("grid_n must be at least 64")
     evaluate = _fun_source(ScalarFun.wrap(f))
-    ts, values, scales = _scan(evaluate, domain, grid_n)
-    return _zeros(evaluate, ts, values, scales, (0,), tol, half_open)[0][0]
+    ts, values, scales = _scan(evaluate, domain, 2048)
+    return _zeros(evaluate, ts, values, scales, (0,), _ROOT_TOL, half_open)[0][0]
 
 
 def _scan(evaluate, domain: tuple[float, float], grid_n: int):
@@ -305,7 +303,8 @@ def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3):
         fv = _pick(j, comp, row, cols)
         dfv = _pick(j, comp, row + 1, cols) * (row + 1)
         safe = np.abs(dfv) > 0.0
-        step = np.where(safe, fv / np.where(safe, dfv, 1.0), 0.0)
+        with np.errstate(over="ignore"):  # a step that overflows is dropped below
+            step = np.where(safe, fv / np.where(safe, dfv, 1.0), 0.0)
         xn = x - step
         ok = (xn >= lo) & (xn <= hi) & np.isfinite(xn)
         xn = np.where(ok, xn, x)
@@ -364,17 +363,16 @@ def _first_significant(mags: np.ndarray, scales) -> np.ndarray:
     return np.where(above.any(axis=1), np.argmax(above, axis=1), -1)
 
 
-def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER,
-                  scale: float = 0.0) -> Optional[int]:
+def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER) -> Optional[int]:
     """Smallest r >= 1 with a non-vanishing r-th jet coefficient at a zero.
 
-    ``scale`` is an optional magnitude of f on its interval; passing it
-    makes the vanishing test robust for functions with large prefactors.
-    Returns None when every coefficient up to max_order vanishes, which the
-    signature machinery reports as "contact order exceeds jet order".
+    The running maximum of the contact-order rule starts from 0, since a
+    lone point carries no scale of f on an interval.  Returns None when
+    every coefficient up to max_order vanishes, which the signature
+    machinery reports as "contact order exceeds jet order".
     """
     jet = ScalarFun.wrap(f).jet(float(t0), max_order)
-    idx = int(_first_significant(np.abs(jet.reshape(1, -1)), scale)[0])
+    idx = int(_first_significant(np.abs(jet.reshape(1, -1)), 0.0)[0])
     if idx == 0:
         raise SignatureError("not a zero point")
     return None if idx < 0 else idx

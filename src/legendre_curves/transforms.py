@@ -10,11 +10,14 @@ frame computation on the transformed curve:
   - general target diffeomorphism:    second-order formula via BiJet2
   - sign flips of nu or gamma:        ell, -beta
 
+Every image is an expression curve, a diffeomorphism's too: its
+components are the map composed with gamma, and its frame spells out the
+map's partials with ``ast_derivative``.  Every law is an expression
+except the diffeomorphism's, a pointwise formula evaluated at order 0.
 The law is built on the first read of ``TransformResult.law``, since a
 caller that wants only the image never reads it.  Every check on the
 transformation itself runs before the result is returned.  Jets are float
-arrays of shape ``(order + 1,) + np.shape(t)``, as the tape returns them;
-a diffeomorphism image and its law build theirs row by row.
+arrays of shape ``(order + 1,) + np.shape(t)``, as the tape returns them.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class TransformResult:
     """The transformed curve, and the curvature law that ``make_law``
     builds on the first read of ``law``."""
 
-    curve: object  # LegendreCurve or DiffeoCurve
+    curve: LegendreCurve
     make_law: Callable[[], CurvaturePair]
 
     @cached_property
@@ -123,16 +126,16 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
 
 
 def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,
-                        new_domain: tuple[float, float], order: int = 6) -> bool:
+                        new_domain: tuple[float, float]) -> bool:
     """Does gamma o t close up smoothly at the new endpoints?
 
-    True when the curve is closed and the endpoint jets of t agree up to the
-    period identification t(d) - t(c) in {0, +/-(b - a)}.
+    True when the curve is closed and the order-6 endpoint jets of t agree
+    up to the period identification t(d) - t(c) in {0, +/-(b - a)}.
     """
     if not curve.closed:
         return False
     a, b = curve.domain
-    jc, jd = tfun.jet(np.array(new_domain), order).T.tolist()
+    jc, jd = tfun.jet(np.array(new_domain), 6).T.tolist()
     gap = abs(jc[0] - jd[0])
     period = abs(b - a)
     if min(gap, abs(gap - period)) > 1e-9 * (1.0 + period):
@@ -230,101 +233,54 @@ def _require_local_diffeo(p1, p2) -> None:
         raise TransformError("diffeomorphism degenerates along the curve")
 
 
-class DiffeoCurve:
-    """Image of a framed curve under a target diffeomorphism.
+class DiffeoCurve(LegendreCurve):
+    """Image of a framed curve under a target diffeomorphism, built by
+    :func:`pushforward_diffeo_curve` as an ordinary expression curve.
 
-    The frame involves |nbar|, which is not expressible in the DSL, so this
-    curve is jet-limited: it supplies values and first derivatives (enough
-    for the tangency check and the curvature pair) but no higher orders.
+    The class adds no behaviour.  It gives the image a class of its own,
+    with its own bindings of the four methods below, which
+    ``bench/tracer.py`` wraps from the class ``__dict__``.
     """
 
-    def __init__(self, base: LegendreCurve, diffeo: DiffeoSpec):
-        self.base = base
-        self.diffeo = diffeo
-        self.domain = base.domain
-        self.closed = base.closed
-
-    def _chain(self, t):
-        gx, gy = self.base.gamma_jets(t, 1)
-        nx, ny = self.base.nu_jets(t, 1)
-        x, y = gx[0], gy[0]
-        dx, dy = gx[1], gy[1]
-        a, b = nx[0], ny[0]
-        da, db = nx[1], ny[1]
-        p1 = eval_bijet(self.diffeo.phi1, x, y)
-        p2 = eval_bijet(self.diffeo.phi2, x, y)
-        _require_local_diffeo(p1, p2)
-        return p1, p2, dx, dy, a, b, da, db
-
-    def gamma_jets(self, t, order: int):
-        if order > 1:
-            raise TransformError("diffeomorphism images carry first-order jets only")
-        p1, p2, dx, dy, *_ = self._chain(t)
-        jx = np.stack([p1.value, p1.dx * dx + p1.dy * dy][: order + 1])
-        jy = np.stack([p2.value, p2.dx * dx + p2.dy * dy][: order + 1])
-        return jx, jy
-
-    def nu_jets(self, t, order: int):
-        if order > 1:
-            raise TransformError("diffeomorphism images carry first-order jets only")
-        p1, p2, dx, dy, a, b, da, db = self._chain(t)
-        nbx = p2.dy * a - p2.dx * b
-        nby = -p1.dy * a + p1.dx * b
-        # d/dt of the partials along the curve, then the product rule
-        d_p2y = p2.dxy * dx + p2.dyy * dy
-        d_p2x = p2.dxx * dx + p2.dxy * dy
-        d_p1y = p1.dxy * dx + p1.dyy * dy
-        d_p1x = p1.dxx * dx + p1.dxy * dy
-        dnbx = d_p2y * a + p2.dy * da - d_p2x * b - p2.dx * db
-        dnby = -d_p1y * a - p1.dy * da + d_p1x * b + p1.dx * db
-        r2 = nbx * nbx + nby * nby
-        if np.any(np.asarray(r2) <= 1e-24):
-            raise TransformError("diffeomorphism degenerates along the curve")
-        r = np.sqrt(r2)
-        dr = (nbx * dnbx + nby * dnby) / r
-        jx = np.stack([nbx / r, dnbx / r - nbx * dr / r2][: order + 1])
-        jy = np.stack([nby / r, dnby / r - nby * dr / r2][: order + 1])
-        return jx, jy
-
-    def gamma(self, ts):
-        jx, jy = self.gamma_jets(np.asarray(ts, dtype=float), 0)
-        return np.stack([jx[0], jy[0]], axis=-1)
-
-    def nu(self, ts):
-        jx, jy = self.nu_jets(np.asarray(ts, dtype=float), 0)
-        return np.stack([jx[0], jy[0]], axis=-1)
-
-    def ell(self) -> ScalarFun:
-        def jet_fn(t0, order):
-            if order > 0:
-                raise TransformError("diffeomorphism images carry first-order jets only")
-            nx, ny = self.nu_jets(t0, 1)
-            return np.stack([ny[1] * nx[0] - nx[1] * ny[0]])
-
-        return ScalarFun(jet_fn, name="ell")
-
-    def beta(self) -> ScalarFun:
-        def jet_fn(t0, order):
-            if order > 0:
-                raise TransformError("diffeomorphism images carry first-order jets only")
-            gx, gy = self.gamma_jets(t0, 1)
-            nx, ny = self.nu_jets(t0, 0)
-            return np.stack([gy[1] * nx[0] - gx[1] * ny[0]])
-
-        return ScalarFun(jet_fn, name="beta")
-
-    def curvature_pair(self) -> CurvaturePair:
-        return CurvaturePair(self.ell(), self.beta(), self.domain, self.closed)
+    gamma_jets = LegendreCurve.gamma_jets
+    nu_jets = LegendreCurve.nu_jets
+    ell = LegendreCurve.ell
+    beta = LegendreCurve.beta
 
 
 def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> TransformResult:
-    """Image curve plus the curvature law of the transformation formula."""
-    image = DiffeoCurve(curve, diffeo)
+    """Image curve plus the curvature law of the transformation formula.
+
+    The image is (phi1 o gamma, phi2 o gamma) with the frame nbar/|nbar|,
+    nbar = (d2phi2 nu_x - d1phi2 nu_y, -d2phi1 nu_x + d1phi1 nu_y) along
+    the curve (dk: the partial in the k-th variable), all expressions, so
+    it carries jets of every order.  A map whose Jacobian degenerates at
+    one of 1025 points of the curve is refused here, since a printed
+    image is never evaluated.  The law is the pointwise formula of
+    :func:`pushforward_diffeo` at order 0.
+    """
+    gx, gy = curve.gamma_jets(np.linspace(*curve.domain, 1025), 0)
+    _require_local_diffeo(*(eval_bijet(phi, gx[0], gy[0])
+                            for phi in (diffeo.phi1, diffeo.phi2)))
+
+    def along(phi: ExprAst) -> ScalarFun:  # phi o gamma
+        return ScalarFun.from_ast(substitute_var(
+            substitute_var(phi, "x", curve.x.ast), "y", curve.y.ast))
+
+    d1phi1, d2phi1, d1phi2, d2phi2 = (along(ast_derivative(phi, var))
+                                      for phi in (diffeo.phi1, diffeo.phi2)
+                                      for var in ("x", "y"))
+    nbx = d2phi2 * curve.nu_x - d1phi2 * curve.nu_y
+    nby = -d2phi1 * curve.nu_x + d1phi1 * curve.nu_y
+    norm = (nbx * nbx + nby * nby).sqrt()
+    image = DiffeoCurve(along(diffeo.phi1), along(diffeo.phi2), nbx / norm, nby / norm,
+                        curve.domain, curve.closed)
 
     def law_component(index: int) -> ScalarFun:
         def jet_fn(t0, order):
             if order > 0:
-                raise TransformError("diffeomorphism images carry first-order jets only")
+                raise TransformError("the diffeomorphism law is a pointwise formula "
+                                     "of order 0")
             return np.stack([pushforward_diffeo(curve, diffeo, t0)[index]])
 
         return ScalarFun(jet_fn)

@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import legendre_curves
-from legendre_curves import gallery, load_curve, signature
+from legendre_curves import (DiffeoSpec, gallery, load_curve, pushforward_diffeo_curve,
+                             signature)
 from legendre_curves.cli import RenderConfig, render_svg, run
 
 
@@ -133,11 +134,14 @@ def test_transform_commands(specs, capsys):
     curve = load_curve(json.loads(capsys.readouterr().out))
     assert curve.curvature_pair().ell(0.3) == pytest.approx(2.0)
 
-    assert run(["transform", "--curve", specs["circle"],
-                "--diffeo", "1.5*x;y", "--samples", "8"]) == 0
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "t,ell,beta,nx,ny"
-    assert len(lines) == 9
+    # the diffeomorphism image is a spec file like every other image; its
+    # curvature is that of the pointwise law
+    assert run(["transform", "--curve", specs["circle"], "--diffeo", "1.5*x;y^3 + y"]) == 0
+    image = load_curve(json.loads(capsys.readouterr().out))
+    law = pushforward_diffeo_curve(load_curve(specs["circle"]),
+                                   DiffeoSpec.from_texts("1.5*x", "y^3 + y")).law
+    for t in (0.0, 0.7, 2.0, 4.5):
+        assert image.curvature_pair()(t) == pytest.approx(law(t), rel=0, abs=1e-8)
 
 
 def test_normal_form_emits_spec(capsys):
@@ -233,8 +237,6 @@ def test_render_config_validation():
      "must be at least 2"),
     (["render", "--curve", "circle", "-o", "out.svg", "--width", "0"], 2,
      "must be at least 1"),
-    (["transform", "--curve", "circle", "--diffeo", "x;y", "--samples", "-1"], 2,
-     "must be at least 1"),
     (["normal-form", "--case", "below-diagonal", "--n", "0", "--m", "2"], 2,
      "must be at least 1"),
     (["transform", "--curve", "circle", "--affine=1,2,3,x"], 1, "must be numbers"),
@@ -245,9 +247,11 @@ def test_render_config_validation():
     (["normal-form", "--case", "diagonal-perturbed", "--n", "2"], 1, "positive p"),
     (["examples", "get", "type_nm", "--param", "n=3", "--param", "m=2"], 1,
      "needs 1 <= n < m"),
-], ids=["curvature-samples", "render-samples", "render-width", "diffeo-samples",
+    (["transform", "--curve", "circle", "--diffeo", "x;x"], 1,
+     "error: diffeomorphism degenerates along the curve"),
+], ids=["curvature-samples", "render-samples", "render-width",
         "germ-n", "affine-text", "affine-nan", "affine-det-overflow",
-        "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm"])
+        "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm", "diffeo-degenerate"])
 def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
                                                    args, code, message):
     # out-of-range numbers are usage errors (exit 2), failed assumptions
@@ -304,6 +308,15 @@ def test_non_numeric_domain_or_params(tmp_path, capsys):
             "domain": [0, 1], "params": {"a": "big"}}
     err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
     assert "must hold numbers" in err
+    # a string is no array of numbers, and a boolean is no number
+    for field, value, message in [("domain", "01", "two numbers"),
+                                  ("domain", [True, 2], "must hold numbers"),
+                                  ("params", {"a": True}, "must hold numbers"),
+                                  ("closed", "false", "must be true or false")]:
+        spec = {"x": "a*cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
+                "domain": [0, 1], "params": {"a": 2}, field: value}
+        err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
+        assert f"'{field}' must" in err and message in err
 
 
 @pytest.mark.parametrize("nu", [["cos(t)"], ["cos(t)", "sin(t)", "t"]])

@@ -172,14 +172,16 @@ def test_dedup_matches_loop_reference():
                                                      rel=1e-14, abs=1e-14)
 
 
+def test_newton_step_that_overflows_is_dropped_without_a_warning():
+    # at the endpoint candidates f' is subnormal, so f / f' overflows; the
+    # step is dropped as one that leaves its bracket
+    pair = CurvaturePair.from_exprs("1 + 1e-315*t", "2 + sin(t)", (0.0, TWO_PI))
+    assert signature(pair).zeros == ()
+
+
 def test_find_zeros_rejects_zero_function():
     with pytest.raises(RootScanError, match="non-finite"):
         find_zeros("0*t", (0, 1))
-
-
-def test_find_zeros_grid_validation():
-    with pytest.raises(ValueError):
-        find_zeros("sin(t)", (0, 1), grid_n=32)
 
 
 def test_contact_order_examples():

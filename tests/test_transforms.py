@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from legendre_curves import (AffineMap, DiffeoSpec, check_legendre,
-                             derive_nu, gallery, negate, pushforward_affine,
-                             pushforward_diffeo, pushforward_diffeo_curve,
-                             pushforward_swap, reparametrize, type_nm_curve)
+from legendre_curves import (AffineMap, DiffeoSpec, check_closed, check_legendre,
+                             derive_nu, gallery, is_immersion, negate,
+                             pushforward_affine, pushforward_diffeo,
+                             pushforward_diffeo_curve, pushforward_swap,
+                             reparametrize, signature, type_nm_curve)
 from legendre_curves.curves import LegendreCurve
 from legendre_curves.errors import TransformError
 from legendre_curves.exprs import ScalarFun
@@ -191,6 +193,47 @@ def test_diffeo_degenerate_jacobian(circle):
     squash = DiffeoSpec.from_texts("x", "x")  # rank-one map
     with pytest.raises(TransformError, match="degenerates"):
         pushforward_diffeo(circle, squash, 0.3)
+    # the image is refused when it is built, not on its first evaluation
+    with pytest.raises(TransformError, match="degenerates along the curve"):
+        pushforward_diffeo_curve(circle, squash)
+
+
+def test_diffeo_image_carries_jets_of_every_order():
+    # The image is an expression curve, so the checks that read jets past
+    # order 1 run on it: check_closed at its default order 8, the immersion
+    # check's derivative brackets, the signature's contact orders.
+    curve = gallery("gamma_n", {"n": 3}).curve
+    image = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts("x + 0.1*y^2", "y")).curve
+    assert isinstance(image, LegendreCurve)
+    assert signature(image).key() == signature(curve).key()
+    assert is_immersion(image).ok
+    assert check_closed(image).closed_to_checked_order
+    ts = np.linspace(*image.domain, 5)
+    for order in range(13):
+        for jet in (image.gamma_jets(ts, order) + image.nu_jets(ts, order)
+                    + image.curvature_pair().jets(ts, order)):
+            assert type(jet) is np.ndarray and jet.shape == (order + 1, 5)
+
+
+_SMALL = st.floats(-0.02, 0.02, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(index=st.integers(0, 7), trig=st.booleans(), e1=_SMALL, e2=_SMALL)
+def test_diffeo_image_keeps_singular_points(roster, index, trig, e1, e2):
+    # beta of the image is |nbar| beta, so each zero of beta keeps its
+    # position and its order; inflection points may move
+    curve = roster[index].curve
+    texts = ((f"x + {e1!r}*sin(y)", f"y + {e2!r}*sin(x)") if trig
+             else (f"x + {e1!r}*y^2", f"y + {e2!r}*x^2"))
+    image = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts(*texts)).curve
+
+    def singular(sig):
+        return [(z.t, z.ord_beta) for z in sig.zeros if z.ord_beta is not None]
+
+    want, got = singular(signature(curve)), singular(signature(image))
+    assert [order for _, order in got] == [order for _, order in want]
+    assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=0, atol=1e-6)
 
 
 def test_transforms_preserve_signature(circle):
