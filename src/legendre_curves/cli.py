@@ -21,7 +21,7 @@ from .curves import (_require_finite, check_closed, check_legendre, dump_curve,
                      load_curve)
 from .errors import ExprSyntaxError, LegendreError
 from .gallery import GALLERY_NAMES, gallery
-from .normal_forms import GermData, local_normal_form
+from .normal_forms import GERM_CASES, GermData, local_normal_form
 from .reconstruction import reconstruct
 from .signatures import (decide_equivalence, dump_signature, parity_check,
                          signature)
@@ -159,9 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="new parameter domain (with --reparam)")
 
     n = sub.add_parser("normal-form", help="local normal form representative")
-    n.add_argument("--case", required=True,
-                   choices=["below-diagonal", "diagonal-plain",
-                            "diagonal-perturbed", "above-diagonal"])
+    n.add_argument("--case", required=True, choices=GERM_CASES)
     n.add_argument("--n", type=_int_from(1), required=True)
     n.add_argument("--m", type=_int_from(1))
     n.add_argument("--p", type=_int_from(1))

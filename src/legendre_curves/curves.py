@@ -30,8 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import CurveError, LegendreError
-from .exprs import (Binary, ScalarFun, Unary, ast_derivative, eval_jet_many,
-                    pretty_print)
+from .exprs import (ScalarFun, Unary, ast_derivative, eval_jet_many, mul,
+                    pretty_print, sub)
 
 TWO_PI = 2.0 * math.pi
 
@@ -39,8 +39,7 @@ TWO_PI = 2.0 * math.pi
 def _along_mu(vx, vy, nx, ny):
     """AST of v' . mu with mu = J(nu) = (-nu_y, nu_x); v = nu gives ell,
     v = gamma gives beta."""
-    return Binary("sub", Binary("mul", Unary("d", vy), nx),
-                  Binary("mul", Unary("d", vx), ny))
+    return sub(mul(Unary("d", vy), nx), mul(Unary("d", vx), ny))
 
 
 def _require_finite(ts, what: str, *arrays, error=LegendreError) -> None:
@@ -315,9 +314,9 @@ def load_curve(source) -> LegendreCurve:
         raise CurveError("curve spec fields 'x' and 'y' must be expressions")
     nu = data.get("nu")
     if nu is not None:
-        if not isinstance(nu, (list, tuple)) or len(nu) != 2:
+        if not (isinstance(nu, (list, tuple)) and len(nu) == 2
+                and all(isinstance(v, str) for v in nu)):
             raise CurveError("curve spec field 'nu' must hold two expressions")
-        nu = (str(nu[0]), str(nu[1]))
     if not isinstance(domain, (list, tuple)) or len(domain) != 2:
         raise CurveError("curve spec field 'domain' must hold two numbers")
     params = data.get("params") or {}

@@ -23,6 +23,13 @@ A two-variable AST becomes univariate by :func:`substitute_var` of x and
 y; with its partials from ``ast_derivative(ast, var)``, the image of a
 curve under a target map is an AST too.
 
+Derived expressions (derivatives, ``ScalarFun`` algebra, curvature pairs,
+normal forms) are built folded: the node constructors ``add``, ``sub``,
+``mul``, ``div``, ``neg`` and ``power`` drop a literal 0 or 1 operand.
+That is exact, but a folded literal-0 factor no longer evaluates its
+other operand, so the product is 0 where that operand would raise or give
+NaN.  The parser's output is not folded: parse_expr(pretty_print(a)) == a.
+
 Univariate ASTs are evaluated as Taylor jets by :func:`eval_jet` and
 :func:`eval_jet_many`, each jet a float array of shape
 ``(order + 1,) + np.shape(t0)`` whose row k is f^(k)(t0) / k!.  Both
@@ -97,6 +104,44 @@ ExprAst = Union[Number, Var, Const, Unary, Binary, PowInt]
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt", "atan")
 _RESERVED = set(_FUNCTIONS) | {"t", "x", "y", "pi"}
+
+
+# -- node constructors: 0 a = 0, 1 a = a, a + 0 = a, 0 / b = 0, a / 1 = a,
+# a^1 = a, a^0 = 1 -------------------------------------------------------------
+
+
+def _is(node: ExprAst, value: float) -> bool:
+    return isinstance(node, Number) and node.value == value
+
+
+def add(a: ExprAst, b: ExprAst) -> ExprAst:
+    return b if _is(a, 0) else a if _is(b, 0) else Binary("add", a, b)
+
+
+def sub(a: ExprAst, b: ExprAst) -> ExprAst:
+    return neg(b) if _is(a, 0) else a if _is(b, 0) else Binary("sub", a, b)
+
+
+def mul(*factors: ExprAst) -> ExprAst:
+    """Product of the factors, grouped from the left."""
+    out = factors[0]
+    for f in factors[1:]:
+        if _is(out, 0) or _is(f, 1):
+            continue
+        out = f if _is(out, 1) or _is(f, 0) else Binary("mul", out, f)
+    return out
+
+
+def div(a: ExprAst, b: ExprAst) -> ExprAst:
+    return a if _is(a, 0) or _is(b, 1) else Binary("div", a, b)
+
+
+def neg(a: ExprAst) -> ExprAst:
+    return a if _is(a, 0) else Unary("neg", a)
+
+
+def power(a: ExprAst, exponent: int) -> ExprAst:
+    return Number(1.0) if exponent == 0 else a if exponent == 1 else PowInt(a, exponent)
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -516,36 +561,33 @@ def _derivative_step(ast: ExprAst, der, var: str) -> ExprAst:
         du = der(ast.child)
         u = ast.child
         if ast.op == "neg":
-            return Unary("neg", du)
+            return neg(du)
         if ast.op == "sin":
-            return Binary("mul", Unary("cos", u), du)
+            return mul(Unary("cos", u), du)
         if ast.op == "cos":
-            return Unary("neg", Binary("mul", Unary("sin", u), du))
+            return neg(mul(Unary("sin", u), du))
         if ast.op == "exp":
-            return Binary("mul", Unary("exp", u), du)
+            return mul(Unary("exp", u), du)
         if ast.op == "sqrt":
-            return Binary("div", du, Binary("mul", Number(2.0), Unary("sqrt", u)))
+            return div(du, mul(Number(2.0), Unary("sqrt", u)))
         if ast.op == "atan":
-            return Binary("div", du, Binary("add", Number(1.0), PowInt(u, 2)))
+            return div(du, add(Number(1.0), power(u, 2)))
     if isinstance(ast, Binary):
         da = der(ast.left)
         db = der(ast.right)
         a, b = ast.left, ast.right
         if ast.op == "add":
-            return Binary("add", da, db)
+            return add(da, db)
         if ast.op == "sub":
-            return Binary("sub", da, db)
+            return sub(da, db)
         if ast.op == "mul":
-            return Binary("add", Binary("mul", da, b), Binary("mul", a, db))
-        num = Binary("sub", Binary("mul", da, b), Binary("mul", a, db))
-        return Binary("div", num, PowInt(b, 2))
+            return add(mul(da, b), mul(a, db))
+        return div(sub(mul(da, b), mul(a, db)), power(b, 2))
     if isinstance(ast, PowInt):
         if ast.exponent == 0:
             return Number(0.0)
-        du = der(ast.child)
-        term = Binary("mul", Number(float(ast.exponent)),
-                      PowInt(ast.child, ast.exponent - 1))
-        return Binary("mul", term, du)
+        return mul(Number(float(ast.exponent)), power(ast.child, ast.exponent - 1),
+                   der(ast.child))
     raise TypeError(f"not an AST node: {ast!r}")
 
 
@@ -579,6 +621,11 @@ def substitute_params(text: str, params: dict[str, float] | None) -> str:
 
 
 # -- evaluable scalar functions ----------------------------------------------
+
+
+def _operators(build):
+    """``f op g`` and its reflection ``g op f`` for scalar functions."""
+    return (lambda f, g: _lift(build, f, g)), (lambda f, g: _lift(build, g, f))
 
 
 class ScalarFun:
@@ -638,35 +685,16 @@ class ScalarFun:
         v, d = self.jet(np.asarray(ts, dtype=float), 1)
         return v, d
 
-    def __add__(self, other):
-        return _lift("add", self, other)
-
-    def __radd__(self, other):
-        return _lift("add", other, self)
-
-    def __sub__(self, other):
-        return _lift("sub", self, other)
-
-    def __rsub__(self, other):
-        return _lift("sub", other, self)
-
-    def __mul__(self, other):
-        return _lift("mul", self, other)
-
-    def __rmul__(self, other):
-        return _lift("mul", other, self)
-
-    def __truediv__(self, other):
-        return _lift("div", self, other)
-
-    def __rtruediv__(self, other):
-        return _lift("div", other, self)
+    __add__, __radd__ = _operators(add)
+    __sub__, __rsub__ = _operators(sub)
+    __mul__, __rmul__ = _operators(mul)
+    __truediv__, __rtruediv__ = _operators(div)
 
     def __neg__(self):
-        return _lift("neg", self)
+        return _lift(neg, self)
 
     def sqrt(self) -> "ScalarFun":
-        return _lift("sqrt", self)
+        return _lift(lambda a: Unary("sqrt", a), self)
 
     def __repr__(self):
         if self.ast is not None:
@@ -674,10 +702,10 @@ class ScalarFun:
         return f"ScalarFun(<{self.name or 'derived'}>)"
 
 
-def _lift(op: str, *operands) -> ScalarFun:
-    """``op`` (a unary or binary kernel name) applied to scalar functions:
-    the combined AST, evaluated by the tape."""
+def _lift(build, *operands) -> ScalarFun:
+    """The node constructor ``build`` applied to scalar functions: the
+    combined AST, evaluated by the tape."""
     asts = [ScalarFun.wrap(f).ast for f in operands]
     if None in asts:
         raise TypeError("scalar function algebra needs expression-backed operands")
-    return ScalarFun.from_ast(Unary(op, *asts) if len(asts) == 1 else Binary(op, *asts))
+    return ScalarFun.from_ast(build(*asts))

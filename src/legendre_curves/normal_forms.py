@@ -8,6 +8,13 @@ into one of four classes, each with an explicit representative on [-1, 1]:
   - diagonal-perturbed (n = m):    (t^n, t^n (1 + t^p))
   - above-diagonal (n > m):        (t^n, t^m) with frame (m, -n t^k)/sqrt(.)
 
+One builder, the type (n, m) germ (t^n, t^m f) with its tangency frame,
+makes :func:`type_nm_curve` and three of the representatives:
+below-diagonal is the type (n, m) germ with f = 1, diagonal-perturbed the
+type (n, n) germ with f = 1 + t^p, and above-diagonal the type (m, n) germ
+with x and y, and nu_x and nu_y, exchanged.  Diagonal-plain keeps its
+constant frame.
+
 The germ signature records the vanishing orders of (ell, beta) at 0 with
 the convention that order 0 means "does not vanish"; the diagonal-plain
 case has ell identically zero, flagged separately.
@@ -22,8 +29,8 @@ import numpy as np
 
 from .curves import LegendreCurve
 from .errors import CurveError
-from .exprs import (Binary, ExprAst, Number, PowInt, ScalarFun, Unary, Var,
-                    ast_derivative)
+from .exprs import (ExprAst, Number, ScalarFun, Unary, Var, add, ast_derivative,
+                    div, mul, neg, power)
 from .jets import DEFAULT_ORDER
 from .signatures import _first_significant, _scan, _vanishing
 
@@ -33,25 +40,6 @@ ZERO_FUNCTION = "zero-function"
 GERM_CASES = ("below-diagonal", "diagonal-plain", "diagonal-perturbed", "above-diagonal")
 
 _T = Var("t")
-
-
-def _num(v: float) -> Number:
-    return Number(float(v))
-
-
-def _mul(*factors: ExprAst) -> ExprAst:
-    out = factors[0]
-    for f in factors[1:]:
-        out = Binary("mul", out, f)
-    return out
-
-
-def _add(a: ExprAst, b: ExprAst) -> ExprAst:
-    return Binary("add", a, b)
-
-
-def _tpow(k: int) -> ExprAst:
-    return PowInt(_T, k)
 
 
 @dataclass(frozen=True)
@@ -104,18 +92,31 @@ def type_nm_curve(n: int, m: int, f_expr=None, sign: int = 1) -> LegendreCurve:
     f_ast = _as_f_ast(f_expr)
     if abs(ScalarFun.from_ast(f_ast)(0.0)) <= 1e-12:
         raise CurveError("f must not vanish at 0")
+    return _germ(n, m, f_ast, sign)
+
+
+def _frame_terms(n: int, m: int, f_ast: ExprAst):
+    """f', w = m t^k f + t^(k+1) f' and the radicand w^2 + n^2 of the type
+    (n, m) germ, k = m - n."""
     k = m - n
     df = ast_derivative(f_ast)
-    # w = m t^k f + t^(k+1) f'
-    w = _add(_mul(_num(m), _tpow(k), f_ast), _mul(_tpow(k + 1), df))
-    radicand = _add(PowInt(w, 2), _num(n * n))
+    w = add(mul(Number(m), power(_T, k), f_ast), mul(power(_T, k + 1), df))
+    return df, w, add(power(w, 2), Number(n * n))
+
+
+def _germ(n: int, m: int, f_ast: ExprAst, sign: int = 1,
+          swap: bool = False) -> LegendreCurve:
+    """(sign t^n, t^m f) with the frame (-w, sign n) / sqrt(w^2 + n^2), on
+    [-1, 1]; ``swap`` exchanges x with y and nu_x with nu_y."""
+    _, w, radicand = _frame_terms(n, m, f_ast)
     root = Unary("sqrt", radicand)
-    x_ast = _tpow(n) if sign == 1 else Unary("neg", _tpow(n))
-    y_ast = _mul(_tpow(m), f_ast)
-    nu_x = Binary("div", Unary("neg", w), root)
-    nu_y = Binary("div", _num(sign * n), root)
-    return LegendreCurve(ScalarFun.from_ast(x_ast), ScalarFun.from_ast(y_ast),
-                         ScalarFun.from_ast(nu_x), ScalarFun.from_ast(nu_y),
+    x, y = power(_T, n) if sign == 1 else neg(power(_T, n)), mul(power(_T, m), f_ast)
+    nu_x, nu_y = div(neg(w), root), div(Number(sign * n), root)
+    return _curve(y, x, nu_y, nu_x) if swap else _curve(x, y, nu_x, nu_y)
+
+
+def _curve(x_ast, y_ast, nu_x, nu_y) -> LegendreCurve:
+    return LegendreCurve(*map(ScalarFun.from_ast, (x_ast, y_ast, nu_x, nu_y)),
                          domain=(-1.0, 1.0), closed=False)
 
 
@@ -127,15 +128,11 @@ def type_nm_curvature(n: int, m: int, f_expr=None, sign: int = 1):
     """
     f_ast = _as_f_ast(f_expr)
     k = m - n
-    df = ast_derivative(f_ast)
-    ddf = ast_derivative(df)
-    w = _add(_mul(_num(m), _tpow(k), f_ast), _mul(_tpow(k + 1), df))
-    radicand = _add(PowInt(w, 2), _num(n * n))
-    bracket = _add(_add(_mul(_num(m * k), f_ast),
-                        _mul(_num(m + k + 1), _T, df)),
-                   _mul(_tpow(2), ddf))
-    ell = Binary("div", _mul(_num(sign * n), _tpow(k - 1), bracket), radicand)
-    beta = Unary("neg", _mul(_tpow(n - 1), Unary("sqrt", radicand)))
+    df, _, radicand = _frame_terms(n, m, f_ast)
+    bracket = add(add(mul(Number(m * k), f_ast), mul(Number(m + k + 1), _T, df)),
+                  mul(power(_T, 2), ast_derivative(df)))
+    ell = div(mul(Number(sign * n), power(_T, k - 1), bracket), radicand)
+    beta = neg(mul(power(_T, n - 1), Unary("sqrt", radicand)))
     return ell, beta
 
 
@@ -153,39 +150,15 @@ def local_normal_form(germ: GermData) -> LegendreCurve:
     not unit; it is normalized by sqrt(2) here, leaving the curvature class
     untouched.
     """
-    n, m = germ.n, germ.m
+    n, m, one = germ.n, germ.m, Number(1.0)
     if germ.case == "below-diagonal":
-        k = germ.k
-        radicand = _add(_mul(_num(m * m), _tpow(2 * k)), _num(n * n))
-        root = Unary("sqrt", radicand)
-        nu_x = Binary("div", Unary("neg", _mul(_num(m), _tpow(k))), root)
-        nu_y = Binary("div", _num(n), root)
-        x_ast, y_ast = _tpow(n), _tpow(m)
-    elif germ.case == "diagonal-plain":
-        sqrt2 = Unary("sqrt", _num(2.0))
-        nu_x = Binary("div", _num(-1.0), sqrt2)
-        nu_y = Binary("div", _num(1.0), sqrt2)
-        x_ast, y_ast = _tpow(n), _tpow(n)
-    elif germ.case == "diagonal-perturbed":
-        p = germ.p
-        # y = t^n (1 + t^p); w = n (1 + t^p) + p t^p
-        w = _add(_mul(_num(n), _add(_num(1.0), _tpow(p))), _mul(_num(p), _tpow(p)))
-        radicand = _add(PowInt(w, 2), _num(n * n))
-        root = Unary("sqrt", radicand)
-        nu_x = Binary("div", Unary("neg", w), root)
-        nu_y = Binary("div", _num(n), root)
-        x_ast = _tpow(n)
-        y_ast = _mul(_tpow(n), _add(_num(1.0), _tpow(p)))
-    else:  # above-diagonal
-        k = germ.k
-        radicand = _add(_num(m * m), _mul(_num(n * n), _tpow(2 * k)))
-        root = Unary("sqrt", radicand)
-        nu_x = Binary("div", _num(m), root)
-        nu_y = Binary("div", Unary("neg", _mul(_num(n), _tpow(k))), root)
-        x_ast, y_ast = _tpow(n), _tpow(m)
-    return LegendreCurve(ScalarFun.from_ast(x_ast), ScalarFun.from_ast(y_ast),
-                         ScalarFun.from_ast(nu_x), ScalarFun.from_ast(nu_y),
-                         domain=(-1.0, 1.0), closed=False)
+        return _germ(n, m, one)
+    if germ.case == "diagonal-perturbed":
+        return _germ(n, n, add(one, power(_T, germ.p)))
+    if germ.case == "above-diagonal":
+        return _germ(m, n, one, swap=True)
+    sqrt2 = Unary("sqrt", Number(2.0))
+    return _curve(power(_T, n), power(_T, n), div(Number(-1.0), sqrt2), div(one, sqrt2))
 
 
 def germ_signature(germ: GermData) -> GermSignature:

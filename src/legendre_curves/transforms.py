@@ -199,7 +199,7 @@ def pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, t):
     value/gradient/Hessian of (phi1, phi2) along the curve.  ``t`` may be a
     scalar or an ndarray.  Returns (ell, beta, (nu_x, nu_y)).
     """
-    gx, gy = curve.gamma_jets(t, 1)
+    gx, gy = curve.gamma_jets(t, 0)
     nxj, nyj = curve.nu_jets(t, 0)
     x, y = gx[0], gy[0]
     a, b = nxj[0], nyj[0]

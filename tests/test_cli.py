@@ -319,8 +319,9 @@ def test_non_numeric_domain_or_params(tmp_path, capsys):
         assert f"'{field}' must" in err and message in err
 
 
-@pytest.mark.parametrize("nu", [["cos(t)"], ["cos(t)", "sin(t)", "t"]])
-def test_nu_of_wrong_length(tmp_path, capsys, nu):
+@pytest.mark.parametrize("nu", [["cos(t)"], ["cos(t)", "sin(t)", "t"], [0, 1], [True, 1]])
+def test_nu_must_hold_two_expressions(tmp_path, capsys, nu):
+    # a list of the wrong length, or entries that are not text (exit 1, not 2)
     spec = {"x": "cos(t)", "y": "sin(t)", "nu": nu, "domain": [0, 1]}
     err = _run_spec_error(tmp_path, capsys, json.dumps(spec))
     assert "two expressions" in err

@@ -4,13 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from legendre_curves import (ScalarFun, eval_bijet, eval_jet, parse_expr,
-                             pretty_print, substitute_params)
+from legendre_curves import (ScalarFun, eval_jet, parse_expr, pretty_print,
+                             substitute_params)
 from legendre_curves.errors import ExprSyntaxError, LegendreError
 from legendre_curves import jets
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var,
-                                   _kernel, ast_derivative, substitute_var)
+                                   _kernel, ast_derivative, eval_bijet,
+                                   substitute_var)
 
 from conftest import random_ast
 
@@ -315,3 +318,88 @@ def test_substitute_var_spells_out_derivative_nodes():
     for order in (0, 3):
         assert np.array_equal(eval_jet(image.left, ts, order),
                               eval_jet(want, ts, order))
+
+
+# -- derived expressions are built folded ----------------------------------------
+
+
+def _literal(node, *values):
+    return isinstance(node, Number) and node.value in values
+
+
+def _folds(node):
+    """Would one of the node constructors have folded this node?"""
+    if isinstance(node, Binary):
+        a, b = node.left, node.right
+        return {"add": _literal(a, 0) or _literal(b, 0),
+                "sub": _literal(a, 0) or _literal(b, 0),
+                "mul": _literal(a, 0, 1) or _literal(b, 0, 1),
+                "div": _literal(a, 0) or _literal(b, 1)}[node.op]
+    if isinstance(node, Unary):
+        return node.op == "neg" and _literal(node.child, 0)
+    return isinstance(node, PowInt) and node.exponent in (0, 1)
+
+
+def _nodes(root, skip=()):
+    """Distinct nodes of a tree, not descending into the ids in ``skip``."""
+    seen, stack, out = set(skip), [root], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(getattr(node, f) for f in ("child", "left", "right")
+                         if hasattr(node, f))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_ast_derivative_is_folded_and_matches_the_derivative_node(seed):
+    rng = random.Random(seed)
+    f = random_ast(rng, depth=rng.randrange(0, 5))
+    df = ast_derivative(f)
+    # nodes taken over from f are as the generator made them
+    new = _nodes(df, skip={id(node) for node in _nodes(f)})
+    assert not [node for node in new if _folds(node)], pretty_print(df)
+    ts = np.linspace(-1.7, 1.9, 7)
+    with np.errstate(all="ignore"):
+        try:
+            got = eval_jet(df, ts, 2)
+            want = eval_jet(Unary("d", f), ts, 2)
+        except LegendreError:
+            return
+    ok = np.isfinite(got) & np.isfinite(want) & (np.abs(want) < 1e12)
+    assert np.all(np.abs(got - want)[ok] <= 1e-9 * np.maximum(np.abs(want[ok]), 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1))
+def test_partials_match_the_bijet_gradient(seed):
+    rng = random.Random(seed)
+    phi = random_ast(rng, depth=rng.randrange(0, 5), arity="two-var")
+    dx, dy = ast_derivative(phi, "x"), ast_derivative(phi, "y")
+    for _ in range(4):
+        x0, y0 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        with np.errstate(all="ignore"):
+            try:
+                want = eval_bijet(phi, x0, y0)
+                got = [float(eval_bijet(d, x0, y0).value) for d in (dx, dy)]
+            except LegendreError:
+                continue
+        for g, w in zip(got, (float(want.dx), float(want.dy))):
+            if math.isfinite(w) and abs(w) < 1e12 and math.isfinite(g):
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+
+def test_diffeomorphism_image_compiles_to_a_short_tape():
+    # gamma_n[3] under x + 0.01 y^2: the partials hold no 0 * ..., 1 * ...
+    # or (...)^1 nodes, so the four components compile to at most 30
+    # instructions (43 when they did)
+    from legendre_curves import DiffeoSpec, gallery, pushforward_diffeo_curve
+    from legendre_curves.exprs import _Tape
+
+    curve = gallery("gamma_n", {"n": 3}).curve
+    image = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts("x + 0.01*y^2", "y")).curve
+    tape = _Tape([image.x.ast, image.y.ast, image.nu_x.ast, image.nu_y.ast])
+    assert len(tape.code) <= 30

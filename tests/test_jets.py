@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legendre_curves import (CurvaturePair, DiffeoSpec, LegendreCurve, ScalarFun,
-                             TaylorJet, contact_order, jet_elementary,
-                             pushforward_diffeo_curve)
+                             contact_order, pushforward_diffeo_curve)
 from legendre_curves import jets
 from legendre_curves.errors import JetDomainError, JetOrderError
 from legendre_curves.exprs import (Binary, Number, PowInt, Unary, Var, _Tape,
                                    eval_jet, eval_jet_many, parse_expr)
 from legendre_curves.gallery import gallery
-from legendre_curves.jets import compose
+from legendre_curves.jets import TaylorJet, compose, jet_elementary
 from legendre_curves.transforms import reparametrize
 
 

@@ -271,6 +271,22 @@ def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
             assert len(runs) == 1, (entry.name, fun)
 
 
+def test_diffeo_law_runs_every_tape_at_order_0(roster, monkeypatch):
+    # the law is a pointwise formula of values: no tape runs for a slope
+    from legendre_curves import exprs
+
+    orders = []
+    run = exprs._Tape.run
+    monkeypatch.setattr(exprs._Tape, "run",
+                        lambda tape, t0, order: orders.append(order) or run(tape, t0, order))
+    diffeo = DiffeoSpec.from_texts("x + 0.01*y^2", "y")
+    for entry in roster:
+        law = pushforward_diffeo_curve(entry.curve, diffeo).law
+        orders.clear()
+        law.ell.values(np.linspace(*entry.curve.domain, 100))
+        assert orders and set(orders) == {0}, (entry.name, orders)
+
+
 def test_laws_are_built_on_first_read(circle, monkeypatch):
     # Building a law costs AST work that a caller wanting only the image
     # never needs: the two compositions of reparametrize, and for every
