@@ -22,8 +22,8 @@ from .signatures import (EquivalenceVerdict, Signature, ZeroPoint,
                          find_zeros, is_immersion, parity_check, signature,
                          signature_from_dict, signature_to_dict)
 from .transforms import (AffineMap, DiffeoSpec, TransformResult, negate,
-                         pushforward_affine, pushforward_diffeo,
-                         pushforward_diffeo_curve, pushforward_swap, reparametrize)
+                         pushforward_affine, pushforward_diffeo_curve,
+                         pushforward_swap, reparametrize)
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "eval_jet", "find_zeros", "gallery", "germ_signature",
     "germ_signature_of_curve", "is_immersion", "load_curve",
     "local_normal_form", "parity_check", "parse_expr", "pretty_print",
-    "pushforward_affine", "pushforward_diffeo", "pushforward_diffeo_curve",
+    "pushforward_affine", "pushforward_diffeo_curve",
     "pushforward_swap", "reconstruct", "reparametrize", "sample_curve",
     "sampled_curvature", "signature", "signature_from_dict",
     "signature_to_dict", "substitute_params", "type_nm_curvature",

@@ -156,6 +156,8 @@ class CurvaturePair:
     closed: bool = False
 
     def __post_init__(self):
+        if self.ell.ast is None or self.beta.ast is None:
+            raise CurveError("curvature components must be expressions")
         self.domain = _check_domain(self.domain)
 
     @classmethod
@@ -169,10 +171,8 @@ class CurvaturePair:
         return self.ell(t), self.beta(t)
 
     def jets(self, t0, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """Jets of (ell, beta) at t0: one tape pass over both ASTs, or the
-        components' own jets for the diffeomorphism law, a jet-rule pair."""
-        if self.ell.ast is None or self.beta.ast is None:
-            return self.ell.jet(t0, order), self.beta.jet(t0, order)
+        """Jets of (ell, beta) at t0: one tape pass over both ASTs, for a
+        curve's pair and for every transformation law alike."""
         return tuple(eval_jet_many([self.ell.ast, self.beta.ast], t0, order))
 
 

@@ -25,10 +25,10 @@ curve under a target map is an AST too.
 
 Derived expressions (derivatives, ``ScalarFun`` algebra, curvature pairs,
 normal forms) are built folded: the node constructors ``add``, ``sub``,
-``mul``, ``div``, ``neg`` and ``power`` drop a literal 0 or 1 operand.
-That is exact, but a folded literal-0 factor no longer evaluates its
-other operand, so the product is 0 where that operand would raise or give
-NaN.  The parser's output is not folded: parse_expr(pretty_print(a)) == a.
+``mul``, ``div``, ``neg`` and ``power`` drop a literal 0 or 1 operand or
+a double negation.  That is exact, but a folded literal-0 factor no longer
+evaluates its other operand, so the product is 0 where that would raise or
+give NaN.  The parser's output is not folded: parse_expr(pretty_print(a)) == a.
 
 Univariate ASTs are evaluated as Taylor jets by :func:`eval_jet` and
 :func:`eval_jet_many`, each jet a float array of shape
@@ -44,8 +44,9 @@ cached against the identity of the AST tuple and dropped when one of
 those ASTs is collected.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
-passes around, one AST run through the tape; only the curvature law of a
-target diffeomorphism is a jet rule, which returns the same arrays.
+passes around, one AST run through the tape, every curvature law too.
+:func:`eval_bijet` (``BiJet2`` value, gradient and Hessian of a
+two-variable AST) is on no data path; ``bench/tracer.py`` binds it.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ _RESERVED = set(_FUNCTIONS) | {"t", "x", "y", "pi"}
 
 
 # -- node constructors: 0 a = 0, 1 a = a, a + 0 = a, 0 / b = 0, a / 1 = a,
-# a^1 = a, a^0 = 1 -------------------------------------------------------------
+# -(-a) = a, a^1 = a, a^0 = 1 ---------------------------------------------------
 
 
 def _is(node: ExprAst, value: float) -> bool:
@@ -137,6 +138,8 @@ def div(a: ExprAst, b: ExprAst) -> ExprAst:
 
 
 def neg(a: ExprAst) -> ExprAst:
+    if isinstance(a, Unary) and a.op == "neg":
+        return a.child
     return a if _is(a, 0) else Unary("neg", a)
 
 
@@ -632,11 +635,11 @@ class ScalarFun:
     """A scalar function of the curve parameter, evaluable as a Taylor jet.
 
     A function is its AST, and ``jet`` runs the compiled tape of that AST
-    (:meth:`from_ast`); algebra builds the combined AST.  Only the
-    diffeomorphism law is a jet rule ``jet_fn(t0, order)`` with ``ast``
-    None, which algebra refuses.  ``t0`` may be a scalar or an ndarray of
-    expansion points, and a jet is an array of shape
-    ``(order + 1,) + np.shape(t0)``.
+    (:meth:`from_ast`); algebra builds the combined AST.  A bare jet rule
+    ``jet_fn(t0, order)`` is for the benchmark's tracer, which wraps one;
+    algebra and curves refuse a function without an AST.  ``t0`` may be a
+    scalar or an ndarray of expansion points, and a jet is an array of
+    shape ``(order + 1,) + np.shape(t0)``.
     """
 
     __slots__ = ("_jet_fn", "ast", "name")

@@ -25,7 +25,9 @@ Every jet the package hands out is such an array: the compiled expression
 tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
 a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
 ``jet_elementary``, ``jet_sqrt`` and ``compose`` are an object API over the
-same kernels.  No package module uses them; they stay because the
+same kernels, and :class:`BiJet2` is a forward-mode value, gradient and
+Hessian in two variables.  No data path uses them: every curvature law,
+the diffeomorphism's too, is an expression.  They stay because the
 benchmark's tracer (``bench/tracer.py``) binds them.
 """
 

@@ -7,13 +7,14 @@ frame computation on the transformed curve:
   - parameter change t(u):            (ell o t) t',  (beta o t) t'
   - affine target map with matrix A:  det(A) ell / |nbar|^2,  |nbar| beta
   - coordinate swap (x, y) -> (y, x): -ell, beta
-  - general target diffeomorphism:    second-order formula via BiJet2
+  - general target diffeomorphism:    (det(J) ell - (Q1 nbar_x + Q2 nbar_y) beta)
+                                      / |nbar|^2,  |nbar| beta
   - sign flips of nu or gamma:        ell, -beta
 
 Every image is an expression curve, a diffeomorphism's too: its
 components are the map composed with gamma, and its frame spells out the
-map's partials with ``ast_derivative``.  Every law is an expression
-except the diffeomorphism's, a pointwise formula evaluated at order 0.
+map's partials with ``ast_derivative``.  Every law is an expression (J,
+the Jacobian of Phi; Qk, the Hessian of phik on (nu_y, -nu_x)).
 The law is built on the first read of ``TransformResult.law``, since a
 caller that wants only the image never reads it.  Every check on the
 transformation itself runs before the result is returned.  Jets are float
@@ -31,7 +32,7 @@ import numpy as np
 
 from .curves import CurvaturePair, LegendreCurve
 from .errors import TransformError
-from .exprs import (ExprAst, ScalarFun, ast_derivative, eval_bijet, parse_expr,
+from .exprs import (ExprAst, ScalarFun, ast_derivative, eval_jet_many, parse_expr,
                     substitute_var)
 from .signatures import refined_min_abs
 
@@ -195,42 +196,14 @@ def negate(curve: LegendreCurve, which: str) -> TransformResult:
 def pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, t):
     """Curvature and frame of the image curve under Phi at parameter t.
 
-    Evaluates the second-order transformation formula pointwise using the
-    value/gradient/Hessian of (phi1, phi2) along the curve.  ``t`` may be a
-    scalar or an ndarray.  Returns (ell, beta, (nu_x, nu_y)).
+    Evaluates the law and the frame of :func:`pushforward_diffeo_curve`
+    at ``t``, a scalar or an ndarray, and refuses a map whose Jacobian
+    degenerates at one of those points.  Returns (ell, beta, (nu_x, nu_y)).
     """
-    gx, gy = curve.gamma_jets(t, 0)
-    nxj, nyj = curve.nu_jets(t, 0)
-    x, y = gx[0], gy[0]
-    a, b = nxj[0], nyj[0]
-    ell, beta = (j[0] for j in curve.curvature_pair().jets(t, 0))
-
-    p1 = eval_bijet(diffeo.phi1, x, y)
-    p2 = eval_bijet(diffeo.phi2, x, y)
-    _require_local_diffeo(p1, p2)
-    nbx = p2.dy * a - p2.dx * b
-    nby = -p1.dy * a + p1.dx * b
-    r2 = nbx * nbx + nby * nby
-    if np.any(np.asarray(r2) <= 1e-24):
-        raise TransformError("diffeomorphism degenerates along the curve")
-    r = np.sqrt(r2)
-    quad2 = p2.dxx * b * b - 2.0 * p2.dxy * a * b + p2.dyy * a * a
-    quad1 = p1.dxx * b * b - 2.0 * p1.dxy * a * b + p1.dyy * a * a
-    jac = p1.dx * p2.dy - p2.dx * p1.dy
-    ell_t = (
-        (quad2 * (-p1.dx * b + p1.dy * a) - quad1 * (-p2.dx * b + p2.dy * a)) * beta
-        + jac * ell
-    ) / r2
-    beta_t = r * beta
-    return ell_t, beta_t, (nbx / r, nby / r)
-
-
-def _require_local_diffeo(p1, p2) -> None:
-    """The Jacobian must not vanish at any evaluated curve point."""
-    jac = p1.dx * p2.dy - p2.dx * p1.dy
-    size = ((np.abs(p1.dx) + np.abs(p1.dy)) * (np.abs(p2.dx) + np.abs(p2.dy)))
-    if np.any(np.abs(np.asarray(jac)) <= 1e-12 * np.maximum(np.asarray(size), 1.0)):
-        raise TransformError("diffeomorphism degenerates along the curve")
+    result = _pushforward_diffeo(curve, diffeo, t)
+    ell, beta = result.law.jets(t, 0)
+    nx, ny = result.curve.nu_jets(t, 0)
+    return ell[0], beta[0], (nx[0], ny[0])
 
 
 class DiffeoCurve(LegendreCurve):
@@ -256,34 +229,46 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
     the curve (dk: the partial in the k-th variable), all expressions, so
     it carries jets of every order.  A map whose Jacobian degenerates at
     one of 1025 points of the curve is refused here, since a printed
-    image is never evaluated.  The law is the pointwise formula of
-    :func:`pushforward_diffeo` at order 0.
+    image is never evaluated.  The law spells out Phi's first and second
+    partials along the curve in the same way.
     """
-    gx, gy = curve.gamma_jets(np.linspace(*curve.domain, 1025), 0)
-    _require_local_diffeo(*(eval_bijet(phi, gx[0], gy[0])
-                            for phi in (diffeo.phi1, diffeo.phi2)))
+    return _pushforward_diffeo(curve, diffeo, np.linspace(*curve.domain, 1025))
+
+
+def _pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, ts) -> TransformResult:
+    """The image and law of :func:`pushforward_diffeo_curve`, refusing a
+    map whose Jacobian degenerates at one of the parameters ``ts``."""
 
     def along(phi: ExprAst) -> ScalarFun:  # phi o gamma
         return ScalarFun.from_ast(substitute_var(
             substitute_var(phi, "x", curve.x.ast), "y", curve.y.ast))
 
-    d1phi1, d2phi1, d1phi2, d2phi2 = (along(ast_derivative(phi, var))
-                                      for phi in (diffeo.phi1, diffeo.phi2)
-                                      for var in ("x", "y"))
-    nbx = d2phi2 * curve.nu_x - d1phi2 * curve.nu_y
-    nby = -d2phi1 * curve.nu_x + d1phi1 * curve.nu_y
-    norm = (nbx * nbx + nby * nby).sqrt()
+    partials = [[ast_derivative(phi, var) for var in ("x", "y")]
+                for phi in (diffeo.phi1, diffeo.phi2)]
+    (d1phi1, d2phi1), (d1phi2, d2phi2) = ([along(d) for d in row] for row in partials)
+    # the Jacobian must not vanish relative to its entries at any of ts
+    j11, j12, j21, j22 = (jet[0] for jet in eval_jet_many(
+        [f.ast for f in (d1phi1, d2phi1, d1phi2, d2phi2)], ts, 0))
+    size = (np.abs(j11) + np.abs(j12)) * (np.abs(j21) + np.abs(j22))
+    if np.any(np.abs(j11 * j22 - j21 * j12) <= 1e-12 * np.maximum(size, 1.0)):
+        raise TransformError("diffeomorphism degenerates along the curve")
+    a, b = curve.nu_x, curve.nu_y
+    nbx = d2phi2 * a - d1phi2 * b
+    nby = -d2phi1 * a + d1phi1 * b
+    r2 = nbx * nbx + nby * nby
+    norm = r2.sqrt()
     image = DiffeoCurve(along(diffeo.phi1), along(diffeo.phi2), nbx / norm, nby / norm,
                         curve.domain, curve.closed)
 
-    def law_component(index: int) -> ScalarFun:
-        def jet_fn(t0, order):
-            if order > 0:
-                raise TransformError("the diffeomorphism law is a pointwise formula "
-                                     "of order 0")
-            return np.stack([pushforward_diffeo(curve, diffeo, t0)[index]])
+    def law() -> CurvaturePair:
+        def quad(d1phi, d2phi):  # d11phi b^2 - 2 d12phi a b + d22phi a^2
+            d11, d12, d22 = (along(ast_derivative(d, var)) for d, var in
+                             ((d1phi, "x"), (d1phi, "y"), (d2phi, "y")))
+            return d11 * b * b - 2.0 * d12 * a * b + d22 * a * a
 
-        return ScalarFun(jet_fn)
+        jac = d1phi1 * d2phi2 - d1phi2 * d2phi1
+        bend = quad(*partials[0]) * nbx + quad(*partials[1]) * nby
+        return CurvaturePair((jac * curve.ell() - bend * curve.beta()) / r2,
+                             norm * curve.beta(), curve.domain, curve.closed)
 
-    return TransformResult(image, lambda: CurvaturePair(
-        law_component(0), law_component(1), curve.domain, curve.closed))
+    return TransformResult(image, law)

@@ -17,11 +17,12 @@ from legendre_curves import (AffineMap, DiffeoSpec, GermData, GermSignature,
                              gallery, germ_signature, germ_signature_of_curve,
                              local_normal_form, negate, parity_check,
                              parse_expr, pretty_print, pushforward_affine,
-                             pushforward_diffeo, pushforward_diffeo_curve,
-                             pushforward_swap, reconstruct, reparametrize,
-                             sampled_curvature, signature, type_nm_curve)
+                             pushforward_diffeo_curve, pushforward_swap,
+                             reconstruct, reparametrize, sampled_curvature,
+                             signature, type_nm_curve)
 from legendre_curves.cli import run
 from legendre_curves.errors import ExprSyntaxError
+from legendre_curves.transforms import pushforward_diffeo
 
 from conftest import brute_force_zeros, random_ast
 

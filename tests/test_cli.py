@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import legendre_curves
@@ -114,6 +115,17 @@ def test_reconstruct_rejects_bad_input(capsys, domain, steps, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_swap_prints_no_double_negation(specs, capsys):
+    # nu_y of gamma_n[3] is a negation, so the swapped nu_x = -nu_y is its
+    # operand, with the very values of -nu_y
+    assert run(["transform", "--curve", specs["g3"], "--swap"]) == 0
+    out = capsys.readouterr().out
+    assert "(-(-" not in out
+    base, image = load_curve(specs["g3"]), load_curve(json.loads(out))
+    ts = np.linspace(*base.domain, 1000)
+    assert np.array_equal(image.nu_x.values(ts), -base.nu_y.values(ts))
+
+
 def test_transform_commands(specs, capsys):
     assert run(["transform", "--curve", specs["circle"], "--swap"]) == 0
     spec = json.loads(capsys.readouterr().out)
@@ -135,7 +147,7 @@ def test_transform_commands(specs, capsys):
     assert curve.curvature_pair().ell(0.3) == pytest.approx(2.0)
 
     # the diffeomorphism image is a spec file like every other image; its
-    # curvature is that of the pointwise law
+    # curvature is that of the law
     assert run(["transform", "--curve", specs["circle"], "--diffeo", "1.5*x;y^3 + y"]) == 0
     image = load_curve(json.loads(capsys.readouterr().out))
     law = pushforward_diffeo_curve(load_curve(specs["circle"]),

@@ -254,6 +254,8 @@ def test_curve_components_must_be_expressions(circle):
     jet_rule = ScalarFun(circle.x._jet_fn)  # the same jets, without the AST
     with pytest.raises(CurveError, match="must be expressions"):
         LegendreCurve(jet_rule, circle.y, circle.nu_x, circle.nu_y, circle.domain)
+    with pytest.raises(CurveError, match="must be expressions"):
+        CurvaturePair(jet_rule, circle.ell(), circle.domain)
 
 
 @pytest.mark.parametrize("domain", [(TWO_PI, 0.0), (1.0, 1.0), (0.0, math.nan),

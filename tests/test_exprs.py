@@ -12,7 +12,7 @@ from legendre_curves import (ScalarFun, eval_jet, parse_expr, pretty_print,
 from legendre_curves.errors import ExprSyntaxError, LegendreError
 from legendre_curves import jets
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var,
-                                   _kernel, ast_derivative, eval_bijet,
+                                   _kernel, ast_derivative, eval_bijet, neg,
                                    substitute_var)
 
 from conftest import random_ast
@@ -336,7 +336,8 @@ def _folds(node):
                 "mul": _literal(a, 0, 1) or _literal(b, 0, 1),
                 "div": _literal(a, 0) or _literal(b, 1)}[node.op]
     if isinstance(node, Unary):
-        return node.op == "neg" and _literal(node.child, 0)
+        return node.op == "neg" and (_literal(node.child, 0)
+                                     or isinstance(node.child, Unary) and node.child.op == "neg")
     return isinstance(node, PowInt) and node.exponent in (0, 1)
 
 
@@ -351,6 +352,14 @@ def _nodes(root, skip=()):
             stack.extend(getattr(node, f) for f in ("child", "left", "right")
                          if hasattr(node, f))
     return out
+
+
+def test_neg_folds_a_double_negation():
+    a = parse_expr("cos((3 + 1) / 2 * t)")
+    assert neg(neg(a)) is a
+    # the parser still makes plain nodes, so printing round-trips
+    plain = Unary("neg", Unary("neg", a))
+    assert parse_expr(pretty_print(plain)) == plain
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

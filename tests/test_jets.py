@@ -462,8 +462,7 @@ def test_tape_matches_reference(order, points):
 
 def test_every_jet_producer_returns_an_array():
     # A jet is one float array of shape (order + 1,) + np.shape(t0), also
-    # for a constant component, for a diffeomorphism image and, at order 0,
-    # for the pointwise diffeomorphism law.
+    # for a constant component, for a diffeomorphism image and for its law.
     curve = LegendreCurve.from_exprs("t", "0", nu=("0", "1"), domain=(0.0, 1.0))
     pair = CurvaturePair.from_exprs("1", "t^2 - 0.25", (0.0, 1.0))
     diffeo = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts("x + 0.1*y^2", "y + x^3"))
@@ -479,8 +478,7 @@ def test_every_jet_producer_returns_an_array():
         yield from curve.curvature_pair().jets(t0, order) + pair.jets(t0, order)
         yield from image.gamma_jets(t0, order) + image.nu_jets(t0, order)
         yield from image.curvature_pair().jets(t0, order)
-        if order == 0:  # the law is a pointwise formula
-            yield from diffeo.law.jets(t0, 0)
+        yield from diffeo.law.jets(t0, order)
 
     for t0 in (0.3, np.array([0.3]), np.linspace(0.0, 1.0, 17)):
         for order in (0, 1):

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from legendre_curves import (AffineMap, DiffeoSpec, check_closed, check_legendre,
                              derive_nu, gallery, is_immersion, negate,
-                             pushforward_affine, pushforward_diffeo,
-                             pushforward_diffeo_curve, pushforward_swap,
-                             reparametrize, signature, type_nm_curve)
+                             pushforward_affine, pushforward_diffeo_curve,
+                             pushforward_swap, reparametrize, signature,
+                             type_nm_curve)
 from legendre_curves.curves import LegendreCurve
 from legendre_curves.errors import TransformError
 from legendre_curves.exprs import ScalarFun
+from legendre_curves.transforms import pushforward_diffeo
 
 TWO_PI = 2 * math.pi
 
@@ -215,6 +216,25 @@ def test_diffeo_image_carries_jets_of_every_order():
             assert type(jet) is np.ndarray and jet.shape == (order + 1, 5)
 
 
+_LAW_MAPS = (("x + 0.01*y^2", "y"), ("x + 0.02*sin(y)", "y - 0.01*sin(x)"),
+             ("x + 0.1*atan(x*y)", "y - 0.05*sqrt(2 + x^2)/(1+y^2)"))
+
+
+@pytest.mark.parametrize("texts", _LAW_MAPS)
+def test_diffeo_law_is_an_expression_with_jets_of_every_order(roster, texts):
+    # the law is built from the map's partials along the curve, so it has
+    # a signature, and its jets past order 0 are those of the image's frame
+    diffeo = DiffeoSpec.from_texts(*texts)
+    for entry in roster:
+        res = pushforward_diffeo_curve(entry.curve, diffeo)
+        assert signature(res.law).key() == signature(res.curve).key(), entry.name
+        ts = np.linspace(*entry.curve.domain, 200)
+        for law, frame in zip(res.law.jets(ts, 3), res.curve.curvature_pair().jets(ts, 3)):
+            for k in range(4):
+                scale = max(float(np.max(np.abs(frame[k]))), 1.0)
+                assert np.max(np.abs(law[k] - frame[k])) <= 1e-12 * scale, (entry.name, k)
+
+
 _SMALL = st.floats(-0.02, 0.02, allow_nan=False)
 
 
@@ -255,7 +275,8 @@ def test_reversing_parameter_change_keeps_increasing_domain(circle):
 
 def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
     # an image component is one AST, so its values take one tape run; so
-    # does a law component, the base curvature AST times frame-norm ASTs
+    # does a law component, the base curvature AST times frame-norm ASTs,
+    # and so does each component of a diffeomorphism's image and law
     from legendre_curves import exprs
 
     runs = []
@@ -263,16 +284,19 @@ def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
     monkeypatch.setattr(exprs._Tape, "run",
                         lambda tape, *a: runs.append(1) or run(tape, *a))
     ts = np.linspace(0.0, TWO_PI, 1000)
+    diffeo = DiffeoSpec.from_texts("x + 0.02*sin(y)", "y + 0.01*x^2")
     for entry in roster:
-        res = pushforward_affine(entry.curve, AffineMap(0.8, 0.3, -0.2, 1.1))
-        for fun in (res.curve.nu_x, res.law.ell, res.law.beta):
-            runs.clear()
-            fun.values(ts)
-            assert len(runs) == 1, (entry.name, fun)
+        for res in (pushforward_affine(entry.curve, AffineMap(0.8, 0.3, -0.2, 1.1)),
+                    pushforward_diffeo_curve(entry.curve, diffeo)):
+            for fun in (res.curve.nu_x, res.law.ell, res.law.beta):
+                runs.clear()
+                fun.values(ts)
+                assert len(runs) == 1, (entry.name, fun)
 
 
 def test_diffeo_law_runs_every_tape_at_order_0(roster, monkeypatch):
-    # the law is a pointwise formula of values: no tape runs for a slope
+    # values of the law take one order-0 run of its tape, which runs the
+    # d nodes of the base curvature a row higher inside: no run for a slope
     from legendre_curves import exprs
 
     orders = []
