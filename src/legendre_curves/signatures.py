@@ -11,11 +11,12 @@ curves.
 Both components are searched together.  One scan on a uniform grid gathers
 the candidates of ell and beta (sign-change brackets, derivative brackets
 of touch zeros, exact grid zeros, endpoints), each tagged with its
-component and the jet row it drives to zero; every zoom round, Newton step
-and contact-order sweep is then one evaluation of both, one pass of the
-tape of the two ASTs (``CurvaturePair.jets``), whose jets are the tape's
-``(order + 1, len(pts))`` arrays.  The residual check is no evaluation of
-its own: it reads the jets of Newton's final iterates.
+component and the jet row it drives to zero; every Newton run and
+contact-order sweep is then one evaluation of both, one pass of the tape
+of the two ASTs (``CurvaturePair.jets``), whose jets are the tape's
+``(order + 1, len(pts))`` arrays.  Newton starts each sign-change bracket
+at its grid cell and keeps the bracket by sign.  The residual check is no
+evaluation of its own: it reads the jets of Newton's final iterates.
 
 Each evaluation carries only the Taylor orders its decision reads.  Taylor
 recurrences are causal (coefficient k depends on coefficients 0..k only),
@@ -117,8 +118,7 @@ class ImmersionReport:
 # ``CurvaturePair.jets`` does.
 
 _NON_FINITE = "zero set appears non-finite; refine or reject"
-_ZOOM_BITS = 32        # a zoomed bracket shrinks by 2^32 = 16^8
-_ZOOM_BUDGET = 512     # about this many zoom points a round, over all brackets
+_NEWTON_RUNS = 8       # at most this many tape runs in one Newton loop
 _FIRST_SWEEP = 4       # contact orders read first; gallery zeros have orders 1-3
 _GRID_N = 4096         # grid steps of the signature scan
 _ROOT_TOL = 1e-9       # a zero has |f| <= _ROOT_TOL * scale
@@ -144,12 +144,11 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
 
     The one-component case of the joint search ``signature`` runs on
     (ell, beta), see ``_zeros``: an order-0 scan of the grid gathers the
-    candidates, with f' read only near small |f|, each zoom round and
-    Newton step is one evaluation, and the residual check reads Newton's
-    final jets, on a grid of 2048 steps with the root tolerance of
-    ``signature``.  Roots are deduplicated within 1e-9.  With ``half_open``
-    the right endpoint is excluded, which is how closed curves record a
-    seam zero once.
+    candidates, with f' read only near small |f|, each Newton run is one
+    evaluation, and the residual check reads Newton's final jets, on a
+    grid of 2048 steps with the root tolerance of ``signature``.  Roots
+    are deduplicated within 1e-9.  With ``half_open`` the right endpoint
+    is excluded, which is how closed curves record a seam zero once.
     """
     evaluate = _fun_source(ScalarFun.wrap(f))
     ts, values, scales = _scan(evaluate, domain, 2048)
@@ -177,8 +176,9 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     """Zeros of the components ``comps`` of a source, refined together.
 
     ``values`` and ``scales`` come from ``_scan`` on the grid ``ts``.  A
-    candidate other than a zoomed sign-change bracket of f counts as a
-    zero only when |f| <= tol * scale, read from Newton's final jets.
+    candidate other than a sign-change bracket of f, inside which Newton
+    keeps its iterate, counts as a zero only when |f| <= tol * scale, read
+    from Newton's final jets.
     Returns one sorted root list per component, empty for the components
     not in ``comps``, and Newton's final iterates, their components and
     their jets.
@@ -186,11 +186,10 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
     lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps, tol)
-    zoom = np.isnan(x)
-    lo[zoom], hi[zoom] = _zoom(evaluate, lo[zoom], hi[zoom], comp[zoom], row[zoom])
-    x, jets = _newton(evaluate, np.where(zoom, 0.5 * (lo + hi), x), lo, hi, comp, row)
+    bracket = np.isnan(x)
+    x, jets = _newton(evaluate, x, lo, hi, comp, row)
     fx = _pick(jets, comp, 0 * row, np.arange(len(x)))
-    keep = (zoom & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
+    keep = (bracket & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
 
     roots: list[list[float]] = [[] for _ in values]
     for c in comps:
@@ -212,8 +211,8 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     jet row it drives to zero.  f' is read only at the ends of the cells
     where min |f| is below the pre-filter tolerance, the one place the
     derivative tests look, by one order-1 evaluation over all components,
-    or none when no cell qualifies.  Returns the arrays lo, hi, start (NaN: zoom the bracket
-    first), component and row.
+    or none when no cell qualifies.  Returns the arrays lo, hi, start (NaN:
+    a sign bracket), component and row.
     """
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
@@ -247,71 +246,64 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
         # Exact grid zeros and the endpoints never produce a strict sign
         # change; they start Newton where they are, inside [t, t] for the
         # grid points and inside their grid cell for the endpoints.
+        brackets = np.concatenate([sign_changes, dsign_changes])
         exact = ts[np.concatenate([exact_hits, exact_crit])]
-        groups += [np.broadcast_arrays(*g) for g in (
-            (ts[sign_changes], ts[sign_changes + 1], np.nan, c, 0),
-            (ts[dsign_changes], ts[dsign_changes + 1], np.nan, c, 1),
-            (exact, exact, exact, c, 0),
-            (np.array([a, b - h]), np.array([a + h, b]), np.array([a, b]), c, 0))]
+        groups.append((
+            np.concatenate([ts[brackets], exact, [a, b - h]]),
+            np.concatenate([ts[brackets + 1], exact, [a + h, b]]),
+            np.concatenate([np.full(len(brackets), np.nan), exact, [a, b]]),
+            np.full(len(brackets) + len(exact) + 2, c),
+            np.repeat([0, 1, 0], [len(sign_changes), len(dsign_changes), len(exact) + 2])))
     return tuple(np.concatenate(col) for col in zip(*groups))
 
 
-def _zoom(evaluate, lo, hi, comp, row):
-    """Shrink sign-change brackets by nested grid zooming.
+def _newton(evaluate, x, lo, hi, comp, row):
+    """Safeguarded vectorized Newton on jet row ``row`` of component ``comp``.
 
-    Each round samples every bracket on a 2^k + 1 point subgrid in one
-    evaluation and keeps the cell where the sign changes, until the width
-    has shrunk by 2^32 = 16^8.  A run costs a fixed overhead plus a share
-    per point; on the gallery tapes the overhead is worth 600-1000 points.
-    So k is chosen from the bracket count to keep a round near
-    ``_ZOOM_BUDGET`` points: one or two brackets take four rounds of 257
-    points (k = 8), and 17 or more take eight rounds of 17 (k = 4), 136
-    points per bracket.
-    """
-    if not len(lo):
-        return lo, hi
-    bits = min(8, max(4, (_ZOOM_BUDGET // len(lo)).bit_length() - 1))
-    offsets = np.linspace(0.0, 1.0, 2 ** bits + 1)
-    cols = np.arange(len(lo) * len(offsets))
-    at = (np.repeat(comp, len(offsets)), np.repeat(row, len(offsets)), cols)
-    rows = np.arange(len(lo))
-    for _ in range(-(-_ZOOM_BITS // bits)):
-        pts = lo[:, None] + (hi - lo)[:, None] * offsets[None, :]
-        vals = _pick(evaluate(pts.ravel(), int(row.max())), *at).reshape(pts.shape)
-        nonpos = vals[:, :-1] * vals[:, 1:] <= 0.0
-        idx = np.argmax(nonpos, axis=1)
-        idx = np.where(nonpos.any(axis=1), idx, 0)
-        lo = pts[rows, idx]
-        hi = pts[rows, idx + 1]
-    return lo, hi
-
-
-def _newton(evaluate, x, lo, hi, comp, row, steps: int = 3):
-    """Guarded vectorized Newton on jet row ``row`` of component ``comp``;
-    iterates that leave [lo, hi] are dropped.
+    A start of NaN marks a sign bracket [lo, hi] of the row: the first run
+    evaluates both ends, Newton starts from the one with the smaller |f|,
+    and each iterate replaces the end of its sign.  Any other start is an
+    end of its guard [lo, hi].  A step is m f/f', with m >= 1 the secant
+    slope of x against f/f' over the last two iterates, rounded: f/f' has
+    a simple zero at a zero of any order, so m is that order and the steps
+    converge quadratically where plain Newton would crawl.  A step that
+    leaves a bracket goes to its midpoint instead; one that leaves a guard
+    is dropped.  An iterate is final once its step is within 2^-32 of its
+    cell, or after ``_NEWTON_RUNS`` runs.
 
     Returns the final iterates and the jets of every component at them,
-    at Newton's order ``row.max() + 1``.  A step that leaves every iterate
-    unchanged bit for bit ends the loop, since each later step would
-    repeat it, and the evaluation it made is those jets; when the steps
-    run out, one more evaluation at the last iterates gives them.
+    at Newton's order ``row.max() + 1``, each from the run at the iterate.
     """
     order = int(row.max()) + 1
-    cols = np.arange(len(x))
-    for _ in range(steps):
-        j = evaluate(x, order)
-        fv = _pick(j, comp, row, cols)
-        dfv = _pick(j, comp, row + 1, cols) * (row + 1)
-        safe = np.abs(dfv) > 0.0
-        with np.errstate(over="ignore"):  # a step that overflows is dropped below
-            step = np.where(safe, fv / np.where(safe, dfv, 1.0), 0.0)
-        xn = x - step
-        ok = (xn >= lo) & (xn <= hi) & np.isfinite(xn)
-        xn = np.where(ok, xn, x)
-        if xn.tobytes() == x.tobytes():
-            return x, j
-        x = xn
-    return x, evaluate(x, order)
+    n = len(x)
+    cols = np.arange(n)
+    bracket = np.isnan(x)
+    tol = 2.0 ** -32 * (hi - lo)
+    ends = evaluate(np.concatenate([lo, hi]), order)
+    f_lo, f_hi = _pick(ends, np.tile(comp, 2), np.tile(row, 2), np.arange(2 * n)).reshape(2, n)
+    at_hi = np.where(bracket, np.abs(f_hi) < np.abs(f_lo), x == hi)
+    x = np.where(at_hi, hi, lo)
+    jets = [array[:, cols + n * at_hi] for array in ends]
+    x_prev = u_prev = np.full(n, np.nan)
+    live = np.ones(n, dtype=bool)
+    for _ in range(_NEWTON_RUNS - 1):
+        f = _pick(jets, comp, row, cols)
+        with np.errstate(all="ignore"):  # a step that is not finite is dropped below
+            u = np.where(f == 0.0, 0.0, f / (_pick(jets, comp, row + 1, cols) * (row + 1)))
+            m = np.rint((x - x_prev) / (u - u_prev))
+            xn = x - np.where(m >= 1.0, m, 1.0) * u
+        left = np.sign(f) == np.sign(f_lo)
+        lo = np.where(bracket & left, x, lo)
+        hi = np.where(bracket & ~left, x, hi)
+        xn = np.where((lo <= xn) & (xn <= hi), xn, np.where(bracket, 0.5 * (lo + hi), x))
+        live &= np.abs(xn - x) > tol
+        if not live.any():
+            break
+        x_prev, u_prev, x = x, u, np.where(live, xn, x)
+        at = np.nonzero(live)[0]
+        for array, new in zip(jets, evaluate(x[at], order)):
+            array[:, at] = new
+    return x, jets
 
 
 def refined_min_abs(fun, domain: tuple[float, float]) -> float:
@@ -332,10 +324,9 @@ def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> 
     lowest = float(np.min(v))
     dips = np.nonzero((dv[:-1] > 0.0) != (dv[1:] > 0.0))[0]
     if len(dips):
-        lo, hi = ts[dips], ts[dips + 1]
         comp = np.zeros(len(dips), dtype=int)
-        _, jets = _newton(_fun_source(sq), 0.5 * (lo + hi), lo, hi, comp, comp + 1,
-                          steps=8)
+        _, jets = _newton(_fun_source(sq), np.full(len(dips), np.nan), ts[dips],
+                          ts[dips + 1], comp, comp + 1)
         lowest = min(lowest, float(np.min(jets[0][0])))
     return lowest
 

@@ -115,9 +115,9 @@ def test_is_immersion_one_component_and_degenerate_cases():
 
 
 def test_is_immersion_evaluates_ell_and_beta_together(monkeypatch):
-    # The scan, zoom rounds, Newton steps and residual check each run the
-    # one tape of the (ell, beta) ASTs once for both components; the ASTs
-    # hold one level of derivative nodes.
+    # The scan and each Newton run (whose last jets the residual check
+    # reads) run the one tape of the (ell, beta) ASTs once for both
+    # components; the ASTs hold one level of derivative nodes.
     from legendre_curves import exprs
 
     runs, compiles = [], []

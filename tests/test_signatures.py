@@ -70,32 +70,62 @@ def _record_runs(monkeypatch):
     return runs
 
 
-def _record_newton(monkeypatch, runs):
-    """Patch ``_newton`` so every call logs the iterates it returns, their
-    components, its order and the slice of ``runs`` its tape runs fill."""
+def _checked_newton(replacement):
+    """Replacements for ``_newton`` and ``_zeros``: every call of
+    ``_newton`` goes through ``replacement(newton, *args)``, and every zero
+    search must call it exactly once, so a test that patches ``_newton``
+    fails rather than passes when the search no longer runs it.  Returns
+    the two replacements and the list of calls, one entry per call."""
+    newton, zeros = signatures._newton, signatures._zeros
     calls = []
-    newton = signatures._newton
 
-    def recorded(evaluate, x, lo, hi, comp, row, *args, **kwargs):
+    def patched(*args):
+        calls.append(None)
+        return replacement(newton, *args)
+
+    def checked(*args):
+        before = len(calls)
+        found = zeros(*args)
+        assert len(calls) == before + 1, "the zero search did not run _newton once"
+        return found
+
+    return patched, checked, calls
+
+
+def _record_newton(monkeypatch, runs):
+    """Patch ``_newton`` so every call logs the candidates it gets, the
+    iterates it returns, their components, its order and the slice of
+    ``runs`` its tape runs fill."""
+    calls = []
+
+    def recorded(newton, evaluate, x, lo, hi, comp, row):
         start = len(runs)
-        x, jets = newton(evaluate, x, lo, hi, comp, row, *args, **kwargs)
-        calls.append({"x": x, "comp": comp, "order": int(row.max()) + 1,
-                      "runs": slice(start, len(runs))})
-        return x, jets
+        final, jets = newton(evaluate, x, lo, hi, comp, row)
+        calls.append({"start": x, "lo": lo, "hi": hi, "x": final, "comp": comp,
+                      "order": int(row.max()) + 1, "runs": slice(start, len(runs))})
+        return final, jets
 
-    monkeypatch.setattr(signatures, "_newton", recorded)
+    patched, checked, _ = _checked_newton(recorded)
+    monkeypatch.setattr(signatures, "_newton", patched)
+    monkeypatch.setattr(signatures, "_zeros", checked)
     return calls
 
 
-def _newton_steps(runs, call):
-    """Newton's tape runs: at its order, each at new points, the last at
-    the iterates it returns.  Three steps, and one more run at the last
-    iterates when no step stops the loop."""
+def _newton_runs(runs, call):
+    """Newton's tape runs, all at its order: the first at both ends of
+    every candidate's cell, each later one at the iterates still moving,
+    no more of them than the run before, and at most ``_NEWTON_RUNS``.
+    Every final iterate is one of their points."""
     steps = runs[call["runs"]]
-    assert 1 <= len(steps) <= 4
+    assert 1 <= len(steps) <= signatures._NEWTON_RUNS
     assert all(order == call["order"] for _, order in steps)
-    assert not any(np.array_equal(a, b) for (a, _), (b, _) in zip(steps, steps[1:]))
-    assert np.array_equal(steps[-1][0], call["x"])
+    assert np.array_equal(steps[0][0], np.concatenate([call["lo"], call["hi"]]))
+    sizes = [len(pts) for pts, _ in steps[1:]]
+    assert sizes == sorted(sizes, reverse=True) and all(sizes)
+    assert np.isin(call["x"], np.concatenate([pts for pts, _ in steps])).all()
+    # an exact grid zero or an endpoint starts where it is
+    fixed = ~np.isnan(call["start"])
+    assert np.isin(call["start"][fixed], steps[0][0]).all()
     return steps
 
 
@@ -104,46 +134,71 @@ def _fresh_newton_jets():
     """Oracle for the answers read off Newton's final jets (residuals and
     contact orders): hand them out as a fresh evaluation at the same
     points at ``DEFAULT_ORDER``, the truncation of a full read."""
-    newton = signatures._newton
 
-    def fresh(evaluate, *args, **kwargs):
-        x, _ = newton(evaluate, *args, **kwargs)
+    def fresh(newton, evaluate, *args):
+        x, _ = newton(evaluate, *args)
         return x, evaluate(x, DEFAULT_ORDER)
 
-    with mock.patch.object(signatures, "_newton", fresh):
+    patched, checked, calls = _checked_newton(fresh)
+    with mock.patch.multiple(signatures, _newton=patched, _zeros=checked):
         yield
+    assert calls, "no zero search ran"
 
 
-def test_find_zeros_many_brackets_zoom_in_narrow_rounds(monkeypatch):
-    # A run costs a fixed overhead plus a share per point, so few brackets
-    # zoom in a few wide rounds; with 400 brackets every round stays at 17
-    # points a bracket, eight rounds shrinking each by 16^8.  The runs are
-    # the order-0 scan, f' near the small values, the order-0 zoom rounds
-    # and Newton's order-1 runs.  The residual check reads Newton's last
-    # run, so no run follows it.
+def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch):
+    # The runs are the order-0 scan, f' near the small values and Newton's
+    # order-1 runs, the first at both ends of the 400-odd cells.  Each
+    # simple zero converges quadratically from its cell, so a few runs
+    # settle them all; the residual check reads Newton's last runs, so no
+    # run follows them.
     runs = _record_runs(monkeypatch)
     newton = _record_newton(monkeypatch, runs)
 
-    def zoom_sizes():
+    def newton_sizes():
         (scan, scan_order), (slopes, slope_order) = runs[:2]
         assert (len(scan), scan_order) == (2049, 0)
         assert slope_order == 1 and len(slopes) < len(scan)
         (call,) = newton
-        assert call["order"] == 1 and call["runs"].stop == len(runs)
-        steps = _newton_steps(runs, call)
-        zoom = runs[2:call["runs"].start]
-        assert all(order == 0 for _, order in zoom)
-        return [len(pts) for pts, _ in zoom], [len(pts) for pts, _ in steps]
+        assert call["order"] == 1 and call["runs"] == slice(2, len(runs))
+        return [len(pts) for pts, _ in _newton_runs(runs, call)]
 
     roots = find_zeros("sin(200*t)", (0, TWO_PI))
     assert roots == pytest.approx([k * math.pi / 200 for k in range(401)], abs=1e-12)
-    zoom, rest = zoom_sizes()
-    assert len(zoom) == 8 and max(zoom) <= 17 * len(roots)
-    assert max(rest) <= len(roots) + 2
+    sizes = newton_sizes()
+    assert len(runs) <= 6 and sizes[0] <= 2 * (len(roots) + 2)
     runs.clear()
     newton.clear()
     assert len(find_zeros("sin(t)", (0, TWO_PI))) == 3
-    assert zoom_sizes()[0] == [257] * 4
+    assert len(newton_sizes()) <= 4
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+@pytest.mark.parametrize("r", [1.0, 1.2345678])
+def test_zero_of_any_order_between_grid_points_is_found_exactly(m, r):
+    # Plain Newton converges only linearly at a zero of order m >= 2; the
+    # multiplicity it reads off its own steps makes it quadratic again, so
+    # the zero is located to rounding and its order read in full.  Neither
+    # r is a grid point of the signature scan on [0, 3].
+    pair = CurvaturePair.from_exprs("2 + cos(t)", f"(t - {r!r})^{m}*(2 + sin(t))", (0, 3))
+    (zero,) = signature(pair).zeros
+    assert (zero.kind, zero.ord_beta) == ("singular", m)
+    assert abs(zero.t - r) <= 1e-13
+
+
+def test_many_zeros_take_few_tape_runs(monkeypatch):
+    # The many-zeros shape: dozens of zeros cost the scan, at most one f'
+    # run and a few Newton runs (find_zeros of sin(200 t), with 401 zeros,
+    # is counted above).
+    runs = _record_runs(monkeypatch)
+    for n, closed in ((33, True), (60, False)):
+        curve = gallery("gamma_n", {"n": n}).curve
+        runs.clear()
+        sig = signature(curve)
+        assert len(runs) <= 6, n
+        count = n - 1 + (not closed)
+        assert sig.key() == (closed, False, (("singular", None, 1),) * count)
+        assert [z.t for z in sig.zeros] == pytest.approx(
+            [k * TWO_PI / (n - 1) for k in range(count)], abs=1e-12)
 
 
 def test_dedup_matches_loop_reference():
@@ -405,8 +460,8 @@ def test_find_zeros_randomized_against_brute_force():
 
 
 def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
-    # Every zoom round, Newton step, residual check and the contact-order
-    # sweep evaluate ell and beta together from the one tape of their ASTs,
+    # Every Newton run, residual check and the contact-order sweep
+    # evaluate ell and beta together from the one tape of their ASTs,
     # which hold one level of derivative nodes.
     runs, compiles = [], []
     run, init = exprs._Tape.run, exprs._Tape.__init__
@@ -427,7 +482,7 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
         runs.clear()
         compiles.clear()
         signature(image)
-        assert len(runs) <= 12, (entry.name, runs)
+        assert len(runs) <= 7, (entry.name, runs)
         assert compiles == [(2, 1)], entry.name
 
 
@@ -474,8 +529,8 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
             pts, order = runs[1]
             assert order == 2 and np.array_equal(pts, ends), entry.name
             assert len(ends) < len(ts) // 20, entry.name
-        else:  # no f' run at all: no interior grid point is evaluated again
-            assert not any(np.isin(pts, ts[1:-1]).any() for pts, _ in runs[1:])
+        else:  # no f' run at all: Newton's runs follow the scan
+            assert newton[0]["runs"].start == 1, entry.name
         assert max(order for _, order in runs) < DEFAULT_ORDER + 1, entry.name
 
         # Newton's jets (tape order one above its own) settle each zero
@@ -483,7 +538,7 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
         # order they reach; only the others are swept, after Newton's runs.
         (call,), ((roots, orders),) = newton, read
         call = dict(call, order=call["order"] + 1)
-        _newton_steps(runs, call)
+        assert len(_newton_runs(runs, call)[0][0]) < len(ts) // 20, entry.name
         open_pts = [t for c in (0, 1) for t, r in zip(roots[c], orders[c])
                     if r >= call["order"] or not np.isin(
                         np.array([t]).view(np.int64),
