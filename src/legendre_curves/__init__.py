@@ -17,10 +17,9 @@ from .normal_forms import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
 from .reconstruction import (AlignResult, Congruence, SampledCurve,
                              align_congruence, reconstruct, sample_curve,
                              sampled_curvature)
-from .signatures import (EquivalenceVerdict, Signature, ZeroPoint,
-                         contact_order, decide_equivalence, dump_signature,
-                         find_zeros, is_immersion, parity_check, signature,
-                         signature_from_dict, signature_to_dict)
+from .signatures import (EquivalenceVerdict, Signature, ZeroPoint, decide_equivalence,
+                         dump_signature, find_zeros, is_immersion, parity_check,
+                         signature, signature_from_dict, signature_to_dict)
 from .transforms import (AffineMap, DiffeoSpec, TransformResult, negate,
                          pushforward_affine, pushforward_diffeo_curve,
                          pushforward_swap, reparametrize)
@@ -36,7 +35,7 @@ __all__ = [
     "ReconstructionError", "RootScanError", "SampledCurve", "ScalarFun",
     "Signature", "SignatureError", "TransformError", "TransformResult",
     "ZERO_FUNCTION", "ZeroPoint", "align_congruence", "check_ab_assumption",
-    "check_closed", "check_legendre", "contact_order", "decide_equivalence",
+    "check_closed", "check_legendre", "decide_equivalence",
     "default_gallery", "derive_nu", "dump_curve", "dump_signature",
     "eval_jet", "find_zeros", "gallery", "germ_signature",
     "germ_signature_of_curve", "is_immersion", "load_curve",

@@ -27,6 +27,7 @@ from .exprs import ScalarFun, substitute_params
 from .normal_forms import type_nm_curvature, type_nm_curve
 
 GALLERY_NAMES = ("circle", "gamma_ab", "gamma_n", "gamma_m", "type_nm")
+_TRIG_DOMAIN = (0.0, 2.0 * pi)
 
 
 @dataclass
@@ -64,20 +65,20 @@ def _int_param(params: dict, name: str, default: int) -> int:
 
 def _entry_from_template(name: str, x: str, y: str, nu: tuple[str, str],
                          ell: str, beta: str, params: dict, closed: bool,
-                         provenance: str, domain=(0.0, 2.0 * pi)) -> GalleryEntry:
+                         provenance: str) -> GalleryEntry:
     spec = {
         "x": substitute_params(x, params),
         "y": substitute_params(y, params),
         "nu": [substitute_params(nu[0], params), substitute_params(nu[1], params)],
-        "domain": [domain[0], domain[1]],
+        "domain": list(_TRIG_DOMAIN),
         "closed": closed,
     }
     curve = LegendreCurve.from_exprs(spec["x"], spec["y"],
                                      nu=(spec["nu"][0], spec["nu"][1]),
-                                     domain=domain, closed=closed)
+                                     domain=_TRIG_DOMAIN, closed=closed)
     pair = CurvaturePair.from_exprs(substitute_params(ell, params),
                                     substitute_params(beta, params),
-                                    domain, closed)
+                                    _TRIG_DOMAIN, closed)
     return GalleryEntry(name=name, curve=curve, curvature_closed_form=pair,
                         provenance=provenance, spec=spec)
 

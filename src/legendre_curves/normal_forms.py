@@ -184,11 +184,15 @@ def germ_signature_of_curve(curve, t0: float = 0.0) -> GermSignature:
     not a zero), seeded like ``signature`` with the scales on a 512-point
     grid of the interval.  An ell whose jet vanishes and which passes the
     zero-function test on that grid is flagged as the zero function.
+    A ``t0`` outside the curve's domain, or not finite, is refused.
     """
+    t0, (a, b) = float(t0), curve.domain
+    if not a <= t0 <= b:
+        raise CurveError(f"t0 must be a point of the domain [{a!r}, {b!r}], got {t0!r}")
     pair = curve.curvature_pair()
     _, _, scales = _scan(pair.jets, pair.domain, 511)
     e_idx, b_idx = (int(i) for i in _first_significant(
-        np.abs(pair.jets(float(t0), DEFAULT_ORDER)), scales))
+        np.abs(pair.jets(t0, DEFAULT_ORDER)), scales))
     if b_idx < 0:
         raise CurveError("beta vanishes to high order; not a germ of finite type")
     if e_idx < 0:

@@ -29,25 +29,26 @@ low-order sweep, and only the zeros it leaves open are evaluated again at
 the full jet order.
 
 Each zero decision has one rule here, shared by ``signature``,
-``is_immersion``, ``find_zeros``, ``contact_order`` and the germ
-signature: a component is the zero function when its scale (max |f| on
-the grid) is <= ``_ZERO_FUN_REL`` times the largest scale; a candidate is
-a root when |f| <= ``_ROOT_TOL`` * scale; the contact order is the first
-coefficient above ``VANISH_REL`` * running prefix maximum (seeded with the
-scale) and ``VANISH_ABS``; zeros of ell and beta within ``_MERGE_TOL``
-coincide.  The signature grid has ``_GRID_N`` steps.
+``is_immersion``, ``find_zeros`` and the germ signature: a component is
+the zero function when its scale (max |f| on the grid) is <=
+``_ZERO_FUN_REL`` times the largest scale; a candidate is a root when
+|f| <= ``_ROOT_TOL`` * scale; the contact order is the first coefficient
+above ``VANISH_REL`` * running prefix maximum (seeded with the scale) and
+``VANISH_ABS``; zeros of ell and beta within ``_MERGE_TOL`` coincide.
+``signature``, ``find_zeros`` and ``is_immersion`` run one search on one
+grid of ``_GRID_N`` steps: ``find_zeros`` is its one-component case and
+``is_immersion`` its both-component case.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair, _require_finite
+from .curves import CurvaturePair, _check_domain, _require_finite
 from .errors import DegenerateCurveError, RootScanError, SignatureError
 from .exprs import ScalarFun
 from .jets import DEFAULT_ORDER
@@ -143,16 +144,17 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
     """Locate the zeros of an evaluable scalar function on an interval.
 
     The one-component case of the joint search ``signature`` runs on
-    (ell, beta), see ``_zeros``: an order-0 scan of the grid gathers the
-    candidates, with f' read only near small |f|, each Newton run is one
-    evaluation, and the residual check reads Newton's final jets, on a
-    grid of 2048 steps with the root tolerance of ``signature``.  Roots
-    are deduplicated within 1e-9.  With ``half_open`` the right endpoint
-    is excluded, which is how closed curves record a seam zero once.
+    (ell, beta), see ``_zeros``, on the same grid and with the same root
+    tolerance: an order-0 scan of the grid gathers the candidates, with
+    f' read only near small |f|, each Newton run is one evaluation, and
+    the residual check reads Newton's final jets.  Roots are deduplicated
+    within 1e-9.  With ``half_open`` the right endpoint is excluded, which
+    is how closed curves record a seam zero once.
     """
+    domain = _check_domain(domain)
     evaluate = _fun_source(ScalarFun.wrap(f))
-    ts, values, scales = _scan(evaluate, domain, 2048)
-    return _zeros(evaluate, ts, values, scales, (0,), _ROOT_TOL, half_open)[0][0]
+    ts, values, scales = _scan(evaluate, domain, _GRID_N)
+    return _zeros(evaluate, ts, values, scales, (0,), half_open)[0][0]
 
 
 def _scan(evaluate, domain: tuple[float, float], grid_n: int):
@@ -172,28 +174,28 @@ def _vanishing(scales: np.ndarray) -> np.ndarray:
 
 
 def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
-           comps: Sequence[int], tol: float, half_open: bool):
+           comps: Sequence[int], half_open: bool):
     """Zeros of the components ``comps`` of a source, refined together.
 
     ``values`` and ``scales`` come from ``_scan`` on the grid ``ts``.  A
     candidate other than a sign-change bracket of f, inside which Newton
-    keeps its iterate, counts as a zero only when |f| <= tol * scale, read
-    from Newton's final jets.
+    keeps its iterate, counts as a zero only when |f| <= _ROOT_TOL * scale,
+    read from Newton's final jets.
     Returns one sorted root list per component, empty for the components
     not in ``comps``, and Newton's final iterates, their components and
     their jets.
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
-    lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps, tol)
+    lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps)
     bracket = np.isnan(x)
     x, jets = _newton(evaluate, x, lo, hi, comp, row)
     fx = _pick(jets, comp, 0 * row, np.arange(len(x)))
-    keep = (bracket & (row == 0)) | (np.abs(fx) <= tol * scales[comp])
+    keep = (bracket & (row == 0)) | (np.abs(fx) <= _ROOT_TOL * scales[comp])
 
     roots: list[list[float]] = [[] for _ in values]
     for c in comps:
-        found = _dedup(sorted(x[keep & (comp == c)].tolist()), 1e-9)
+        found = _dedup(sorted(x[keep & (comp == c)].tolist()))
         if half_open:
             found = [r for r in found if abs(r - b) > 1e-9]
         if len(found) > cap:
@@ -203,7 +205,7 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
 
 
 def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
-                comps: Sequence[int], tol: float):
+                comps: Sequence[int]):
     """Starting points of the joint search, from the grid values.
 
     Sign-change brackets of f, derivative brackets of touch zeros, exact
@@ -224,7 +226,7 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     # small; the pre-filter keeps the derivative scan from chasing
     # noise-level sign changes of f' (a constant f has f' at rounding
     # level everywhere).
-    pre_tols = max(tol, 400.0 / grid_n ** 2) * scales
+    pre_tols = max(_ROOT_TOL, 400.0 / grid_n ** 2) * scales
     near = {c: np.minimum(np.abs(values[c][:-1]), np.abs(values[c][1:])) <= pre_tols[c]
             for c in comps}
     cells = np.logical_or.reduce(list(near.values()))
@@ -306,17 +308,6 @@ def _newton(evaluate, x, lo, hi, comp, row):
     return x, jets
 
 
-def refined_min_abs(fun, domain: tuple[float, float]) -> float:
-    """Minimum of |f| on an interval, with interior dips polished.
-
-    Scans f^2 on a uniform grid of 1024 steps and runs a few Newton steps
-    on its critical points, so a pinch between grid nodes (the typical way
-    a putative parameter change fails) is not missed.
-    """
-    fun = ScalarFun.wrap(fun)
-    return math.sqrt(max(_refined_min_sq(fun * fun, domain, 1024), 0.0))
-
-
 def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> float:
     """Minimum of a smooth non-negative function via polished critical dips."""
     ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
@@ -331,10 +322,10 @@ def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> 
     return lowest
 
 
-def _dedup(sorted_roots: Sequence[float], tol: float) -> list[float]:
-    """Means of the runs of sorted roots that lie within tol of a neighbour."""
+def _dedup(sorted_roots: Sequence[float]) -> list[float]:
+    """Means of the runs of sorted roots that lie within 1e-9 of a neighbour."""
     r = np.asarray(sorted_roots, dtype=float)
-    starts = np.flatnonzero(np.diff(r, prepend=-np.inf) > tol)
+    starts = np.flatnonzero(np.diff(r, prepend=-np.inf) > 1e-9)
     return (np.add.reduceat(r, starts) / np.diff(starts, append=len(r))).tolist()
 
 
@@ -352,21 +343,6 @@ def _first_significant(mags: np.ndarray, scales) -> np.ndarray:
     running = np.maximum.accumulate(np.maximum(mags, np.reshape(scales, (-1, 1))), axis=1)
     above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
     return np.where(above.any(axis=1), np.argmax(above, axis=1), -1)
-
-
-def contact_order(f, t0: float, max_order: int = DEFAULT_ORDER) -> Optional[int]:
-    """Smallest r >= 1 with a non-vanishing r-th jet coefficient at a zero.
-
-    The running maximum of the contact-order rule starts from 0, since a
-    lone point carries no scale of f on an interval.  Returns None when
-    every coefficient up to max_order vanishes, which the signature
-    machinery reports as "contact order exceeds jet order".
-    """
-    jet = ScalarFun.wrap(f).jet(float(t0), max_order)
-    idx = int(_first_significant(np.abs(jet.reshape(1, -1)), 0.0)[0])
-    if idx == 0:
-        raise SignatureError("not a zero point")
-    return None if idx < 0 else idx
 
 
 # -- signatures ---------------------------------------------------------------
@@ -390,9 +366,9 @@ def signature(source) -> Signature:
     ell_identically_zero = bool(vanishing[0])
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots, newton = _zeros(evaluate, ts, values, scales, comps, _ROOT_TOL, pair.closed)
-    orders = _contact_orders(evaluate, roots, scales, DEFAULT_ORDER, newton)
-    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], _MERGE_TOL)
+    roots, newton = _zeros(evaluate, ts, values, scales, comps, pair.closed)
+    orders = _contact_orders(evaluate, roots, scales, newton)
+    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1])
     return Signature(domain=pair.domain, closed=pair.closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
 
@@ -400,23 +376,22 @@ def signature(source) -> Signature:
 def is_immersion(curve) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
 
-    Both components come from one order-0 ``CurvaturePair.jets`` scan on
-    a grid of 2048 steps and their zeros from one joint search, with the
-    zero-function test, root and coincidence tolerances of ``signature``.
-    When every point is degenerate, nine evenly spaced grid points are the
-    witnesses.
+    The both-component case of ``signature``'s search: both components
+    come from one order-0 ``CurvaturePair.jets`` scan on the signature
+    grid and their zeros from one joint search, with the zero-function
+    test, root and coincidence tolerances of ``signature``.  When every
+    point is degenerate, nine evenly spaced grid points are the witnesses.
     """
     evaluate = curve.curvature_pair().jets
-    ts, (ev, bv), scales = _scan(evaluate, curve.domain, 2048)
+    ts, (ev, bv), scales = _scan(evaluate, curve.domain, _GRID_N)
     min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
     vanishing = _vanishing(scales)
     if vanishing.all():  # every point degenerate
-        return ImmersionReport(False, tuple(float(t) for t in ts[::256]), min_combined)
+        return ImmersionReport(False, tuple(float(t) for t in ts[::_GRID_N // 8]), min_combined)
     # Where one component is the zero function the zeros of the other are
     # witnesses; otherwise the witnesses are the common zeros.
     comps = [c for c in (0, 1) if not vanishing[c]]
-    (ell_zeros, beta_zeros), _ = _zeros(evaluate, ts, [ev, bv], scales, comps, _ROOT_TOL,
-                                        False)
+    (ell_zeros, beta_zeros), _ = _zeros(evaluate, ts, [ev, bv], scales, comps, False)
     if len(comps) == 2:
         witnesses = [r for r in ell_zeros
                      if any(abs(r - s) <= _MERGE_TOL for s in beta_zeros)]
@@ -428,7 +403,7 @@ def is_immersion(curve) -> ImmersionReport:
 
 
 def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
-                    max_order: int, newton) -> list[list[int]]:
+                    newton) -> list[list[int]]:
     """Contact orders at the zeros of every component.
 
     The order of a zero is given by ``_first_significant`` against the
@@ -438,8 +413,8 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
     bitwise one of those iterates of its component and whose order those
     jets reach.  A sweep at ``_FIRST_SWEEP`` settles the rest of lower
     order, and only the zeros it leaves open are evaluated again at
-    ``max_order``.  A read of order 0 is left to the sweeps, which report
-    it.
+    ``DEFAULT_ORDER``.  A read of order 0 is left to the sweeps, which
+    report it.
     """
     comp = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     orders: list[list[int]] = [[] for _ in roots]
@@ -453,7 +428,7 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
     if len(known):
         read = _read_orders(jets, comp[known], np.argmax(same[known], axis=1), scales)
         first[known] = np.where(read > 0, read, -1)
-    for order in sorted({min(_FIRST_SWEEP, max_order), max_order}):
+    for order in (_FIRST_SWEEP, DEFAULT_ORDER):
         at = np.nonzero(first < 0)[0]
         if not len(at):
             break
@@ -473,13 +448,13 @@ def _read_orders(arrays, comp, cols, scales: np.ndarray) -> np.ndarray:
     return _first_significant(mags, scales[comp])
 
 
-def _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders, merge_tol):
+def _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders):
     zeros: list[ZeroPoint] = []
     i = j = 0
     while i < len(ell_roots) or j < len(beta_roots):
         take_ell = i < len(ell_roots)
         take_beta = j < len(beta_roots)
-        if take_ell and take_beta and abs(ell_roots[i] - beta_roots[j]) <= merge_tol:
+        if take_ell and take_beta and abs(ell_roots[i] - beta_roots[j]) <= _MERGE_TOL:
             t = 0.5 * (ell_roots[i] + beta_roots[j])
             zeros.append(ZeroPoint(t, "both", ord_ell=ell_orders[i],
                                    ord_beta=beta_orders[j]))
@@ -505,26 +480,25 @@ def decide_equivalence(sig1: Signature, sig2: Signature) -> EquivalenceVerdict:
     a reversal.  Matched positions must agree in kind and in both contact
     orders.
     """
-    if sig1.closed != sig2.closed:
+    closed1, flat1, key1 = sig1.key()
+    closed2, flat2, key2 = sig2.key()
+    if closed1 != closed2:
         return EquivalenceVerdict(False, "none", "closed flags differ")
-    if sig1.ell_identically_zero != sig2.ell_identically_zero:
+    if flat1 != flat2:
         return EquivalenceVerdict(False, "none", "ell zero-function flags differ")
     if (sig1.inflection_count != sig2.inflection_count
             or sig1.singular_count != sig2.singular_count):
         return EquivalenceVerdict(False, "none", "zero counts differ")
-
-    key1 = [(z.kind, z.ord_ell, z.ord_beta) for z in sig1.zeros]
-    key2 = [(z.kind, z.ord_ell, z.ord_beta) for z in sig2.zeros]
     if len(key1) != len(key2):
         return EquivalenceVerdict(False, "none", "zero coincidence patterns differ")
 
     if key1 == key2:
         return EquivalenceVerdict(True, "identity")
-    rev2 = list(reversed(key2))
+    rev2 = key2[::-1]
     if key1 == rev2:
         return EquivalenceVerdict(True, "reversal")
     n = len(key1)
-    if sig1.closed and n > 0:
+    if closed1 and n > 0:
         for shift in range(1, n):
             if key1 == key2[shift:] + key2[:shift]:
                 return EquivalenceVerdict(True, f"cyclic-shift({shift})")

@@ -30,11 +30,11 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import CurvaturePair, LegendreCurve
+from .curves import CurvaturePair, LegendreCurve, _check_domain
 from .errors import TransformError
 from .exprs import (ExprAst, ScalarFun, ast_derivative, eval_jet_many, parse_expr,
                     substitute_var)
-from .signatures import refined_min_abs
+from .signatures import _refined_min_sq
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,10 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     into the curve's domain.  The returned law is ((ell o t) t',
     (beta o t) t').
     """
+    c, d = _check_domain(new_domain)
     tfun = ScalarFun.wrap(t_of_u)
     tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
-    c, d = float(new_domain[0]), float(new_domain[1])
-    if refined_min_abs(tprime, (c, d)) <= 1e-12:
+    if _refined_min_sq(tprime * tprime, (c, d), 1024) <= 1e-12 * 1e-12:
         raise TransformError("not a parameter change")
     us = np.linspace(c, d, 1025)
     tv = tfun.values(us)

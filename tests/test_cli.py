@@ -115,6 +115,22 @@ def test_reconstruct_rejects_bad_input(capsys, domain, steps, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("domain, message", [
+    ("0:nan", "finite"),
+    ("0:inf", "finite"),
+    ("1:0", "a < b"),
+    ("1:1", "a < b"),
+], ids=["nan-domain", "infinite-domain", "reversed-domain", "empty-domain"])
+def test_reparam_rejects_bad_domain(specs, capsys, domain, message):
+    # the domain is checked before any grid is built, so no numpy warning
+    # (an error under the test filter) comes first
+    assert run(["transform", "--curve", specs["circle"], "--reparam", "t",
+                f"--domain={domain}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_swap_prints_no_double_negation(specs, capsys):
     # nu_y of gamma_n[3] is a negation, so the swapped nu_x = -nu_y is its
     # operand, with the very values of -nu_y

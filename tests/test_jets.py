@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from legendre_curves import (CurvaturePair, DiffeoSpec, LegendreCurve, ScalarFun,
-                             contact_order, pushforward_diffeo_curve)
+                             pushforward_diffeo_curve, signature)
 from legendre_curves import jets
 from legendre_curves.errors import JetDomainError, JetOrderError
 from legendre_curves.exprs import (Binary, Number, PowInt, Unary, Var, _Tape,
@@ -117,8 +117,10 @@ def test_contact_order_survives_parameter_change():
     for text, expected in [("t^3", 3), ("sin(t)", 1), ("t^2*(1+t)", 2)]:
         f = ScalarFun.from_text(text)
         g = ScalarFun.from_text(text.replace("t", "(2*t)") + "*2")
-        assert contact_order(f, 0.0, 8) == expected
-        assert contact_order(g, 0.0, 8) == expected
+        for h in (f, g):
+            sig = signature(CurvaturePair(ScalarFun.from_text("1"), h, (-0.4, 0.4)))
+            assert sig.key() == (False, False, (("singular", None, expected),))
+            assert sig.zeros[0].t == 0.0
 
 
 @given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-2, 2))

@@ -126,6 +126,14 @@ def test_germ_signature_seeds_the_contact_order_rule_with_the_scale():
     assert germ_signature_of_curve(curve) == GermSignature(ZERO_FUNCTION, 2)
 
 
+@pytest.mark.parametrize("t0", [5.0, -1.5, math.nan, math.inf])
+def test_germ_signature_refuses_a_point_off_the_domain(t0):
+    # past the domain the expressions continue, and would be read as a germ
+    curve = local_normal_form(GermData("below-diagonal", 2, 5))
+    with pytest.raises(CurveError, match="point of the domain"):
+        germ_signature_of_curve(curve, t0)
+
+
 def test_normal_form_signature_via_signature_module():
     # the zero-signature machinery sees the same germ data at the origin
     curve = local_normal_form(GermData("below-diagonal", 3, 5))

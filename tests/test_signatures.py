@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
                              LegendreCurve, ScalarFun, Signature, ZeroPoint,
-                             contact_order, decide_equivalence, dump_curve,
+                             decide_equivalence, dump_curve,
                              find_zeros, gallery, negate,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
 from legendre_curves import exprs, signatures
-from legendre_curves.errors import (DegenerateCurveError, RootScanError,
-                                    SignatureError)
+from legendre_curves.errors import (CurveError, DegenerateCurveError,
+                                    RootScanError, SignatureError)
 
 TWO_PI = 2 * math.pi
 
@@ -156,7 +156,7 @@ def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch):
 
     def newton_sizes():
         (scan, scan_order), (slopes, slope_order) = runs[:2]
-        assert (len(scan), scan_order) == (2049, 0)
+        assert (len(scan), scan_order) == (4097, 0)
         assert slope_order == 1 and len(slopes) < len(scan)
         (call,) = newton
         assert call["order"] == 1 and call["runs"] == slice(2, len(runs))
@@ -216,15 +216,14 @@ def test_dedup_matches_loop_reference():
         return out
 
     rng = np.random.default_rng(3)
-    assert _dedup([], 1e-9) == []
+    assert _dedup([]) == []
     for _ in range(50):
         centres = np.sort(rng.uniform(-10.0, 10.0, rng.integers(1, 30)))
         sizes = rng.integers(1, 12, len(centres))
         roots = sorted(np.concatenate(
             [c + rng.uniform(0.0, 3e-9, k) for c, k in zip(centres, sizes)]).tolist())
         # Summation order differs from np.mean only for runs of 8 or more.
-        assert _dedup(roots, 1e-9) == pytest.approx(reference(roots, 1e-9),
-                                                     rel=1e-14, abs=1e-14)
+        assert _dedup(roots) == pytest.approx(reference(roots, 1e-9), rel=1e-14, abs=1e-14)
 
 
 def test_newton_step_that_overflows_is_dropped_without_a_warning():
@@ -234,26 +233,47 @@ def test_newton_step_that_overflows_is_dropped_without_a_warning():
     assert signature(pair).zeros == ()
 
 
+def test_find_zeros_is_the_one_component_search_of_signature(roster):
+    # find_zeros scans the signature grid with the signature's tolerances,
+    # so each component's roots are bitwise the positions signature reports
+    curves = [entry.curve for entry in roster]
+    curves += [gallery("gamma_n", {"n": n}).curve for n in (7, 9, 17)]
+    curves.append(gallery("type_nm", {"n": 2, "m": 5}).curve)
+    compared = 0
+    for curve in curves:
+        sig, pair = signature(curve), curve.curvature_pair()
+        for fun, kind in ((pair.ell, "inflection"), (pair.beta, "singular")):
+            if kind == "inflection" and sig.ell_identically_zero:
+                continue
+            want = [z.t for z in sig.zeros if z.kind in (kind, "both")]
+            assert find_zeros(fun, curve.domain, half_open=curve.closed) == want
+            compared += 1
+    assert compared == 23
+
+
 def test_find_zeros_rejects_zero_function():
     with pytest.raises(RootScanError, match="non-finite"):
         find_zeros("0*t", (0, 1))
 
 
+@pytest.mark.parametrize("domain", [(1, 0), (0.5, 0.5), (0, math.inf), (math.nan, 1)],
+                         ids=["reversed", "empty", "infinite", "nan"])
+def test_find_zeros_rejects_a_bad_domain_before_any_scan(domain):
+    with pytest.raises(CurveError, match="finite interval"):
+        find_zeros("t - 0.25", domain)
+
+
+def _beta_orders(text, domain):
+    """(t, order) of the zeros of beta = text, with ell = 1."""
+    sig = signature(CurvaturePair.from_exprs("1", text, domain))
+    return [(z.t, z.ord_beta) for z in sig.zeros]
+
+
 def test_contact_order_examples():
-    assert contact_order("sin(t)", math.pi) == 1
+    assert _beta_orders("sin(t)", (2, 4)) == [(pytest.approx(math.pi, abs=1e-12), 1)]
     # curvature of the (3, 5) germ at its zero
-    assert contact_order("30*t/(25*t^4+9)", 0.0) == 1
-    assert contact_order("-t^2*sqrt(25*t^4+9)", 0.0) == 2
-
-
-def test_contact_order_rejects_nonzero_point():
-    with pytest.raises(SignatureError, match="not a zero point"):
-        contact_order("sin(t)", 0.5)
-
-
-def test_contact_order_beyond_jet_order_is_none():
-    assert contact_order("t^13", 0.0, max_order=12) is None
-    assert contact_order("t^13", 0.0, max_order=13) == 13
+    assert _beta_orders("30*t/(25*t^4+9)", (-1, 1)) == [(0.0, 1)]
+    assert _beta_orders("-t^2*sqrt(25*t^4+9)", (-1, 1)) == [(0.0, 2)]
 
 
 def test_signature_gamma_n3():
@@ -282,9 +302,10 @@ def test_signature_ell_identically_zero():
 
 
 def test_signature_order_exceeds_jet_order():
-    pair = CurvaturePair.from_exprs("t^13", "1 + 0*t", (-1, 1))
-    with pytest.raises(SignatureError, match="contact order exceeds jet order"):
-        signature(pair)
+    for ell, beta in [("t^13", "1 + 0*t"), ("1", "t^13")]:
+        pair = CurvaturePair.from_exprs(ell, beta, (-1, 1))
+        with pytest.raises(SignatureError, match="contact order exceeds jet order"):
+            signature(pair)
 
 
 def test_signature_degenerate_constant_curve():
@@ -415,10 +436,9 @@ def test_sign_pattern_around_zeros():
     for text, domain in [("6*sin(t)", (0.0, TWO_PI)), ("t^2*(2-t)", (-1.0, 1.0)),
                          ("t^3", (-1.0, 1.0))]:
         f = ScalarFun.wrap(text)
-        for root in find_zeros(text, domain, half_open=True):
+        for root, order in _beta_orders(text, domain):
             if root - 1e-3 < domain[0] or root + 1e-3 > domain[1]:
                 continue
-            order = contact_order(f, root)
             left, right = f(root - 1e-3), f(root + 1e-3)
             if order % 2 == 1:
                 assert left * right < 0
@@ -630,7 +650,7 @@ def test_candidates_match_a_full_grid_order_1_scan(roster):
     for evaluate, domain, grid_n in sources:
         ts, values, scales = signatures._scan(evaluate, domain, grid_n)
         comps = [c for c in range(len(values)) if scales[c] > 1e-10 * np.max(scales)]
-        got = signatures._candidates(evaluate, ts, values, scales, comps, 1e-9)
+        got = signatures._candidates(evaluate, ts, values, scales, comps)
         want = _full_scan_candidates(evaluate, ts, comps, 1e-9)
         for g, w in zip(got, want):
             assert np.array_equal(g, w, equal_nan=True)
