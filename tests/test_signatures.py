@@ -276,6 +276,13 @@ def test_contact_order_examples():
     assert _beta_orders("-t^2*sqrt(25*t^4+9)", (-1, 1)) == [(0.0, 2)]
 
 
+def test_contact_order_beyond_jet_order_is_none():
+    # order DEFAULT_ORDER is the highest the jets read; one more has no order
+    assert _beta_orders(f"t^{DEFAULT_ORDER}", (-1, 1)) == [(0.0, DEFAULT_ORDER)]
+    with pytest.raises(SignatureError, match="contact order exceeds jet order"):
+        _beta_orders(f"t^{DEFAULT_ORDER + 1}", (-1, 1))
+
+
 def test_signature_gamma_n3():
     sig = signature(gallery("gamma_n", {"n": 3}).curve)
     assert not sig.ell_identically_zero
@@ -302,10 +309,9 @@ def test_signature_ell_identically_zero():
 
 
 def test_signature_order_exceeds_jet_order():
-    for ell, beta in [("t^13", "1 + 0*t"), ("1", "t^13")]:
-        pair = CurvaturePair.from_exprs(ell, beta, (-1, 1))
-        with pytest.raises(SignatureError, match="contact order exceeds jet order"):
-            signature(pair)
+    pair = CurvaturePair.from_exprs("t^13", "1 + 0*t", (-1, 1))
+    with pytest.raises(SignatureError, match="contact order exceeds jet order"):
+        signature(pair)
 
 
 def test_signature_degenerate_constant_curve():
