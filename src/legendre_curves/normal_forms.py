@@ -22,17 +22,15 @@ case has ell identically zero, flagged separately.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
-
-import numpy as np
 
 from .curves import LegendreCurve
 from .errors import CurveError
 from .exprs import (ExprAst, Number, ScalarFun, Unary, Var, add, ast_derivative,
                     div, mul, neg, power)
-from .jets import DEFAULT_ORDER
-from .signatures import _first_significant, _scan, _vanishing
+from .signatures import signature
 
 #: ord_ell value for a germ whose ell vanishes identically.
 ZERO_FUNCTION = "zero-function"
@@ -54,7 +52,7 @@ class GermData:
     def __post_init__(self):
         if self.case not in GERM_CASES:
             raise CurveError(f"unknown germ case {self.case!r}")
-        if self.n < 1 or self.m < 1:
+        if not _integers(self.n, self.m) or self.n < 1 or self.m < 1:
             raise CurveError("orders n, m must be positive integers")
         if self.case == "below-diagonal" and not self.n < self.m:
             raise CurveError("below-diagonal germs need n < m")
@@ -62,8 +60,8 @@ class GermData:
             raise CurveError("above-diagonal germs need n > m")
         if self.case.startswith("diagonal") and self.n != self.m:
             raise CurveError("diagonal germs need n = m")
-        if self.case == "diagonal-perturbed" and (self.p is None or self.p < 1):
-            raise CurveError("diagonal-perturbed germs need a positive p")
+        if self.case == "diagonal-perturbed" and not (_integers(self.p) and self.p >= 1):
+            raise CurveError("diagonal-perturbed germs need a positive p, an integer")
 
     @property
     def k(self) -> int:
@@ -78,6 +76,11 @@ class GermSignature:
     ord_beta: int
 
 
+def _integers(*values) -> bool:
+    """Whether every value is an integer; a bool is no order."""
+    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+
+
 def type_nm_curve(n: int, m: int, f_expr=None, sign: int = 1) -> LegendreCurve:
     """Germ (sign * t^n, t^m f(t)) with its tangency frame, on [-1, 1].
 
@@ -85,8 +88,8 @@ def type_nm_curve(n: int, m: int, f_expr=None, sign: int = 1) -> LegendreCurve:
     frame spells out the derivative of f structurally, so the curve stays
     fully expression-backed.
     """
-    if not (1 <= n < m):
-        raise CurveError("type (n, m) needs 1 <= n < m")
+    if not (_integers(n, m) and 1 <= n < m):
+        raise CurveError("type (n, m) needs 1 <= n < m, both integers")
     if sign not in (1, -1):
         raise CurveError("sign must be +1 or -1")
     f_ast = _as_f_ast(f_expr)
@@ -167,36 +170,22 @@ def germ_signature(germ: GermData) -> GermSignature:
     below-diagonal: (k-1, n-1);  diagonal-plain: (zero-function, n-1);
     diagonal-perturbed: (p-1, n-1);  above-diagonal: (k-1, m-1).
     """
-    if germ.case == "below-diagonal":
-        return GermSignature(germ.k - 1, germ.n - 1)
+    ord_beta = min(germ.n, germ.m) - 1
     if germ.case == "diagonal-plain":
-        return GermSignature(ZERO_FUNCTION, germ.n - 1)
-    if germ.case == "diagonal-perturbed":
-        return GermSignature(germ.p - 1, germ.n - 1)
-    return GermSignature(germ.k - 1, germ.m - 1)
+        return GermSignature(ZERO_FUNCTION, ord_beta)
+    ord_ell = germ.p - 1 if germ.case == "diagonal-perturbed" else germ.k - 1
+    return GermSignature(ord_ell, ord_beta)
 
 
 def germ_signature_of_curve(curve, t0: float = 0.0) -> GermSignature:
-    """Measure the germ signature of an actual curve at a point.
-
-    Orders are read off the jets of (ell, beta) at ``DEFAULT_ORDER``, from
-    one tape pass, by the contact-order rule of ``signatures`` (order 0:
-    not a zero), seeded like ``signature`` with the scales on a 512-point
-    grid of the interval.  An ell whose jet vanishes and which passes the
-    zero-function test on that grid is flagged as the zero function.
-    A ``t0`` outside the curve's domain, or not finite, is refused.
-    """
+    """The germ signature of a curve at ``t0``: ell's zero-function flag
+    and the orders of the zero ``signature`` records there, read through
+    ``Signature.zero_at``, or (0, 0).  A ``t0`` off the domain or not
+    finite is refused, as are the curves ``signature`` refuses."""
     t0, (a, b) = float(t0), curve.domain
     if not a <= t0 <= b:
         raise CurveError(f"t0 must be a point of the domain [{a!r}, {b!r}], got {t0!r}")
-    pair = curve.curvature_pair()
-    _, _, scales = _scan(pair.jets, pair.domain, 511)
-    e_idx, b_idx = (int(i) for i in _first_significant(
-        np.abs(pair.jets(t0, DEFAULT_ORDER)), scales))
-    if b_idx < 0:
-        raise CurveError("beta vanishes to high order; not a germ of finite type")
-    if e_idx < 0:
-        if _vanishing(scales)[0]:
-            return GermSignature(ZERO_FUNCTION, b_idx)
-        raise CurveError("ell vanishes to high order at 0 but not identically")
-    return GermSignature(e_idx, b_idx)
+    sig = signature(curve)
+    z = sig.zero_at(t0)
+    ord_ell, ord_beta = (z.ord_ell or 0, z.ord_beta or 0) if z else (0, 0)
+    return GermSignature(ZERO_FUNCTION if sig.ell_identically_zero else ord_ell, ord_beta)

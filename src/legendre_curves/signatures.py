@@ -28,8 +28,8 @@ Newton's jets when they reach it.  The zeros they leave open go to a
 low-order sweep, and only the zeros it leaves open are evaluated again at
 the full jet order.
 
-Each zero decision has one rule here, shared by ``signature``,
-``is_immersion``, ``find_zeros`` and the germ signature: a component is
+Each zero decision has one rule here, shared by ``signature`` (which the
+germ signature reads), ``is_immersion`` and ``find_zeros``: a component is
 the zero function when its scale (max |f| on the grid) is <=
 ``_ZERO_FUN_REL`` times the largest scale; a candidate is a root when
 |f| <= ``_ROOT_TOL`` * scale; the contact order is the first coefficient
@@ -91,6 +91,12 @@ class Signature:
     @property
     def singular_count(self) -> int:
         return sum(1 for z in self.zeros if z.kind in ("singular", "both"))
+
+    def zero_at(self, t: float) -> Optional[ZeroPoint]:
+        """The recorded zero within ``_MERGE_TOL`` of ``t``, or None; on a
+        closed signature the right end reads the seam zero, kept at the left."""
+        t = self.domain[0] if self.closed and abs(t - self.domain[1]) <= _MERGE_TOL else t
+        return next((z for z in self.zeros if abs(z.t - t) <= _MERGE_TOL), None)
 
     def key(self):
         """The part of the signature invariant under reparametrization."""
@@ -182,8 +188,8 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     keeps its iterate, counts as a zero only when |f| <= _ROOT_TOL * scale,
     read from Newton's final jets.
     Returns one sorted root list per component, empty for the components
-    not in ``comps``, and Newton's final iterates, their components and
-    their jets.
+    not in ``comps``, and the final iterates Newton kept as zeros, their
+    components and their jets.
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
@@ -201,7 +207,7 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
         if len(found) > cap:
             raise RootScanError(_NON_FINITE)
         roots[c] = found
-    return roots, (x, comp, jets)
+    return roots, (x[keep], comp[keep], [array[:, keep] for array in jets])
 
 
 def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
@@ -381,6 +387,8 @@ def is_immersion(curve) -> ImmersionReport:
     grid and their zeros from one joint search, with the zero-function
     test, root and coincidence tolerances of ``signature``.  When every
     point is degenerate, nine evenly spaced grid points are the witnesses.
+    ``min_combined`` is the least max(|ell|, |beta|) on the grid and at the
+    zeros Newton kept; without zeros it stays a grid minimum.
     """
     evaluate = curve.curvature_pair().jets
     ts, (ev, bv), scales = _scan(evaluate, curve.domain, _GRID_N)
@@ -391,7 +399,8 @@ def is_immersion(curve) -> ImmersionReport:
     # Where one component is the zero function the zeros of the other are
     # witnesses; otherwise the witnesses are the common zeros.
     comps = [c for c in (0, 1) if not vanishing[c]]
-    (ell_zeros, beta_zeros), _ = _zeros(evaluate, ts, [ev, bv], scales, comps, False)
+    (ell_zeros, beta_zeros), (_, _, jets) = _zeros(evaluate, ts, [ev, bv], scales, comps, False)
+    min_combined = float(np.min(np.abs([j[0] for j in jets]).max(axis=0), initial=min_combined))
     if len(comps) == 2:
         witnesses = [r for r in ell_zeros
                      if any(abs(r - s) <= _MERGE_TOL for s in beta_zeros)]
@@ -408,8 +417,8 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
 
     The order of a zero is given by ``_first_significant`` against the
     component's scale.  Its answer for coefficient k does not depend on
-    the truncation order.  So ``newton``, the final iterates of
-    ``_zeros`` with their components and jets, settles every zero that is
+    the truncation order.  So ``newton``, the final iterates ``_zeros``
+    kept, with their components and jets, settles every zero that is
     bitwise one of those iterates of its component and whose order those
     jets reach.  A sweep at ``_FIRST_SWEEP`` settles the rest of lower
     order, and only the zeros it leaves open are evaluated again at

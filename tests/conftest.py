@@ -6,9 +6,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from legendre_curves import ScalarFun, default_gallery
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var)
+
+# Every property test draws the same examples on every run and writes no
+# example database.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

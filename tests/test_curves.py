@@ -102,12 +102,18 @@ def test_is_immersion_cases(circle):
     rep = is_immersion(type_nm_curve(3, 5))
     assert not rep.ok
     assert rep.witnesses == pytest.approx((0.0,), abs=1e-9)
+    # without zeros min_combined is the minimum on the 4096-step grid
+    curve = gallery("gamma_ab", {"a": 1, "b": 2}).curve
+    ts = np.linspace(*curve.domain, 4097)
+    ell, beta = (jet[0] for jet in curve.curvature_pair().jets(ts, 0))
+    assert is_immersion(curve).min_combined == np.min(np.maximum(np.abs(ell), np.abs(beta)))
 
 
 def test_is_immersion_one_component_and_degenerate_cases():
     rep = is_immersion(LegendreCurve.from_exprs("t^3", "0", nu=("0", "1"), domain=(-1, 2)))
     assert not rep.ok  # ell vanishes identically, beta = 3 t^2 at t = 0
     assert rep.witnesses == pytest.approx((0.0,), abs=1e-9)
+    assert rep.min_combined == 0.0  # read at the witness, not on the grid
     assert is_immersion(LegendreCurve.from_exprs("t", "0", nu=("0", "1"), domain=(-1, 2))).ok
     rep = is_immersion(LegendreCurve.from_exprs("0", "0", nu=("0", "1"), domain=(-1, 2)))
     assert not rep.ok and rep.min_combined == 0.0

@@ -362,7 +362,7 @@ def test_neg_folds_a_double_negation():
     assert parse_expr(pretty_print(plain)) == plain
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.integers(0, 2**32 - 1))
 def test_ast_derivative_is_folded_and_matches_the_derivative_node(seed):
     rng = random.Random(seed)
@@ -382,7 +382,7 @@ def test_ast_derivative_is_folded_and_matches_the_derivative_node(seed):
     assert np.all(np.abs(got - want)[ok] <= 1e-9 * np.maximum(np.abs(want[ok]), 1.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1))
 def test_partials_match_the_bijet_gradient(seed):
     rng = random.Random(seed)

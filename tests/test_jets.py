@@ -87,7 +87,7 @@ def test_order_exceeded():
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6),
        st.lists(st.floats(-5, 5), min_size=1, max_size=6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_jet_product_matches_polynomial_convolution(p, q):
     # jets of polynomials at 0 are their coefficient lists
     order = 10
@@ -124,7 +124,7 @@ def test_contact_order_survives_parameter_change():
 
 
 @given(st.floats(-3, 3), st.floats(-2, 2), st.floats(-2, 2))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_pythagorean_identity_as_jets(t0, a1, a2):
     # sin(u)^2 + cos(u)^2 == 1 must hold coefficient-wise for any inner jet
     u = TaylorJet([t0, a1, a2, 0.5, 0.0, 0.0])

@@ -1,14 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from legendre_curves import (GermData, GermSignature, ZERO_FUNCTION,
-                             check_legendre, germ_signature,
+from legendre_curves import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
+                             check_legendre, gallery, germ_signature,
                              germ_signature_of_curve, local_normal_form,
                              signature, type_nm_curvature, type_nm_curve)
 from legendre_curves.curves import LegendreCurve
-from legendre_curves.errors import CurveError
+from legendre_curves.errors import CurveError, LegendreError
 from legendre_curves import exprs
 from legendre_curves.exprs import ScalarFun
 
@@ -94,15 +95,40 @@ def test_normal_forms_realize_their_signature(germ):
     assert germ_signature_of_curve(curve) == germ_signature(germ)
 
 
+def _germ_roster():
+    """Every GermData with n, m <= 7 and p <= 4."""
+    for case in GERM_CASES:
+        for n, m, p in itertools.product(range(1, 8), range(1, 8), range(1, 5)):
+            if case != "diagonal-perturbed" and p > 1:
+                continue
+            try:
+                yield GermData(case, n, m, p if case == "diagonal-perturbed" else None)
+            except CurveError:
+                pass
+
+
+def test_every_small_normal_form_realizes_its_signature():
+    germs = list(_germ_roster())
+    assert len(germs) == 77
+    for germ in germs:
+        want = germ_signature(germ)
+        curve = local_normal_form(germ)
+        assert germ_signature_of_curve(curve) == want, germ
+        # the zero at 0 carries the nonzero orders; with none there is no zero
+        z = signature(curve).zero_at(0.0)
+        got = (z.ord_ell, z.ord_beta) if z else (None, None)
+        assert got == (want.ord_ell if want.ord_ell not in (0, ZERO_FUNCTION) else None,
+                       want.ord_beta or None), germ
+
+
 @pytest.mark.parametrize("germ, orders", [
-    (GermData("below-diagonal", 2, 4), [1, 13]),
-    (GermData("diagonal-plain", 2, 2), [1, 13]),
+    (GermData("below-diagonal", 2, 4), [1, 2, 2]),
+    (GermData("diagonal-plain", 2, 2), [1, 2, 2]),
 ], ids=["below-diagonal", "diagonal-plain"])
 def test_germ_signature_reads_one_curvature_pass(germ, orders, monkeypatch):
-    # The component scales, which seed the contact-order rule and serve the
-    # zero-function test, come from one order-0 scan of (ell, beta) on the
-    # germ interval; both jets at t0 from one more pass at order 12.  Each
-    # runs one order higher: the ASTs hold one level of derivative nodes.
+    # The germ signature is read from signature(curve): its tape runs are
+    # exactly the signature's, and no more.  Each runs one order higher:
+    # the ASTs hold one level of derivative nodes.
     curve = local_normal_form(germ)
     runs = []
     run = exprs._Tape.run
@@ -112,8 +138,44 @@ def test_germ_signature_reads_one_curvature_pass(germ, orders, monkeypatch):
         return run(self, t0, order)
 
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    signature(curve)
+    assert runs == orders
+    runs.clear()
     assert germ_signature_of_curve(curve) == germ_signature(germ)
     assert runs == orders
+
+
+def test_germ_signature_reads_the_seam_zero_at_either_end():
+    curve = gallery("gamma_n", {"n": 3}).curve
+    at_zero = germ_signature_of_curve(curve, 0.0)
+    assert at_zero == GermSignature(0, 1)
+    assert germ_signature_of_curve(curve, 2 * math.pi) == at_zero
+    assert germ_signature_of_curve(curve, math.pi) == at_zero
+    assert germ_signature_of_curve(curve, 1.0) == GermSignature(0, 0)
+
+
+def test_zero_at_on_open_and_closed_signatures():
+    sig = signature(local_normal_form(GermData("below-diagonal", 3, 5)))
+    (zero,) = sig.zeros
+    assert sig.zero_at(0.0) is zero
+    assert sig.zero_at(zero.t + 5e-9) is zero
+    assert sig.zero_at(zero.t + 1e-7) is None
+    assert sig.zero_at(1.0) is None
+
+    closed = signature(gallery("gamma_n", {"n": 3}).curve)
+    seam = closed.zero_at(0.0)
+    assert seam is closed.zeros[0] and seam.t == pytest.approx(0.0, abs=1e-9)
+    assert closed.zero_at(2 * math.pi) is seam
+    assert closed.zero_at(2 * math.pi - 5e-9) is seam
+    assert closed.zero_at(2 * math.pi - 1e-7) is None
+    assert closed.zero_at(closed.zeros[1].t) is closed.zeros[1]
+
+
+def test_germ_beyond_the_jet_order_is_refused():
+    # beta vanishes to order 13 at 0, past the jet order 12
+    curve = local_normal_form(GermData("below-diagonal", 14, 15))
+    with pytest.raises(LegendreError, match="exceeds jet order"):
+        germ_signature_of_curve(curve)
 
 
 def test_germ_signature_seeds_the_contact_order_rule_with_the_scale():
@@ -172,3 +234,12 @@ def test_germ_data_validation():
         GermData("diagonal-perturbed", 2, 2)  # missing p
     with pytest.raises(CurveError):
         GermData("sideways", 2, 3)
+    # a non-integer order would print one curve and evaluate another
+    for bad in (lambda: GermData("below-diagonal", 1.5, 3),
+                lambda: GermData("below-diagonal", True, 3),
+                lambda: GermData("diagonal-perturbed", 2, 2, p=1.5),
+                lambda: type_nm_curve(2.5, 3),
+                lambda: type_nm_curve(2, 3.0)):
+        with pytest.raises(CurveError, match="integer"):
+            bad()
+    assert GermData("below-diagonal", np.int64(2), 3).k == 1

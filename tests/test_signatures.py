@@ -697,7 +697,7 @@ _TRANSFORM_STEPS = st.one_of(
         lambda which: lambda curve: negate(curve, which)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(index=st.integers(0, 7), steps=st.lists(_TRANSFORM_STEPS, min_size=1, max_size=3))
 def test_signature_key_invariant_under_transform_compositions(roster, index, steps):
     curve = roster[index].curve
@@ -710,7 +710,7 @@ def test_signature_key_invariant_under_transform_compositions(roster, index, ste
         assert signature(curve) == sig
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(index=st.integers(0, 7), steps=st.lists(_TRANSFORM_STEPS, min_size=1, max_size=3))
 def test_transform_laws_are_expressions_that_match_their_images(roster, index, steps):
     # Each law is an AST over the previous curve's curvature ASTs; its
@@ -757,7 +757,7 @@ _IMAGES = st.tuples(st.integers(0, 5), st.booleans(),
                     st.lists(_TRANSFORM_STEPS, max_size=2))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(images=st.lists(_IMAGES, min_size=3, max_size=3))
 # The explicit examples hold a reversed flat graph, a chain across two
 # curves and a non-equivalent member whatever the derandomized draw is.

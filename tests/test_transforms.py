@@ -238,7 +238,7 @@ def test_diffeo_law_is_an_expression_with_jets_of_every_order(roster, texts):
 _SMALL = st.floats(-0.02, 0.02, allow_nan=False)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(index=st.integers(0, 7), trig=st.booleans(), e1=_SMALL, e2=_SMALL)
 def test_diffeo_image_keeps_singular_points(roster, index, trig, e1, e2):
     # beta of the image is |nbar| beta, so each zero of beta keeps its
