@@ -241,6 +241,8 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "transform" and args.domain is not None and args.reparam is None:
+            parser.error("transform: --domain applies only with --reparam")
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:

@@ -26,7 +26,10 @@ from .errors import CurveError
 from .exprs import ScalarFun, substitute_params
 from .normal_forms import type_nm_curvature, type_nm_curve
 
-GALLERY_NAMES = ("circle", "gamma_ab", "gamma_n", "gamma_m", "type_nm")
+#: The parameters each family reads; ``gallery`` refuses any other.
+_FAMILY_PARAMS = {"circle": (), "gamma_ab": ("a", "b"), "gamma_n": ("n",),
+                  "gamma_m": ("m",), "type_nm": ("n", "m", "f", "sign")}
+GALLERY_NAMES = tuple(_FAMILY_PARAMS)
 _TRIG_DOMAIN = (0.0, 2.0 * pi)
 
 
@@ -84,8 +87,15 @@ def _entry_from_template(name: str, x: str, y: str, nu: tuple[str, str],
 
 
 def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
-    """Instantiate a gallery family member; see GALLERY_NAMES."""
+    """Instantiate a gallery family member; see GALLERY_NAMES.  A parameter
+    the family does not read is refused."""
     params = dict(params or {})
+    if name not in _FAMILY_PARAMS:
+        raise CurveError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+    extra = sorted(set(params) - set(_FAMILY_PARAMS[name]))
+    if extra:
+        takes = ", ".join(_FAMILY_PARAMS[name]) or "none"
+        raise CurveError(f"{name} takes no parameter {extra[0]!r} (its parameters: {takes})")
     if name == "circle":
         return _entry_from_template(
             "circle", "cos(t)", "sin(t)", ("cos(t)", "sin(t)"), "1", "1",
@@ -131,20 +141,19 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             "(m-1)/2", "2*m*sin((m+1)/2*t)",
             {"m": m}, closed=(m % 2 == 1),
             provenance=f"mirrored epicycloid-type frontal, index {m}")
-    if name == "type_nm":
-        n = _int_param(params, "n", 2)
-        m = _int_param(params, "m", 3)
-        f = params.get("f", "1")
-        sign = _int_param(params, "sign", 1)
-        curve = type_nm_curve(n, m, f, sign)
-        ell_ast, beta_ast = type_nm_curvature(n, m, f, sign)
-        pair = CurvaturePair(ScalarFun.from_ast(ell_ast), ScalarFun.from_ast(beta_ast),
-                             curve.domain, curve.closed)
-        return GalleryEntry(
-            name=f"type_nm[{n},{m}]", curve=curve, curvature_closed_form=pair,
-            provenance=f"germ with component orders ({n}, {m}) and factor {f}",
-            spec=curve.spec_dict())
-    raise CurveError(f"unknown gallery name {name!r}; choose from {GALLERY_NAMES}")
+    # name == "type_nm"
+    n = _int_param(params, "n", 2)
+    m = _int_param(params, "m", 3)
+    f = params.get("f", "1")
+    sign = _int_param(params, "sign", 1)
+    curve = type_nm_curve(n, m, f, sign)
+    ell_ast, beta_ast = type_nm_curvature(n, m, f, sign)
+    pair = CurvaturePair(ScalarFun.from_ast(ell_ast), ScalarFun.from_ast(beta_ast),
+                         curve.domain, curve.closed)
+    return GalleryEntry(
+        name=f"type_nm[{n},{m}]", curve=curve, curvature_closed_form=pair,
+        provenance=f"germ with component orders ({n}, {m}) and factor {f}",
+        spec=curve.spec_dict())
 
 
 def default_gallery() -> list[GalleryEntry]:

@@ -21,6 +21,12 @@ write those rows out, a few ufunc calls each: on short jets numpy's
 per-call cost outweighs the arithmetic.  The written-out rows keep the
 loop's order of operations, so the two agree byte for byte; a two-term
 sum is ``(0.0 + p) + q`` because ``einsum`` sums from +0.0.
+``sin_cos`` takes row 0 of sin and cos of a long grid (4097 < N <= 32769
+points) from a memo of the last three argument rows, keyed on their exact
+bits and shared by every caller in the process: the reconstruction round
+trip, and frame and law checks on one long grid, evaluate the same rows in
+several tape runs.  A hit returns the bytes a fresh computation gives,
+copied into the new jet.
 Every jet the package hands out is such an array: the compiled expression
 tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
 a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from typing import Union
 
 import numpy as np
@@ -181,6 +188,49 @@ def derivative(a: Coeffs) -> Coeffs:
     return a[1:] * _orders(len(a) - 1, a.ndim) if isinstance(a, np.ndarray) else 0.0
 
 
+#: ``sin_cos`` looks row 0 up in the memo only on grids longer than the
+#: signature grid (4096 steps): the rows that repeat are reconstruction grids
+#: that several calls sample, and the scans, 1000-point law checks and
+#: Newton's runs stay off the lookup.  Grids longer than 2^15 steps are not stored either,
+#: which bounds the memo at 3 x 3 x 32769 floats, about 2.4 MB.
+_MEMO_MIN_POINTS = 4097
+_MEMO_MAX_POINTS = 32769
+#: Argument rows the memo holds.
+_MEMO_ROWS = 3
+
+#: The memo: ((shape, first bits, last bits), bits, sin, cos) per argument
+#: row, least recently used first, and the lock that keeps it whole.
+_TRIG_MEMO: list = []
+_TRIG_LOCK = threading.Lock()
+
+
+def _trig_rows(row: np.ndarray):
+    """(sin row, cos row) of a float64 row, from the memo when it holds the
+    row; the caller copies them.
+
+    A row matches a stored one only when the shapes and every 64-bit pattern
+    agree (the first and last ones are compared first, as a cheap filter):
+    -0.0 and +0.0 are different keys and a NaN matches only its own payload,
+    so a hit returns the bytes ``np.sin`` and ``np.cos`` gave for that row.
+    Stored rows are read-only.  A row holding an infinity is not stored,
+    since sin and cos warn on it and a hit would not.
+    """
+    bits = np.ascontiguousarray(row).view(np.uint64).reshape(-1)
+    head = (row.shape, int(bits[0]), int(bits[-1]))
+    with _TRIG_LOCK:
+        for i, entry in enumerate(_TRIG_MEMO):
+            if entry[0] == head and np.array_equal(entry[1], bits):
+                _TRIG_MEMO.append(_TRIG_MEMO.pop(i))
+                return entry[2], entry[3]
+    s, c = np.sin(row), np.cos(row)
+    if not np.isinf(row).any():
+        s.flags.writeable = c.flags.writeable = False
+        with _TRIG_LOCK:
+            _TRIG_MEMO.append((head, bits.copy(), s, c))
+            del _TRIG_MEMO[:-_MEMO_ROWS]
+    return s, c
+
+
 def sin_cos(a: Coeffs):
     """(sin a, cos a) from one shared recurrence:
     k s_k = sum_j j a_j c_(k-j),  k c_k = -sum_j j a_j s_(k-j)."""
@@ -188,8 +238,11 @@ def sin_cos(a: Coeffs):
         return np.sin(a), np.cos(a)
     s = np.empty_like(a)
     c = np.empty_like(a)
-    s[0] = np.sin(a[0])
-    c[0] = np.cos(a[0])
+    if _MEMO_MIN_POINTS < a[0].size <= _MEMO_MAX_POINTS and a.dtype == np.float64:
+        s[0], c[0] = _trig_rows(a[0])
+    else:
+        s[0] = np.sin(a[0])
+        c[0] = np.cos(a[0])
     n = len(a)
     if n == 2 or n == 3:  # the loop below, row by row
         s[1] = a[1] * c[0]

@@ -62,6 +62,8 @@ class GermData:
             raise CurveError("diagonal germs need n = m")
         if self.case == "diagonal-perturbed" and not (_integers(self.p) and self.p >= 1):
             raise CurveError("diagonal-perturbed germs need a positive p, an integer")
+        if self.case != "diagonal-perturbed" and self.p is not None:
+            raise CurveError(f"{self.case} germs take no p")
 
     @property
     def k(self) -> int:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from legendre_curves import ScalarFun, default_gallery
+from legendre_curves import ScalarFun, default_gallery, jets
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var)
 
 # Every property test draws the same examples on every run and writes no
@@ -20,6 +20,26 @@ settings.load_profile("deterministic")
 @pytest.fixture(scope="session")
 def roster():
     return default_gallery()
+
+
+@pytest.fixture
+def trig_calls(monkeypatch):
+    """Counts np.sin and np.cos calls on rows long enough for the trig-row
+    memo (``jets._MEMO_MIN_POINTS``), keyed by (name, row bytes)."""
+    calls = {}
+
+    def counting(name, ufunc):
+        def call(x, *args, **kwargs):
+            x_ = np.asarray(x)
+            if x_.size > jets._MEMO_MIN_POINTS:
+                key = (name, x_.tobytes())
+                calls[key] = calls.get(key, 0) + 1
+            return ufunc(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "sin", counting("sin", np.sin))
+    monkeypatch.setattr(np, "cos", counting("cos", np.cos))
+    return calls
 
 
 def brute_force_zeros(fun, domain, n=1_000_000, half_open=False, rel_tol=1e-9):

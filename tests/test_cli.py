@@ -277,15 +277,26 @@ def test_render_config_validation():
      "needs 1 <= n < m"),
     (["transform", "--curve", "circle", "--diffeo", "x;x"], 1,
      "error: diffeomorphism degenerates along the curve"),
+    (["normal-form", "--case", "below-diagonal", "--n", "2", "--m", "3", "--p", "4"], 1,
+     "below-diagonal germs take no p"),
+    (["transform", "--curve", "circle", "--swap", "--domain=0:1"], 2,
+     "--domain applies only with --reparam"),
+    (["examples", "get", "gamma_n", "--param", "m=7"], 1,
+     "gamma_n takes no parameter 'm'"),
+    (["examples", "get", "circle", "--param", "q=1"], 1,
+     "circle takes no parameter 'q'"),
 ], ids=["curvature-samples", "render-samples", "render-width",
         "germ-n", "affine-text", "affine-nan", "affine-det-overflow",
-        "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm", "diffeo-degenerate"])
+        "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm", "diffeo-degenerate",
+        "germ-stray-p", "domain-without-reparam", "gamma_n-stray-param",
+        "circle-stray-param"])
 def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
                                                    args, code, message):
     # out-of-range numbers are usage errors (exit 2), failed assumptions
     # domain errors (exit 1); neither prints anything to stdout
-    args = [specs[a] if a == "circle" else str(tmp_path / a) if a == "out.svg" else a
-            for a in args]
+    args = [specs[a] if a == "circle" and flag == "--curve"
+            else str(tmp_path / a) if a == "out.svg" else a
+            for flag, a in zip([None] + args, args)]
     assert run(args) == code
     captured = capsys.readouterr()
     assert captured.out == ""

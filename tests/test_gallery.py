@@ -92,6 +92,11 @@ def test_gallery_validation():
         gallery("gamma_ab", {"a": 1, "b": 3})
     with pytest.raises(CurveError):
         gallery("gamma_n", {"n": 1})
+    # a parameter the family does not read is named, not ignored
+    with pytest.raises(CurveError, match="gamma_n takes no parameter 'm'"):
+        gallery("gamma_n", {"n": 3, "m": 7})
+    with pytest.raises(CurveError, match=r"circle takes no parameter 'q' \(its parameters: none\)"):
+        gallery("circle", {"q": 1})
 
 
 def test_gallery_specs_reload(roster):

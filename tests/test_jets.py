@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -526,3 +528,137 @@ def test_tape_releases_each_computed_slot_after_its_last_reader():
     assert set(released) == computed - set(tape.outputs)
     for i, (*_, free) in enumerate(tape.code):
         assert all(last[slot] == i for slot in free)
+
+
+# -- the memo of long sin/cos rows -------------------------------------------------
+
+LONG = jets._MEMO_MIN_POINTS + 1  # the shortest row the memo takes
+
+
+@pytest.fixture
+def memo():
+    jets._TRIG_MEMO.clear()
+    yield jets._TRIG_MEMO
+    jets._TRIG_MEMO.clear()
+
+
+def _long_jet(rng, rows=2, points=LONG):
+    return rng.uniform(-3.0, 3.0, (rows, points))
+
+
+def assert_sin_cos_direct(a):
+    """sin_cos(a) gives the bytes of the general recurrence, which computes
+    row 0 afresh."""
+    for got, want in zip(jets.sin_cos(a), _gen_sin_cos(a)):
+        assert_same_bytes(got, want)
+
+
+def test_memo_keys_are_exact_bits(memo, trig_calls):
+    rng = np.random.default_rng(5)
+    base = _long_jet(rng)
+    mid = LONG // 2
+    nan_a = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    nan_b = np.array([0xFFF8000000000002], dtype=np.uint64).view(np.float64)[0]
+    # pairs that agree in shape and first and last bits, and differ in the middle
+    pairs = [(0.0, -0.0), (nan_a, nan_b), (base[0, mid], np.nextafter(base[0, mid], 9.0))]
+    for x, y in pairs:
+        a, b = base.copy(), base.copy()
+        a[0, mid], b[0, mid] = x, y
+        wants = [_gen_sin_cos(a), _gen_sin_cos(b)]
+        trig_calls.clear()
+        # miss, miss, then a hit for each through another array of the same bits
+        for jet, want in ((a, wants[0]), (b, wants[1]), (a.copy(), wants[0]),
+                          (b.copy(), wants[1])):
+            for got, w in zip(jets.sin_cos(jet), want):
+                assert_same_bytes(got, w)
+        assert sorted(trig_calls.values()) == [1, 1, 1, 1]
+    # +0.0 and -0.0 are two keys, and sin keeps the sign of zero
+    a = base.copy()
+    a[0, mid] = -0.0
+    assert np.signbit(jets.sin_cos(a)[0][0, mid])
+    assert len(memo) == jets._MEMO_ROWS
+
+
+def test_memo_leaves_short_long_infinite_and_float32_rows_alone(memo):
+    rng = np.random.default_rng(7)
+    short = _long_jet(rng, points=jets._MEMO_MIN_POINTS)
+    too_long = _long_jet(rng, points=jets._MEMO_MAX_POINTS + 1)
+    inf = _long_jet(rng)
+    inf[0, 3] = np.inf
+    for a in (short, too_long):
+        assert_sin_cos_direct(a)
+        assert_sin_cos_direct(a)
+    for _ in range(2):  # numpy warns on sin(inf) each time, as without the memo
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            jets.sin_cos(inf)
+    single = _long_jet(rng).astype(np.float32)  # not float64: no 64-bit key
+    assert_same_bytes(jets.sin_cos(single)[1][0], np.cos(single[0]))
+    assert memo == []
+
+
+def test_writing_into_returned_jets_leaves_later_results_unchanged(memo):
+    a = _long_jet(np.random.default_rng(8), rows=3)
+    want = _gen_sin_cos(a)
+    for _ in range(2):
+        s, c = jets.sin_cos(a)
+        s[0] += 1.0
+        c[:] = 0.0
+    for got, w in zip(jets.sin_cos(a), want):
+        assert_same_bytes(got, w)
+    curve = gallery("gamma_n", {"n": 3}).curve
+    ts = np.linspace(*curve.domain, LONG)
+    first = curve.nu(ts)
+    first[:] = np.nan
+    assert_same_bytes(curve.nu(ts), curve.nu(ts.copy()))
+    assert np.isfinite(curve.nu(ts)).all()
+
+
+def test_memo_holds_its_bound_and_drops_the_least_recently_used(memo, trig_calls):
+    def computed(a):
+        return trig_calls[("sin", a[0].tobytes())]
+
+    rng = np.random.default_rng(9)
+    rows = [_long_jet(rng, rows=1) for _ in range(jets._MEMO_ROWS + 3)]
+    for a in rows:
+        jets.sin_cos(a)
+        assert len(memo) <= jets._MEMO_ROWS
+    assert all(computed(a) == 1 for a in rows)
+    kept = rows[-jets._MEMO_ROWS:]  # oldest first
+    jets.sin_cos(kept[0])  # a hit: kept[1] is now the least recently used
+    jets.sin_cos(rows[0])  # a miss, which evicts kept[1]
+    for a in [kept[0]] + kept[2:]:
+        jets.sin_cos(a)
+        assert computed(a) == 1
+    jets.sin_cos(kept[1])
+    assert computed(rows[0]) == computed(kept[1]) == 2
+
+
+def test_memo_under_threads(memo):
+    rng = np.random.default_rng(10)
+    rows = [_long_jet(rng, rows=2) for _ in range(jets._MEMO_ROWS + 2)]
+    wants = [_gen_sin_cos(a) for a in rows]
+    errors = []
+
+    def work(seed):
+        pick = np.random.default_rng(seed)
+        try:
+            for _ in range(40):
+                i = int(pick.integers(len(rows)))
+                for got, want in zip(jets.sin_cos(rows[i]), wants[i]):
+                    assert got.tobytes() == want.tobytes()
+        except Exception as err:  # reported to the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(memo) <= jets._MEMO_ROWS

@@ -243,3 +243,8 @@ def test_germ_data_validation():
         with pytest.raises(CurveError, match="integer"):
             bad()
     assert GermData("below-diagonal", np.int64(2), 3).k == 1
+    # only diagonal-perturbed germs read p; any other case refuses one
+    for case, n, m in (("below-diagonal", 2, 3), ("diagonal-plain", 2, 2),
+                       ("above-diagonal", 3, 2)):
+        with pytest.raises(CurveError, match="take no p"):
+            GermData(case, n, m, p=2)

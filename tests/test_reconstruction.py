@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from legendre_curves import (AffineMap, Congruence, LegendreCurve,
-                             align_congruence, gallery, pushforward_affine,
-                             reconstruct, reparametrize, sample_curve,
-                             sampled_curvature, type_nm_curve)
+                             align_congruence, check_legendre, gallery,
+                             pushforward_affine, reconstruct, reparametrize,
+                             sample_curve, sampled_curvature, type_nm_curve)
+from legendre_curves import jets
 from legendre_curves.errors import GridMismatchError, ReconstructionError
 from legendre_curves.reconstruction import cumulative_simpson
 
@@ -203,3 +204,49 @@ def test_reconstruct_refuses_non_finite_curvature(ell, beta, domain, message):
     with pytest.raises(ReconstructionError) as err:
         reconstruct(ell, beta, domain, steps=16)
     assert str(err.value) == message
+
+
+# -- the memo of long sin/cos rows (jets._TRIG_MEMO) --------------------------------
+
+def _memo_sensitive_outputs(entry):
+    """Thunks for what the memo serves: the round trip of both curvature
+    sources at 32768 steps (the samples that ``to_csv`` prints, and the
+    residual), and the curvature, an affine law, its image's curvature and
+    the frame check on 8193 points."""
+    curve = entry.curve
+    ts = np.linspace(*curve.domain, 8193)
+    law = pushforward_affine(curve, AffineMap(1.3, 0.4, -0.2, 0.9))
+    image = law.curve.curvature_pair()
+    thunks = []
+    for pair in (curve.curvature_pair(), entry.curvature_closed_form):
+        def round_trip(pair=pair):
+            sc = reconstruct(pair.ell, pair.beta, curve.domain, steps=32768)
+            return (sc.ts.tobytes(), sc.gammas.tobytes(), sc.nus.tobytes(),
+                    align_congruence(sc, curve).residual)
+        thunks.append(round_trip)
+    for fun in (pair.ell, pair.beta, law.law.ell, law.law.beta, image.ell, image.beta):
+        thunks.append(lambda fun=fun: fun.values(ts).tobytes())
+    thunks.append(lambda: dataclasses.astuple(check_legendre(law.curve, samples=8193)))
+    return thunks
+
+
+def test_memo_cold_and_warm_give_the_same_bytes(roster):
+    for entry in roster:
+        thunks = _memo_sensitive_outputs(entry)
+        cold = []
+        for thunk in thunks:
+            jets._TRIG_MEMO.clear()
+            cold.append(thunk())
+        warm = [thunk() for thunk in thunks]
+        warmer = [thunk() for thunk in thunks]
+        assert warm == cold, entry.name
+        assert warmer == cold, entry.name
+
+
+def test_frame_round_trip_computes_each_long_trig_row_once(trig_calls):
+    jets._TRIG_MEMO.clear()
+    curve = gallery("gamma_n", {"n": 5}).curve
+    pair = curve.curvature_pair()
+    align_congruence(reconstruct(pair.ell, pair.beta, curve.domain, steps=32768), curve)
+    # without the memo, 6 of the 8 rows were computed twice
+    assert len(trig_calls) == 8 and set(trig_calls.values()) == {1}
