@@ -241,8 +241,11 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "transform" and args.domain is not None and args.reparam is None:
-            parser.error("transform: --domain applies only with --reparam")
+        if args.command == "transform":
+            if args.domain is not None and args.reparam is None:
+                parser.error("transform: --domain applies only with --reparam")
+            if "" in (args.affine, args.reparam, args.diffeo):
+                parser.error("transform: --affine, --reparam and --diffeo need a value")
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:

@@ -53,7 +53,7 @@ def _require_finite(ts, what: str, *arrays, error=LegendreError) -> None:
 
 def _check_domain(domain) -> tuple[float, float]:
     a, b = (float(v) for v in domain)
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+    if not (math.isfinite(b - a) and a < b):
         raise CurveError(f"domain must be a finite interval [a, b] with a < b, "
                          f"got [{a!r}, {b!r}]")
     return a, b
@@ -223,18 +223,18 @@ def derive_nu(x, y, domain: tuple[float, float]) -> tuple[ScalarFun, ScalarFun]:
     """Frame of a regular curve: nu = J(gamma') / |gamma'|, so beta = -|gamma'|.
 
     The frame is an expression, (-y', x') / sqrt(x'^2 + y'^2) with the
-    derivatives spelled out by ``ast_derivative``.  The squared speed
-    under the root is swept on a 2048-step grid and its interior minima
-    are polished, so a singular point between grid nodes is still caught.
-    A speed of 1e-9 or less is singular, and a singular curve must supply
-    its frame as data.
+    derivatives spelled out by ``ast_derivative``.  The curve is singular
+    where x' and y' have a common zero, found by the signature's zero
+    search on both in one tape (``signatures._common_zeros``), so the
+    decision does not depend on the curve's scale.  A singular curve
+    must supply its frame as data.
     """
     dx, dy = (ScalarFun.from_ast(ast_derivative(ScalarFun.wrap(f).ast)) for f in (x, y))
-    speed2 = dx * dx + dy * dy
-    from .signatures import _refined_min_sq  # deferred: avoids a module cycle
-    if _refined_min_sq(speed2, domain, 2048) <= 1e-9 * 1e-9:
+    from .signatures import _common_zeros  # deferred: avoids a module cycle
+    if not _common_zeros(lambda pts, order: eval_jet_many([dx.ast, dy.ast], pts, order),
+                         domain).ok:
         raise CurveError("curve has a singular point; supply ν explicitly")
-    speed = speed2.sqrt()
+    speed = (dx * dx + dy * dy).sqrt()
     return -dy / speed, dx / speed
 
 

@@ -8,7 +8,7 @@ plane.  The grammar (EBNF):
     term   := factor (("*" | "/") factor)* ;
     factor := base ("^" int)? ;
     base   := number | "t" | "x" | "y" | "pi" | fn "(" expr ")"
-            | "(" expr ")" | "-" base ;
+            | "d" "(" expr ")" | "(" expr ")" | "-" base ;
     fn     := "sin" | "cos" | "exp" | "sqrt" | "atan" ;
 
 ``^`` binds tighter than ``*``/``/``, which bind tighter than ``+``/``-``;
@@ -16,9 +16,10 @@ exponents are literal non-negative integers.  There is no implicit
 multiplication, and named parameters must be substituted numerically before
 parsing (see :func:`substitute_params`).
 
-An internal node ``Unary("d", f)``, the t-derivative of f, never made by
-the parser nor found in a curve's components, spells out the curvature
-pair, so it and every transformation law built on it are ASTs too.
+The node ``Unary("d", f)``, the t-derivative of f, spells out the
+curvature pair, so it and every transformation law built on it are ASTs
+too.  The one-variable grammar reads ``d(e)`` as that node, so a printed
+curvature pair parses back; the two-variable grammar refuses it.
 A two-variable AST becomes univariate by :func:`substitute_var` of x and
 y; with its partials from ``ast_derivative(ast, var)``, the image of a
 curve under a target map is an AST too.
@@ -84,7 +85,7 @@ class Const:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # neg, sin, cos, exp, sqrt, atan; internal: d, the t-derivative
+    op: str  # neg, sin, cos, exp, sqrt, atan, d (the t-derivative)
     child: "ExprAst"
 
 
@@ -104,7 +105,7 @@ class PowInt:
 ExprAst = Union[Number, Var, Const, Unary, Binary, PowInt]
 
 _FUNCTIONS = ("sin", "cos", "exp", "sqrt", "atan")
-_RESERVED = set(_FUNCTIONS) | {"t", "x", "y", "pi"}
+_RESERVED = set(_FUNCTIONS) | {"d", "t", "x", "y", "pi"}
 
 
 # -- node constructors: 0 a = 0, 1 a = a, a + 0 = a, 0 / b = 0, a / 1 = a,
@@ -255,7 +256,7 @@ class _Parser:
             self.expect_op(")")
             return node
         if kind == "ident":
-            if text in _FUNCTIONS:
+            if text in _FUNCTIONS or (text == "d" and self.arity == "one-var"):
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
@@ -544,9 +545,8 @@ def substitute_var(ast: ExprAst, name: str, replacement: ExprAst) -> ExprAst:
 def ast_derivative(ast: ExprAst, var: str = "t") -> ExprAst:
     """Structural derivative of an AST in the variable ``var``.
 
-    Internal helper used to spell out frame expressions that involve the
-    derivative of a user-supplied factor, and the partials of a target
-    map; the DSL itself has no differentiation operator.  A ``Var``
+    Spells out frame expressions that involve the derivative of a
+    user-supplied factor, and the partials of a target map.  A ``Var``
     differentiates to 1 when it is ``var``, otherwise to 0.  ``d(f)``
     differentiates to f'' spelled out.
     """
@@ -682,11 +682,6 @@ class ScalarFun:
 
     def values(self, ts) -> np.ndarray:
         return self.jet(np.asarray(ts, dtype=float), 0)[0]
-
-    def dvalues(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Function and first-derivative values on a grid, one pass."""
-        v, d = self.jet(np.asarray(ts, dtype=float), 1)
-        return v, d
 
     __add__, __radd__ = _operators(add)
     __sub__, __rsub__ = _operators(sub)

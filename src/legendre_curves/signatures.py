@@ -29,15 +29,17 @@ low-order sweep, and only the zeros it leaves open are evaluated again at
 the full jet order.
 
 Each zero decision has one rule here, shared by ``signature`` (which the
-germ signature reads), ``is_immersion`` and ``find_zeros``: a component is
-the zero function when its scale (max |f| on the grid) is <=
-``_ZERO_FUN_REL`` times the largest scale; a candidate is a root when
-|f| <= ``_ROOT_TOL`` * scale; the contact order is the first coefficient
-above ``VANISH_REL`` * running prefix maximum (seeded with the scale) and
-``VANISH_ABS``; zeros of ell and beta within ``_MERGE_TOL`` coincide.
-``signature``, ``find_zeros`` and ``is_immersion`` run one search on one
-grid of ``_GRID_N`` steps: ``find_zeros`` is its one-component case and
-``is_immersion`` its both-component case.
+germ signature reads), ``find_zeros`` and ``_common_zeros``: a component
+is the zero function when its scale (max |f| on the grid) is <=
+``_ZERO_FUN_REL`` times the largest scale, a reference's included; a
+candidate is a root when |f| <= ``_ROOT_TOL`` * scale; the contact order
+is the first coefficient above ``VANISH_REL`` * running prefix maximum
+(seeded with the scale) and ``VANISH_ABS``; zeros within ``_MERGE_TOL``
+coincide.  All three run one search on one grid of ``_GRID_N`` steps.
+``_common_zeros`` alone answers "does it vanish somewhere on the domain":
+``is_immersion`` asks it of (ell, beta), ``derive_nu`` of (x', y'),
+``reparametrize`` of t' against the domains' slope and
+``pushforward_diffeo_curve`` of det J o gamma against its products.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     # small; the pre-filter keeps the derivative scan from chasing
     # noise-level sign changes of f' (a constant f has f' at rounding
     # level everywhere).
-    pre_tols = max(_ROOT_TOL, 400.0 / grid_n ** 2) * scales
+    pre_tols = _pre_tols(scales, grid_n)
     near = {c: np.minimum(np.abs(values[c][:-1]), np.abs(values[c][1:])) <= pre_tols[c]
             for c in comps}
     cells = np.logical_or.reduce(list(near.values()))
@@ -263,6 +265,12 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
             np.full(len(brackets) + len(exact) + 2, c),
             np.repeat([0, 1, 0], [len(sign_changes), len(dsign_changes), len(exact) + 2])))
     return tuple(np.concatenate(col) for col in zip(*groups))
+
+
+def _pre_tols(scales: np.ndarray, grid_n: int) -> np.ndarray:
+    """The pre-filter: per component, the |f| at or below which a grid
+    cell is searched for a touch zero."""
+    return max(_ROOT_TOL, 400.0 / grid_n ** 2) * scales
 
 
 def _newton(evaluate, x, lo, hi, comp, row):
@@ -312,20 +320,6 @@ def _newton(evaluate, x, lo, hi, comp, row):
         for array, new in zip(jets, evaluate(x[at], order)):
             array[:, at] = new
     return x, jets
-
-
-def _refined_min_sq(sq: ScalarFun, domain: tuple[float, float], grid_n: int) -> float:
-    """Minimum of a smooth non-negative function via polished critical dips."""
-    ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
-    v, dv = sq.dvalues(ts)
-    lowest = float(np.min(v))
-    dips = np.nonzero((dv[:-1] > 0.0) != (dv[1:] > 0.0))[0]
-    if len(dips):
-        comp = np.zeros(len(dips), dtype=int)
-        _, jets = _newton(_fun_source(sq), np.full(len(dips), np.nan), ts[dips],
-                          ts[dips + 1], comp, comp + 1)
-        lowest = min(lowest, float(np.min(jets[0][0])))
-    return lowest
 
 
 def _dedup(sorted_roots: Sequence[float]) -> list[float]:
@@ -380,33 +374,39 @@ def signature(source) -> Signature:
 
 
 def is_immersion(curve) -> ImmersionReport:
-    """Check (ell, beta) != (0, 0) everywhere; witnesses are common zeros.
+    """Check (ell, beta) != (0, 0) everywhere, by ``_common_zeros``: the
+    witnesses are the common zeros, ``min_combined`` the least max(|ell|, |beta|)."""
+    return _common_zeros(curve.curvature_pair().jets, curve.domain)
 
-    The both-component case of ``signature``'s search: both components
-    come from one order-0 ``CurvaturePair.jets`` scan on the signature
-    grid and their zeros from one joint search, with the zero-function
-    test, root and coincidence tolerances of ``signature``.  When every
-    point is degenerate, nine evenly spaced grid points are the witnesses.
-    ``min_combined`` is the least max(|ell|, |beta|) on the grid and at the
-    zeros Newton kept; without zeros it stays a grid minimum.
+
+def _common_zeros(evaluate, domain: tuple[float, float], refs: int = 0) -> ImmersionReport:
+    """Where all searched components of a source vanish together.
+
+    One ``_scan``, the zero-function test, one joint ``_zeros`` search and
+    the ``_MERGE_TOL`` coincidence.  The last ``refs`` components are not
+    searched, only joined to the scales of the zero-function test.  The
+    witnesses are nine grid points when every searched component is the
+    zero function; none, without a search, when one keeps its sign above
+    the pre-filter, so that the search has no candidate of it; otherwise
+    the common zeros.  ``min_combined`` is the least max |f| of the
+    searched components on the grid and at the zeros Newton kept.
     """
-    evaluate = curve.curvature_pair().jets
-    ts, (ev, bv), scales = _scan(evaluate, curve.domain, _GRID_N)
-    min_combined = float(np.min(np.maximum(np.abs(ev), np.abs(bv))))
-    vanishing = _vanishing(scales)
+    ts, values, scales = _scan(evaluate, domain, _GRID_N)
+    n = len(values) - refs
+    min_combined = float(np.min(np.max(np.abs(values[:n]), axis=0)))
+    vanishing = _vanishing(scales)[:n]
     if vanishing.all():  # every point degenerate
         return ImmersionReport(False, tuple(float(t) for t in ts[::_GRID_N // 8]), min_combined)
-    # Where one component is the zero function the zeros of the other are
-    # witnesses; otherwise the witnesses are the common zeros.
-    comps = [c for c in (0, 1) if not vanishing[c]]
-    (ell_zeros, beta_zeros), (_, _, jets) = _zeros(evaluate, ts, [ev, bv], scales, comps, False)
-    min_combined = float(np.min(np.abs([j[0] for j in jets]).max(axis=0), initial=min_combined))
-    if len(comps) == 2:
-        witnesses = [r for r in ell_zeros
-                     if any(abs(r - s) <= _MERGE_TOL for s in beta_zeros)]
-    else:
-        witnesses = ell_zeros + beta_zeros
-    witnesses = sorted(set(witnesses))
+    comps = [c for c in range(n) if not vanishing[c]]
+    pre_tols = _pre_tols(scales, _GRID_N)
+    if any(np.min(values[c] * np.sign(values[c][0])) > pre_tols[c] for c in comps):
+        return ImmersionReport(True, (), min_combined)
+    roots, (_, _, jets) = _zeros(evaluate, ts, values, scales, comps, False)
+    min_combined = float(np.min(np.abs([j[0] for j in jets[:n]]).max(axis=0),
+                                initial=min_combined))
+    first, *others = (roots[c] for c in comps)
+    witnesses = sorted({r for r in first
+                        if all(any(abs(r - s) <= _MERGE_TOL for s in other) for other in others)})
     return ImmersionReport(ok=(not witnesses), witnesses=tuple(witnesses),
                            min_combined=min_combined)
 

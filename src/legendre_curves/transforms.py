@@ -32,9 +32,9 @@ import numpy as np
 
 from .curves import CurvaturePair, LegendreCurve, _check_domain
 from .errors import TransformError
-from .exprs import (ExprAst, ScalarFun, ast_derivative, eval_jet_many, parse_expr,
+from .exprs import (ExprAst, Number, ScalarFun, ast_derivative, eval_jet_many, parse_expr,
                     substitute_var)
-from .signatures import _refined_min_sq
+from .signatures import _common_zeros
 
 
 @dataclass(frozen=True)
@@ -100,43 +100,46 @@ class TransformResult:
 def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     """Compose the curve with a parameter change t(u).
 
-    ``t`` must have nowhere-zero derivative on the new domain and map it
-    into the curve's domain.  The returned law is ((ell o t) t',
-    (beta o t) t').
+    ``t'`` must have no zero on the new domain, as the signature's zero
+    search decides (``signatures._common_zeros``), and must not be the
+    zero function against (b - a) / (d - c), the slope that maps the new
+    domain [c, d] onto the curve's [a, b].  So t is monotone and maps the
+    new domain onto the interval between t(c) and t(d), which must lie in
+    the curve's domain.  The returned law is ((ell o t) t', (beta o t) t').
     """
     c, d = _check_domain(new_domain)
     tfun = ScalarFun.wrap(t_of_u)
     tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
-    if _refined_min_sq(tprime * tprime, (c, d), 1024) <= 1e-12 * 1e-12:
-        raise TransformError("not a parameter change")
-    us = np.linspace(c, d, 1025)
-    tv = tfun.values(us)
     a, b = curve.domain
+    slope = Number(min((b - a) / (d - c), np.finfo(float).max))  # d - c may be subnormal
+    if not _common_zeros(lambda pts, order: eval_jet_many([tprime.ast, slope], pts, order),
+                         (c, d), refs=1).ok:
+        raise TransformError("not a parameter change")
+    jc, jd = tfun.jet(np.array([c, d]), 6).T.tolist()
     pad = 1e-9 * (1.0 + abs(b - a))
-    if float(np.min(tv)) < a - pad or float(np.max(tv)) > b + pad:
+    if min(jc[0], jd[0]) < a - pad or max(jc[0], jd[0]) > b + pad:
         raise TransformError("parameter change leaves the curve's domain")
 
     def compose(f: ScalarFun) -> ScalarFun:
         return ScalarFun.from_ast(substitute_var(f.ast, "t", tfun.ast))
 
     new_curve = LegendreCurve(*map(compose, (curve.x, curve.y, curve.nu_x, curve.nu_y)),
-                              (c, d), _composition_closed(curve, tfun, (c, d)))
+                              (c, d), _composition_closed(curve, jc, jd))
     return TransformResult(new_curve, lambda: CurvaturePair(
         compose(curve.ell()) * tprime, compose(curve.beta()) * tprime,
         (c, d), new_curve.closed))
 
 
-def _composition_closed(curve: LegendreCurve, tfun: ScalarFun,
-                        new_domain: tuple[float, float]) -> bool:
+def _composition_closed(curve: LegendreCurve, jc: list, jd: list) -> bool:
     """Does gamma o t close up smoothly at the new endpoints?
 
-    True when the curve is closed and the order-6 endpoint jets of t agree
-    up to the period identification t(d) - t(c) in {0, +/-(b - a)}.
+    True when the curve is closed and ``jc`` and ``jd``, the order-6 jets
+    of t at the new endpoints, agree up to the period identification
+    t(d) - t(c) in {0, +/-(b - a)}.
     """
     if not curve.closed:
         return False
     a, b = curve.domain
-    jc, jd = tfun.jet(np.array(new_domain), 6).T.tolist()
     gap = abs(jc[0] - jd[0])
     period = abs(b - a)
     if min(gap, abs(gap - period)) > 1e-9 * (1.0 + period):
@@ -196,11 +199,12 @@ def negate(curve: LegendreCurve, which: str) -> TransformResult:
 def pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, t):
     """Curvature and frame of the image curve under Phi at parameter t.
 
-    Evaluates the law and the frame of :func:`pushforward_diffeo_curve`
-    at ``t``, a scalar or an ndarray, and refuses a map whose Jacobian
-    degenerates at one of those points.  Returns (ell, beta, (nu_x, nu_y)).
+    Builds the image with :func:`pushforward_diffeo_curve`, which refuses
+    a map whose Jacobian determinant has a zero anywhere along the curve,
+    and evaluates its law and frame at ``t``, a scalar or an ndarray.
+    Returns (ell, beta, (nu_x, nu_y)).
     """
-    result = _pushforward_diffeo(curve, diffeo, t)
+    result = pushforward_diffeo_curve(curve, diffeo)
     ell, beta = result.law.jets(t, 0)
     nx, ny = result.curve.nu_jets(t, 0)
     return ell[0], beta[0], (nx[0], ny[0])
@@ -227,17 +231,14 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
     The image is (phi1 o gamma, phi2 o gamma) with the frame nbar/|nbar|,
     nbar = (d2phi2 nu_x - d1phi2 nu_y, -d2phi1 nu_x + d1phi1 nu_y) along
     the curve (dk: the partial in the k-th variable), all expressions, so
-    it carries jets of every order.  A map whose Jacobian degenerates at
-    one of 1025 points of the curve is refused here, since a printed
-    image is never evaluated.  The law spells out Phi's first and second
-    partials along the curve in the same way.
+    it carries jets of every order.  A map whose Jacobian determinant
+    det J o gamma has a zero on the curve's domain, as the signature's
+    zero search decides (``signatures._common_zeros``), or is the zero
+    function against its products d1phi1 d2phi2 and d1phi2 d2phi1 (a
+    rank-one map), is refused here, since a printed image is never
+    evaluated.  The law spells out Phi's first and second partials along
+    the curve in the same way.
     """
-    return _pushforward_diffeo(curve, diffeo, np.linspace(*curve.domain, 1025))
-
-
-def _pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, ts) -> TransformResult:
-    """The image and law of :func:`pushforward_diffeo_curve`, refusing a
-    map whose Jacobian degenerates at one of the parameters ``ts``."""
 
     def along(phi: ExprAst) -> ScalarFun:  # phi o gamma
         return ScalarFun.from_ast(substitute_var(
@@ -246,11 +247,10 @@ def _pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, ts) -> Transfo
     partials = [[ast_derivative(phi, var) for var in ("x", "y")]
                 for phi in (diffeo.phi1, diffeo.phi2)]
     (d1phi1, d2phi1), (d1phi2, d2phi2) = ([along(d) for d in row] for row in partials)
-    # the Jacobian must not vanish relative to its entries at any of ts
-    j11, j12, j21, j22 = (jet[0] for jet in eval_jet_many(
-        [f.ast for f in (d1phi1, d2phi1, d1phi2, d2phi2)], ts, 0))
-    size = (np.abs(j11) + np.abs(j12)) * (np.abs(j21) + np.abs(j22))
-    if np.any(np.abs(j11 * j22 - j21 * j12) <= 1e-12 * np.maximum(size, 1.0)):
+    p, q = d1phi1 * d2phi2, d1phi2 * d2phi1  # det J cancelling to noise is zero against p, q
+    jac = p - q
+    if not _common_zeros(lambda pts, order: eval_jet_many([jac.ast, p.ast, q.ast], pts, order),
+                         curve.domain, refs=2).ok:
         raise TransformError("diffeomorphism degenerates along the curve")
     a, b = curve.nu_x, curve.nu_y
     nbx = d2phi2 * a - d1phi2 * b
@@ -266,7 +266,6 @@ def _pushforward_diffeo(curve: LegendreCurve, diffeo: DiffeoSpec, ts) -> Transfo
                              ((d1phi, "x"), (d1phi, "y"), (d2phi, "y")))
             return d11 * b * b - 2.0 * d12 * a * b + d22 * a * a
 
-        jac = d1phi1 * d2phi2 - d1phi2 * d2phi1
         bend = quad(*partials[0]) * nbx + quad(*partials[1]) * nby
         return CurvaturePair((jac * curve.ell() - bend * curve.beta()) / r2,
                              norm * curve.beta(), curve.domain, curve.closed)

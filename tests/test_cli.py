@@ -11,6 +11,7 @@ import legendre_curves
 from legendre_curves import (DiffeoSpec, gallery, load_curve, pushforward_diffeo_curve,
                              signature)
 from legendre_curves.cli import RenderConfig, render_svg, run
+from legendre_curves.exprs import pretty_print
 
 
 @pytest.fixture(scope="module")
@@ -285,11 +286,20 @@ def test_render_config_validation():
      "gamma_n takes no parameter 'm'"),
     (["examples", "get", "circle", "--param", "q=1"], 1,
      "circle takes no parameter 'q'"),
+    (["transform", "--curve", "circle", "--affine="], 2, "need a value"),
+    (["transform", "--curve", "circle", "--reparam", "", "--domain", "0:3.14"], 2,
+     "need a value"),
+    (["transform", "--curve", "circle", "--diffeo", ""], 2, "need a value"),
+    (["transform", "--curve", "circle", "--diffeo", "x;(y-0.3)^2"], 1,
+     "error: diffeomorphism degenerates along the curve"),
+    (["transform", "--curve", "circle", "--diffeo", "x+3*y;0.1*x+0.3*y"], 1,
+     "error: diffeomorphism degenerates along the curve"),
 ], ids=["curvature-samples", "render-samples", "render-width",
         "germ-n", "affine-text", "affine-nan", "affine-det-overflow",
         "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm", "diffeo-degenerate",
         "germ-stray-p", "domain-without-reparam", "gamma_n-stray-param",
-        "circle-stray-param"])
+        "circle-stray-param", "empty-affine", "empty-reparam", "empty-diffeo",
+        "diffeo-fold", "diffeo-rank-one"])
 def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
                                                    args, code, message):
     # out-of-range numbers are usage errors (exit 2), failed assumptions
@@ -304,6 +314,18 @@ def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
     if code == 1:
         assert captured.err.startswith("error: ")
     assert not (tmp_path / "out.svg").exists()
+
+
+def test_reconstruct_reads_printed_curvature_pairs(roster, capsys):
+    # each curve's own (ell, beta), printed with d(...), goes back in as text
+    for entry in roster:
+        pair = entry.curve.curvature_pair()
+        a, b = entry.curve.domain
+        code = run(["reconstruct", "--ell", pretty_print(pair.ell.ast),
+                    "--beta", pretty_print(pair.beta.ast), f"--domain={a!r}:{b!r}"])
+        captured = capsys.readouterr()
+        assert code == 0, (entry.name, captured.err)
+        assert captured.out.startswith("t,")
 
 
 def test_reparam_requires_domain(specs, capsys):

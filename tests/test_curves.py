@@ -1,13 +1,16 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from legendre_curves import (CurvaturePair, LegendreCurve, ScalarFun,
                              check_closed, check_legendre,
                              derive_nu, dump_curve, gallery, is_immersion,
                              load_curve, type_nm_curve)
+from legendre_curves.cli import run
 from legendre_curves.errors import CurveError
 
 TWO_PI = 2 * math.pi
@@ -83,6 +86,41 @@ def test_derive_nu_horizontal_line():
 def test_derive_nu_rejects_singular_curve():
     with pytest.raises(CurveError, match="singular point"):
         derive_nu("t^2", "t^3", (-1, 1))
+
+
+@given(st.integers(-12, 12))
+def test_derive_nu_decides_at_every_scale(k):
+    # the singular-point decision reads the zero search on (x', y'), whose
+    # tolerances are relative to the scale of each component
+    s = 10.0 ** k
+    nux, nuy = derive_nu(f"{s!r}*cos(t)", f"{s!r}*sin(t)", (0, TWO_PI))
+    assert np.allclose(nux.values(np.array([0.0, 1.0])), -np.cos([0.0, 1.0]), atol=1e-12)
+    with pytest.raises(CurveError, match="singular point"):
+        derive_nu(f"{s!r}*t^2", f"{s!r}*t^3", (-1, 1))
+
+
+def test_derive_nu_reads_a_component_without_zeros_as_no_common_zero():
+    # y' = 0.6 cos(600 t) has 1200 zeros, more than the search takes from
+    # one component, but x' = 1 has none, so there is no common zero
+    curve = LegendreCurve.from_exprs("t", "0.001*sin(600*t)", nu=None, domain=(0, TWO_PI))
+    assert check_legendre(curve).ok
+
+
+def test_infinite_domain_width_is_refused_without_a_warning(tmp_path, capsys):
+    # b - a overflows to infinity: the domain message, before any grid
+    # is spread over the interval
+    spec = {"x": "cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
+            "domain": [-1e308, 1e308]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CurveError, match="finite interval"):
+            load_curve(spec)
+        assert run(["signature", "--curve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: domain must be a finite interval")
 
 
 def test_derive_nu_beta_is_negative_speed():
@@ -265,7 +303,7 @@ def test_curve_components_must_be_expressions(circle):
 
 
 @pytest.mark.parametrize("domain", [(TWO_PI, 0.0), (1.0, 1.0), (0.0, math.nan),
-                                    (-math.inf, 0.0)])
+                                    (-math.inf, 0.0), (-1e308, 1e308)])
 def test_domain_must_be_finite_and_increasing(circle, domain):
     with pytest.raises(CurveError, match="a < b"):
         LegendreCurve(circle.x, circle.y, circle.nu_x, circle.nu_y, domain)

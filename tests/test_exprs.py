@@ -168,6 +168,21 @@ def test_substitute_params():
     assert substitute_params("t^k + k*c", {"k": 2, "c": -1.5}) == "t^2 + 2*(-1.5)"
     with pytest.raises(ValueError):
         substitute_params("t + q", {"pi": 1.0})
+    with pytest.raises(ValueError, match="'d'"):  # d(...) is the t-derivative
+        substitute_params("d*t", {"d": 1.0})
+
+
+def test_printed_curvature_pairs_parse_back(roster):
+    # a curvature pair spells out derivatives as d(...), which the
+    # one-variable grammar reads back as the same node
+    for entry in roster:
+        pair = entry.curve.curvature_pair()
+        for fun in (pair.ell, pair.beta):
+            assert parse_expr(pretty_print(fun.ast)) == fun.ast, entry.name
+    assert parse_expr("d(t^2)") == Unary("d", PowInt(Var("t"), 2))
+    with pytest.raises(ExprSyntaxError, match="unknown identifier 'd'") as err:
+        parse_expr("x + d(x)", "two-var")
+    assert err.value.offset == 4
 
 
 def test_substitute_var_compose():
@@ -200,7 +215,7 @@ def test_scalar_fun_values_and_algebra():
     assert np.allclose((-f).values(ts), -np.sin(ts), atol=1e-14)
     assert np.allclose((2.0 * f).values(ts), 2 * np.sin(ts), atol=1e-14)
     assert np.allclose((f / g).values(ts), np.tan(ts), atol=1e-12)
-    v, d = f.dvalues(ts)
+    v, d = f.jet(ts, 1)
     assert np.allclose(v, np.sin(ts), atol=1e-14)
     assert np.allclose(d, np.cos(ts), atol=1e-14)
 

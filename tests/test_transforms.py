@@ -54,6 +54,43 @@ def test_reparametrize_rejects_critical_points(circle):
         reparametrize(circle, "t^2", (-1.0, 1.0))
     with pytest.raises(TransformError, match="domain"):
         reparametrize(circle, "t + 10", (0.0, 1.0))
+    # t' cancels to -5.55e-17, the zero function only against the slope
+    # (b - a) / (d - c) that maps the new domain onto the curve's
+    with pytest.raises(TransformError, match="not a parameter change"):
+        reparametrize(circle, "0.3*t - 0.1*3*t", (0.0, 1.0))
+    # t = u maps (0, d) onto a sliver of the circle's domain, at most 1e-10
+    # of it, also where the slope 2 pi / d overflows
+    for d in (1e-300, 1e-310):
+        with pytest.raises(TransformError, match="not a parameter change"):
+            reparametrize(circle, "t", (0.0, d))
+
+
+@given(st.integers(-12, 12))
+def test_reparametrize_decides_at_every_scale(circle, k):
+    # t' = 10^k has no zero whatever its size, and t maps the new domain
+    # onto the circle's
+    res = reparametrize(circle, f"{10 ** k!r}*t", (0.0, TWO_PI / 10 ** k))
+    assert res.curve.closed
+    assert signature(res.curve).key() == signature(circle).key()
+
+
+@pytest.mark.parametrize("c", [-0.999, -0.9, -0.3, 0.0, 0.3, 0.7, 0.999, 1.5, -1.5, 3.0])
+def test_fold_is_refused_where_det_j_has_a_zero(circle, c):
+    # (x, (y - c)^2) has det J = 2 (sin t - c) on the circle, with a sign
+    # change for |c| < 1 that a sample of points can step over
+    fold = DiffeoSpec.from_texts("x", f"(y - ({c!r}))^2")
+    if abs(c) < 1:
+        with pytest.raises(TransformError, match="degenerates along the curve"):
+            pushforward_diffeo_curve(circle, fold)
+    else:
+        assert check_legendre(pushforward_diffeo_curve(circle, fold).curve).ok
+
+
+def test_pointwise_diffeo_checks_the_whole_domain(circle):
+    # det J vanishes at t = asin(0.3) and pi - asin(0.3), not at t = 2
+    fold = DiffeoSpec.from_texts("x", "(y - 0.3)^2")
+    with pytest.raises(TransformError, match="degenerates along the curve"):
+        pushforward_diffeo(circle, fold, 2.0)
 
 
 def test_affine_diagonal_example(circle):
@@ -191,12 +228,15 @@ def test_diffeo_specializes_to_affine(circle):
 
 
 def test_diffeo_degenerate_jacobian(circle):
-    squash = DiffeoSpec.from_texts("x", "x")  # rank-one map
-    with pytest.raises(TransformError, match="degenerates"):
-        pushforward_diffeo(circle, squash, 0.3)
-    # the image is refused when it is built, not on its first evaluation
-    with pytest.raises(TransformError, match="degenerates along the curve"):
-        pushforward_diffeo_curve(circle, squash)
+    # rank-one maps; the second has det J = -5.55e-17, the zero function
+    # only against the products d1phi1 d2phi2 and d1phi2 d2phi1
+    for texts in (("x", "x"), ("x + 3*y", "0.1*x + 0.3*y")):
+        squash = DiffeoSpec.from_texts(*texts)
+        with pytest.raises(TransformError, match="degenerates"):
+            pushforward_diffeo(circle, squash, 0.3)
+        # the image is refused when it is built, not on its first evaluation
+        with pytest.raises(TransformError, match="degenerates along the curve"):
+            pushforward_diffeo_curve(circle, squash)
 
 
 def test_diffeo_image_carries_jets_of_every_order():
