@@ -51,6 +51,12 @@ def _require_finite(ts, what: str, *arrays, error=LegendreError) -> None:
         raise error(f"{what} is not finite at t={float(ts[np.argmin(ok)])!r}")
 
 
+def _integers(*values) -> bool:
+    """Whether every value is a Python or numpy integer; a bool is no
+    order or size."""
+    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
+
+
 def _check_domain(domain) -> tuple[float, float]:
     a, b = (float(v) for v in domain)
     if not (math.isfinite(b - a) and a < b):
@@ -186,17 +192,25 @@ class LegendreReport:
     max_norm_defect: float
 
 
+def _frame_jets(curve, t0, order: int) -> list[np.ndarray]:
+    """Jets of x, y, nu_x and nu_y at t0, from one run of one tape over
+    the four components."""
+    return eval_jet_many([curve.x.ast, curve.y.ast, curve.nu_x.ast, curve.nu_y.ast],
+                         t0, order)
+
+
 def check_legendre(curve, samples: int = 2048, tol: float = 1e-9) -> LegendreReport:
-    """Verify gamma' . nu = 0 and |nu| = 1 on a uniform grid.  A defect
-    that is not finite raises ``CurveError`` naming its t."""
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
+    """Verify gamma' . nu = 0 and |nu| = 1 on a uniform grid of ``samples``
+    points, an integer of at least 2 (``ValueError`` otherwise).  One tape
+    run at order 1 gives gamma' and nu.  A defect that is not finite
+    raises ``CurveError`` naming its t."""
+    if not _integers(samples) or samples < 2:
+        raise ValueError(f"samples must be an integer of at least 2, got {samples!r}")
     a, b = curve.domain
     ts = np.linspace(a, b, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            gx, gy = curve.gamma_jets(ts, 1)
-            nx, ny = curve.nu_jets(ts, 0)
+            gx, gy, nx, ny = _frame_jets(curve, ts, 1)
         except LegendreError as err:
             t_bad = _locate_failure(curve, ts)
             raise CurveError(f"expression evaluation failed at t={t_bad!r}: {err}") from err
@@ -212,8 +226,7 @@ def check_legendre(curve, samples: int = 2048, tol: float = 1e-9) -> LegendreRep
 def _locate_failure(curve, ts):
     for t in ts:
         try:
-            curve.gamma_jets(float(t), 1)
-            curve.nu_jets(float(t), 0)
+            _frame_jets(curve, float(t), 1)
         except LegendreError:
             return float(t)
     return None

@@ -380,7 +380,10 @@ class _Tape:
             seen[id(node)] = slot
             return slot
 
-        self.outputs = [visit(ast) for ast in asts]
+        try:
+            self.outputs = [visit(ast) for ast in asts]
+        finally:
+            del visit  # it refers to itself: unbind it so the work dicts die with the frame
         self.depth = max((depth[slot] for slot in self.outputs), default=0)
         # Release every computed slot after the instruction that reads it last.
         last = {slot: i for i, ins in enumerate(code) for slot in ins[2:]}
@@ -517,7 +520,10 @@ def _memoized(ast: ExprAst, step) -> ExprAst:
             hit = memo[id(node)] = (node, step(node, recurse))
         return hit[1]
 
-    return recurse(ast)
+    try:
+        return recurse(ast)
+    finally:
+        del recurse  # it refers to itself: unbind it so the memo dies with the frame
 
 
 def substitute_var(ast: ExprAst, name: str, replacement: ExprAst) -> ExprAst:

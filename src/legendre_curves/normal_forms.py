@@ -22,11 +22,10 @@ case has ell identically zero, flagged separately.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .curves import LegendreCurve
+from .curves import LegendreCurve, _integers
 from .errors import CurveError
 from .exprs import (ExprAst, Number, ScalarFun, Unary, Var, add, ast_derivative,
                     div, mul, neg, power)
@@ -76,11 +75,6 @@ class GermSignature:
 
     ord_ell: Union[int, str]  # int or ZERO_FUNCTION
     ord_beta: int
-
-
-def _integers(*values) -> bool:
-    """Whether every value is an integer; a bool is no order."""
-    return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
 
 
 def type_nm_curve(n: int, m: int, f_expr=None, sign: int = 1) -> LegendreCurve:

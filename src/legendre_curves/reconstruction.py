@@ -9,18 +9,22 @@ displacement:
 
 The integration constants are fixed to theta(a) = 0 and gamma(a) = (0, 0);
 any other choice differs by a rotation plus a translation, and the
-uniqueness theorem says that is the full ambiguity.  ``align_congruence``
-recovers that rotation/translation between two curves and reports the
-worst-case residual, which is how round trips are validated.
+uniqueness theorem says that is the full ambiguity.  Both coordinates of
+gamma come from one cumulative Simpson pass over the block of the rows
+beta*sin(theta) and beta*cos(theta).  ``align_congruence`` recovers that
+rotation/translation between two curves and reports the worst-case
+residual, which is how round trips are validated; the motion acts on the
+x and y columns with the cosine and sine of its angle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurvaturePair, _require_finite
+from .curves import CurvaturePair, _frame_jets, _integers, _require_finite
 from .errors import GridMismatchError, ReconstructionError
 from .exprs import ScalarFun
 
@@ -46,20 +50,33 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class Congruence:
-    """Orientation-preserving rigid motion: p -> R(angle) p + translation."""
+    """Orientation-preserving rigid motion: p -> R(angle) p + translation.
+
+    ``apply`` and ``rotate`` take points or vectors of shape (..., 2) and
+    work on the x and y columns, (c x - s y, s x + c y) with c and s the
+    cosine and sine of the angle.
+    """
 
     rotation_angle: float
     translation: tuple[float, float]
 
-    def matrix(self) -> np.ndarray:
-        c, s = np.cos(self.rotation_angle), np.sin(self.rotation_angle)
-        return np.array([[c, -s], [s, c]])
+    def _moved(self, points):
+        """The two columns of ``apply(points)``."""
+        x, y = _turn(self.rotation_angle, points[..., 0], points[..., 1])
+        return x + self.translation[0], y + self.translation[1]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.matrix().T + np.asarray(self.translation)
+        return np.stack(self._moved(np.asarray(points)), axis=-1)
 
     def rotate(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors @ self.matrix().T
+        vectors = np.asarray(vectors)
+        return np.stack(_turn(self.rotation_angle, vectors[..., 0], vectors[..., 1]), axis=-1)
+
+
+def _turn(angle: float, x, y):
+    """The columns x and y rotated by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    return c * x - s * y, s * x + c * y
 
 
 @dataclass(frozen=True)
@@ -69,39 +86,42 @@ class AlignResult:
 
 
 def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
-    """Running integral of uniform samples by Simpson pairs.
+    """Running integral of uniform samples by Simpson pairs, along the
+    last axis, so one call integrates every row of a block.
 
     Needs an even number of subintervals.  Even grid points accumulate the
     classic composite rule; odd points add the partial integral of the
     same interpolating parabola, so the whole prefix stays fourth order.
     """
     values = np.asarray(values, dtype=float)
-    n = len(values) - 1
+    n = values.shape[-1] - 1
     if n < 2 or n % 2 != 0:
         raise ValueError("cumulative Simpson needs an even number of subintervals")
     out = np.empty_like(values)
-    out[0] = 0.0
-    f0 = values[0:-1:2]
-    f1 = values[1::2]
-    f2 = values[2::2]
+    out[..., 0] = 0.0
+    f0 = values[..., 0:-1:2]
+    f1 = values[..., 1::2]
+    f2 = values[..., 2::2]
     pair_integrals = (h / 3.0) * (f0 + 4.0 * f1 + f2)
-    even_cum = np.concatenate([[0.0], np.cumsum(pair_integrals)])
-    out[0::2] = even_cum
-    out[1::2] = even_cum[:-1] + (h / 12.0) * (5.0 * f0 + 8.0 * f1 - f2)
+    np.cumsum(pair_integrals, axis=-1, out=out[..., 2::2])
+    out[..., 1::2] = out[..., 0:-1:2] + (h / 12.0) * (5.0 * f0 + 8.0 * f1 - f2)
     return out
 
 
 def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> SampledCurve:
     """Curve with prescribed curvature, sampled on a uniform grid.
 
-    ``steps`` counts subintervals and must be even (the quadrature works on
-    Simpson pairs); fourth-order accurate in the step size.  The domain
-    must be a finite interval with a < b (``CurveError`` otherwise).  A
-    curvature sample or running integral that is not finite raises
-    ``ReconstructionError`` naming the first t where it occurs.
+    ``steps`` counts subintervals and must be an even integer of at least
+    16 (the quadrature works on Simpson pairs; ``ReconstructionError``
+    otherwise); fourth-order accurate in the step size.  theta and then
+    both coordinates of gamma, as one (2, N) block, take one cumulative
+    Simpson pass each.  The domain must be a finite interval with a < b
+    (``CurveError`` otherwise).  A curvature sample or running integral
+    that is not finite raises ``ReconstructionError`` naming the first t
+    where it occurs.
     """
-    if steps < 16:
-        raise ReconstructionError("steps must be at least 16")
+    if not _integers(steps) or steps < 16:
+        raise ReconstructionError(f"steps must be an integer of at least 16, got {steps!r}")
     if steps % 2 != 0:
         raise ReconstructionError("steps must be even (Simpson pairs)")
     pair = CurvaturePair(ScalarFun.wrap(ell), ScalarFun.wrap(beta), domain)
@@ -113,18 +133,20 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
         _require_finite(ts, "curvature", ell_vals, beta_vals, error=ReconstructionError)
         theta = cumulative_simpson(ell_vals, h)
         cos, sin = np.cos(theta), np.sin(theta)
-        gx = -cumulative_simpson(beta_vals * sin, h)
-        gy = cumulative_simpson(beta_vals * cos, h)
-    _require_finite(ts, "integral of the curvature", theta, gx, gy,
+        sin_int, cos_int = cumulative_simpson(beta_vals * np.stack([sin, cos]), h)
+    _require_finite(ts, "integral of the curvature", theta, sin_int, cos_int,
                     error=ReconstructionError)
-    return SampledCurve(ts=ts, gammas=np.stack([gx, gy], axis=-1),
+    return SampledCurve(ts=ts, gammas=np.stack([-sin_int, cos_int], axis=-1),
                         nus=np.stack([cos, sin], axis=-1))
 
 
 def sample_curve(curve, ts) -> SampledCurve:
-    """Sample an exact curve and its frame on a given grid."""
+    """Sample an exact curve and its frame on a given grid: gamma and nu
+    read row 0 of one tape run over the four components."""
     ts = np.asarray(ts, dtype=float)
-    return SampledCurve(ts=ts, gammas=curve.gamma(ts), nus=curve.nu(ts))
+    x, y, nx, ny = (jet[0] for jet in _frame_jets(curve, ts, 0))
+    return SampledCurve(ts=ts, gammas=np.stack([x, y], axis=-1),
+                        nus=np.stack([nx, ny], axis=-1))
 
 
 def align_congruence(curve1, curve2) -> AlignResult:
@@ -143,18 +165,20 @@ def align_congruence(curve1, curve2) -> AlignResult:
     n1 = s1.nus[0]
     n2 = s2.nus[0]
     angle = float(np.arctan2(n1[0] * n2[1] - n1[1] * n2[0], n1[0] * n2[0] + n1[1] * n2[1]))
-    rot = Congruence(angle, (0.0, 0.0))
-    translation = s2.gammas[0] - rot.rotate(s1.gammas[0][None, :])[0]
-    motion = Congruence(angle, (float(translation[0]), float(translation[1])))
-    residual = max(_max_row_length(s2.gammas - motion.apply(s1.gammas)),
-                   _max_row_length(s2.nus - motion.rotate(s1.nus)))
-    return AlignResult(congruence=motion, residual=residual)
+    x0, y0 = _turn(angle, *s1.gammas[0])
+    motion = Congruence(angle, (float(s2.gammas[0, 0] - x0), float(s2.gammas[0, 1] - y0)))
+    # |row|^2 as np.linalg.norm sums it; sqrt is monotone and correctly
+    # rounded, so the root of the largest square is the largest norm
+    worst = max(_max_square(s2.gammas, motion._moved(s1.gammas)),
+                _max_square(s2.nus, _turn(angle, s1.nus[:, 0], s1.nus[:, 1])))
+    return AlignResult(congruence=motion, residual=math.sqrt(worst))
 
 
-def _max_row_length(d: np.ndarray) -> float:
-    """max |row| of an (N, 2) array; the same sum of squares and sqrt as
-    ``np.linalg.norm(d, axis=1)``, without its general-axis reduction."""
-    return float(np.max(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+def _max_square(points: np.ndarray, columns) -> float:
+    """max |row - (x, y)|^2 over the rows of ``points`` against the columns
+    ``(x, y)``, each squared length summed as ``np.linalg.norm`` sums it."""
+    dx, dy = points[:, 0] - columns[0], points[:, 1] - columns[1]
+    return float(np.max(dx * dx + dy * dy))
 
 
 def _as_sampled_pair(curve1, curve2):

@@ -42,6 +42,22 @@ def trig_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def tape_runs(monkeypatch):
+    """Records each compiled-tape run as (order, number of ASTs)."""
+    from legendre_curves import exprs
+
+    runs = []
+    run = exprs._Tape.run
+
+    def counted_run(self, t0, order):
+        runs.append((order, len(self.outputs)))
+        return run(self, t0, order)
+
+    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    return runs
+
+
 def brute_force_zeros(fun, domain, n=1_000_000, half_open=False, rel_tol=1e-9):
     """Dense sign/threshold scan, independent of the root-finding code.
 

@@ -53,6 +53,19 @@ def test_check_legendre_violation():
     assert rep.max_defect == pytest.approx(1.0)
 
 
+def test_check_legendre_validates_samples(circle):
+    for samples in (1, 0, -5, 1000.0, np.float64(64), "64", True, None):
+        with pytest.raises(ValueError, match="samples must be an integer of at least 2"):
+            check_legendre(circle, samples=samples)
+    assert check_legendre(circle, samples=np.int32(2)).ok
+
+
+def test_check_legendre_runs_one_tape_at_order_1(circle, tape_runs):
+    # gamma' and nu come from one run of one tape over the four components
+    check_legendre(circle, samples=300)
+    assert tape_runs == [(1, 4)]
+
+
 def test_curvature_circle(circle):
     for t in (0.0, 1.0, 4.5):
         assert circle.curvature_pair()(t) == pytest.approx((1.0, 1.0))

@@ -98,6 +98,10 @@ def test_reconstruct_validates_steps():
         reconstruct("1", "1", (0, 1), steps=8)
     with pytest.raises(ReconstructionError, match="even"):
         reconstruct("1", "1", (0, 1), steps=17)
+    for steps in (2048.0, np.float64(64), "64", True, None):
+        with pytest.raises(ReconstructionError, match="must be an integer"):
+            reconstruct("1", "1", (0, 1), steps=steps)
+    assert len(reconstruct("1", "1", (0, 1), steps=np.int64(16)).ts) == 17
 
 
 def test_cumulative_simpson_exact_for_cubics():
@@ -164,20 +168,12 @@ def test_frame_pairs_match_per_component_values_bitwise(roster):
             assert sc.nus.tobytes() == np.atleast_2d(want_nu).tobytes()
 
 
-def test_sample_curve_runs_two_tapes_once_each(monkeypatch):
-    from legendre_curves import exprs
-
+def test_sample_curve_runs_one_tape_once(tape_runs):
+    # gamma and nu come from one run of one tape over x, y, nu_x and nu_y
     curve = gallery("gamma_n", {"n": 3}).curve
-    runs = []
-    run = exprs._Tape.run
-
-    def counted_run(self, t0, order):
-        runs.append(id(self))
-        return run(self, t0, order)
-
-    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    tape_runs.clear()  # building the gallery curve checks it
     sample_curve(curve, np.linspace(0, TWO_PI, 257))
-    assert len(runs) == 2 and len(set(runs)) == 2
+    assert tape_runs == [(0, 4)]
 
 
 def test_alignment_residual_matches_linalg_norm_bitwise(roster):
