@@ -51,7 +51,9 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
     Singular points are filled circles, inflection points open circles; a
     point of both kinds gets both markers.  A degenerate bounding box falls
     back to a unit box around the curve's midpoint.  A curve point that
-    is not finite raises ``LegendreError`` naming its t.
+    is not finite raises ``LegendreError`` naming its t, and so does a
+    box whose width or height overflows or is lost to rounding (a flat
+    box padded at coordinates near the float limit).
     """
     ts = np.linspace(curve.domain[0], curve.domain[1], cfg.samples)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -59,19 +61,24 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
     _require_finite(ts, "curve point", pts)
     xmin, ymin = np.min(pts, axis=0)
     xmax, ymax = np.max(pts, axis=0)
-    if xmax - xmin < 1e-12 and ymax - ymin < 1e-12:
-        xmin, xmax = xmin - 0.5, xmax + 0.5
-        ymin, ymax = ymin - 0.5, ymax + 0.5
-    elif xmax - xmin < 1e-12:
-        pad = 0.5 * (ymax - ymin)
-        xmin, xmax = xmin - pad, xmax + pad
-    elif ymax - ymin < 1e-12:
-        pad = 0.5 * (xmax - xmin)
-        ymin, ymax = ymin - pad, ymax + pad
+    with np.errstate(over="ignore"):  # an infinite extent is refused below
+        if xmax - xmin < 1e-12 and ymax - ymin < 1e-12:
+            xmin, xmax = xmin - 0.5, xmax + 0.5
+            ymin, ymax = ymin - 0.5, ymax + 0.5
+        elif xmax - xmin < 1e-12:
+            pad = 0.5 * (ymax - ymin)
+            xmin, xmax = xmin - pad, xmax + pad
+        elif ymax - ymin < 1e-12:
+            pad = 0.5 * (xmax - xmin)
+            ymin, ymax = ymin - pad, ymax + pad
+        width, height = xmax - xmin, ymax - ymin
+    if not (0.0 < width < np.inf and 0.0 < height < np.inf):
+        raise LegendreError(f"curve bounding box cannot be drawn: width {float(width)!r}, "
+                            f"height {float(height)!r}")
     usable_w = cfg.width * (1.0 - 2.0 * _MARGIN)
     usable_h = cfg.height * (1.0 - 2.0 * _MARGIN)
-    scale = min(usable_w / (xmax - xmin), usable_h / (ymax - ymin))
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+    scale = min(usable_w / width, usable_h / height)
+    cx, cy = 0.5 * xmin + 0.5 * xmax, 0.5 * ymin + 0.5 * ymax
 
     def to_px(p):
         return (0.5 * cfg.width + (p[0] - cx) * scale,

@@ -125,11 +125,6 @@ class LegendreCurve:
         jx, jy = self.gamma_jets(np.asarray(ts, dtype=float), 0)
         return np.stack([jx[0], jy[0]], axis=-1)
 
-    def nu(self, ts) -> np.ndarray:
-        """Frame vectors, shape (..., 2), from one pass over both components."""
-        jx, jy = self.nu_jets(np.asarray(ts, dtype=float), 0)
-        return np.stack([jx[0], jy[0]], axis=-1)
-
     # -- curvature ------------------------------------------------------
 
     def ell(self) -> ScalarFun:

@@ -15,16 +15,21 @@ component and the jet row it drives to zero; every Newton run and
 contact-order sweep is then one evaluation of both, one pass of the tape
 of the two ASTs (``CurvaturePair.jets``), whose jets are the tape's
 ``(order + 1, len(pts))`` arrays.  Newton starts each sign-change bracket
-at its grid cell and keeps the bracket by sign.  The residual check is no
-evaluation of its own: it reads the jets of Newton's final iterates.
+at its false-position point, built from the two grid values the scan
+holds, and keeps the bracket by the grid sign at its left end.  The
+residual check is no evaluation of its own: it reads the jets of Newton's
+final iterates.
 
 Each evaluation carries only the Taylor orders its decision reads.  Taylor
 recurrences are causal (coefficient k depends on coefficients 0..k only),
 so a lower truncation changes no coefficient it keeps.  The grid scan reads
-values only; f' comes from one more evaluation at the ends of the cells
-where |f| is small, the only place the touch-zero tests look.  The contact
-order of a zero that is one of Newton's final iterates is read from
-Newton's jets when they reach it.  The zeros they leave open go to a
+values only.  One order-1 evaluation, the seed run, follows it: it reads f'
+at the ends of the cells where |f| is small, the only place the touch-zero
+tests look, and f and f' at every start, which Newton's first step reads;
+no run evaluates the two grid ends of a sign bracket.  Only a touch
+bracket, whose Newton reads f'', costs one more run, at the starts.  The
+contact order of a zero that is one of Newton's final iterates is read
+from Newton's jets when they reach it.  The zeros they leave open go to a
 low-order sweep, and only the zeros it leaves open are evaluated again at
 the full jet order.
 
@@ -153,9 +158,10 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
 
     The one-component case of the joint search ``signature`` runs on
     (ell, beta), see ``_zeros``, on the same grid and with the same root
-    tolerance: an order-0 scan of the grid gathers the candidates, with
-    f' read only near small |f|, each Newton run is one evaluation, and
-    the residual check reads Newton's final jets.  Roots are deduplicated
+    tolerance: an order-0 scan of the grid gathers the candidates, one
+    order-1 seed run reads f' near small |f| and the jets at Newton's
+    starts, each later Newton run is one evaluation, and the residual
+    check reads Newton's final jets.  Roots are deduplicated
     within 1e-9.  With ``half_open`` the right endpoint is excluded, which
     is how closed curves record a seam zero once.
     """
@@ -172,8 +178,10 @@ def _scan(evaluate, domain: tuple[float, float], grid_n: int):
     ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         values = [jet[0] for jet in evaluate(ts, 0)]
-    _require_finite(ts, "function value", *values, error=RootScanError)
-    return ts, values, np.array([np.max(np.abs(v)) for v in values])
+    scales = np.array([np.max(np.abs(v)) for v in values])
+    if not np.isfinite(scales).all():  # max |f| is finite exactly when every f is
+        _require_finite(ts, "function value", *values, error=RootScanError)
+    return ts, values, scales
 
 
 def _vanishing(scales: np.ndarray) -> np.ndarray:
@@ -195,11 +203,10 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
-    lo, hi, x, comp, row = _candidates(evaluate, ts, values, scales, comps)
-    bracket = np.isnan(x)
-    x, jets = _newton(evaluate, x, lo, hi, comp, row)
+    (lo, hi, x, sign, comp, row), jets = _candidates(evaluate, ts, values, scales, comps)
+    x, jets = _newton(evaluate, x, jets, lo, hi, sign, comp, row)
     fx = _pick(jets, comp, 0 * row, np.arange(len(x)))
-    keep = (bracket & (row == 0)) | (np.abs(fx) <= _ROOT_TOL * scales[comp])
+    keep = ((sign != 0) & (row == 0)) | (np.abs(fx) <= _ROOT_TOL * scales[comp])
 
     roots: list[list[float]] = [[] for _ in values]
     for c in comps:
@@ -214,15 +221,23 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
 
 def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
                 comps: Sequence[int]):
-    """Starting points of the joint search, from the grid values.
+    """Starting points of the joint search, from the grid values, and the
+    jets Newton's first step reads at them.
 
     Sign-change brackets of f, derivative brackets of touch zeros, exact
     grid zeros and the endpoints, each tagged with its component and the
-    jet row it drives to zero.  f' is read only at the ends of the cells
-    where min |f| is below the pre-filter tolerance, the one place the
-    derivative tests look, by one order-1 evaluation over all components,
-    or none when no cell qualifies.  Returns the arrays lo, hi, start (NaN:
-    a sign bracket), component and row.
+    jet row it drives to zero.  A sign bracket starts at its false-position
+    point, built from the grid values at its ends and clipped to the cell,
+    ends included.  f' is read only at the ends
+    of the cells where min |f| is below the pre-filter tolerance, the one
+    place the derivative tests look.  One order-1 evaluation over all
+    components, the seed run, reads those ends, the false-position points
+    and the endpoints; the exact grid zeros are among the ends.  A touch
+    bracket starts at its end with the smaller |f'|; when one exists, an
+    order-2 evaluation at the starts replaces the seed run's jets, since
+    Newton on f' reads f''.  Returns the arrays lo, hi, start, sign (of the
+    bracketed row at lo from the grid; 0 for a start that is no bracket),
+    component and row, and the jets of every component at the starts.
     """
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
@@ -239,32 +254,58 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
             for c in comps}
     cells = np.logical_or.reduce(list(near.values()))
     at = np.nonzero(np.append(cells, False) | np.insert(cells, 0, False))[0]
-    slopes = np.zeros((len(values), len(ts)))
-    if len(at):
-        slopes[:, at] = [jet[1] for jet in evaluate(ts[at], 1)]
-    groups = []
+    brackets, starts = [], [ts[at]]
     for c in comps:
-        v, dv = values[c], slopes[c]
-        sign_changes = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
-        exact_hits = np.nonzero(v == 0.0)[0]
-        if len(sign_changes) + len(exact_hits) > cap:
+        v = values[c]
+        i = _sign_changes(v)
+        if len(i) + np.count_nonzero(v == 0.0) > cap:
             raise RootScanError(_NON_FINITE)
-        dsign_changes = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near[c])[0]
-        exact_crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tols[c]))[0]
-        if len(dsign_changes) + len(exact_crit) > cap:
+        # The false-position point.  f(lo) and f(hi) have opposite signs, so
+        # the weight is in [0, 1], and 0 when f(lo) - f(hi) overflows.
+        with np.errstate(over="ignore"):
+            w = v[i] / (v[i] - v[i + 1])
+        first = sum(map(len, starts))
+        brackets.append((i, np.arange(first, first + len(i))))
+        starts.append(np.clip(ts[i] + (ts[i + 1] - ts[i]) * w, ts[i], ts[i + 1]))
+    pts = np.concatenate(starts + [[a, b]])
+    seed = evaluate(pts, 1)
+    endpoint_cols = [len(pts) - 2, len(pts) - 1]
+    groups = []
+    for c, (i, fp_cols) in zip(comps, brackets):
+        # Every grid zero and every end of a near cell is an entry of at,
+        # and the two ends of a near cell are consecutive entries.
+        v, dv = values[c][at], seed[c][1, :len(at)]
+        touch = _sign_changes(dv)
+        touch = touch[near[c][at[touch]]]
+        crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tols[c]))[0]
+        if len(touch) + len(crit) > cap:
             raise RootScanError(_NON_FINITE)
+        exact = np.concatenate([np.nonzero(v == 0.0)[0], crit])
         # Exact grid zeros and the endpoints never produce a strict sign
-        # change; they start Newton where they are, inside [t, t] for the
-        # grid points and inside their grid cell for the endpoints.
-        brackets = np.concatenate([sign_changes, dsign_changes])
-        exact = ts[np.concatenate([exact_hits, exact_crit])]
+        # change; they start where they are, inside [t, t] for the grid
+        # points and inside their grid cell for the endpoints.  A touch
+        # bracket starts at its end with the smaller |f'|.
         groups.append((
-            np.concatenate([ts[brackets], exact, [a, b - h]]),
-            np.concatenate([ts[brackets + 1], exact, [a + h, b]]),
-            np.concatenate([np.full(len(brackets), np.nan), exact, [a, b]]),
-            np.full(len(brackets) + len(exact) + 2, c),
-            np.repeat([0, 1, 0], [len(sign_changes), len(dsign_changes), len(exact) + 2])))
-    return tuple(np.concatenate(col) for col in zip(*groups))
+            np.concatenate([ts[i], ts[at[touch]], ts[at[exact]], [a, b - h]]),
+            np.concatenate([ts[i + 1], ts[at[touch + 1]], ts[at[exact]], [a + h, b]]),
+            np.concatenate([fp_cols, touch + (np.abs(dv[touch + 1]) < np.abs(dv[touch])),
+                            exact, endpoint_cols]),
+            np.concatenate([np.sign(values[c][i]), np.sign(dv[touch]),
+                            np.zeros(len(exact) + 2)]),
+            np.full(len(i) + len(touch) + len(exact) + 2, c),
+            np.repeat([0, 1, 0], [len(i), len(touch), len(exact) + 2])))
+    lo, hi, cols, sign, comp, row = (np.concatenate(col) for col in zip(*groups))
+    x = pts[cols]
+    # Newton on f' reads f''
+    jets = evaluate(x, 2) if row.max() == 1 else [array[:, cols] for array in seed]
+    return (lo, hi, x, sign, comp, row), jets
+
+
+def _sign_changes(v: np.ndarray) -> np.ndarray:
+    """The i with v[i] and v[i + 1] of strictly opposite signs, compared
+    by sign so that no product overflows or underflows."""
+    s = np.sign(v)
+    return np.nonzero(s[:-1] * s[1:] < 0.0)[0]
 
 
 def _pre_tols(scales: np.ndarray, grid_n: int) -> np.ndarray:
@@ -273,33 +314,29 @@ def _pre_tols(scales: np.ndarray, grid_n: int) -> np.ndarray:
     return max(_ROOT_TOL, 400.0 / grid_n ** 2) * scales
 
 
-def _newton(evaluate, x, lo, hi, comp, row):
+def _newton(evaluate, x, jets, lo, hi, sign, comp, row):
     """Safeguarded vectorized Newton on jet row ``row`` of component ``comp``.
 
-    A start of NaN marks a sign bracket [lo, hi] of the row: the first run
-    evaluates both ends, Newton starts from the one with the smaller |f|,
-    and each iterate replaces the end of its sign.  Any other start is an
-    end of its guard [lo, hi].  A step is m f/f', with m >= 1 the secant
+    ``x`` are the starts from ``_candidates`` and ``jets`` the jets of
+    every component at them; the order of those jets is Newton's order.
+    A nonzero ``sign`` marks a bracket [lo, hi] of the row whose lo end has
+    that sign: each iterate replaces the end of its sign.  Any other start
+    lies in its guard [lo, hi].  A step is m f/f', with m >= 1 the secant
     slope of x against f/f' over the last two iterates, rounded: f/f' has
     a simple zero at a zero of any order, so m is that order and the steps
     converge quadratically where plain Newton would crawl.  A step that
     leaves a bracket goes to its midpoint instead; one that leaves a guard
     is dropped.  An iterate is final once its step is within 2^-32 of its
-    cell, or after ``_NEWTON_RUNS`` runs.
+    cell, or after ``_NEWTON_RUNS`` runs, the one at the starts included.
 
     Returns the final iterates and the jets of every component at them,
-    at Newton's order ``row.max() + 1``, each from the run at the iterate.
+    each from the run at the iterate.
     """
-    order = int(row.max()) + 1
+    order = len(jets[0]) - 1
     n = len(x)
     cols = np.arange(n)
-    bracket = np.isnan(x)
+    bracket = sign != 0
     tol = 2.0 ** -32 * (hi - lo)
-    ends = evaluate(np.concatenate([lo, hi]), order)
-    f_lo, f_hi = _pick(ends, np.tile(comp, 2), np.tile(row, 2), np.arange(2 * n)).reshape(2, n)
-    at_hi = np.where(bracket, np.abs(f_hi) < np.abs(f_lo), x == hi)
-    x = np.where(at_hi, hi, lo)
-    jets = [array[:, cols + n * at_hi] for array in ends]
     x_prev = u_prev = np.full(n, np.nan)
     live = np.ones(n, dtype=bool)
     for _ in range(_NEWTON_RUNS - 1):
@@ -308,7 +345,7 @@ def _newton(evaluate, x, lo, hi, comp, row):
             u = np.where(f == 0.0, 0.0, f / (_pick(jets, comp, row + 1, cols) * (row + 1)))
             m = np.rint((x - x_prev) / (u - u_prev))
             xn = x - np.where(m >= 1.0, m, 1.0) * u
-        left = np.sign(f) == np.sign(f_lo)
+        left = np.sign(f) == sign
         lo = np.where(bracket & left, x, lo)
         hi = np.where(bracket & ~left, x, hi)
         xn = np.where((lo <= xn) & (xn <= hi), xn, np.where(bracket, 0.5 * (lo + hi), x))
@@ -324,9 +361,13 @@ def _newton(evaluate, x, lo, hi, comp, row):
 
 def _dedup(sorted_roots: Sequence[float]) -> list[float]:
     """Means of the runs of sorted roots that lie within 1e-9 of a neighbour."""
-    r = np.asarray(sorted_roots, dtype=float)
-    starts = np.flatnonzero(np.diff(r, prepend=-np.inf) > 1e-9)
-    return (np.add.reduceat(r, starts) / np.diff(starts, append=len(r))).tolist()
+    runs: list[list[float]] = []
+    for r in sorted_roots:
+        if runs and r - runs[-1][-1] <= 1e-9:
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+    return [sum(run) / len(run) for run in runs]
 
 
 # -- contact orders -----------------------------------------------------------

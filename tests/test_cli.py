@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import legendre_curves
 from legendre_curves import (DiffeoSpec, gallery, load_curve, pushforward_diffeo_curve,
@@ -481,6 +486,29 @@ def test_non_finite_curvature_is_refused(tmp_path, capsys, args, message):
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("args, x, y, nu, code, message", [
+    (["signature"], "cos(t)", "sin(t)", ["-1e308", "sin(t)"], 0, ""),
+    (["render", "-o", "svg"], "3*cos(t) - cos(3*t)", "-1e308", ["cos(t)", "sin(t)"], 1,
+     "error: curve bounding box cannot be drawn: width 5.65"),
+    (["render", "-o", "svg"], "1e308*cos(t)", "sin(t)", ["cos(t)", "sin(t)"], 1,
+     "error: curve bounding box cannot be drawn: width inf"),
+], ids=["signature-huge-frame", "render-flat-box-at-1e308", "render-box-overflows"])
+def test_values_near_the_float_limit_warn_nothing(tmp_path, capsys, args, x, y, nu, code,
+                                                  message):
+    # Found by the contract fuzzer: the sign-change scan multiplied values
+    # near 1e308, and the flat render box lost its padding to rounding.
+    spec, svg = tmp_path / "spec.json", tmp_path / "out.svg"
+    spec.write_text(json.dumps({"x": x, "y": y, "nu": nu, "domain": [0.0, 3.0]}))
+    paths = {"svg": str(svg)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args[:1] + ["--curve", str(spec)] + [paths.get(a, a) for a in args[1:]]) \
+            == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert (captured.out != "") == (code == 0) and not svg.exists()
+
+
 def test_render_into_a_missing_directory_is_an_error(specs, tmp_path, capsys):
     target = tmp_path / "missing" / "x.svg"
     assert run(["render", "--curve", specs["g3"], "-o", str(target)]) == 1
@@ -502,3 +530,132 @@ def test_closed_stdout_ends_without_a_traceback(specs):
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+# -- contract fuzzer -------------------------------------------------------------
+#
+# Gallery specs and expression flags mutated with a small alphabet of hostile
+# tokens, run through every subcommand.  The contract: an exit code of 0, 1 or
+# 2, no exception out of ``run`` (warnings are errors here), and the same
+# argv prints the same bytes.
+
+_TOKENS = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e-310", "")
+_BAD_JSON = (None, True, 0, 1e308, 5e-324, math.nan, math.inf, "", [], {}, ["t"],
+             [0, 1, 2], {"n": "t"})
+_SPLICES = ("{1}", "({0})*{1}", "{0} + {1}", "{1}*t", "({0})/{1}", "{0}{1}")
+_SPEC_FIELDS = (("x",), ("y",), ("nu",), ("nu", 0), ("nu", 1), ("domain",), ("domain", 0),
+                ("domain", 1), ("closed",), ("params",), ("params", "n"))
+_BASE_SPECS = [gallery(name).spec for name in ("circle", "gamma_ab", "gamma_n", "gamma_m",
+                                               "type_nm")]
+_BASE_SPECS.append({"x": "n*cos(t) - cos(n*t)", "y": "n*sin(t) - sin(n*t)",
+                    "nu": ["sin((n+1)/2*t)", "-cos((n+1)/2*t)"],
+                    "domain": [0.0, 2 * math.pi], "closed": True, "params": {"n": 3}})
+
+
+def _spliced(base: str):
+    """A flag or field text: as it is, or with a token spliced in."""
+    return st.one_of(st.just(base), st.builds(lambda how, token: how.format(base, token),
+                                              st.sampled_from(_SPLICES),
+                                              st.sampled_from(_TOKENS)))
+
+
+def _number(base: str):
+    """A number flag: as it is, or a token."""
+    return st.one_of(st.just(base), st.sampled_from(_TOKENS))
+
+
+def _set(spec: dict, path, value):
+    *outer, last = path
+    node = spec
+    for key in outer:
+        node = node.get(key) if isinstance(node, dict) else None
+    if isinstance(node, dict) or (isinstance(node, list) and isinstance(last, int)
+                                  and last < len(node)):
+        if isinstance(value, tuple):  # a splice into the text that is there
+            how, token = value
+            value = how.format(node[last] if isinstance(node, list) else node.get(last, ""),
+                               token)
+        node[last] = copy.deepcopy(value)
+
+
+@st.composite
+def _spec_texts(draw):
+    """JSON text of a gallery spec with a few fields mutated, or broken JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "{", "null", "[1]", '{"x": "t"', "NaN"]))
+    spec = json.loads(json.dumps(draw(st.sampled_from(_BASE_SPECS))))
+    values = st.one_of(st.sampled_from(_BAD_JSON), st.sampled_from(_TOKENS),
+                       st.tuples(st.sampled_from(_SPLICES), st.sampled_from(_TOKENS)))
+    for path, value in draw(st.lists(st.tuples(st.sampled_from(_SPEC_FIELDS), values),
+                                     max_size=3)):
+        _set(spec, path, value)
+    return json.dumps(spec)
+
+
+def _domain_flag():
+    ends = st.sampled_from(_TOKENS + ("0", "1", "3.14"))
+    return st.one_of(st.just("0:3.14"), st.builds("{}:{}".format, ends, ends))
+
+
+@st.composite
+def _argvs(draw):
+    """argv of one subcommand; "SPEC1"/"SPEC2" name spec files, "OUT" the SVG."""
+    command = draw(st.sampled_from(["curvature", "signature", "equivalent", "parity",
+                                    "check", "render", "transform", "reconstruct",
+                                    "normal-form", "examples"]))
+    if command in ("curvature", "signature", "parity", "check"):
+        argv = [command, "--curve", "SPEC1"]
+        if command == "curvature":
+            argv += ["--samples", draw(_number("17"))]
+    elif command == "equivalent":
+        argv = [command, "--curve1", "SPEC1", "--curve2", "SPEC2"]
+    elif command == "render":
+        argv = [command, "--curve", "SPEC1", "-o", "OUT", "--samples", draw(_number("64"))]
+    elif command == "transform":
+        argv = [command, "--curve", "SPEC1"] + draw(st.one_of(
+            st.builds(lambda a: [f"--affine={a}"], _spliced("1.3,-0.4,0.7,0.9")),
+            st.sampled_from([["--swap"], ["--negate-nu"], ["--negate-gamma"]]),
+            st.builds(lambda e, d: ["--reparam", e, f"--domain={d}"],
+                      _spliced("t + 0.3*sin(t)"), _domain_flag()),
+            st.builds(lambda p: ["--diffeo", p], _spliced("x + 0.01*y^2;y"))))
+    elif command == "reconstruct":
+        argv = [command, "--ell", draw(_spliced("1 + 0.5*cos(t)")),
+                "--beta", draw(_spliced("sin(t)")), f"--domain={draw(_domain_flag())}",
+                "--steps", draw(_number("64"))]
+    elif command == "normal-form":
+        argv = [command, "--case", draw(st.sampled_from(["below-diagonal", "diagonal-plain",
+                                                         "diagonal-perturbed",
+                                                         "above-diagonal"]))]
+        for flag in draw(st.lists(st.sampled_from(["--n", "--m", "--p"]), unique=True)):
+            argv += [flag, draw(st.one_of(st.sampled_from("123"), st.sampled_from(_TOKENS)))]
+    else:
+        name = draw(st.sampled_from(["circle", "gamma_ab", "gamma_n", "gamma_m", "type_nm"]))
+        argv = [command, "get", name]
+        for key in draw(st.lists(st.sampled_from(["a", "b", "n", "m", "f"]), unique=True,
+                                 max_size=2)):
+            argv += ["--param", f"{key}={draw(_spliced('3'))}"]
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_argvs(), _spec_texts(), _spec_texts())
+def test_fuzzed_argv_keeps_the_cli_contract(tmp_path_factory, argv, spec1, spec2):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"SPEC1": root / "spec1.json", "SPEC2": root / "spec2.json",
+             "OUT": root / "out.svg"}
+    files["SPEC1"].write_text(spec1)
+    files["SPEC2"].write_text(spec2)
+    argv = [str(files[a]) if a in files else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = _run_captured(argv)
+        again, out_again = _run_captured(argv)
+    assert code in (0, 1, 2), argv
+    assert (again, out_again) == (code, out), argv

@@ -93,17 +93,18 @@ def _checked_newton(replacement):
 
 
 def _record_newton(monkeypatch, runs):
-    """Patch ``_newton`` so every call logs the candidates it gets, the
-    iterates it returns, their components, its order and the slice of
-    ``runs`` its tape runs fill."""
+    """Patch ``_newton`` so every call logs the starts it gets, their
+    brackets, signs, components and rows, the iterates it returns, its
+    order and the slice of ``runs`` its tape runs fill."""
     calls = []
 
-    def recorded(newton, evaluate, x, lo, hi, comp, row):
-        start = len(runs)
-        final, jets = newton(evaluate, x, lo, hi, comp, row)
-        calls.append({"start": x, "lo": lo, "hi": hi, "x": final, "comp": comp,
-                      "order": int(row.max()) + 1, "runs": slice(start, len(runs))})
-        return final, jets
+    def recorded(newton, evaluate, x, jets, lo, hi, sign, comp, row):
+        start, order = len(runs), len(jets[0]) - 1
+        final, out = newton(evaluate, x, jets, lo, hi, sign, comp, row)
+        calls.append({"start": x, "lo": lo, "hi": hi, "sign": sign, "comp": comp,
+                      "row": row, "x": final, "order": order,
+                      "runs": slice(start, len(runs))})
+        return final, out
 
     patched, checked, _ = _checked_newton(recorded)
     monkeypatch.setattr(signatures, "_newton", patched)
@@ -111,21 +112,62 @@ def _record_newton(monkeypatch, runs):
     return calls
 
 
+def _false_position(ts, v):
+    """Per sign change of the grid values v: the cell ends, f(lo) and the
+    false-position point lo - f(lo) (hi - lo) / (f(hi) - f(lo))."""
+    i = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
+    lo, hi = ts[i], ts[i + 1]
+    return lo, hi, v[i], lo - v[i] * (hi - lo) / (v[i + 1] - v[i])
+
+
+def _search_runs(runs, call, ts, values, comps, depth):
+    """The runs of one zero search before Newton's: the grid scan at
+    order 0; the seed run at order 1 at the ends of the near cells (where
+    min |f| is below the pre-filter), the false-position starts of the
+    sign brackets and the endpoints; and an order-2 run at the starts only
+    when a touch bracket exists.  Each sign bracket starts at its
+    false-position point, and no run reads a grid end of a sign bracket
+    that is neither a near-cell end nor an endpoint.  Tape orders are
+    ``depth`` above the request."""
+    grid_n = len(ts) - 1
+    near = np.zeros(grid_n, dtype=bool)
+    fp, grid_ends = [], []
+    for c in comps:
+        v = values[c]
+        pre_tol = max(signatures._ROOT_TOL, 400.0 / grid_n ** 2) * np.max(np.abs(v))
+        near |= np.minimum(np.abs(v[:-1]), np.abs(v[1:])) <= pre_tol
+        lo, hi, _, start = _false_position(ts, v)
+        fp.append(start)
+        grid_ends += [lo, hi]
+    ends = ts[np.union1d(np.nonzero(near)[0], np.nonzero(near)[0] + 1)]
+    sign = (call["sign"] != 0) & (call["row"] == 0)
+    np.testing.assert_allclose(call["start"][sign], np.concatenate(fp),
+                               rtol=0, atol=4e-16 * np.max(np.abs(ts)))
+    touch = call["row"] == 1
+    (scan, scan_order), (seed, seed_order), *rest = runs[:call["runs"].start]
+    assert np.array_equal(scan, ts) and scan_order == depth
+    assert np.array_equal(seed, np.concatenate([ends, call["start"][sign], ts[[0, -1]]]))
+    assert seed_order == 1 + depth
+    if touch.any():
+        assert len(rest) == 1 and rest[0][1] == 2 + depth
+        assert np.array_equal(rest[0][0], call["start"])
+    else:
+        assert rest == []
+    unread = np.setdiff1d(np.concatenate(grid_ends), np.concatenate([ends, ts[[0, -1]]]))
+    assert not any(np.isin(unread, pts).any() for pts, _ in runs[1:])
+
+
 def _newton_runs(runs, call):
-    """Newton's tape runs, all at its order: the first at both ends of
-    every candidate's cell, each later one at the iterates still moving,
-    no more of them than the run before, and at most ``_NEWTON_RUNS``.
-    Every final iterate is one of their points."""
+    """Newton's own tape runs, all at its order: each at the iterates still
+    moving, no more of them than the run before, and at most
+    ``_NEWTON_RUNS`` with the run at the starts.  Every final iterate is a
+    start or one of their points."""
     steps = runs[call["runs"]]
-    assert 1 <= len(steps) <= signatures._NEWTON_RUNS
+    assert len(steps) <= signatures._NEWTON_RUNS - 1
     assert all(order == call["order"] for _, order in steps)
-    assert np.array_equal(steps[0][0], np.concatenate([call["lo"], call["hi"]]))
-    sizes = [len(pts) for pts, _ in steps[1:]]
+    sizes = [len(pts) for pts, _ in steps]
     assert sizes == sorted(sizes, reverse=True) and all(sizes)
-    assert np.isin(call["x"], np.concatenate([pts for pts, _ in steps])).all()
-    # an exact grid zero or an endpoint starts where it is
-    fixed = ~np.isnan(call["start"])
-    assert np.isin(call["start"][fixed], steps[0][0]).all()
+    assert np.isin(call["x"], np.concatenate([call["start"]] + [pts for pts, _ in steps])).all()
     return steps
 
 
@@ -146,30 +188,63 @@ def _fresh_newton_jets():
 
 
 def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch):
-    # The runs are the order-0 scan, f' near the small values and Newton's
-    # order-1 runs, the first at both ends of the 400-odd cells.  Each
-    # simple zero converges quadratically from its cell, so a few runs
-    # settle them all; the residual check reads Newton's last runs, so no
-    # run follows them.
+    # The runs are the order-0 scan, the order-1 seed run (f' at the ends
+    # of the few near cells, f and f' at the false-position starts of the
+    # 400-odd sign brackets and at the endpoints) and Newton's order-1 runs
+    # at the iterates still moving.  Each simple zero converges
+    # quadratically from its start, so one run settles them all; the
+    # residual check reads Newton's last runs, so no run follows them.
     runs = _record_runs(monkeypatch)
     newton = _record_newton(monkeypatch, runs)
 
-    def newton_sizes():
-        (scan, scan_order), (slopes, slope_order) = runs[:2]
-        assert (len(scan), scan_order) == (4097, 0)
-        assert slope_order == 1 and len(slopes) < len(scan)
+    def newton_sizes(text, domain=(0.0, TWO_PI)):
+        ts = np.linspace(*domain, signatures._GRID_N + 1)
+        values = [ScalarFun.wrap(text).jet(ts, 0)[0]]
+        runs.clear()
+        newton.clear()
+        roots = find_zeros(text, domain)
         (call,) = newton
-        assert call["order"] == 1 and call["runs"] == slice(2, len(runs))
-        return [len(pts) for pts, _ in _newton_runs(runs, call)]
+        assert call["order"] == 1 + np.any(call["row"] == 1)
+        assert call["runs"].stop == len(runs)
+        _search_runs(runs, call, ts, values, (0,), 0)
+        return roots, call, [len(pts) for pts, _ in _newton_runs(runs, call)]
 
-    roots = find_zeros("sin(200*t)", (0, TWO_PI))
+    roots, _, sizes = newton_sizes("sin(200*t)")
     assert roots == pytest.approx([k * math.pi / 200 for k in range(401)], abs=1e-12)
-    sizes = newton_sizes()
-    assert len(runs) <= 6 and sizes[0] <= 2 * (len(roots) + 2)
-    runs.clear()
-    newton.clear()
-    assert len(find_zeros("sin(t)", (0, TWO_PI))) == 3
-    assert len(newton_sizes()) <= 4
+    assert len(runs) <= 3 and sizes[0] <= len(roots) + 2
+    # the zeros of sin t are grid points: no Newton run at all
+    roots, _, sizes = newton_sizes("sin(t)")
+    assert len(roots) == 3 and len(runs) <= 2
+    # touch brackets add one order-2 run at the starts, not at their ends
+    roots, call, sizes = newton_sizes("(t-0.3712345)^2*(t+0.61)^2", (-1.0, 1.0))
+    assert roots == pytest.approx([-0.61, 0.3712345], abs=1e-9)
+    assert np.sum(call["row"] == 1) == 2 and len(runs) <= 3 + len(sizes)
+
+
+def test_sign_bracket_starts_newton_at_its_false_position_point(monkeypatch):
+    # Newton's first step reads the jets of the seed run at the
+    # false-position point of each sign bracket, built from the two grid
+    # values; the bracket's grid ends are never evaluated.
+    text, domain = "exp(t) - 2", (0.0, 2.0)
+    ts = np.linspace(*domain, signatures._GRID_N + 1)
+    fun = ScalarFun.wrap(text)
+    lo, hi, f_lo, want = _false_position(ts, fun.jet(ts, 0)[0])
+    assert len(want) == 1 and lo < want < hi
+    runs = _record_runs(monkeypatch)
+    newton = _record_newton(monkeypatch, runs)
+    (root,) = find_zeros(fun, domain)
+    (call,) = newton
+    (start,) = call["start"][call["sign"] != 0]
+    assert start == pytest.approx(want[0], rel=0, abs=4e-16)
+    assert call["sign"][call["sign"] != 0] == np.sign(f_lo)
+    # the seed run, the last before Newton's, holds the start and its jets
+    # are those Newton reads first
+    seed, order = runs[call["runs"].start - 1]
+    assert order == 1 and np.array_equal(seed, [start, *domain])
+    assert not np.isin([lo[0], hi[0]], np.concatenate([pts for pts, _ in runs[1:]])).any()
+    (first, _), *_ = runs[call["runs"]]
+    assert first == pytest.approx([start - (math.exp(start) - 2) / math.exp(start)], abs=1e-15)
+    assert abs(root - start) < 1e-6 and root == pytest.approx(math.log(2), abs=1e-15)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -186,15 +261,15 @@ def test_zero_of_any_order_between_grid_points_is_found_exactly(m, r):
 
 
 def test_many_zeros_take_few_tape_runs(monkeypatch):
-    # The many-zeros shape: dozens of zeros cost the scan, at most one f'
-    # run and a few Newton runs (find_zeros of sin(200 t), with 401 zeros,
-    # is counted above).
+    # The many-zeros shape: dozens of zeros cost the scan, the seed run and
+    # at most one Newton run (find_zeros of sin(200 t), with 401 zeros, is
+    # counted above).
     runs = _record_runs(monkeypatch)
     for n, closed in ((33, True), (60, False)):
         curve = gallery("gamma_n", {"n": n}).curve
         runs.clear()
         sig = signature(curve)
-        assert len(runs) <= 6, n
+        assert len(runs) <= 3, n
         count = n - 1 + (not closed)
         assert sig.key() == (closed, False, (("singular", None, 1),) * count)
         assert [z.t for z in sig.zeros] == pytest.approx(
@@ -508,16 +583,16 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
         runs.clear()
         compiles.clear()
         signature(image)
-        assert len(runs) <= 7, (entry.name, runs)
+        assert len(runs) <= 3, (entry.name, runs)
         assert compiles == [(2, 1)], entry.name
 
 
 def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch):
     # One order-0 scan of (ell, beta), a tape run at order 1 on the grid;
-    # f' (tape order 2) only at the ends of cells where min |f| is small;
-    # residuals and contact orders from Newton's final jets, and a sweep
-    # below the full jet order only at the zeros those leave open.
-    grid_n, root_tol = signatures._GRID_N, signatures._ROOT_TOL
+    # one seed run (tape order 2) at the ends of cells where min |f| is
+    # small and at the starts; residuals and contact orders from Newton's
+    # final jets, and a sweep below the full jet order only at the zeros
+    # those leave open.
     m = AffineMap(1.3, -0.4, 0.7, 0.9)
     runs = _record_runs(monkeypatch)
     newton = _record_newton(monkeypatch, runs)
@@ -536,35 +611,25 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
         newton.clear()
         read.clear()
         image = pushforward_affine(entry.curve, m).curve
-        ts = np.linspace(*image.domain, grid_n + 1)
+        ts = np.linspace(*image.domain, signatures._GRID_N + 1)
         values = [jet[0] for jet in image.curvature_pair().jets(ts, 0)]
         runs.clear()
         sig = signature(image)
         comps = (1,) if sig.ell_identically_zero else (0, 1)
-        near = np.zeros(grid_n, dtype=bool)
-        for c in comps:
-            v = np.abs(values[c])
-            pre_tol = max(root_tol, 400.0 / grid_n ** 2) * np.max(v)
-            near |= np.minimum(v[:-1], v[1:]) <= pre_tol
-        ends = ts[np.union1d(np.nonzero(near)[0], np.nonzero(near)[0] + 1)]
 
         grid_runs = [order for pts, order in runs if len(pts) == len(ts)]
         assert grid_runs == [1], entry.name
-        assert np.array_equal(runs[0][0], ts)
-        if len(ends):
-            pts, order = runs[1]
-            assert order == 2 and np.array_equal(pts, ends), entry.name
-            assert len(ends) < len(ts) // 20, entry.name
-        else:  # no f' run at all: Newton's runs follow the scan
-            assert newton[0]["runs"].start == 1, entry.name
+        (call,) = newton
+        _search_runs(runs, call, ts, values, comps, 1)
+        assert all(len(pts) < len(ts) // 20 for pts, _ in runs[1:]), entry.name
         assert max(order for _, order in runs) < DEFAULT_ORDER + 1, entry.name
 
         # Newton's jets (tape order one above its own) settle each zero
         # that is bitwise one of its iterates of that component and whose
         # order they reach; only the others are swept, after Newton's runs.
-        (call,), ((roots, orders),) = newton, read
+        ((roots, orders),) = read
         call = dict(call, order=call["order"] + 1)
-        assert len(_newton_runs(runs, call)[0][0]) < len(ts) // 20, entry.name
+        _newton_runs(runs, call)
         open_pts = [t for c in (0, 1) for t, r in zip(roots[c], orders[c])
                     if r >= call["order"] or not np.isin(
                         np.array([t]).view(np.int64),
@@ -619,7 +684,8 @@ def test_fresh_jets_in_place_of_newtons_give_the_same_signature(roster):
 
 
 def _full_scan_candidates(evaluate, ts, comps, tol):
-    """Candidates from f and f' on the whole grid, one order-1 evaluation."""
+    """Candidates from f and f' on the whole grid, one order-1 evaluation:
+    lo, hi, start, sign at lo (0: no bracket), component and row."""
     scan = evaluate(ts, 1)
     grid_n = len(ts) - 1
     a, b, h = ts[0], ts[-1], (ts[-1] - ts[0]) / grid_n
@@ -630,13 +696,15 @@ def _full_scan_candidates(evaluate, ts, comps, tol):
         near = np.minimum(np.abs(v[:-1]), np.abs(v[1:])) <= pre_tol
         sign = np.nonzero(v[:-1] * v[1:] < 0.0)[0]
         dsign = np.nonzero((dv[:-1] * dv[1:] < 0.0) & near)[0]
+        fp_lo, fp_hi, _, fp = _false_position(ts, v)
+        touch_start = np.where(np.abs(dv[dsign + 1]) < np.abs(dv[dsign]), ts[dsign + 1], ts[dsign])
         exact = ts[np.concatenate([np.nonzero(v == 0.0)[0],
                                    np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tol))[0]])]
         groups += [np.broadcast_arrays(*g) for g in (
-            (ts[sign], ts[sign + 1], np.nan, c, 0),
-            (ts[dsign], ts[dsign + 1], np.nan, c, 1),
-            (exact, exact, exact, c, 0),
-            (np.array([a, b - h]), np.array([a + h, b]), np.array([a, b]), c, 0))]
+            (fp_lo, fp_hi, fp, np.sign(v[sign]), c, 0),
+            (ts[dsign], ts[dsign + 1], touch_start, np.sign(dv[dsign]), c, 1),
+            (exact, exact, exact, 0.0, c, 0),
+            (np.array([a, b - h]), np.array([a + h, b]), np.array([a, b]), 0.0, c, 0))]
     return [np.concatenate(col) for col in zip(*groups)]
 
 
@@ -656,11 +724,23 @@ def test_candidates_match_a_full_grid_order_1_scan(roster):
     for evaluate, domain, grid_n in sources:
         ts, values, scales = signatures._scan(evaluate, domain, grid_n)
         comps = [c for c in range(len(values)) if scales[c] > 1e-10 * np.max(scales)]
-        got = signatures._candidates(evaluate, ts, values, scales, comps)
-        want = _full_scan_candidates(evaluate, ts, comps, 1e-9)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
-        touch_brackets += int(np.sum(got[4] == 1))
+        got, jets = signatures._candidates(evaluate, ts, values, scales, comps)
+        lo, hi, start, sign, comp, row = _full_scan_candidates(evaluate, ts, comps, 1e-9)
+        for g, w in zip(got[:2] + got[3:], (lo, hi, sign, comp, row)):
+            assert np.array_equal(g, w)
+        # the starts: a sign bracket's false-position point, clipped to its
+        # cell; every other start exactly as the reference has it
+        fp = (sign != 0) & (row == 0)
+        assert np.array_equal(got[2][~fp], start[~fp])
+        assert np.all((lo <= got[2]) & (got[2] <= hi))
+        np.testing.assert_allclose(got[2][fp], start[fp], rtol=0, atol=4e-16 * np.max(np.abs(ts)))
+        # the jets Newton reads first: every component at the starts, at
+        # order 2 when a touch bracket needs f''
+        fresh = evaluate(got[2], 1 + np.any(row == 1))
+        assert [j.shape for j in jets] == [f.shape for f in fresh]
+        for j, f in zip(jets, fresh):
+            assert np.array_equal(j, f)
+        touch_brackets += int(np.sum(got[5] == 1))
     assert touch_brackets >= 4
 
 
