@@ -1,6 +1,8 @@
 """Plane curves with a unit normal frame: curvature, reconstruction,
 transformation laws, zero signatures and equivalence decisions."""
 
+from importlib import import_module
+
 from .curves import (CurvaturePair, LegendreCurve, check_closed,
                      check_legendre, derive_nu, dump_curve, load_curve)
 from .errors import (CurveError, DegenerateCurveError, ExprSyntaxError,
@@ -14,15 +16,6 @@ from .jets import DEFAULT_ORDER
 from .normal_forms import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
                            germ_signature, germ_signature_of_curve,
                            local_normal_form, type_nm_curvature, type_nm_curve)
-from .reconstruction import (AlignResult, Congruence, SampledCurve,
-                             align_congruence, reconstruct, sample_curve,
-                             sampled_curvature)
-from .signatures import (EquivalenceVerdict, Signature, ZeroPoint, decide_equivalence,
-                         dump_signature, find_zeros, is_immersion, parity_check,
-                         signature, signature_from_dict, signature_to_dict)
-from .transforms import (AffineMap, DiffeoSpec, TransformResult, negate,
-                         pushforward_affine, pushforward_diffeo_curve,
-                         pushforward_swap, reparametrize)
 
 __version__ = "0.1.0"
 
@@ -46,3 +39,25 @@ __all__ = [
     "signature_to_dict", "substitute_params", "type_nm_curvature",
     "type_nm_curve",
 ]
+
+_LAZY = {name: module for module, names in (
+    ("reconstruction", "AlignResult Congruence SampledCurve align_congruence reconstruct"
+     " sample_curve sampled_curvature"),
+    ("signatures", "EquivalenceVerdict Signature ZeroPoint decide_equivalence dump_signature"
+     " find_zeros is_immersion parity_check signature signature_from_dict signature_to_dict"),
+    ("transforms", "AffineMap DiffeoSpec TransformResult negate pushforward_affine"
+     " pushforward_diffeo_curve pushforward_swap reparametrize"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    """The names of three modules, resolved on first use (PEP 562), so `legcurve` loads them
+    only for the subcommands that run them.  Each access forwards to the module and nothing is
+    cached here, so a rebinding there (a tracer's wrapper, a test's patch) shows through."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,7 +4,8 @@ Subcommands cover the whole toolkit: curvature sampling, signatures and the
 equivalence verdict, reconstruction from a prescribed curvature pair, the
 transformation laws, normal forms, the built-in gallery, SVG rendering and
 the tangency/closedness check.  CSV and JSON go to stdout, diagnostics to
-stderr.  Exit codes: 0 success, 1 domain error, 2 usage or syntax error.
+stderr.  Exit codes: 0 success, 1 domain error or memory exhausted, 2 usage
+or syntax error.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ from .curves import (_require_finite, check_closed, check_legendre, dump_curve,
 from .errors import ExprSyntaxError, LegendreError
 from .gallery import GALLERY_NAMES, gallery
 from .normal_forms import GERM_CASES, GermData, local_normal_form
-from .reconstruction import reconstruct
-from .signatures import (decide_equivalence, dump_signature, parity_check,
-                         signature)
-from .transforms import (AffineMap, DiffeoSpec, negate, pushforward_affine,
-                         pushforward_diffeo_curve, pushforward_swap, reparametrize)
 
 _FMT = "%.17g"
 _MARGIN = 0.08  # share of the width and height left blank on each side
@@ -204,6 +200,8 @@ def _emit_curvature(curve, samples: int) -> None:
 
 
 def _cmd_transform(args) -> None:
+    from .transforms import (AffineMap, DiffeoSpec, negate, pushforward_affine,
+                             pushforward_diffeo_curve, pushforward_swap, reparametrize)
     curve = load_curve(args.curve)
     if args.affine:
         result = pushforward_affine(curve, AffineMap.from_string(args.affine))
@@ -256,6 +254,8 @@ def run(argv) -> int:
     except SystemExit as exit_:
         return int(exit_.code or 0)
     try:
+        if args.command in ("signature", "equivalent", "parity", "render"):
+            from .signatures import decide_equivalence, dump_signature, parity_check, signature
         if args.command == "curvature":
             _emit_curvature(load_curve(args.curve), args.samples)
         elif args.command == "signature":
@@ -268,6 +268,7 @@ def run(argv) -> int:
                               "matching": verdict.matching,
                               "reason": verdict.reason}, indent=2))
         elif args.command == "reconstruct":
+            from .reconstruction import reconstruct
             sc = reconstruct(args.ell, args.beta, args.domain, steps=args.steps)
             sys.stdout.write(sc.to_csv())
         elif args.command == "transform":
@@ -314,6 +315,9 @@ def run(argv) -> int:
         return 2
     except LegendreError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return 0
 

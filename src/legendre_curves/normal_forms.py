@@ -29,7 +29,6 @@ from .curves import LegendreCurve, _integers
 from .errors import CurveError
 from .exprs import (ExprAst, Number, ScalarFun, Unary, Var, add, ast_derivative,
                     div, mul, neg, power)
-from .signatures import signature
 
 #: ord_ell value for a germ whose ell vanishes identically.
 ZERO_FUNCTION = "zero-function"
@@ -181,6 +180,7 @@ def germ_signature_of_curve(curve, t0: float = 0.0) -> GermSignature:
     t0, (a, b) = float(t0), curve.domain
     if not a <= t0 <= b:
         raise CurveError(f"t0 must be a point of the domain [{a!r}, {b!r}], got {t0!r}")
+    from .signatures import signature  # deferred: other readers need not load it
     sig = signature(curve)
     z = sig.zero_at(t0)
     ord_ell, ord_beta = (z.ord_ell or 0, z.ord_beta or 0) if z else (0, 0)

@@ -34,7 +34,6 @@ from .curves import CurvaturePair, LegendreCurve, _check_domain
 from .errors import TransformError
 from .exprs import (ExprAst, Number, ScalarFun, ast_derivative, eval_jet_many, parse_expr,
                     substitute_var)
-from .signatures import _common_zeros
 
 
 @dataclass(frozen=True)
@@ -107,6 +106,7 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     new domain onto the interval between t(c) and t(d), which must lie in
     the curve's domain.  The returned law is ((ell o t) t', (beta o t) t').
     """
+    from .signatures import _common_zeros  # deferred: affine maps need not load it
     c, d = _check_domain(new_domain)
     tfun = ScalarFun.wrap(t_of_u)
     tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
@@ -239,6 +239,7 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
     evaluated.  The law spells out Phi's first and second partials along
     the curve in the same way.
     """
+    from .signatures import _common_zeros  # deferred: affine maps need not load it
 
     def along(phi: ExprAst) -> ScalarFun:  # phi o gamma
         return ScalarFun.from_ast(substitute_var(

@@ -532,6 +532,62 @@ def test_closed_stdout_ends_without_a_traceback(specs):
     assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
+def test_failed_allocation_is_an_error_line(specs, capsys, monkeypatch):
+    # numpy raises MemoryError for an array the address space cannot hold;
+    # the patched linspace raises it for these sizes without allocating
+    real = np.linspace
+
+    def linspace(start, stop, num=50, **kwargs):
+        if num >= 400_000_000:
+            raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+        return real(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", linspace)
+    for argv in (["reconstruct", "--ell", "1", "--beta", "1", "--domain", "0:1",
+                  "--steps", "400000000"],
+                 ["curvature", "--curve", specs["g3"], "--samples", "400000000"]):
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+_LAZY_MODULES = {"signatures", "transforms", "reconstruction"}
+_CHILD_RUN = """
+import contextlib, io, sys
+from legendre_curves import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("legendre_curves.")))
+"""
+
+
+@pytest.mark.parametrize("argv, lazy_loaded", [
+    (["check", "--curve", "@g3"], set()),
+    (["curvature", "--curve", "@g3", "--samples", "5"], set()),
+    (["normal-form", "--case", "diagonal-plain", "--n", "2"], set()),
+    (["examples", "get", "circle"], set()),
+    (["reconstruct", "--ell", "1", "--beta", "1", "--domain", "0:1", "--steps", "16"],
+     {"reconstruction"}),
+    (["signature", "--curve", "@g3"], {"signatures"}),
+    (["equivalent", "--curve1", "@g3", "--curve2", "@gm3"], {"signatures"}),
+    (["parity", "--curve", "@g3"], {"signatures"}),
+    (["transform", "--curve", "@g3", "--affine", "1,0,0,2"], {"transforms"}),
+    (["transform", "--curve", "@g3", "--diffeo", "x;y+0.1*x^2"], {"transforms", "signatures"}),
+], ids=["check", "curvature", "normal-form", "examples-get", "reconstruct", "signature",
+        "equivalent", "parity", "transform-affine", "transform-diffeo"])
+def test_each_subcommand_loads_only_the_modules_it_runs(specs, argv, lazy_loaded):
+    # a fresh interpreter: in this one, earlier tests have loaded every module
+    argv = [specs[a[1:]] if a.startswith("@") else a for a in argv]
+    package = os.path.dirname(os.path.dirname(legendre_curves.__file__))
+    proc = subprocess.run([sys.executable, "-c", _CHILD_RUN, *argv], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=package))
+    assert proc.returncode == 0, proc.stderr
+    code, *modules = proc.stdout.split()
+    assert code == "0"
+    loaded = {m.split(".", 1)[1] for m in modules}
+    assert loaded & _LAZY_MODULES == lazy_loaded
+    assert {"cli", "curves", "gallery", "normal_forms"} <= loaded
+
+
 # -- contract fuzzer -------------------------------------------------------------
 #
 # Gallery specs and expression flags mutated with a small alphabet of hostile
