@@ -261,7 +261,8 @@ class ClosedReport:
 
 
 def check_closed(curve, max_order: int = 8, tol: float = 1e-8) -> ClosedReport:
-    """Compare one-sided derivatives of (gamma, nu) at the two endpoints.
+    """Compare one-sided derivatives of (gamma, nu) at the two endpoints,
+    read from one run of the four-component frame tape.
 
     Each order is compared with a mixed absolute/relative tolerance, since
     high-order derivatives of oscillatory components grow like n^k and an
@@ -272,8 +273,7 @@ def check_closed(curve, max_order: int = 8, tol: float = 1e-8) -> ClosedReport:
     ends = np.array(curve.domain)
     factorials = np.array([float(math.factorial(k)) for k in range(max_order + 1)])
     with np.errstate(over="ignore", invalid="ignore"):
-        derivs = np.array([curve.gamma_jets(t, max_order) + curve.nu_jets(t, max_order)
-                           for t in ends]) * factorials
+        derivs = np.moveaxis(_frame_jets(curve, ends, max_order), -1, 0) * factorials
         da, db = derivs
         differ = np.abs(da - db) > tol * (1.0 + np.maximum(np.abs(da), np.abs(db)))
     flagged = (differ | ~np.isfinite(derivs).all(axis=0)).any(axis=0)

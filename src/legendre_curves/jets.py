@@ -21,12 +21,13 @@ write those rows out, a few ufunc calls each: on short jets numpy's
 per-call cost outweighs the arithmetic.  The written-out rows keep the
 loop's order of operations, so the two agree byte for byte; a two-term
 sum is ``(0.0 + p) + q`` because ``einsum`` sums from +0.0.
-``sin_cos`` takes row 0 of sin and cos of a long grid (4097 < N <= 32769
-points) from a memo of the last three argument rows, keyed on their exact
-bits and shared by every caller in the process: the reconstruction round
-trip, and frame and law checks on one long grid, evaluate the same rows in
-several tape runs.  A hit returns the bytes a fresh computation gives,
-copied into the new jet.
+``sin_cos`` takes row 0 of sin and cos of a long grid (4097 <= N <= 32769
+points) from a memo of the most recently used argument rows, keyed on their
+exact bits and shared by every caller in the process: the signature scans
+of a curve and its images, the reconstruction round trip, and frame and law
+checks on one long grid evaluate the same rows in several tape runs.  It
+holds at most 3 x 32769 key floats (23 signature-grid rows).  A hit returns
+the bytes a fresh computation gives, copied into the new jet.
 Every jet the package hands out is such an array: the compiled expression
 tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
 a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
@@ -188,15 +189,16 @@ def derivative(a: Coeffs) -> Coeffs:
     return a[1:] * _orders(len(a) - 1, a.ndim) if isinstance(a, np.ndarray) else 0.0
 
 
-#: ``sin_cos`` looks row 0 up in the memo only on grids longer than the
-#: signature grid (4096 steps): the rows that repeat are reconstruction grids
-#: that several calls sample, and the scans, 1000-point law checks and
-#: Newton's runs stay off the lookup.  Grids longer than 2^15 steps are not stored either,
-#: which bounds the memo at 3 x 3 x 32769 floats, about 2.4 MB.
-_MEMO_MIN_POINTS = 4097
+#: ``sin_cos`` looks row 0 up in the memo only on grids of 4097 points (the
+#: signature grid) or more: scans repeat their arguments (an affine image
+#: keeps its base curve's, a reparametrization's sin(k t) recurs), as do the
+#: reconstruction grids several calls sample; the 1000-point law checks and
+#: Newton's runs stay off the lookup.  Grids longer than 2^15 steps are not
+#: stored, and the least recently used rows go until the key floats held fit
+#: the budget: 3 x 3 x 32769 floats at most, about 2.4 MB, as with 3 rows.
+_MEMO_MIN_POINTS = 4096
 _MEMO_MAX_POINTS = 32769
-#: Argument rows the memo holds.
-_MEMO_ROWS = 3
+_MEMO_BUDGET = 3 * _MEMO_MAX_POINTS
 
 #: The memo: ((shape, first bits, last bits), bits, sin, cos) per argument
 #: row, least recently used first, and the lock that keeps it whole.
@@ -227,7 +229,9 @@ def _trig_rows(row: np.ndarray):
         s.flags.writeable = c.flags.writeable = False
         with _TRIG_LOCK:
             _TRIG_MEMO.append((head, bits.copy(), s, c))
-            del _TRIG_MEMO[:-_MEMO_ROWS]
+            held = sum(entry[1].size for entry in _TRIG_MEMO)
+            while held > _MEMO_BUDGET:  # the newest row alone always fits
+                held -= _TRIG_MEMO.pop(0)[1].size
     return s, c
 
 

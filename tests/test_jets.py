@@ -542,6 +542,11 @@ def memo():
     jets._TRIG_MEMO.clear()
 
 
+def _held(memo):
+    """Key floats the memo holds."""
+    return sum(entry[1].size for entry in memo)
+
+
 def _long_jet(rng, rows=2, points=LONG):
     return rng.uniform(-3.0, 3.0, (rows, points))
 
@@ -576,7 +581,9 @@ def test_memo_keys_are_exact_bits(memo, trig_calls):
     a = base.copy()
     a[0, mid] = -0.0
     assert np.signbit(jets.sin_cos(a)[0][0, mid])
-    assert len(memo) == jets._MEMO_ROWS
+    # the six keys above are all held, one row each, inside the budget
+    assert [entry[1].size for entry in memo] == [LONG] * 6
+    assert _held(memo) <= jets._MEMO_BUDGET
 
 
 def test_memo_leaves_short_long_infinite_and_float32_rows_alone(memo):
@@ -614,28 +621,41 @@ def test_writing_into_returned_jets_leaves_later_results_unchanged(memo):
 
 
 def test_memo_holds_its_bound_and_drops_the_least_recently_used(memo, trig_calls):
-    def computed(a):
-        return trig_calls[("sin", a[0].tobytes())]
-
+    # rows of the signature grid, of 2^13 and of 2^15 steps, visited in a
+    # mixed order that revisits some; a model LRU list says which are held
     rng = np.random.default_rng(9)
-    rows = [_long_jet(rng, rows=1) for _ in range(jets._MEMO_ROWS + 3)]
-    for a in rows:
+    top = jets._MEMO_MAX_POINTS
+    sizes = [LONG, top, 8193, LONG, top, 8193, top, LONG, LONG, 8193, top]
+    rows = [_long_jet(rng, rows=1, points=n) for n in sizes]
+    order = list(range(len(rows))) + [int(i) for i in rng.integers(len(rows), size=40)]
+    model = []
+    for i in order:
+        a = rows[i]
+        hit = i in model
+        key = ("sin", a[0].tobytes())
+        computed = trig_calls.get(key, 0)
         jets.sin_cos(a)
-        assert len(memo) <= jets._MEMO_ROWS
-    assert all(computed(a) == 1 for a in rows)
-    kept = rows[-jets._MEMO_ROWS:]  # oldest first
-    jets.sin_cos(kept[0])  # a hit: kept[1] is now the least recently used
-    jets.sin_cos(rows[0])  # a miss, which evicts kept[1]
-    for a in [kept[0]] + kept[2:]:
-        jets.sin_cos(a)
-        assert computed(a) == 1
-    jets.sin_cos(kept[1])
-    assert computed(rows[0]) == computed(kept[1]) == 2
+        assert trig_calls.get(key, 0) == computed + (not hit)
+        if hit:
+            model.remove(i)
+        model.append(i)
+        while sum(rows[j][0].size for j in model) > jets._MEMO_BUDGET:
+            model.pop(0)  # least recently used first
+        assert model[-1] == i  # the newest row stays
+        assert [entry[1].tobytes() for entry in memo] == [rows[j][0].tobytes() for j in model]
+        assert _held(memo) <= jets._MEMO_BUDGET
+    assert len(model) < len(rows)  # the budget evicted rows
+    memo.clear()  # 23 signature-grid rows fit
+    for _ in range(24):
+        jets.sin_cos(_long_jet(rng, rows=1))
+    assert len(memo) == jets._MEMO_BUDGET // LONG == 23
 
 
 def test_memo_under_threads(memo):
     rng = np.random.default_rng(10)
-    rows = [_long_jet(rng, rows=2) for _ in range(jets._MEMO_ROWS + 2)]
+    # more key floats than the budget, so threads evict as they go
+    top = jets._MEMO_MAX_POINTS
+    rows = [_long_jet(rng, rows=2, points=n) for n in (LONG, top, 8193, top, top)]
     wants = [_gen_sin_cos(a) for a in rows]
     errors = []
 
@@ -661,4 +681,4 @@ def test_memo_under_threads(memo):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(memo) <= jets._MEMO_ROWS
+    assert _held(memo) <= jets._MEMO_BUDGET

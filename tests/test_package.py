@@ -23,7 +23,8 @@ def test_every_exported_name_resolves_once():
 def test_bench_tracer_installs_and_restores_every_binding():
     # The benchmark's tracer binds package names from outside; a renamed or
     # deleted name breaks it.  Install it, trace a signature and a
-    # diffeomorphism law check, and put every original back.
+    # diffeomorphism law check and the image's points, and put every
+    # original back.
     spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -37,6 +38,7 @@ def test_bench_tracer_installs_and_restores_every_binding():
         assert signature(curve).singular_count == 2
         result = pushforward_diffeo_curve(curve, DiffeoSpec.from_texts("x + 0.1*y^2", "y"))
         ts = np.linspace(*curve.domain, 33)
+        assert result.curve.gamma(ts).shape == (33, 2)
         image = result.curve.curvature_pair()
         for law, frame in ((result.law.ell, image.ell), (result.law.beta, image.beta)):
             assert np.max(np.abs(law.values(ts) - frame.values(ts))) <= 1e-8

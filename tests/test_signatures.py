@@ -15,7 +15,7 @@ from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
-from legendre_curves import exprs, signatures
+from legendre_curves import exprs, jets, signatures
 from legendre_curves.errors import (CurveError, DegenerateCurveError,
                                     RootScanError, SignatureError)
 
@@ -681,6 +681,24 @@ def test_fresh_jets_in_place_of_newtons_give_the_same_signature(roster):
     assert sum(len(sig.zeros) for sig in sigs) >= 40
     with _fresh_newton_jets():
         assert [signature(curve) for curve in curves] == sigs
+
+
+def test_signature_is_the_same_with_the_trig_memo_cold_and_warm(roster, trig_calls):
+    m = AffineMap(0.9, 0.5, -0.3, 1.2)
+    curves = []
+    for entry in roster:
+        curves += [entry.curve, pushforward_affine(entry.curve, m).curve,
+                   reparametrize(entry.curve, "t + 0.3*sin(2*t)", entry.curve.domain).curve]
+    cold = []
+    for curve in curves:
+        jets._TRIG_MEMO.clear()
+        cold.append(json.dumps(signature_to_dict(signature(curve))))
+        # the scan stores its rows, and a second call computes none of them again
+        assert any(entry[1].size == signatures._GRID_N + 1 for entry in jets._TRIG_MEMO)
+        computed = dict(trig_calls)
+        assert json.dumps(signature_to_dict(signature(curve))) == cold[-1]
+        assert trig_calls == computed
+    assert [json.dumps(signature_to_dict(signature(curve))) for curve in curves] == cold
 
 
 def _full_scan_candidates(evaluate, ts, comps, tol):
