@@ -77,8 +77,6 @@ class LegendreCurve:
     closed: bool = False
 
     def __post_init__(self):
-        if any(f.ast is None for f in (self.x, self.y, self.nu_x, self.nu_y)):
-            raise CurveError("curve components must be expressions")
         self.domain = _check_domain(self.domain)
         nx, ny = self.nu_x.ast, self.nu_y.ast
         self._ell = _along_mu(nx, ny, nx, ny)
@@ -128,10 +126,10 @@ class LegendreCurve:
     # -- curvature ------------------------------------------------------
 
     def ell(self) -> ScalarFun:
-        return ScalarFun.from_ast(self._ell, name="ell")
+        return ScalarFun.from_ast(self._ell)
 
     def beta(self) -> ScalarFun:
-        return ScalarFun.from_ast(self._beta, name="beta")
+        return ScalarFun.from_ast(self._beta)
 
     def curvature_pair(self) -> "CurvaturePair":
         return CurvaturePair(self.ell(), self.beta(), self.domain, self.closed)
@@ -157,8 +155,6 @@ class CurvaturePair:
     closed: bool = False
 
     def __post_init__(self):
-        if self.ell.ast is None or self.beta.ast is None:
-            raise CurveError("curvature components must be expressions")
         self.domain = _check_domain(self.domain)
 
     @classmethod
@@ -239,8 +235,7 @@ def derive_nu(x, y, domain: tuple[float, float]) -> tuple[ScalarFun, ScalarFun]:
     """
     dx, dy = (ScalarFun.from_ast(ast_derivative(ScalarFun.wrap(f).ast)) for f in (x, y))
     from .signatures import _common_zeros  # deferred: avoids a module cycle
-    if not _common_zeros(lambda pts, order: eval_jet_many([dx.ast, dy.ast], pts, order),
-                         domain).ok:
+    if not _common_zeros((dx.ast, dy.ast), domain).ok:
         raise CurveError("curve has a singular point; supply ν explicitly")
     speed = (dx * dx + dy * dy).sqrt()
     return -dy / speed, dx / speed

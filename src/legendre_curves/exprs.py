@@ -46,6 +46,8 @@ those ASTs is collected.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
 passes around, one AST run through the tape, every curvature law too.
+The zero searches of :mod:`signatures` take a tuple of such ASTs and
+evaluate it with :func:`eval_jet_many`, the same tape.
 :func:`eval_bijet` (``BiJet2`` value, gradient and Hessian of a
 two-variable AST) is on no data path; ``bench/tracer.py`` binds it.
 """
@@ -57,7 +59,7 @@ import operator
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -640,18 +642,18 @@ def _operators(build):
 class ScalarFun:
     """A scalar function of the curve parameter, evaluable as a Taylor jet.
 
-    A function is its AST, and ``jet`` runs the compiled tape of that AST
-    (:meth:`from_ast`); algebra builds the combined AST.  A bare jet rule
-    ``jet_fn(t0, order)`` is for the benchmark's tracer, which wraps one;
-    algebra and curves refuse a function without an AST.  ``t0`` may be a
-    scalar or an ndarray of expansion points, and a jet is an array of
-    shape ``(order + 1,) + np.shape(t0)``.
+    A function is its AST, which every function carries: algebra builds
+    the combined AST, and curves and the zero searches read it.  ``jet``
+    runs the jet rule ``jet_fn(t0, order)``, the compiled tape of the AST
+    for :meth:`from_ast`; ``bench/tracer.py`` wraps that rule.  ``t0`` may
+    be a scalar or an ndarray of expansion points, and a jet is an array
+    of shape ``(order + 1,) + np.shape(t0)``.
     """
 
     __slots__ = ("_jet_fn", "ast", "name")
 
-    def __init__(self, jet_fn: Callable[[object, int], np.ndarray],
-                 ast: Optional[ExprAst] = None, name: str = ""):
+    def __init__(self, jet_fn: Callable[[object, int], np.ndarray], ast: ExprAst,
+                 name: str = ""):
         self._jet_fn = jet_fn
         self.ast = ast
         self.name = name
@@ -701,15 +703,10 @@ class ScalarFun:
         return _lift(lambda a: Unary("sqrt", a), self)
 
     def __repr__(self):
-        if self.ast is not None:
-            return f"ScalarFun({pretty_print(self.ast)})"
-        return f"ScalarFun(<{self.name or 'derived'}>)"
+        return f"ScalarFun({pretty_print(self.ast)})"
 
 
 def _lift(build, *operands) -> ScalarFun:
     """The node constructor ``build`` applied to scalar functions: the
     combined AST, evaluated by the tape."""
-    asts = [ScalarFun.wrap(f).ast for f in operands]
-    if None in asts:
-        raise TypeError("scalar function algebra needs expression-backed operands")
-    return ScalarFun.from_ast(build(*asts))
+    return ScalarFun.from_ast(build(*(ScalarFun.wrap(f).ast for f in operands)))

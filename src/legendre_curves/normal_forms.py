@@ -135,10 +135,7 @@ def type_nm_curvature(n: int, m: int, f_expr=None, sign: int = 1):
 
 
 def _as_f_ast(f_expr) -> ExprAst:
-    ast = ScalarFun.wrap(1.0 if f_expr is None else f_expr).ast
-    if ast is None:
-        raise CurveError("f must be expression-backed")
-    return ast
+    return ScalarFun.wrap(1.0 if f_expr is None else f_expr).ast
 
 
 def local_normal_form(germ: GermData) -> LegendreCurve:

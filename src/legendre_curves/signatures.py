@@ -12,11 +12,11 @@ Both components are searched together.  One scan on a uniform grid gathers
 the candidates of ell and beta (sign-change brackets, derivative brackets
 of touch zeros, exact grid zeros, endpoints), each tagged with its
 component and the jet row it drives to zero; every Newton run and
-contact-order sweep is then one evaluation of both, one pass of the tape
-of the two ASTs (``CurvaturePair.jets``), whose jets are the tape's
-``(order + 1, len(pts))`` arrays.  Newton starts each sign-change bracket
-at its false-position point, built from the two grid values the scan
-holds, and keeps the bracket by the grid sign at its left end.  The
+contact-order sweep is then one evaluation of both, one run of the tape
+of the AST tuple (ell, beta) by ``eval_jet_many``, whose jets are the
+tape's ``(order + 1, len(pts))`` arrays.  Newton starts each sign-change
+bracket at its false-position point, built from the two grid values the
+scan holds, and keeps the bracket by the grid sign at its left end.  The
 residual check is no evaluation of its own: it reads the jets of Newton's
 final iterates.
 
@@ -36,11 +36,13 @@ the full jet order.
 Each zero decision has one rule here, shared by ``signature`` (which the
 germ signature reads), ``find_zeros`` and ``_common_zeros``: a component
 is the zero function when its scale (max |f| on the grid) is <=
-``_ZERO_FUN_REL`` times the largest scale, a reference's included; a
-candidate is a root when |f| <= ``_ROOT_TOL`` * scale; the contact order
-is the first coefficient above ``VANISH_REL`` * running prefix maximum
-(seeded with the scale) and ``VANISH_ABS``; zeros within ``_MERGE_TOL``
-coincide.  All three run one search on one grid of ``_GRID_N`` steps.
+``_ZERO_FUN_REL`` times the largest scale, a reference's included, but
+ell in ``signature``, a turning rate with units other than beta's, is
+the zero function when its total turning, scale * (b - a), is <=
+``_ZERO_FUN_REL`` rad; a candidate is a root when |f| <= ``_ROOT_TOL`` *
+scale; the contact order is the first coefficient above ``VANISH_REL`` *
+running prefix maximum (seeded with the scale) and ``VANISH_ABS``; zeros
+within ``_MERGE_TOL`` coincide.  All three run one search on one grid of ``_GRID_N`` steps.
 ``_common_zeros`` alone answers "does it vanish somewhere on the domain":
 ``is_immersion`` asks it of (ell, beta), ``derive_nu`` of (x', y'),
 ``reparametrize`` of t' against the domains' slope and
@@ -57,7 +59,7 @@ import numpy as np
 
 from .curves import CurvaturePair, _check_domain, _require_finite
 from .errors import DegenerateCurveError, RootScanError, SignatureError
-from .exprs import ScalarFun
+from .exprs import ScalarFun, eval_jet_many
 from .jets import DEFAULT_ORDER
 
 #: Scale-free coefficient vanishing test of the contact-order rule.
@@ -127,9 +129,8 @@ class ImmersionReport:
 
 # -- root isolation -----------------------------------------------------------
 #
-# A source maps a 1-D point array and an order to the jets of its
-# components, a sequence of (order + 1, len(pts)) arrays, as
-# ``CurvaturePair.jets`` does.
+# The functions below search a tuple of univariate ASTs, one component
+# each, evaluated by one tape run of ``eval_jet_many``.
 
 _NON_FINITE = "zero set appears non-finite; refine or reject"
 _NEWTON_RUNS = 8       # at most this many tape runs in one Newton loop
@@ -137,11 +138,7 @@ _FIRST_SWEEP = 4       # contact orders read first; gallery zeros have orders 1-
 _GRID_N = 4096         # grid steps of the signature scan
 _ROOT_TOL = 1e-9       # a zero has |f| <= _ROOT_TOL * scale
 _MERGE_TOL = 1e-8      # zeros of ell and beta this close coincide
-_ZERO_FUN_REL = 1e-10  # a component this small against the largest is zero
-
-
-def _fun_source(fun: ScalarFun):
-    return lambda pts, order: (fun.jet(pts, order),)
+_ZERO_FUN_REL = 1e-10  # zero function: scale vs the largest; ell: total turning, rad
 
 
 def _pick(arrays, comp, row, cols) -> np.ndarray:
@@ -166,18 +163,18 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
     is how closed curves record a seam zero once.
     """
     domain = _check_domain(domain)
-    evaluate = _fun_source(ScalarFun.wrap(f))
-    ts, values, scales = _scan(evaluate, domain, _GRID_N)
-    return _zeros(evaluate, ts, values, scales, (0,), half_open)[0][0]
+    asts = (ScalarFun.wrap(f).ast,)
+    ts, values, scales = _scan(asts, domain)
+    return _zeros(asts, ts, values, scales, (0,), half_open)[0][0]
 
 
-def _scan(evaluate, domain: tuple[float, float], grid_n: int):
-    """The uniform grid of ``grid_n`` steps, the component values on it
+def _scan(asts, domain: tuple[float, float]):
+    """The uniform grid of ``_GRID_N`` steps, the values of the ASTs on it
     from one order-0 evaluation, and each component's scale (max |f|).
     A value that is not finite raises ``RootScanError`` naming its t."""
-    ts = np.linspace(float(domain[0]), float(domain[1]), grid_n + 1)
+    ts = np.linspace(float(domain[0]), float(domain[1]), _GRID_N + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [jet[0] for jet in evaluate(ts, 0)]
+        values = [jet[0] for jet in eval_jet_many(asts, ts, 0)]
     scales = np.array([np.max(np.abs(v)) for v in values])
     if not np.isfinite(scales).all():  # max |f| is finite exactly when every f is
         _require_finite(ts, "function value", *values, error=RootScanError)
@@ -189,9 +186,9 @@ def _vanishing(scales: np.ndarray) -> np.ndarray:
     return scales <= _ZERO_FUN_REL * np.max(scales)
 
 
-def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
+def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
            comps: Sequence[int], half_open: bool):
-    """Zeros of the components ``comps`` of a source, refined together.
+    """Zeros of the components ``comps`` of an AST tuple, refined together.
 
     ``values`` and ``scales`` come from ``_scan`` on the grid ``ts``.  A
     candidate other than a sign-change bracket of f, inside which Newton
@@ -203,8 +200,8 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
-    (lo, hi, x, sign, comp, row), jets = _candidates(evaluate, ts, values, scales, comps)
-    x, jets = _newton(evaluate, x, jets, lo, hi, sign, comp, row)
+    (lo, hi, x, sign, comp, row), jets = _candidates(asts, ts, values, scales, comps)
+    x, jets = _newton(asts, x, jets, lo, hi, sign, comp, row)
     fx = _pick(jets, comp, 0 * row, np.arange(len(x)))
     keep = ((sign != 0) & (row == 0)) | (np.abs(fx) <= _ROOT_TOL * scales[comp])
 
@@ -219,7 +216,7 @@ def _zeros(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     return roots, (x[keep], comp[keep], [array[:, keep] for array in jets])
 
 
-def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
+def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
                 comps: Sequence[int]):
     """Starting points of the joint search, from the grid values, and the
     jets Newton's first step reads at them.
@@ -268,7 +265,7 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
         brackets.append((i, np.arange(first, first + len(i))))
         starts.append(np.clip(ts[i] + (ts[i + 1] - ts[i]) * w, ts[i], ts[i + 1]))
     pts = np.concatenate(starts + [[a, b]])
-    seed = evaluate(pts, 1)
+    seed = eval_jet_many(asts, pts, 1)
     endpoint_cols = [len(pts) - 2, len(pts) - 1]
     groups = []
     for c, (i, fp_cols) in zip(comps, brackets):
@@ -297,7 +294,7 @@ def _candidates(evaluate, ts: np.ndarray, values, scales: np.ndarray,
     lo, hi, cols, sign, comp, row = (np.concatenate(col) for col in zip(*groups))
     x = pts[cols]
     # Newton on f' reads f''
-    jets = evaluate(x, 2) if row.max() == 1 else [array[:, cols] for array in seed]
+    jets = eval_jet_many(asts, x, 2) if row.max() == 1 else [array[:, cols] for array in seed]
     return (lo, hi, x, sign, comp, row), jets
 
 
@@ -314,7 +311,7 @@ def _pre_tols(scales: np.ndarray, grid_n: int) -> np.ndarray:
     return max(_ROOT_TOL, 400.0 / grid_n ** 2) * scales
 
 
-def _newton(evaluate, x, jets, lo, hi, sign, comp, row):
+def _newton(asts, x, jets, lo, hi, sign, comp, row):
     """Safeguarded vectorized Newton on jet row ``row`` of component ``comp``.
 
     ``x`` are the starts from ``_candidates`` and ``jets`` the jets of
@@ -354,7 +351,7 @@ def _newton(evaluate, x, jets, lo, hi, sign, comp, row):
             break
         x_prev, u_prev, x = x, u, np.where(live, xn, x)
         at = np.nonzero(live)[0]
-        for array, new in zip(jets, evaluate(x[at], order)):
+        for array, new in zip(jets, eval_jet_many(asts, x[at], order)):
             array[:, at] = new
     return x, jets
 
@@ -399,16 +396,16 @@ def signature(source) -> Signature:
     recorded once.
     """
     pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
-    evaluate = pair.jets
-    ts, values, scales = _scan(evaluate, pair.domain, _GRID_N)
-    vanishing = _vanishing(scales)
-    if vanishing[1]:
+    asts = (pair.ell.ast, pair.beta.ast)
+    ts, values, scales = _scan(asts, pair.domain)
+    if _vanishing(scales)[1]:
         raise DegenerateCurveError("degenerate: constant curve")
-    ell_identically_zero = bool(vanishing[0])
+    a, b = pair.domain  # ell's total turning; scales[0] * (b - a) may overflow
+    ell_identically_zero = bool(scales[0] <= _ZERO_FUN_REL / (b - a))
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots, newton = _zeros(evaluate, ts, values, scales, comps, pair.closed)
-    orders = _contact_orders(evaluate, roots, scales, newton)
+    roots, newton = _zeros(asts, ts, values, scales, comps, pair.closed)
+    orders = _contact_orders(asts, roots, scales, newton)
     zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1])
     return Signature(domain=pair.domain, closed=pair.closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
@@ -417,11 +414,12 @@ def signature(source) -> Signature:
 def is_immersion(curve) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere, by ``_common_zeros``: the
     witnesses are the common zeros, ``min_combined`` the least max(|ell|, |beta|)."""
-    return _common_zeros(curve.curvature_pair().jets, curve.domain)
+    pair = curve.curvature_pair()
+    return _common_zeros((pair.ell.ast, pair.beta.ast), curve.domain)
 
 
-def _common_zeros(evaluate, domain: tuple[float, float], refs: int = 0) -> ImmersionReport:
-    """Where all searched components of a source vanish together.
+def _common_zeros(asts, domain: tuple[float, float], refs: int = 0) -> ImmersionReport:
+    """Where all searched components of an AST tuple vanish together.
 
     One ``_scan``, the zero-function test, one joint ``_zeros`` search and
     the ``_MERGE_TOL`` coincidence.  The last ``refs`` components are not
@@ -432,7 +430,7 @@ def _common_zeros(evaluate, domain: tuple[float, float], refs: int = 0) -> Immer
     the common zeros.  ``min_combined`` is the least max |f| of the
     searched components on the grid and at the zeros Newton kept.
     """
-    ts, values, scales = _scan(evaluate, domain, _GRID_N)
+    ts, values, scales = _scan(asts, domain)
     n = len(values) - refs
     min_combined = float(np.min(np.max(np.abs(values[:n]), axis=0)))
     vanishing = _vanishing(scales)[:n]
@@ -442,7 +440,7 @@ def _common_zeros(evaluate, domain: tuple[float, float], refs: int = 0) -> Immer
     pre_tols = _pre_tols(scales, _GRID_N)
     if any(np.min(values[c] * np.sign(values[c][0])) > pre_tols[c] for c in comps):
         return ImmersionReport(True, (), min_combined)
-    roots, (_, _, jets) = _zeros(evaluate, ts, values, scales, comps, False)
+    roots, (_, _, jets) = _zeros(asts, ts, values, scales, comps, False)
     min_combined = float(np.min(np.abs([j[0] for j in jets[:n]]).max(axis=0),
                                 initial=min_combined))
     first, *others = (roots[c] for c in comps)
@@ -452,7 +450,7 @@ def _common_zeros(evaluate, domain: tuple[float, float], refs: int = 0) -> Immer
                            min_combined=min_combined)
 
 
-def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
+def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
                     newton) -> list[list[int]]:
     """Contact orders at the zeros of every component.
 
@@ -482,7 +480,8 @@ def _contact_orders(evaluate, roots: list[list[float]], scales: np.ndarray,
         at = np.nonzero(first < 0)[0]
         if not len(at):
             break
-        first[at] = _read_orders(evaluate(pts[at], order), comp[at], range(len(at)), scales)
+        first[at] = _read_orders(eval_jet_many(asts, pts[at], order), comp[at],
+                                 range(len(at)), scales)
     for c, r in zip(comp, first):
         if r < 0:
             raise SignatureError("contact order exceeds jet order")

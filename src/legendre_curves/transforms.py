@@ -32,8 +32,7 @@ import numpy as np
 
 from .curves import CurvaturePair, LegendreCurve, _check_domain
 from .errors import TransformError
-from .exprs import (ExprAst, Number, ScalarFun, ast_derivative, eval_jet_many, parse_expr,
-                    substitute_var)
+from .exprs import ExprAst, Number, ScalarFun, ast_derivative, parse_expr, substitute_var
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,7 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
     a, b = curve.domain
     slope = Number(min((b - a) / (d - c), np.finfo(float).max))  # d - c may be subnormal
-    if not _common_zeros(lambda pts, order: eval_jet_many([tprime.ast, slope], pts, order),
-                         (c, d), refs=1).ok:
+    if not _common_zeros((tprime.ast, slope), (c, d), refs=1).ok:
         raise TransformError("not a parameter change")
     jc, jd = tfun.jet(np.array([c, d]), 6).T.tolist()
     pad = 1e-9 * (1.0 + abs(b - a))
@@ -250,8 +248,7 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
     (d1phi1, d2phi1), (d1phi2, d2phi2) = ([along(d) for d in row] for row in partials)
     p, q = d1phi1 * d2phi2, d1phi2 * d2phi1  # det J cancelling to noise is zero against p, q
     jac = p - q
-    if not _common_zeros(lambda pts, order: eval_jet_many([jac.ast, p.ast, q.ast], pts, order),
-                         curve.domain, refs=2).ok:
+    if not _common_zeros((jac.ast, p.ast, q.ast), curve.domain, refs=2).ok:
         raise TransformError("diffeomorphism degenerates along the curve")
     a, b = curve.nu_x, curve.nu_y
     nbx = d2phi2 * a - d1phi2 * b

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -42,20 +43,54 @@ def trig_calls(monkeypatch):
     return calls
 
 
+class TapeRun(NamedTuple):
+    """One compiled-tape run: its points, the order asked for, the d-depth
+    of the tape (each d node runs one order higher) and its output count."""
+
+    points: np.ndarray
+    order: int
+    depth: int
+    outputs: int
+
+    @property
+    def tape_order(self) -> int:
+        """The order the tape runs at."""
+        return self.order + self.depth
+
+
+class TapeLog:
+    """The compiled-tape runs (``TapeRun``) and compiles (AST count,
+    depth) since the last ``clear``."""
+
+    def __init__(self):
+        self.runs: list[TapeRun] = []
+        self.compiles: list[tuple[int, int]] = []
+
+    def clear(self):
+        self.runs.clear()
+        self.compiles.clear()
+
+
 @pytest.fixture
 def tape_runs(monkeypatch):
-    """Records each compiled-tape run as (order, number of ASTs)."""
+    """A ``TapeLog`` of every tape run and compile while the test runs."""
     from legendre_curves import exprs
 
-    runs = []
-    run = exprs._Tape.run
+    log = TapeLog()
+    run, init = exprs._Tape.run, exprs._Tape.__init__
 
     def counted_run(self, t0, order):
-        runs.append((order, len(self.outputs)))
+        log.runs.append(TapeRun(np.array(t0, dtype=float), order, self.depth,
+                                len(self.outputs)))
         return run(self, t0, order)
 
+    def counted_init(self, asts):
+        init(self, asts)
+        log.compiles.append((len(asts), self.depth))
+
     monkeypatch.setattr(exprs._Tape, "run", counted_run)
-    return runs
+    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
+    return log
 
 
 def brute_force_zeros(fun, domain, n=1_000_000, half_open=False, rel_tol=1e-9):

@@ -47,28 +47,14 @@ def test_curvature_csv(specs, capsys):
         assert float(beta) == pytest.approx(1.0)
 
 
-def test_curvature_runs_one_tape_once(specs, capsys, monkeypatch):
+def test_curvature_runs_one_tape_once(specs, capsys, monkeypatch, tape_runs):
     # ell and beta are two ASTs on one compiled tape, evaluated in one run
-    from legendre_curves import exprs
-
-    runs, compiles = [], []
-    run_, init = exprs._Tape.run, exprs._Tape.__init__
-
-    def counted_run(self, t0, order):
-        runs.append(order)
-        return run_(self, t0, order)
-
-    def counted_init(self, asts):
-        init(self, asts)
-        compiles.append((len(asts), self.depth))
-
     curve = load_curve(specs["circle"])
-    monkeypatch.setattr(exprs._Tape, "run", counted_run)
-    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
+    tape_runs.clear()
     monkeypatch.setattr("legendre_curves.cli.load_curve", lambda path: curve)
     assert run(["curvature", "--curve", specs["circle"], "--samples", "500"]) == 0
     assert len(capsys.readouterr().out.strip().split("\n")) == 501
-    assert runs == [0] and compiles == [(2, 1)]
+    assert [r.order for r in tape_runs.runs] == [0] and tape_runs.compiles == [(2, 1)]
 
 
 def test_signature_json(specs, capsys):

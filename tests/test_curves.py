@@ -63,7 +63,7 @@ def test_check_legendre_validates_samples(circle):
 def test_check_legendre_runs_one_tape_at_order_1(circle, tape_runs):
     # gamma' and nu come from one run of one tape over the four components
     check_legendre(circle, samples=300)
-    assert tape_runs == [(1, 4)]
+    assert [(run.order, run.outputs) for run in tape_runs.runs] == [(1, 4)]
 
 
 def test_curvature_circle(circle):
@@ -171,30 +171,15 @@ def test_is_immersion_one_component_and_degenerate_cases():
     assert rep.witnesses == pytest.approx(np.linspace(-1, 2, 9))
 
 
-def test_is_immersion_evaluates_ell_and_beta_together(monkeypatch):
+def test_is_immersion_evaluates_ell_and_beta_together(tape_runs):
     # The scan and each Newton run (whose last jets the residual check
     # reads) run the one tape of the (ell, beta) ASTs once for both
     # components; the ASTs hold one level of derivative nodes.
-    from legendre_curves import exprs
-
-    runs, compiles = [], []
-    run, init = exprs._Tape.run, exprs._Tape.__init__
-
-    def counted_run(self, t0, order):
-        runs.append(order)
-        return run(self, t0, order)
-
-    def counted_init(self, asts):
-        init(self, asts)
-        compiles.append((len(asts), self.depth))
-
-    monkeypatch.setattr(exprs._Tape, "run", counted_run)
-    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
     for name, params in (("gamma_n", {"n": 3}), ("gamma_m", {"m": 1})):
         curve = gallery(name, params).curve
-        runs.clear()
-        compiles.clear()
+        tape_runs.clear()
         is_immersion(curve)
+        runs, compiles = tape_runs.runs, tape_runs.compiles
         assert len(runs) <= 11 and compiles == [(2, 1)], (name, runs, compiles)
 
 
@@ -306,14 +291,6 @@ def test_spec_file_missing_field():
 def test_curvature_pair_from_exprs():
     pair = CurvaturePair.from_exprs("1", "1", (0, TWO_PI), closed=True)
     assert pair(0.3) == (1.0, 1.0)
-
-
-def test_curve_components_must_be_expressions(circle):
-    jet_rule = ScalarFun(circle.x._jet_fn)  # the same jets, without the AST
-    with pytest.raises(CurveError, match="must be expressions"):
-        LegendreCurve(jet_rule, circle.y, circle.nu_x, circle.nu_y, circle.domain)
-    with pytest.raises(CurveError, match="must be expressions"):
-        CurvaturePair(jet_rule, circle.ell(), circle.domain)
 
 
 @pytest.mark.parametrize("domain", [(TWO_PI, 0.0), (1.0, 1.0), (0.0, math.nan),

@@ -10,7 +10,6 @@ from legendre_curves import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
                              signature, type_nm_curvature, type_nm_curve)
 from legendre_curves.curves import LegendreCurve
 from legendre_curves.errors import CurveError, LegendreError
-from legendre_curves import exprs
 from legendre_curves.exprs import ScalarFun
 
 
@@ -125,26 +124,19 @@ def test_every_small_normal_form_realizes_its_signature():
     (GermData("below-diagonal", 2, 4), [1, 2]),
     (GermData("diagonal-plain", 2, 2), [1, 2]),
 ], ids=["below-diagonal", "diagonal-plain"])
-def test_germ_signature_reads_one_curvature_pass(germ, orders, monkeypatch):
+def test_germ_signature_reads_one_curvature_pass(germ, orders, tape_runs):
     # The germ signature is read from signature(curve): its tape runs are
     # exactly the signature's, and no more: the grid scan and the seed run,
     # whose jets settle the zero at the grid point 0 with no Newton run.
     # Each runs one order higher: the ASTs hold one level of derivative
     # nodes.
     curve = local_normal_form(germ)
-    runs = []
-    run = exprs._Tape.run
-
-    def counted_run(self, t0, order):
-        runs.append(order + self.depth)
-        return run(self, t0, order)
-
-    monkeypatch.setattr(exprs._Tape, "run", counted_run)
+    tape_runs.clear()
     signature(curve)
-    assert runs == orders
-    runs.clear()
+    assert [r.tape_order for r in tape_runs.runs] == orders
+    tape_runs.clear()
     assert germ_signature_of_curve(curve) == germ_signature(germ)
-    assert runs == orders
+    assert [r.tape_order for r in tape_runs.runs] == orders
 
 
 def test_germ_signature_reads_the_seam_zero_at_either_end():

@@ -16,7 +16,7 @@ from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
 from legendre_curves import exprs, jets, signatures
-from legendre_curves.errors import (CurveError, DegenerateCurveError,
+from legendre_curves.errors import (CurveError, DegenerateCurveError, LegendreError,
                                     RootScanError, SignatureError)
 
 TWO_PI = 2 * math.pi
@@ -55,21 +55,6 @@ def test_find_zeros_against_brute_force():
         assert np.max(np.abs(np.array(found) - np.array(oracle))) <= 1e-8
 
 
-def _record_runs(monkeypatch):
-    """Patch the tape so every run logs its points and the order it runs
-    at, one above the request for a curve's (ell, beta), whose ASTs hold
-    one level of derivative nodes."""
-    runs = []
-    run = exprs._Tape.run
-
-    def counted_run(self, t0, order):
-        runs.append((np.array(t0, dtype=float), order + self.depth))
-        return run(self, t0, order)
-
-    monkeypatch.setattr(exprs._Tape, "run", counted_run)
-    return runs
-
-
 def _checked_newton(replacement):
     """Replacements for ``_newton`` and ``_zeros``: every call of
     ``_newton`` goes through ``replacement(newton, *args)``, and every zero
@@ -95,12 +80,13 @@ def _checked_newton(replacement):
 def _record_newton(monkeypatch, runs):
     """Patch ``_newton`` so every call logs the starts it gets, their
     brackets, signs, components and rows, the iterates it returns, its
-    order and the slice of ``runs`` its tape runs fill."""
+    order and the slice of ``runs``, a ``TapeLog``'s run list, that its
+    tape runs fill."""
     calls = []
 
-    def recorded(newton, evaluate, x, jets, lo, hi, sign, comp, row):
+    def recorded(newton, asts, x, jets, lo, hi, sign, comp, row):
         start, order = len(runs), len(jets[0]) - 1
-        final, out = newton(evaluate, x, jets, lo, hi, sign, comp, row)
+        final, out = newton(asts, x, jets, lo, hi, sign, comp, row)
         calls.append({"start": x, "lo": lo, "hi": hi, "sign": sign, "comp": comp,
                       "row": row, "x": final, "order": order,
                       "runs": slice(start, len(runs))})
@@ -144,17 +130,18 @@ def _search_runs(runs, call, ts, values, comps, depth):
     np.testing.assert_allclose(call["start"][sign], np.concatenate(fp),
                                rtol=0, atol=4e-16 * np.max(np.abs(ts)))
     touch = call["row"] == 1
-    (scan, scan_order), (seed, seed_order), *rest = runs[:call["runs"].start]
-    assert np.array_equal(scan, ts) and scan_order == depth
-    assert np.array_equal(seed, np.concatenate([ends, call["start"][sign], ts[[0, -1]]]))
-    assert seed_order == 1 + depth
+    scan, seed, *rest = runs[:call["runs"].start]
+    assert np.array_equal(scan.points, ts) and scan.tape_order == depth
+    assert np.array_equal(seed.points,
+                          np.concatenate([ends, call["start"][sign], ts[[0, -1]]]))
+    assert seed.tape_order == 1 + depth
     if touch.any():
-        assert len(rest) == 1 and rest[0][1] == 2 + depth
-        assert np.array_equal(rest[0][0], call["start"])
+        assert len(rest) == 1 and rest[0].tape_order == 2 + depth
+        assert np.array_equal(rest[0].points, call["start"])
     else:
         assert rest == []
     unread = np.setdiff1d(np.concatenate(grid_ends), np.concatenate([ends, ts[[0, -1]]]))
-    assert not any(np.isin(unread, pts).any() for pts, _ in runs[1:])
+    assert not any(np.isin(unread, run.points).any() for run in runs[1:])
 
 
 def _newton_runs(runs, call):
@@ -164,10 +151,11 @@ def _newton_runs(runs, call):
     start or one of their points."""
     steps = runs[call["runs"]]
     assert len(steps) <= signatures._NEWTON_RUNS - 1
-    assert all(order == call["order"] for _, order in steps)
-    sizes = [len(pts) for pts, _ in steps]
+    assert all(run.tape_order == call["order"] for run in steps)
+    sizes = [len(run.points) for run in steps]
     assert sizes == sorted(sizes, reverse=True) and all(sizes)
-    assert np.isin(call["x"], np.concatenate([call["start"]] + [pts for pts, _ in steps])).all()
+    reached = np.concatenate([call["start"]] + [run.points for run in steps])
+    assert np.isin(call["x"], reached).all()
     return steps
 
 
@@ -177,9 +165,9 @@ def _fresh_newton_jets():
     contact orders): hand them out as a fresh evaluation at the same
     points at ``DEFAULT_ORDER``, the truncation of a full read."""
 
-    def fresh(newton, evaluate, *args):
-        x, _ = newton(evaluate, *args)
-        return x, evaluate(x, DEFAULT_ORDER)
+    def fresh(newton, asts, *args):
+        x, _ = newton(asts, *args)
+        return x, exprs.eval_jet_many(asts, x, DEFAULT_ORDER)
 
     patched, checked, calls = _checked_newton(fresh)
     with mock.patch.multiple(signatures, _newton=patched, _zeros=checked):
@@ -187,14 +175,14 @@ def _fresh_newton_jets():
     assert calls, "no zero search ran"
 
 
-def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch):
+def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch, tape_runs):
     # The runs are the order-0 scan, the order-1 seed run (f' at the ends
     # of the few near cells, f and f' at the false-position starts of the
     # 400-odd sign brackets and at the endpoints) and Newton's order-1 runs
     # at the iterates still moving.  Each simple zero converges
     # quadratically from its start, so one run settles them all; the
     # residual check reads Newton's last runs, so no run follows them.
-    runs = _record_runs(monkeypatch)
+    runs = tape_runs.runs
     newton = _record_newton(monkeypatch, runs)
 
     def newton_sizes(text, domain=(0.0, TWO_PI)):
@@ -207,7 +195,7 @@ def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch):
         assert call["order"] == 1 + np.any(call["row"] == 1)
         assert call["runs"].stop == len(runs)
         _search_runs(runs, call, ts, values, (0,), 0)
-        return roots, call, [len(pts) for pts, _ in _newton_runs(runs, call)]
+        return roots, call, [len(run.points) for run in _newton_runs(runs, call)]
 
     roots, _, sizes = newton_sizes("sin(200*t)")
     assert roots == pytest.approx([k * math.pi / 200 for k in range(401)], abs=1e-12)
@@ -221,7 +209,7 @@ def test_find_zeros_many_brackets_take_few_newton_runs(monkeypatch):
     assert np.sum(call["row"] == 1) == 2 and len(runs) <= 3 + len(sizes)
 
 
-def test_sign_bracket_starts_newton_at_its_false_position_point(monkeypatch):
+def test_sign_bracket_starts_newton_at_its_false_position_point(monkeypatch, tape_runs):
     # Newton's first step reads the jets of the seed run at the
     # false-position point of each sign bracket, built from the two grid
     # values; the bracket's grid ends are never evaluated.
@@ -230,7 +218,8 @@ def test_sign_bracket_starts_newton_at_its_false_position_point(monkeypatch):
     fun = ScalarFun.wrap(text)
     lo, hi, f_lo, want = _false_position(ts, fun.jet(ts, 0)[0])
     assert len(want) == 1 and lo < want < hi
-    runs = _record_runs(monkeypatch)
+    tape_runs.clear()
+    runs = tape_runs.runs
     newton = _record_newton(monkeypatch, runs)
     (root,) = find_zeros(fun, domain)
     (call,) = newton
@@ -239,10 +228,10 @@ def test_sign_bracket_starts_newton_at_its_false_position_point(monkeypatch):
     assert call["sign"][call["sign"] != 0] == np.sign(f_lo)
     # the seed run, the last before Newton's, holds the start and its jets
     # are those Newton reads first
-    seed, order = runs[call["runs"].start - 1]
-    assert order == 1 and np.array_equal(seed, [start, *domain])
-    assert not np.isin([lo[0], hi[0]], np.concatenate([pts for pts, _ in runs[1:]])).any()
-    (first, _), *_ = runs[call["runs"]]
+    seed = runs[call["runs"].start - 1]
+    assert seed.tape_order == 1 and np.array_equal(seed.points, [start, *domain])
+    assert not np.isin([lo[0], hi[0]], np.concatenate([run.points for run in runs[1:]])).any()
+    first = runs[call["runs"]][0].points
     assert first == pytest.approx([start - (math.exp(start) - 2) / math.exp(start)], abs=1e-15)
     assert abs(root - start) < 1e-6 and root == pytest.approx(math.log(2), abs=1e-15)
 
@@ -260,16 +249,15 @@ def test_zero_of_any_order_between_grid_points_is_found_exactly(m, r):
     assert abs(zero.t - r) <= 1e-13
 
 
-def test_many_zeros_take_few_tape_runs(monkeypatch):
+def test_many_zeros_take_few_tape_runs(tape_runs):
     # The many-zeros shape: dozens of zeros cost the scan, the seed run and
     # at most one Newton run (find_zeros of sin(200 t), with 401 zeros, is
     # counted above).
-    runs = _record_runs(monkeypatch)
     for n, closed in ((33, True), (60, False)):
         curve = gallery("gamma_n", {"n": n}).curve
-        runs.clear()
+        tape_runs.clear()
         sig = signature(curve)
-        assert len(runs) <= 3, n
+        assert len(tape_runs.runs) <= 3, n
         count = n - 1 + (not closed)
         assert sig.key() == (closed, False, (("singular", None, 1),) * count)
         assert [z.t for z in sig.zeros] == pytest.approx(
@@ -560,47 +548,34 @@ def test_find_zeros_randomized_against_brute_force():
             assert np.max(np.abs(np.array(found) - np.array(oracle))) <= 1e-7, text
 
 
-def test_signature_compiles_one_tape_and_runs_it_few_times(roster, monkeypatch):
+def test_signature_compiles_one_tape_and_runs_it_few_times(roster, tape_runs):
     # Every Newton run, residual check and the contact-order sweep
     # evaluate ell and beta together from the one tape of their ASTs,
     # which hold one level of derivative nodes.
-    runs, compiles = [], []
-    run, init = exprs._Tape.run, exprs._Tape.__init__
-
-    def counted_run(self, t0, order):
-        runs.append(order)
-        return run(self, t0, order)
-
-    def counted_init(self, asts):
-        init(self, asts)
-        compiles.append((len(asts), self.depth))
-
-    monkeypatch.setattr(exprs._Tape, "run", counted_run)
-    monkeypatch.setattr(exprs._Tape, "__init__", counted_init)
     m = AffineMap(1.3, -0.4, 0.7, 0.9)
     for entry in roster:
         image = pushforward_affine(entry.curve, m).curve
-        runs.clear()
-        compiles.clear()
+        tape_runs.clear()
         signature(image)
+        runs = [run.order for run in tape_runs.runs]
         assert len(runs) <= 3, (entry.name, runs)
-        assert compiles == [(2, 1)], entry.name
+        assert tape_runs.compiles == [(2, 1)], entry.name
 
 
-def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch):
+def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch, tape_runs):
     # One order-0 scan of (ell, beta), a tape run at order 1 on the grid;
     # one seed run (tape order 2) at the ends of cells where min |f| is
     # small and at the starts; residuals and contact orders from Newton's
     # final jets, and a sweep below the full jet order only at the zeros
     # those leave open.
     m = AffineMap(1.3, -0.4, 0.7, 0.9)
-    runs = _record_runs(monkeypatch)
+    runs = tape_runs.runs
     newton = _record_newton(monkeypatch, runs)
     read = []
     contact_orders = signatures._contact_orders
 
-    def recorded_orders(evaluate, roots, *args):
-        orders = contact_orders(evaluate, roots, *args)
+    def recorded_orders(asts, roots, *args):
+        orders = contact_orders(asts, roots, *args)
         read.append((roots, orders))
         return orders
 
@@ -617,12 +592,12 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
         sig = signature(image)
         comps = (1,) if sig.ell_identically_zero else (0, 1)
 
-        grid_runs = [order for pts, order in runs if len(pts) == len(ts)]
+        grid_runs = [run.tape_order for run in runs if len(run.points) == len(ts)]
         assert grid_runs == [1], entry.name
         (call,) = newton
         _search_runs(runs, call, ts, values, comps, 1)
-        assert all(len(pts) < len(ts) // 20 for pts, _ in runs[1:]), entry.name
-        assert max(order for _, order in runs) < DEFAULT_ORDER + 1, entry.name
+        assert all(len(run.points) < len(ts) // 20 for run in runs[1:]), entry.name
+        assert max(run.tape_order for run in runs) < DEFAULT_ORDER + 1, entry.name
 
         # Newton's jets (tape order one above its own) settle each zero
         # that is bitwise one of its iterates of that component and whose
@@ -637,8 +612,8 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
         after = runs[call["runs"].stop:]
         if open_pts:
             assert len(after) == 1, entry.name
-            assert after[0][1] == signatures._FIRST_SWEEP + 1, entry.name
-            assert np.array_equal(after[0][0], open_pts), entry.name
+            assert after[0].tape_order == signatures._FIRST_SWEEP + 1, entry.name
+            assert np.array_equal(after[0].points, open_pts), entry.name
         else:
             assert after == [], entry.name
         swept += len(open_pts)
@@ -657,14 +632,14 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch)
 ], ids=["pair-order-6", "pair-orders-5-3", "pair-order-12", "type_nm-1-5",
         "type_nm-1-7", "type_nm-6-7"])
 def test_contact_orders_above_the_first_sweep_match_a_full_read(
-        source, orders, monkeypatch):
-    runs = _record_runs(monkeypatch)
+        source, orders, monkeypatch, tape_runs):
+    tape_runs.clear()
     sig = signature(source)
     assert [(z.ord_ell, z.ord_beta) for z in sig.zeros] == orders
     # A zero of order above the first sweep is read again at the jet order.
     tape_order = DEFAULT_ORDER + isinstance(source, LegendreCurve)
     high = max(max(o for o in pair if o is not None) for pair in orders)
-    assert (runs[-1][1] == tape_order) == (high > signatures._FIRST_SWEEP)
+    assert (tape_runs.runs[-1].tape_order == tape_order) == (high > signatures._FIRST_SWEEP)
     with _fresh_newton_jets():
         assert signature(source) == sig
     monkeypatch.setattr(signatures, "_FIRST_SWEEP", DEFAULT_ORDER)
@@ -701,10 +676,10 @@ def test_signature_is_the_same_with_the_trig_memo_cold_and_warm(roster, trig_cal
     assert [json.dumps(signature_to_dict(signature(curve))) for curve in curves] == cold
 
 
-def _full_scan_candidates(evaluate, ts, comps, tol):
+def _full_scan_candidates(asts, ts, comps, tol):
     """Candidates from f and f' on the whole grid, one order-1 evaluation:
     lo, hi, start, sign at lo (0: no bracket), component and row."""
-    scan = evaluate(ts, 1)
+    scan = exprs.eval_jet_many(asts, ts, 1)
     grid_n = len(ts) - 1
     a, b, h = ts[0], ts[-1], (ts[-1] - ts[0]) / grid_n
     groups = []
@@ -726,9 +701,9 @@ def _full_scan_candidates(evaluate, ts, comps, tol):
     return [np.concatenate(col) for col in zip(*groups)]
 
 
-def test_candidates_match_a_full_grid_order_1_scan(roster):
+def test_candidates_match_a_full_grid_order_1_scan(roster, monkeypatch):
     m = AffineMap(-0.8, 1.1, 0.6, 1.5)
-    sources = [(curve.curvature_pair().jets, curve.domain, 4096)
+    sources = [((curve.ell().ast, curve.beta().ast), curve.domain, 4096)
                for curve in [e.curve for e in roster]
                + [pushforward_affine(e.curve, m).curve for e in roster]
                + [gallery("type_nm", {"n": 3, "m": 5}).curve]]
@@ -737,13 +712,14 @@ def test_candidates_match_a_full_grid_order_1_scan(roster):
                          ("t^3*(t-0.5)^2", (-1, 1)), ("cos(t)^2", (0, 7)),
                          ("sin(3*t)*exp(-t/2) + 0.001", (0, TWO_PI)),
                          ("1 + 0*t", (0, 1))]:
-        sources.append((signatures._fun_source(ScalarFun.wrap(text)), domain, 2048))
+        sources.append(((ScalarFun.wrap(text).ast,), domain, 2048))
     touch_brackets = 0
-    for evaluate, domain, grid_n in sources:
-        ts, values, scales = signatures._scan(evaluate, domain, grid_n)
+    for asts, domain, grid_n in sources:
+        monkeypatch.setattr(signatures, "_GRID_N", grid_n)
+        ts, values, scales = signatures._scan(asts, domain)
         comps = [c for c in range(len(values)) if scales[c] > 1e-10 * np.max(scales)]
-        got, jets = signatures._candidates(evaluate, ts, values, scales, comps)
-        lo, hi, start, sign, comp, row = _full_scan_candidates(evaluate, ts, comps, 1e-9)
+        got, jets = signatures._candidates(asts, ts, values, scales, comps)
+        lo, hi, start, sign, comp, row = _full_scan_candidates(asts, ts, comps, 1e-9)
         for g, w in zip(got[:2] + got[3:], (lo, hi, sign, comp, row)):
             assert np.array_equal(g, w)
         # the starts: a sign bracket's false-position point, clipped to its
@@ -754,12 +730,29 @@ def test_candidates_match_a_full_grid_order_1_scan(roster):
         np.testing.assert_allclose(got[2][fp], start[fp], rtol=0, atol=4e-16 * np.max(np.abs(ts)))
         # the jets Newton reads first: every component at the starts, at
         # order 2 when a touch bracket needs f''
-        fresh = evaluate(got[2], 1 + np.any(row == 1))
+        fresh = exprs.eval_jet_many(asts, got[2], 1 + np.any(row == 1))
         assert [j.shape for j in jets] == [f.shape for f in fresh]
         for j, f in zip(jets, fresh):
             assert np.array_equal(j, f)
         touch_brackets += int(np.sum(got[5] == 1))
     assert touch_brackets >= 4
+
+
+def test_signature_key_is_invariant_under_homotheties(roster):
+    # A homothety by s keeps ell, a turning rate, and scales beta, a speed,
+    # by s: ell's zero-function test reads its own total turning, so no s
+    # makes it the zero function.  A small enough s leaves beta below
+    # 1e-10 of ell, which beta's degenerate test refuses, never misreads.
+    for entry in roster:
+        key = signature(entry.curve).key()
+        for k in range(-12, 13):
+            image = pushforward_affine(entry.curve, AffineMap(10.0 ** k, 0, 0, 10.0 ** k)).curve
+            try:
+                got = signature(image).key()
+            except LegendreError:
+                assert k < 0, (entry.name, k)
+                continue
+            assert got == key, (entry.name, k)
 
 
 def test_signature_of_curve_matches_its_curvature_pair(roster):

@@ -313,16 +313,11 @@ def test_reversing_parameter_change_keeps_increasing_domain(circle):
     assert res.law(-1.0) == pytest.approx((-1.0, -1.0))
 
 
-def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
+def test_affine_image_runs_one_tape_per_function(roster, tape_runs):
     # an image component is one AST, so its values take one tape run; so
     # does a law component, the base curvature AST times frame-norm ASTs,
     # and so does each component of a diffeomorphism's image and law
-    from legendre_curves import exprs
-
-    runs = []
-    run = exprs._Tape.run
-    monkeypatch.setattr(exprs._Tape, "run",
-                        lambda tape, *a: runs.append(1) or run(tape, *a))
+    runs = tape_runs.runs
     ts = np.linspace(0.0, TWO_PI, 1000)
     diffeo = DiffeoSpec.from_texts("x + 0.02*sin(y)", "y + 0.01*x^2")
     for entry in roster:
@@ -334,20 +329,15 @@ def test_affine_image_runs_one_tape_per_function(roster, monkeypatch):
                 assert len(runs) == 1, (entry.name, fun)
 
 
-def test_diffeo_law_runs_every_tape_at_order_0(roster, monkeypatch):
+def test_diffeo_law_runs_every_tape_at_order_0(roster, tape_runs):
     # values of the law take one order-0 run of its tape, which runs the
     # d nodes of the base curvature a row higher inside: no run for a slope
-    from legendre_curves import exprs
-
-    orders = []
-    run = exprs._Tape.run
-    monkeypatch.setattr(exprs._Tape, "run",
-                        lambda tape, t0, order: orders.append(order) or run(tape, t0, order))
     diffeo = DiffeoSpec.from_texts("x + 0.01*y^2", "y")
     for entry in roster:
         law = pushforward_diffeo_curve(entry.curve, diffeo).law
-        orders.clear()
+        tape_runs.clear()
         law.ell.values(np.linspace(*entry.curve.domain, 100))
+        orders = [r.order for r in tape_runs.runs]
         assert orders and set(orders) == {0}, (entry.name, orders)
 
 
