@@ -330,6 +330,7 @@ class _Tape:
         keys: dict = {}           # (kernel, operand slots) or literal -> slot
         seen: dict = {}           # id(node) -> slot; shared subtrees compile once
         depth: list = [0]         # slot -> nesting depth of d nodes under it
+        derivative, sin_cos, pow_int = jets.derivative, jets.sin_cos, jets.pow_int
 
         def emit(fn, a, b=None):
             key = (fn, a, b)
@@ -337,7 +338,7 @@ class _Tape:
             if slot is None:
                 slot = keys[key] = len(init)
                 if b is None:
-                    depth.append(depth[a] + (fn is jets.derivative))
+                    depth.append(depth[a] + (fn is derivative))
                     value = None if init[a] is None else fn(init[a])
                 else:  # constant operands fold
                     depth.append(max(depth[a], depth[b]))
@@ -360,23 +361,24 @@ class _Tape:
             slot = seen.get(id(node))
             if slot is not None:
                 return slot
-            if isinstance(node, Binary):  # the commonest node first
+            kind = type(node)
+            if kind is Binary:  # the commonest node first
                 slot = emit(_kernel(node.op), visit(node.left), visit(node.right))
-            elif isinstance(node, Number):
+            elif kind is Number:
                 slot = const(float(node.value))
-            elif isinstance(node, Const):
-                slot = const(float(np.pi))
-            elif isinstance(node, Var):
+            elif kind is Unary and (node.op == "sin" or node.op == "cos"):
+                pair = emit(sin_cos, visit(node.child))
+                slot = emit(operator.getitem, pair, const(int(node.op == "cos")))
+            elif kind is Unary:
+                slot = emit(_kernel(node.op), visit(node.child))
+            elif kind is PowInt:
+                slot = emit(pow_int, visit(node.child), const(int(node.exponent)))
+            elif kind is Var:
                 if node.name != "t":
                     raise ValueError("bivariate expression evaluated as univariate")
                 slot = 0
-            elif isinstance(node, Unary) and node.op in ("sin", "cos"):
-                pair = emit(jets.sin_cos, visit(node.child))
-                slot = emit(operator.getitem, pair, const(int(node.op == "cos")))
-            elif isinstance(node, Unary):
-                slot = emit(_kernel(node.op), visit(node.child))
-            elif isinstance(node, PowInt):
-                slot = emit(jets.pow_int, visit(node.child), const(int(node.exponent)))
+            elif kind is Const:
+                slot = const(float(np.pi))
             else:
                 raise TypeError(f"not an AST node: {node!r}")
             seen[id(node)] = slot

@@ -22,12 +22,13 @@ per-call cost outweighs the arithmetic.  The written-out rows keep the
 loop's order of operations, so the two agree byte for byte; a two-term
 sum is ``(0.0 + p) + q`` because ``einsum`` sums from +0.0.
 ``sin_cos`` takes row 0 of sin and cos of a long grid (4097 <= N <= 32769
-points) from a memo of the most recently used argument rows, keyed on their
-exact bits and shared by every caller in the process: the signature scans
-of a curve and its images, the reconstruction round trip, and frame and law
-checks on one long grid evaluate the same rows in several tape runs.  It
-holds at most 3 x 32769 key floats (23 signature-grid rows).  A hit returns
-the bytes a fresh computation gives, copied into the new jet.
+points) from a memo of the most recently used argument rows, shared by every
+caller in the process: the signature scans of a curve and its images, the
+reconstruction round trip, and frame and law checks on one long grid
+evaluate the same rows in several tape runs.  It holds at most 3 x 32769
+key floats (23 signature-grid rows); a row's fingerprint and one exact
+compare find it, and a hit returns the bytes a fresh computation gives,
+copied into the new jet.
 Every jet the package hands out is such an array: the compiled expression
 tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
 a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
@@ -200,9 +201,10 @@ _MEMO_MIN_POINTS = 4096
 _MEMO_MAX_POINTS = 32769
 _MEMO_BUDGET = 3 * _MEMO_MAX_POINTS
 
-#: The memo: ((shape, first bits, last bits), bits, sin, cos) per argument
-#: row, least recently used first, and the lock that keeps it whole.
-_TRIG_MEMO: list = []
+#: The memo, least recently used first: (bits, sin, cos) per argument row under
+#: its fingerprint, the row's shape and the bits of every 64th point and the last
+#: (a reparametrization keeps its grid's ends); and the lock that keeps it whole.
+_TRIG_MEMO: dict = {}
 _TRIG_LOCK = threading.Lock()
 
 
@@ -210,28 +212,28 @@ def _trig_rows(row: np.ndarray):
     """(sin row, cos row) of a float64 row, from the memo when it holds the
     row; the caller copies them.
 
-    A row matches a stored one only when the shapes and every 64-bit pattern
-    agree (the first and last ones are compared first, as a cheap filter):
+    The fingerprint picks at most one stored row, which a new row of that
+    fingerprint replaces.  It matches only when every 64-bit pattern agrees:
     -0.0 and +0.0 are different keys and a NaN matches only its own payload,
     so a hit returns the bytes ``np.sin`` and ``np.cos`` gave for that row.
     Stored rows are read-only.  A row holding an infinity is not stored,
     since sin and cos warn on it and a hit would not.
     """
     bits = np.ascontiguousarray(row).view(np.uint64).reshape(-1)
-    head = (row.shape, int(bits[0]), int(bits[-1]))
+    key = (row.shape, bits[::64].tobytes(), int(bits[-1]))
     with _TRIG_LOCK:
-        for i, entry in enumerate(_TRIG_MEMO):
-            if entry[0] == head and np.array_equal(entry[1], bits):
-                _TRIG_MEMO.append(_TRIG_MEMO.pop(i))
-                return entry[2], entry[3]
+        entry = _TRIG_MEMO.pop(key, None)
+        if entry is not None and np.array_equal(entry[0], bits):
+            _TRIG_MEMO[key] = entry
+            return entry[1], entry[2]
     s, c = np.sin(row), np.cos(row)
     if not np.isinf(row).any():
         s.flags.writeable = c.flags.writeable = False
         with _TRIG_LOCK:
-            _TRIG_MEMO.append((head, bits.copy(), s, c))
-            held = sum(entry[1].size for entry in _TRIG_MEMO)
+            _TRIG_MEMO[key] = (bits.copy(), s, c)
+            held = sum(entry[0].size for entry in _TRIG_MEMO.values())
             while held > _MEMO_BUDGET:  # the newest row alone always fits
-                held -= _TRIG_MEMO.pop(0)[1].size
+                held -= _TRIG_MEMO.pop(next(iter(_TRIG_MEMO)))[0].size
     return s, c
 
 

@@ -37,9 +37,9 @@ Each zero decision has one rule here, shared by ``signature`` (which the
 germ signature reads), ``find_zeros`` and ``_common_zeros``: a component
 is the zero function when its scale (max |f| on the grid) is <=
 ``_ZERO_FUN_REL`` times the largest scale, a reference's included, but
-ell in ``signature``, a turning rate with units other than beta's, is
-the zero function when its total turning, scale * (b - a), is <=
-``_ZERO_FUN_REL`` rad; a candidate is a root when |f| <= ``_ROOT_TOL`` *
+ell in ``signature`` and ``is_immersion``, a turning rate with units other
+than beta's, is the zero function when its total turning, scale * (b - a),
+is <= ``_ZERO_FUN_REL`` rad; a candidate is a root when |f| <= ``_ROOT_TOL`` *
 scale; the contact order is the first coefficient above ``VANISH_REL`` *
 running prefix maximum (seeded with the scale) and ``VANISH_ABS``; zeros
 within ``_MERGE_TOL`` coincide.  All three run one search on one grid of ``_GRID_N`` steps.
@@ -175,15 +175,19 @@ def _scan(asts, domain: tuple[float, float]):
     ts = np.linspace(float(domain[0]), float(domain[1]), _GRID_N + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         values = [jet[0] for jet in eval_jet_many(asts, ts, 0)]
-    scales = np.array([np.max(np.abs(v)) for v in values])
+    scales = np.array([np.abs(v).max() for v in values])
     if not np.isfinite(scales).all():  # max |f| is finite exactly when every f is
         _require_finite(ts, "function value", *values, error=RootScanError)
     return ts, values, scales
 
 
-def _vanishing(scales: np.ndarray) -> np.ndarray:
-    """The zero-function test: which components are identically zero."""
-    return scales <= _ZERO_FUN_REL * np.max(scales)
+def _vanishing(scales: np.ndarray, ell_domain=None) -> np.ndarray:
+    """The zero-function test: which components are identically zero; with
+    ``ell_domain``, component 0 is ell, tested by its total turning there."""
+    vanishing = scales <= _ZERO_FUN_REL * scales.max()
+    if ell_domain is not None:  # scales[0] * (b - a) may overflow
+        vanishing[0] = scales[0] <= _ZERO_FUN_REL / (ell_domain[1] - ell_domain[0])
+    return vanishing
 
 
 def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
@@ -247,10 +251,13 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     # noise-level sign changes of f' (a constant f has f' at rounding
     # level everywhere).
     pre_tols = _pre_tols(scales, grid_n)
-    near = {c: np.minimum(np.abs(values[c][:-1]), np.abs(values[c][1:])) <= pre_tols[c]
-            for c in comps}
-    cells = np.logical_or.reduce(list(near.values()))
-    at = np.nonzero(np.append(cells, False) | np.insert(cells, 0, False))[0]
+    mags = {c: np.abs(values[c]) for c in comps}
+    near = {c: np.minimum(mags[c][:-1], mags[c][1:]) <= pre_tols[c] for c in comps}
+    ends = np.zeros(grid_n + 1, dtype=bool)  # the ends of the near cells
+    for cells in near.values():
+        ends[:-1] |= cells
+        ends[1:] |= cells
+    at = ends.nonzero()[0]
     brackets, starts = [], [ts[at]]
     for c in comps:
         v = values[c]
@@ -263,7 +270,7 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
             w = v[i] / (v[i] - v[i + 1])
         first = sum(map(len, starts))
         brackets.append((i, np.arange(first, first + len(i))))
-        starts.append(np.clip(ts[i] + (ts[i + 1] - ts[i]) * w, ts[i], ts[i + 1]))
+        starts.append(np.minimum(np.maximum(ts[i] + (ts[i + 1] - ts[i]) * w, ts[i]), ts[i + 1]))
     pts = np.concatenate(starts + [[a, b]])
     seed = eval_jet_many(asts, pts, 1)
     endpoint_cols = [len(pts) - 2, len(pts) - 1]
@@ -274,10 +281,10 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
         v, dv = values[c][at], seed[c][1, :len(at)]
         touch = _sign_changes(dv)
         touch = touch[near[c][at[touch]]]
-        crit = np.nonzero((dv == 0.0) & (np.abs(v) <= pre_tols[c]))[0]
+        crit = ((dv == 0.0) & (mags[c][at] <= pre_tols[c])).nonzero()[0]
         if len(touch) + len(crit) > cap:
             raise RootScanError(_NON_FINITE)
-        exact = np.concatenate([np.nonzero(v == 0.0)[0], crit])
+        exact = np.concatenate([(v == 0.0).nonzero()[0], crit])
         # Exact grid zeros and the endpoints never produce a strict sign
         # change; they start where they are, inside [t, t] for the grid
         # points and inside their grid cell for the endpoints.  A touch
@@ -302,7 +309,7 @@ def _sign_changes(v: np.ndarray) -> np.ndarray:
     """The i with v[i] and v[i + 1] of strictly opposite signs, compared
     by sign so that no product overflows or underflows."""
     s = np.sign(v)
-    return np.nonzero(s[:-1] * s[1:] < 0.0)[0]
+    return (s[:-1] * s[1:] < 0.0).nonzero()[0]
 
 
 def _pre_tols(scales: np.ndarray, grid_n: int) -> np.ndarray:
@@ -350,7 +357,7 @@ def _newton(asts, x, jets, lo, hi, sign, comp, row):
         if not live.any():
             break
         x_prev, u_prev, x = x, u, np.where(live, xn, x)
-        at = np.nonzero(live)[0]
+        at = live.nonzero()[0]
         for array, new in zip(jets, eval_jet_many(asts, x[at], order)):
             array[:, at] = new
     return x, jets
@@ -370,7 +377,7 @@ def _dedup(sorted_roots: Sequence[float]) -> list[float]:
 # -- contact orders -----------------------------------------------------------
 
 
-def _first_significant(mags: np.ndarray, scales) -> np.ndarray:
+def _first_significant(mags: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """The contact-order rule: per row of |jet coefficients|, the first
     index above max(VANISH_REL * running, VANISH_ABS), -1 if none.
 
@@ -378,9 +385,9 @@ def _first_significant(mags: np.ndarray, scales) -> np.ndarray:
     whole-jet maximum: coefficients of frame quotients can grow
     geometrically, and rounding noise at index k stems from indices <= k.
     """
-    running = np.maximum.accumulate(np.maximum(mags, np.reshape(scales, (-1, 1))), axis=1)
+    running = np.maximum.accumulate(np.maximum(mags, scales.reshape(-1, 1)), axis=1)
     above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
-    return np.where(above.any(axis=1), np.argmax(above, axis=1), -1)
+    return np.where(above.any(axis=1), above.argmax(axis=1), -1)
 
 
 # -- signatures ---------------------------------------------------------------
@@ -398,10 +405,9 @@ def signature(source) -> Signature:
     pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
     asts = (pair.ell.ast, pair.beta.ast)
     ts, values, scales = _scan(asts, pair.domain)
-    if _vanishing(scales)[1]:
+    ell_identically_zero, degenerate = _vanishing(scales, pair.domain).tolist()
+    if degenerate:
         raise DegenerateCurveError("degenerate: constant curve")
-    a, b = pair.domain  # ell's total turning; scales[0] * (b - a) may overflow
-    ell_identically_zero = bool(scales[0] <= _ZERO_FUN_REL / (b - a))
 
     comps = (1,) if ell_identically_zero else (0, 1)
     roots, newton = _zeros(asts, ts, values, scales, comps, pair.closed)
@@ -415,15 +421,15 @@ def is_immersion(curve) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere, by ``_common_zeros``: the
     witnesses are the common zeros, ``min_combined`` the least max(|ell|, |beta|)."""
     pair = curve.curvature_pair()
-    return _common_zeros((pair.ell.ast, pair.beta.ast), curve.domain)
+    return _common_zeros((pair.ell.ast, pair.beta.ast), curve.domain, ell=True)
 
 
-def _common_zeros(asts, domain: tuple[float, float], refs: int = 0) -> ImmersionReport:
+def _common_zeros(asts, domain: tuple[float, float], refs: int = 0, ell=False) -> ImmersionReport:
     """Where all searched components of an AST tuple vanish together.
 
-    One ``_scan``, the zero-function test, one joint ``_zeros`` search and
-    the ``_MERGE_TOL`` coincidence.  The last ``refs`` components are not
-    searched, only joined to the scales of the zero-function test.  The
+    One ``_scan``, the zero-function test (ell's for component 0 with
+    ``ell``), one joint ``_zeros`` search and the ``_MERGE_TOL`` coincidence.
+    The last ``refs`` components are only joined to those scales.  The
     witnesses are nine grid points when every searched component is the
     zero function; none, without a search, when one keeps its sign above
     the pre-filter, so that the search has no candidate of it; otherwise
@@ -433,7 +439,7 @@ def _common_zeros(asts, domain: tuple[float, float], refs: int = 0) -> Immersion
     ts, values, scales = _scan(asts, domain)
     n = len(values) - refs
     min_combined = float(np.min(np.max(np.abs(values[:n]), axis=0)))
-    vanishing = _vanishing(scales)[:n]
+    vanishing = _vanishing(scales, domain if ell else None)[:n]
     if vanishing.all():  # every point degenerate
         return ImmersionReport(False, tuple(float(t) for t in ts[::_GRID_N // 8]), min_combined)
     comps = [c for c in range(n) if not vanishing[c]]
@@ -471,13 +477,13 @@ def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
     pts = np.concatenate(roots)
     x, x_comp, jets = newton
     same = (pts.view(np.int64)[:, None] == x.view(np.int64)) & (comp[:, None] == x_comp)
-    known = np.nonzero(same.any(axis=1))[0]
+    known = same.any(axis=1).nonzero()[0]
     first = np.full(len(comp), -1)
     if len(known):
-        read = _read_orders(jets, comp[known], np.argmax(same[known], axis=1), scales)
+        read = _read_orders(jets, comp[known], same[known].argmax(axis=1), scales)
         first[known] = np.where(read > 0, read, -1)
     for order in (_FIRST_SWEEP, DEFAULT_ORDER):
-        at = np.nonzero(first < 0)[0]
+        at = (first < 0).nonzero()[0]
         if not len(at):
             break
         first[at] = _read_orders(eval_jet_many(asts, pts[at], order), comp[at],

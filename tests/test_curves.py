@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from legendre_curves import (CurvaturePair, LegendreCurve, ScalarFun,
+from legendre_curves import (AffineMap, CurvaturePair, LegendreCurve, ScalarFun,
                              check_closed, check_legendre,
                              derive_nu, dump_curve, gallery, is_immersion,
-                             load_curve, sample_curve, type_nm_curve)
+                             load_curve, pushforward_affine, sample_curve, type_nm_curve)
 from legendre_curves.cli import run
 from legendre_curves.errors import CurveError
 
@@ -169,6 +169,18 @@ def test_is_immersion_one_component_and_degenerate_cases():
     rep = is_immersion(LegendreCurve.from_exprs("0", "0", nu=("0", "1"), domain=(-1, 2)))
     assert not rep.ok and rep.min_combined == 0.0
     assert rep.witnesses == pytest.approx(np.linspace(-1, 2, 9))
+
+
+def test_is_immersion_is_invariant_under_homotheties(roster):
+    # A homothety by s keeps ell, a turning rate, and scales beta, a speed,
+    # by s: ell's zero-function test reads its own total turning, so a
+    # large s does not make it the zero function and beta's zeros common.
+    for entry in roster:
+        want = is_immersion(entry.curve)
+        for k in range(-9, 13):
+            image = pushforward_affine(entry.curve, AffineMap(10.0 ** k, 0, 0, 10.0 ** k)).curve
+            got = is_immersion(image)
+            assert (got.ok, len(got.witnesses)) == (want.ok, len(want.witnesses)), (entry.name, k)
 
 
 def test_is_immersion_evaluates_ell_and_beta_together(tape_runs):

@@ -544,7 +544,7 @@ def memo():
 
 def _held(memo):
     """Key floats the memo holds."""
-    return sum(entry[1].size for entry in memo)
+    return sum(entry[0].size for entry in memo.values())
 
 
 def _long_jet(rng, rows=2, points=LONG):
@@ -564,7 +564,8 @@ def test_memo_keys_are_exact_bits(memo, trig_calls):
     mid = LONG // 2
     nan_a = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
     nan_b = np.array([0xFFF8000000000002], dtype=np.uint64).view(np.float64)[0]
-    # pairs that agree in shape and first and last bits, and differ in the middle
+    # pairs that agree in shape and first and last bits, and differ at a
+    # fingerprint sample in the middle
     pairs = [(0.0, -0.0), (nan_a, nan_b), (base[0, mid], np.nextafter(base[0, mid], 9.0))]
     for x, y in pairs:
         a, b = base.copy(), base.copy()
@@ -582,7 +583,7 @@ def test_memo_keys_are_exact_bits(memo, trig_calls):
     a[0, mid] = -0.0
     assert np.signbit(jets.sin_cos(a)[0][0, mid])
     # the six keys above are all held, one row each, inside the budget
-    assert [entry[1].size for entry in memo] == [LONG] * 6
+    assert [entry[0].size for entry in memo.values()] == [LONG] * 6
     assert _held(memo) <= jets._MEMO_BUDGET
 
 
@@ -600,7 +601,52 @@ def test_memo_leaves_short_long_infinite_and_float32_rows_alone(memo):
             jets.sin_cos(inf)
     single = _long_jet(rng).astype(np.float32)  # not float64: no 64-bit key
     assert_same_bytes(jets.sin_cos(single)[1][0], np.cos(single[0]))
-    assert memo == []
+    assert memo == {}
+
+
+def test_rows_of_one_fingerprint_get_their_own_bytes(memo, trig_calls):
+    # two rows that agree at every 64th point and at the last one, and
+    # differ at one other point: one fingerprint, two keys
+    a = _long_jet(np.random.default_rng(11))
+    b = a.copy()
+    b[0, 100] = np.nextafter(a[0, 100], 9.0)
+    assert jets._MEMO_MIN_POINTS < LONG and 100 % 64
+    wants = {id(a): _gen_sin_cos(a), id(b): _gen_sin_cos(b)}
+    trig_calls.clear()
+    for jet in (a, b, a, b, b):
+        for got, want in zip(jets.sin_cos(jet), wants[id(jet)]):
+            assert_same_bytes(got, want)
+    # each newer row replaced the older one: a twice, b twice, then a hit
+    assert sorted(trig_calls.values()) == [2, 2, 2, 2]
+    assert [entry[0].tobytes() for entry in memo.values()] == [b[0].tobytes()]
+
+
+def test_a_lookup_compares_at_most_one_stored_row(memo, monkeypatch):
+    # rows that all share shape, first bits and last bits, each its own
+    # fingerprint
+    base = _long_jet(np.random.default_rng(12), rows=1)
+    rows = []
+    for i in range(20):
+        row = base.copy()
+        row[0, 64 * (i + 1)] += 1.0
+        rows.append(row)
+    collide = rows[-1].copy()
+    collide[0, 1] += 1.0  # not a fingerprint sample
+    compares = []
+    array_equal = np.array_equal
+
+    def counted(*args, **kwargs):
+        compares.append(1)
+        return array_equal(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    for row in rows:
+        jets.sin_cos(row)
+    assert len(memo) == len(rows) and len(compares) == 0  # all misses: none compared
+    for row, want in ((rows[0], 1), (rows[10], 1), (base, 0), (collide, 1), (rows[-1], 1)):
+        compares.clear()
+        jets.sin_cos(row.copy())
+        assert len(compares) == want
 
 
 def test_writing_into_returned_jets_leaves_later_results_unchanged(memo):
@@ -642,7 +688,8 @@ def test_memo_holds_its_bound_and_drops_the_least_recently_used(memo, trig_calls
         while sum(rows[j][0].size for j in model) > jets._MEMO_BUDGET:
             model.pop(0)  # least recently used first
         assert model[-1] == i  # the newest row stays
-        assert [entry[1].tobytes() for entry in memo] == [rows[j][0].tobytes() for j in model]
+        assert [entry[0].tobytes() for entry in memo.values()] == [
+            rows[j][0].tobytes() for j in model]
         assert _held(memo) <= jets._MEMO_BUDGET
     assert len(model) < len(rows)  # the budget evicted rows
     memo.clear()  # 23 signature-grid rows fit
