@@ -4,8 +4,8 @@ Subcommands cover the whole toolkit: curvature sampling, signatures and the
 equivalence verdict, reconstruction from a prescribed curvature pair, the
 transformation laws, normal forms, the built-in gallery, SVG rendering and
 the tangency/closedness check.  CSV and JSON go to stdout, diagnostics to
-stderr.  Exit codes: 0 success, 1 domain error or memory exhausted, 2 usage
-or syntax error.
+stderr.  Exit codes: 0 success, 1 domain error, memory exhausted or input
+nested too deeply, 2 usage or syntax error.
 """
 
 from __future__ import annotations
@@ -318,6 +318,9 @@ def run(argv) -> int:
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: input nests too deeply", file=sys.stderr)
         return 1
     return 0
 

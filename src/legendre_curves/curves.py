@@ -287,22 +287,22 @@ def load_curve(source) -> LegendreCurve:
     Format: {"x": str, "y": str, "nu": [str, str] (optional),
              "domain": [a, b], "closed": bool, "params": {name: number}}
 
-    An unreadable file, malformed JSON, fields of the wrong type or length,
-    non-finite numbers, a domain with a >= b and invalid parameter names
-    raise CurveError.  ``domain`` must be an array of two numbers,
-    ``closed`` a boolean and each ``params`` value a number; a boolean is
-    not a number.
+    A file that cannot be read or is not UTF-8, malformed JSON, fields of
+    the wrong type or length, non-finite numbers, a domain with a >= b and
+    invalid parameter names raise CurveError.  ``domain`` must be an array
+    of two numbers, ``closed`` a boolean and each ``params`` value a number;
+    a boolean is not a number.
     """
     try:
         if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-            data = json.loads(Path(source).read_text())
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
         elif isinstance(source, str):
             data = json.loads(source)
         else:
             data = dict(source)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CurveError(f"cannot read curve spec {str(source)!r}: "
-                         f"{err.strerror or err}") from None
+                         f"{getattr(err, 'strerror', None) or err}") from None
     except json.JSONDecodeError as err:
         raise CurveError(f"curve spec is not valid JSON: {err}") from None
     if not isinstance(data, dict):

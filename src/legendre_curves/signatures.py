@@ -13,12 +13,13 @@ the candidates of ell and beta (sign-change brackets, derivative brackets
 of touch zeros, exact grid zeros, endpoints), each tagged with its
 component and the jet row it drives to zero; every Newton run and
 contact-order sweep is then one evaluation of both, one run of the tape
-of the AST tuple (ell, beta) by ``eval_jet_many``, whose jets are the
-tape's ``(order + 1, len(pts))`` arrays.  Newton starts each sign-change
-bracket at its false-position point, built from the two grid values the
-scan holds, and keeps the bracket by the grid sign at its left end.  The
-residual check is no evaluation of its own: it reads the jets of Newton's
-final iterates.
+of the AST tuple (ell, beta) by ``eval_jet_many``, whose jets are stacked
+into one ``(components, order + 1, len(pts))`` array: ``jets[comp, row,
+cols]`` is the row each candidate drives to zero.  Newton starts each
+sign-change bracket at its false-position point, built from the two grid
+values the scan holds, and keeps the bracket by the grid sign at its left
+end.  The residual check is no evaluation of its own: it reads the jets of
+Newton's final iterates.
 
 Each evaluation carries only the Taylor orders its decision reads.  Taylor
 recurrences are causal (coefficient k depends on coefficients 0..k only),
@@ -141,15 +142,6 @@ _MERGE_TOL = 1e-8      # zeros of ell and beta this close coincide
 _ZERO_FUN_REL = 1e-10  # zero function: scale vs the largest; ell: total turning, rad
 
 
-def _pick(arrays, comp, row, cols) -> np.ndarray:
-    """Entry (row[i], cols[i]) of the jet array of component comp[i]."""
-    out = np.empty(len(cols))
-    for c, array in enumerate(arrays):
-        at = comp == c
-        out[at] = array[row[at], cols[at]]
-    return out
-
-
 def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[float]:
     """Locate the zeros of an evaluable scalar function on an interval.
 
@@ -200,13 +192,13 @@ def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
     read from Newton's final jets.
     Returns one sorted root list per component, empty for the components
     not in ``comps``, and the final iterates Newton kept as zeros, their
-    components and their jets.
+    components and the ``(components, order + 1, kept)`` array of their jets.
     """
     b = float(ts[-1])
     cap = max(1, (len(ts) - 1) // 4)
     (lo, hi, x, sign, comp, row), jets = _candidates(asts, ts, values, scales, comps)
     x, jets = _newton(asts, x, jets, lo, hi, sign, comp, row)
-    fx = _pick(jets, comp, 0 * row, np.arange(len(x)))
+    fx = jets[comp, 0, np.arange(len(x))]
     keep = ((sign != 0) & (row == 0)) | (np.abs(fx) <= _ROOT_TOL * scales[comp])
 
     roots: list[list[float]] = [[] for _ in values]
@@ -217,7 +209,7 @@ def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
         if len(found) > cap:
             raise RootScanError(_NON_FINITE)
         roots[c] = found
-    return roots, (x[keep], comp[keep], [array[:, keep] for array in jets])
+    return roots, (x[keep], comp[keep], jets[:, :, keep])
 
 
 def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
@@ -238,7 +230,8 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     order-2 evaluation at the starts replaces the seed run's jets, since
     Newton on f' reads f''.  Returns the arrays lo, hi, start, sign (of the
     bracketed row at lo from the grid; 0 for a start that is no bracket),
-    component and row, and the jets of every component at the starts.
+    component and row, and the jets of every component at the starts,
+    one ``(components, order + 1, starts)`` array.
     """
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
@@ -272,13 +265,13 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
         brackets.append((i, np.arange(first, first + len(i))))
         starts.append(np.minimum(np.maximum(ts[i] + (ts[i + 1] - ts[i]) * w, ts[i]), ts[i + 1]))
     pts = np.concatenate(starts + [[a, b]])
-    seed = eval_jet_many(asts, pts, 1)
+    seed = np.stack(eval_jet_many(asts, pts, 1))
     endpoint_cols = [len(pts) - 2, len(pts) - 1]
     groups = []
     for c, (i, fp_cols) in zip(comps, brackets):
         # Every grid zero and every end of a near cell is an entry of at,
         # and the two ends of a near cell are consecutive entries.
-        v, dv = values[c][at], seed[c][1, :len(at)]
+        v, dv = values[c][at], seed[c, 1, :len(at)]
         touch = _sign_changes(dv)
         touch = touch[near[c][at[touch]]]
         crit = ((dv == 0.0) & (mags[c][at] <= pre_tols[c])).nonzero()[0]
@@ -301,7 +294,7 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     lo, hi, cols, sign, comp, row = (np.concatenate(col) for col in zip(*groups))
     x = pts[cols]
     # Newton on f' reads f''
-    jets = eval_jet_many(asts, x, 2) if row.max() == 1 else [array[:, cols] for array in seed]
+    jets = np.stack(eval_jet_many(asts, x, 2)) if row.max() == 1 else seed[:, :, cols]
     return (lo, hi, x, sign, comp, row), jets
 
 
@@ -321,8 +314,9 @@ def _pre_tols(scales: np.ndarray, grid_n: int) -> np.ndarray:
 def _newton(asts, x, jets, lo, hi, sign, comp, row):
     """Safeguarded vectorized Newton on jet row ``row`` of component ``comp``.
 
-    ``x`` are the starts from ``_candidates`` and ``jets`` the jets of
-    every component at them; the order of those jets is Newton's order.
+    ``x`` are the starts from ``_candidates`` and ``jets`` every component's
+    jets at them, one ``(components, order + 1, len(x))`` array whose order
+    is Newton's; each run overwrites the columns of the iterates it moved.
     A nonzero ``sign`` marks a bracket [lo, hi] of the row whose lo end has
     that sign: each iterate replaces the end of its sign.  Any other start
     lies in its guard [lo, hi].  A step is m f/f', with m >= 1 the secant
@@ -333,10 +327,10 @@ def _newton(asts, x, jets, lo, hi, sign, comp, row):
     is dropped.  An iterate is final once its step is within 2^-32 of its
     cell, or after ``_NEWTON_RUNS`` runs, the one at the starts included.
 
-    Returns the final iterates and the jets of every component at them,
-    each from the run at the iterate.
+    Returns the final iterates and that array, each column from the run at
+    its iterate.
     """
-    order = len(jets[0]) - 1
+    order = jets.shape[1] - 1
     n = len(x)
     cols = np.arange(n)
     bracket = sign != 0
@@ -344,9 +338,9 @@ def _newton(asts, x, jets, lo, hi, sign, comp, row):
     x_prev = u_prev = np.full(n, np.nan)
     live = np.ones(n, dtype=bool)
     for _ in range(_NEWTON_RUNS - 1):
-        f = _pick(jets, comp, row, cols)
+        f = jets[comp, row, cols]
         with np.errstate(all="ignore"):  # a step that is not finite is dropped below
-            u = np.where(f == 0.0, 0.0, f / (_pick(jets, comp, row + 1, cols) * (row + 1)))
+            u = np.where(f == 0.0, 0.0, f / (jets[comp, row + 1, cols] * (row + 1)))
             m = np.rint((x - x_prev) / (u - u_prev))
             xn = x - np.where(m >= 1.0, m, 1.0) * u
         left = np.sign(f) == sign
@@ -358,8 +352,7 @@ def _newton(asts, x, jets, lo, hi, sign, comp, row):
             break
         x_prev, u_prev, x = x, u, np.where(live, xn, x)
         at = live.nonzero()[0]
-        for array, new in zip(jets, eval_jet_many(asts, x[at], order)):
-            array[:, at] = new
+        jets[:, :, at] = eval_jet_many(asts, x[at], order)
     return x, jets
 
 
@@ -447,8 +440,7 @@ def _common_zeros(asts, domain: tuple[float, float], refs: int = 0, ell=False) -
     if any(np.min(values[c] * np.sign(values[c][0])) > pre_tols[c] for c in comps):
         return ImmersionReport(True, (), min_combined)
     roots, (_, _, jets) = _zeros(asts, ts, values, scales, comps, False)
-    min_combined = float(np.min(np.abs([j[0] for j in jets[:n]]).max(axis=0),
-                                initial=min_combined))
+    min_combined = float(np.min(np.abs(jets[:n, 0]).max(axis=0), initial=min_combined))
     first, *others = (roots[c] for c in comps)
     witnesses = sorted({r for r in first
                         if all(any(abs(r - s) <= _MERGE_TOL for s in other) for other in others)})
@@ -467,8 +459,9 @@ def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
     bitwise one of those iterates of its component and whose order those
     jets reach.  A sweep at ``_FIRST_SWEEP`` settles the rest of lower
     order, and only the zeros it leaves open are evaluated again at
-    ``DEFAULT_ORDER``.  A read of order 0 is left to the sweeps, which
-    report it.
+    ``DEFAULT_ORDER``.  Each read indexes Newton's or a sweep's jet array by
+    zero, ``jets[comp, :, cols]``.  A read of order 0 is left to the sweeps,
+    which report it.
     """
     comp = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
     orders: list[list[int]] = [[] for _ in roots]
@@ -479,15 +472,15 @@ def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
     same = (pts.view(np.int64)[:, None] == x.view(np.int64)) & (comp[:, None] == x_comp)
     known = same.any(axis=1).nonzero()[0]
     first = np.full(len(comp), -1)
-    if len(known):
-        read = _read_orders(jets, comp[known], same[known].argmax(axis=1), scales)
-        first[known] = np.where(read > 0, read, -1)
+    coeffs = jets[comp[known], :, same[known].argmax(axis=1)]
+    read = _first_significant(np.abs(coeffs), scales[comp[known]])
+    first[known] = np.where(read > 0, read, -1)
     for order in (_FIRST_SWEEP, DEFAULT_ORDER):
         at = (first < 0).nonzero()[0]
         if not len(at):
             break
-        first[at] = _read_orders(eval_jet_many(asts, pts[at], order), comp[at],
-                                 range(len(at)), scales)
+        coeffs = np.stack(eval_jet_many(asts, pts[at], order))[comp[at], :, np.arange(len(at))]
+        first[at] = _first_significant(np.abs(coeffs), scales[comp[at]])
     for c, r in zip(comp, first):
         if r < 0:
             raise SignatureError("contact order exceeds jet order")
@@ -495,12 +488,6 @@ def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
             raise SignatureError("not a zero point")
         orders[c].append(int(r))
     return orders
-
-
-def _read_orders(arrays, comp, cols, scales: np.ndarray) -> np.ndarray:
-    """``_first_significant`` of column cols[i] of the jets of comp[i]."""
-    mags = np.abs([arrays[c][:, i] for c, i in zip(comp, cols)])
-    return _first_significant(mags, scales[comp])
 
 
 def _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders):

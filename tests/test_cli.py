@@ -351,6 +351,32 @@ def test_missing_spec_path(tmp_path, capsys):
     assert captured.err.startswith("error: cannot read curve spec")
 
 
+_NESTED = "(" * 300 + "t" + ")" * 300
+_TOO_DEEP = "error: input nests too deeply\n"
+
+
+@pytest.mark.parametrize("argv, spec, message", [
+    (["signature", "--curve", "SPEC"], b"\xff\xfe{}", "error: cannot read curve spec"),
+    (["signature", "--curve", "SPEC"],
+     json.dumps({"x": _NESTED, "y": "t^3", "domain": [-1, 1]}).encode(), _TOO_DEEP),
+    (["signature", "--curve", "SPEC"],
+     json.dumps({"x": "+".join(["t"] * 1000), "y": "t^3", "domain": [-1, 1]}).encode(),
+     _TOO_DEEP),
+    (["signature", "--curve", "SPEC"], b"[" * 100_000 + b"]" * 100_000, _TOO_DEEP),
+    (["reconstruct", "--ell", _NESTED, "--beta", "1", "--domain", "0:1", "--steps", "16"],
+     None, _TOO_DEEP),
+], ids=["spec-not-utf8", "spec-parentheses", "spec-long-sum", "spec-json-array",
+        "reconstruct-parentheses"])
+def test_unreadable_or_too_deep_input_is_one_error_line(tmp_path, capsys, argv, spec, message):
+    path = tmp_path / "spec.json"
+    if spec is not None:
+        path.write_bytes(spec)
+    assert run([str(path) if a == "SPEC" else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_non_numeric_domain_or_params(tmp_path, capsys):
     spec = {"x": "cos(t)", "y": "sin(t)", "nu": ["cos(t)", "sin(t)"],
             "domain": [0, "two pi"]}
@@ -622,16 +648,19 @@ def _set(spec: dict, path, value):
 
 @st.composite
 def _spec_texts(draw):
-    """JSON text of a gallery spec with a few fields mutated, or broken JSON."""
+    """The bytes of a spec file: JSON text of a gallery spec with a few
+    fields mutated, or a broken file (bad JSON, bytes that are not UTF-8,
+    an array nested deeper than the JSON decoder recurses)."""
     if draw(st.integers(0, 9)) == 0:
-        return draw(st.sampled_from(["", "{", "null", "[1]", '{"x": "t"', "NaN"]))
+        return draw(st.sampled_from([b"", b"{", b"null", b"[1]", b'{"x": "t"', b"NaN",
+                                     b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000]))
     spec = json.loads(json.dumps(draw(st.sampled_from(_BASE_SPECS))))
     values = st.one_of(st.sampled_from(_BAD_JSON), st.sampled_from(_TOKENS),
                        st.tuples(st.sampled_from(_SPLICES), st.sampled_from(_TOKENS)))
     for path, value in draw(st.lists(st.tuples(st.sampled_from(_SPEC_FIELDS), values),
                                      max_size=3)):
         _set(spec, path, value)
-    return json.dumps(spec)
+    return json.dumps(spec).encode()
 
 
 def _domain_flag():
@@ -692,8 +721,8 @@ def test_fuzzed_argv_keeps_the_cli_contract(tmp_path_factory, argv, spec1, spec2
     root = tmp_path_factory.mktemp("fuzz")
     files = {"SPEC1": root / "spec1.json", "SPEC2": root / "spec2.json",
              "OUT": root / "out.svg"}
-    files["SPEC1"].write_text(spec1)
-    files["SPEC2"].write_text(spec2)
+    files["SPEC1"].write_bytes(spec1)
+    files["SPEC2"].write_bytes(spec2)
     argv = [str(files[a]) if a in files else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

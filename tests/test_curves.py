@@ -295,6 +295,14 @@ def test_spec_file_with_params_and_derived_frame(tmp_path):
     assert pair.beta(1.0) == pytest.approx(-1.0)  # derived frame: beta = -speed
 
 
+def test_spec_file_that_is_not_utf8_is_refused(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    for source in (path, str(path)):
+        with pytest.raises(CurveError, match="cannot read curve spec .*'utf-8' codec"):
+            load_curve(source)
+
+
 def test_spec_file_missing_field():
     with pytest.raises(CurveError, match="missing field"):
         load_curve({"x": "t", "domain": [0, 1]})

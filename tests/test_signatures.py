@@ -167,7 +167,7 @@ def _fresh_newton_jets():
 
     def fresh(newton, asts, *args):
         x, _ = newton(asts, *args)
-        return x, exprs.eval_jet_many(asts, x, DEFAULT_ORDER)
+        return x, np.stack(exprs.eval_jet_many(asts, x, DEFAULT_ORDER))
 
     patched, checked, calls = _checked_newton(fresh)
     with mock.patch.multiple(signatures, _newton=patched, _zeros=checked):
