@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import (_require_finite, check_closed, check_legendre, dump_curve,
                      load_curve)
-from .errors import ExprSyntaxError, LegendreError
+from .errors import _TOO_DEEP, ExprSyntaxError, LegendreError
 from .gallery import GALLERY_NAMES, gallery
 from .normal_forms import GERM_CASES, GermData, local_normal_form
 
@@ -320,7 +320,7 @@ def run(argv) -> int:
         print("error: out of memory", file=sys.stderr)
         return 1
     except RecursionError:
-        print("error: input nests too deeply", file=sys.stderr)
+        print(f"error: {_TOO_DEEP}", file=sys.stderr)
         return 1
     return 0
 

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CurveError, LegendreError
+from .errors import _TOO_DEEP, CurveError, LegendreError
 from .exprs import (ScalarFun, Unary, ast_derivative, eval_jet_many, mul,
                     pretty_print, sub)
 
@@ -291,7 +291,9 @@ def load_curve(source) -> LegendreCurve:
     the wrong type or length, non-finite numbers, a domain with a >= b and
     invalid parameter names raise CurveError.  ``domain`` must be an array
     of two numbers, ``closed`` a boolean and each ``params`` value a number;
-    a boolean is not a number.
+    a boolean is not a number.  JSON or expressions that nest too deeply
+    to read, or to write back as a spec (a 1000-term sum), raise
+    LegendreError.
     """
     try:
         if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
@@ -305,6 +307,8 @@ def load_curve(source) -> LegendreCurve:
                          f"{getattr(err, 'strerror', None) or err}") from None
     except json.JSONDecodeError as err:
         raise CurveError(f"curve spec is not valid JSON: {err}") from None
+    except RecursionError:
+        raise LegendreError(_TOO_DEEP) from None
     if not isinstance(data, dict):
         raise CurveError("curve spec must be a JSON object")
     try:
@@ -335,10 +339,14 @@ def load_curve(source) -> LegendreCurve:
         raise CurveError("curve spec field 'closed' must be true or false")
     params = {str(k): float(v) for k, v in params.items()}
     try:
-        return LegendreCurve.from_exprs(x, y, nu=nu, domain=tuple(map(float, domain)),
-                                        closed=closed, params=params or None)
+        curve = LegendreCurve.from_exprs(x, y, nu=nu, domain=tuple(map(float, domain)),
+                                         closed=closed, params=params or None)
+        curve.spec_dict()  # refuse a curve too deep to write back
     except ValueError as err:  # substitute_params rejects a reserved or malformed name
         raise CurveError(f"invalid curve spec: {err}") from None
+    except RecursionError:
+        raise LegendreError(_TOO_DEEP) from None
+    return curve
 
 
 def dump_curve(curve: LegendreCurve) -> str:

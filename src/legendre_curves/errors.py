@@ -5,6 +5,11 @@ CLI can map domain failures to exit code 1 and syntax problems to exit
 code 2.
 """
 
+#: The message of input that nests too deeply for a recursive reader (the
+#: JSON decoder, the expression parser, the AST printer), in the library
+#: and in ``legcurve``.
+_TOO_DEEP = "input nests too deeply"
+
 
 class LegendreError(Exception):
     """Base class for all errors raised by this package."""

@@ -41,8 +41,9 @@ equal subtrees share a slot, ``sin`` and ``cos`` of one argument share one
 recurrence, and constant subtrees are folded.  A ``d`` node is the
 one-row shift ``jets.derivative``, so the tape runs one order higher per
 nested ``d``.  Each slot is released after its last use.  The tape is
-cached against the identity of the AST tuple and dropped when one of
-those ASTs is collected.
+kept in a weak memo against the identity of the AST tuple and dropped when
+one of those ASTs is collected; :mod:`signatures` keeps each signature in
+one too.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
 passes around, one AST run through the tape, every curvature law too.
@@ -64,7 +65,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import jets
-from .errors import ExprSyntaxError, LegendreError
+from .errors import _TOO_DEEP, ExprSyntaxError, LegendreError
 from .jets import BiJet2, DEFAULT_ORDER
 
 # -- AST ---------------------------------------------------------------------
@@ -276,10 +277,15 @@ class _Parser:
 
 
 def parse_expr(text: str, arity: str = "one-var") -> ExprAst:
-    """Parse expression text into an AST; raises ExprSyntaxError with offset."""
+    """Parse expression text into an AST; raises ExprSyntaxError with
+    offset, and LegendreError for text that nests too deeply for the
+    recursive descent, such as 300 nested parentheses."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text, arity).parse()
+    try:
+        return _Parser(text, arity).parse()
+    except RecursionError:
+        raise LegendreError(_TOO_DEEP) from None
 
 
 # -- printing -----------------------------------------------------------------
@@ -434,39 +440,44 @@ def _kernel(op: str):
         raise ValueError(f"unknown operation {op!r}") from None
 
 
-class _TapeCache:
-    """Compiled tapes keyed by the identity of the AST tuple.
+class _WeakMemo:
+    """Values keyed by the identity of a tuple of objects plus a hashable
+    tail; it holds the compiled tapes here and the signatures of
+    :mod:`signatures`.
 
-    An entry holds weak references to its ASTs: a hit must find the very
+    An entry holds weak references to its objects: a hit must find the very
     same objects, and the entry is dropped as soon as one of them is
-    collected, so the cache never outlives the curves it serves.
+    collected, so the memo never outlives what it serves.  A value is
+    stored only when ``build`` returns it, so an input it refuses is
+    refused again on every call.
     """
 
     def __init__(self):
         self._entries: dict = {}
 
-    def get(self, asts) -> _Tape:
-        key = tuple(map(id, asts))
+    def get(self, objs, build, tail=()):
+        """The value stored for ``objs`` and ``tail``, else ``build(objs)``."""
+        key = tuple(map(id, objs)) + tail
         hit = self._entries.get(key)
-        if hit is not None and all(ref() is ast for ref, ast in zip(hit[0], asts)):
+        if hit is not None and all(ref() is obj for ref, obj in zip(hit[0], objs)):
             return hit[1]
-        tape = _Tape(asts)
+        value = build(objs)
         entries = self._entries
 
         def drop(_ref):
             entries.pop(key, None)
 
-        entries[key] = (tuple(weakref.ref(ast, drop) for ast in asts), tape)
-        return tape
+        entries[key] = (tuple(weakref.ref(obj, drop) for obj in objs), value)
+        return value
 
 
-_TAPES = _TapeCache()
+_TAPES = _WeakMemo()
 
 
 def eval_jet(ast: ExprAst, t0, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Taylor jet of a univariate expression at t0 (scalar or ndarray), an
     array of shape ``(order + 1,) + np.shape(t0)``."""
-    return _TAPES.get((ast,)).run(t0, order)[0]
+    return _TAPES.get((ast,), _Tape).run(t0, order)[0]
 
 
 def eval_jet_many(asts, t0, order: int) -> list[np.ndarray]:
@@ -476,7 +487,7 @@ def eval_jet_many(asts, t0, order: int) -> list[np.ndarray]:
     frame norm appears in both components, for instance); the tape
     evaluates each distinct subtree once.
     """
-    return _TAPES.get(tuple(asts)).run(t0, order)
+    return _TAPES.get(tuple(asts), _Tape).run(t0, order)
 
 
 def eval_bijet(ast: ExprAst, x0, y0) -> BiJet2:

@@ -173,7 +173,9 @@ def germ_signature_of_curve(curve, t0: float = 0.0) -> GermSignature:
     """The germ signature of a curve at ``t0``: ell's zero-function flag
     and the orders of the zero ``signature`` records there, read through
     ``Signature.zero_at``, or (0, 0).  A ``t0`` off the domain or not
-    finite is refused, as are the curves ``signature`` refuses."""
+    finite is refused, as are the curves ``signature`` refuses.  The
+    signature is memoized per curve, so asking about several points of
+    one curve costs one zero search."""
     t0, (a, b) = float(t0), curve.domain
     if not a <= t0 <= b:
         raise CurveError(f"t0 must be a point of the domain [{a!r}, {b!r}], got {t0!r}")

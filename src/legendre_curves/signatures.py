@@ -48,19 +48,28 @@ within ``_MERGE_TOL`` coincide.  All three run one search on one grid of ``_GRID
 ``is_immersion`` asks it of (ell, beta), ``derive_nu`` of (x', y'),
 ``reparametrize`` of t' against the domains' slope and
 ``pushforward_diffeo_curve`` of det J o gamma against its products.
+
+``signature`` is memoized per (ell, beta) AST object pair, domain and
+closed flag, in the weak memo that also holds the compiled tapes: an entry
+lives as long as both ASTs, and a curve and each of its
+``curvature_pair()`` share it, since they hold the same ASTs.  So
+equivalence questions over a fixed set of curves, or germ signatures at
+several points of one curve, run one zero search per curve.  Only a
+result is stored; a refusal is searched, and raised, again.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair, _check_domain, _require_finite
-from .errors import DegenerateCurveError, RootScanError, SignatureError
-from .exprs import ScalarFun, eval_jet_many
+from .curves import CurvaturePair, _check_domain, _integers, _require_finite
+from .errors import CurveError, DegenerateCurveError, RootScanError, SignatureError
+from .exprs import ScalarFun, _WeakMemo, eval_jet_many
 from .jets import DEFAULT_ORDER
 
 #: Scale-free coefficient vanishing test of the contact-order rule.
@@ -386,6 +395,9 @@ def _first_significant(mags: np.ndarray, scales: np.ndarray) -> np.ndarray:
 # -- signatures ---------------------------------------------------------------
 
 
+_SIGNATURES = _WeakMemo()
+
+
 def signature(source) -> Signature:
     """Signature of a curve or of a curvature pair.
 
@@ -394,19 +406,31 @@ def signature(source) -> Signature:
     within the merge tolerance are recorded as a single point of kind
     "both".  For a closed curve a zero sitting at both endpoints is
     recorded once.
+
+    The signature is memoized per (ell, beta) AST object pair, domain and
+    closed flag, for as long as both ASTs live: a curve and each of its
+    ``curvature_pair()`` share one search, and a repeated question returns
+    the same ``Signature`` object.  A refusal is not stored.
     """
     pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
-    asts = (pair.ell.ast, pair.beta.ast)
-    ts, values, scales = _scan(asts, pair.domain)
-    ell_identically_zero, degenerate = _vanishing(scales, pair.domain).tolist()
+    # repr tells -0.0 from 0.0 and True from 1, as the signature's JSON does
+    tail = tuple(map(repr, (*pair.domain, pair.closed)))
+    return _SIGNATURES.get((pair.ell.ast, pair.beta.ast),
+                           lambda asts: _search(asts, pair.domain, pair.closed), tail)
+
+
+def _search(asts, domain: tuple[float, float], closed: bool) -> Signature:
+    """The zero search of ``signature`` on the AST pair (ell, beta)."""
+    ts, values, scales = _scan(asts, domain)
+    ell_identically_zero, degenerate = _vanishing(scales, domain).tolist()
     if degenerate:
         raise DegenerateCurveError("degenerate: constant curve")
 
     comps = (1,) if ell_identically_zero else (0, 1)
-    roots, newton = _zeros(asts, ts, values, scales, comps, pair.closed)
+    roots, newton = _zeros(asts, ts, values, scales, comps, closed)
     orders = _contact_orders(asts, roots, scales, newton)
     zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1])
-    return Signature(domain=pair.domain, closed=pair.closed,
+    return Signature(domain=domain, closed=closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
 
 
@@ -594,16 +618,61 @@ def signature_to_dict(sig: Signature) -> dict:
 
 
 def signature_from_dict(data: dict) -> Signature:
-    zeros = tuple(
-        ZeroPoint(float(z["t"]), str(z["kind"]),
-                  ord_ell=(None if z.get("ord_ell") is None else int(z["ord_ell"])),
-                  ord_beta=(None if z.get("ord_beta") is None else int(z["ord_beta"])))
-        for z in data["zeros"]
-    )
-    return Signature(domain=tuple(float(v) for v in data["domain"]),
-                     closed=bool(data["closed"]),
-                     ell_identically_zero=bool(data["ell_identically_zero"]),
-                     zeros=zeros)
+    """The signature that ``signature_to_dict`` wrote, checked field by field.
+
+    A valid signature has a finite domain [a, b] with a < b, JSON booleans
+    for ``closed`` and ``ell_identically_zero``, and a list of zeros
+    strictly increasing inside [a, b], each a finite ``t``, a kind and
+    integer contact orders >= 1 present exactly as ``ZeroPoint`` requires.
+    Anything else, a missing field included, raises SignatureError.
+    """
+    if not isinstance(data, dict):
+        raise SignatureError("signature must be a JSON object")
+    try:
+        domain, closed, flat, zeros = (data[k] for k in (
+            "domain", "closed", "ell_identically_zero", "zeros"))
+    except KeyError as missing:
+        raise SignatureError(f"signature is missing field {missing}") from None
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and _finite(*domain)):
+        raise SignatureError("signature field 'domain' must hold two finite numbers")
+    try:
+        a, b = _check_domain(domain)
+    except CurveError as err:
+        raise SignatureError(str(err)) from None
+    if not (isinstance(closed, bool) and isinstance(flat, bool)):
+        raise SignatureError("signature fields 'closed' and 'ell_identically_zero' "
+                             "must be true or false")
+    if not isinstance(zeros, (list, tuple)):
+        raise SignatureError("signature field 'zeros' must be a list")
+    zeros = tuple(map(_zero_from_dict, zeros))
+    ts = [z.t for z in zeros]
+    if not (all(a <= t <= b for t in ts) and all(s < t for s, t in zip(ts, ts[1:]))):
+        raise SignatureError("signature zeros must increase strictly inside the domain")
+    return Signature(domain=(a, b), closed=closed, ell_identically_zero=flat, zeros=zeros)
+
+
+def _finite(*values) -> bool:
+    """Whether every value is a JSON number (an int or a float, not a bool)
+    that is a finite float."""
+    try:
+        return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in values)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _zero_from_dict(z) -> ZeroPoint:
+    if not (isinstance(z, dict) and "t" in z and "kind" in z):
+        raise SignatureError(f"a signature zero must hold 't' and 'kind', got {z!r}")
+    t, orders = z["t"], (z.get("ord_ell"), z.get("ord_beta"))
+    if not _finite(t):
+        raise SignatureError(f"zero position {t!r} is not a finite number")
+    if not all(o is None or (_integers(o) and o >= 1) for o in orders):
+        raise SignatureError(f"contact orders {orders!r} must be integers >= 1")
+    try:
+        return ZeroPoint(float(t), z["kind"], *orders)
+    except ValueError as err:  # an unknown kind, or orders that do not fit it
+        raise SignatureError(f"invalid signature zero: {err}") from None
 
 
 def dump_signature(sig: Signature) -> str:

@@ -23,6 +23,22 @@ def roster():
     return default_gallery()
 
 
+class _Forgetful(dict):
+    """A dict that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.fixture
+def cold_signatures(monkeypatch):
+    """Empties the signature memo and keeps it empty while the test runs,
+    so every ``signature`` call runs its zero search."""
+    from legendre_curves import signatures
+
+    monkeypatch.setattr(signatures._SIGNATURES, "_entries", _Forgetful())
+
+
 @pytest.fixture
 def trig_calls(monkeypatch):
     """Counts np.sin and np.cos calls on rows long enough for the trig-row

@@ -11,7 +11,8 @@ from legendre_curves import (AffineMap, CurvaturePair, LegendreCurve, ScalarFun,
                              derive_nu, dump_curve, gallery, is_immersion,
                              load_curve, pushforward_affine, sample_curve, type_nm_curve)
 from legendre_curves.cli import run
-from legendre_curves.errors import CurveError
+from legendre_curves.errors import CurveError, ExprSyntaxError, LegendreError
+from legendre_curves.exprs import parse_expr
 
 TWO_PI = 2 * math.pi
 
@@ -301,6 +302,23 @@ def test_spec_file_that_is_not_utf8_is_refused(tmp_path):
     for source in (path, str(path)):
         with pytest.raises(CurveError, match="cannot read curve spec .*'utf-8' codec"):
             load_curve(source)
+
+
+_NESTED = "(" * 300 + "t" + ")" * 300
+
+
+@pytest.mark.parametrize("read", [
+    lambda: parse_expr(_NESTED),
+    lambda: load_curve({"x": _NESTED, "y": "t^3", "domain": [-1, 1]}),
+    lambda: load_curve({"x": "+".join(["t"] * 1000), "y": "t^3", "nu": ["0", "1"],
+                        "domain": [-1, 1]}),
+    lambda: load_curve('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+], ids=["parse-parentheses", "spec-parentheses", "spec-long-sum", "spec-json-array"])
+def test_input_that_nests_too_deeply_is_a_legendre_error(read):
+    # not a syntax error: legcurve keeps exit code 1 and its one error line
+    with pytest.raises(LegendreError, match="^input nests too deeply$") as err:
+        read()
+    assert not isinstance(err.value, ExprSyntaxError)
 
 
 def test_spec_file_missing_field():

@@ -221,11 +221,11 @@ def test_scalar_fun_values_and_algebra():
 
 
 def test_tape_cache_entry_dies_with_its_asts():
-    from legendre_curves.exprs import _TAPES
+    from legendre_curves.exprs import _TAPES, _Tape
 
     ast = parse_expr("sin(t)*t^2")
-    tape = _TAPES.get((ast,))
-    assert _TAPES.get((ast,)) is tape  # compiled once per AST tuple
+    tape = _TAPES.get((ast,), _Tape)
+    assert _TAPES.get((ast,), _Tape) is tape  # compiled once per AST tuple
     key = (id(ast),)
     assert key in _TAPES._entries
     del ast, tape

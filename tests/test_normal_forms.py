@@ -124,7 +124,8 @@ def test_every_small_normal_form_realizes_its_signature():
     (GermData("below-diagonal", 2, 4), [1, 2]),
     (GermData("diagonal-plain", 2, 2), [1, 2]),
 ], ids=["below-diagonal", "diagonal-plain"])
-def test_germ_signature_reads_one_curvature_pass(germ, orders, tape_runs):
+def test_germ_signature_reads_one_curvature_pass(germ, orders, tape_runs,
+                                                  cold_signatures):
     # The germ signature is read from signature(curve): its tape runs are
     # exactly the signature's, and no more: the grid scan and the seed run,
     # whose jets settle the zero at the grid point 0 with no Newton run.

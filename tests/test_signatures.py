@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import math
 from unittest import mock
@@ -6,16 +7,17 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
                              LegendreCurve, ScalarFun, Signature, ZeroPoint,
-                             decide_equivalence, dump_curve,
-                             find_zeros, gallery, negate,
+                             decide_equivalence, dump_curve, dump_signature,
+                             find_zeros, gallery, germ_signature_of_curve,
+                             load_curve, negate,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
-from legendre_curves import exprs, jets, signatures
+from legendre_curves import GermSignature, exprs, jets, signatures
 from legendre_curves.errors import (CurveError, DegenerateCurveError, LegendreError,
                                     RootScanError, SignatureError)
 
@@ -526,11 +528,134 @@ def test_sk_multiplication_leaves_signature_unchanged(roster):
         assert signature(scaled).key() == base
 
 
-def test_signature_json_round_trip():
+def test_signature_json_round_trip(roster):
     sig = signature(gallery("gamma_n", {"n": 5}).curve)
     data = json.loads(json.dumps(signature_to_dict(sig)))
     back = signature_from_dict(data)
     assert back == sig
+    for entry in roster:
+        sig = signature(entry.curve)
+        assert signature_from_dict(signature_to_dict(sig)) == sig
+        assert signature_from_dict(json.loads(dump_signature(sig))) == sig
+    # the table's base dict is valid: each of its rows changes one field
+    assert signature_from_dict(_sig_dict()).zeros[1] == ZeroPoint(2.0, "both", 2, 3)
+
+
+def _sig_dict(**fields):
+    data = {"domain": [0.0, 4.0], "closed": False, "ell_identically_zero": False,
+            "zeros": [{"t": 1.0, "kind": "inflection", "ord_ell": 1, "ord_beta": None},
+                      {"t": 2.0, "kind": "both", "ord_ell": 2, "ord_beta": 3}]}
+    data.update(fields)
+    return {k: v for k, v in data.items() if v is not _MISSING}
+
+
+_MISSING = object()
+_ZERO = {"t": 1.0, "kind": "singular", "ord_ell": None, "ord_beta": 1}
+
+
+@pytest.mark.parametrize("data, message", [
+    (_sig_dict(domain=[1, 0]), "a < b"),
+    (_sig_dict(domain=[0, math.inf]), "two finite numbers"),
+    (_sig_dict(domain=[0, 10 ** 400]), "two finite numbers"),
+    (_sig_dict(domain=[-1e308, 1e308]), "finite interval"),
+    (_sig_dict(domain=[0, 1, 2]), "two finite numbers"),
+    (_sig_dict(domain=["0", 1]), "two finite numbers"),
+    (_sig_dict(domain=[False, 1]), "two finite numbers"),
+    (_sig_dict(closed="no"), "true or false"),
+    (_sig_dict(closed=1), "true or false"),
+    (_sig_dict(ell_identically_zero=None), "true or false"),
+    (_sig_dict(domain=_MISSING), "missing field 'domain'"),
+    (_sig_dict(zeros=_MISSING), "missing field 'zeros'"),
+    (_sig_dict(zeros={"t": 1.0}), "must be a list"),
+    (_sig_dict(zeros=[{"kind": "singular", "ord_beta": 1}]), "'t' and 'kind'"),
+    (_sig_dict(zeros=[1.0]), "'t' and 'kind'"),
+    (_sig_dict(zeros=[dict(_ZERO, t="1.0")]), "not a finite number"),
+    (_sig_dict(zeros=[dict(_ZERO, t=math.nan)]), "not a finite number"),
+    (_sig_dict(zeros=[dict(_ZERO, t=10 ** 400)]), "not a finite number"),
+    (_sig_dict(zeros=[dict(_ZERO, kind="cusp")]), "bad zero kind"),
+    (_sig_dict(zeros=[dict(_ZERO, ord_ell=2)]), "ord_ell must be present"),
+    (_sig_dict(zeros=[dict(_ZERO, ord_beta=None)]), "ord_beta must be present"),
+    (_sig_dict(zeros=[dict(_ZERO, ord_beta=0)]), "integers >= 1"),
+    (_sig_dict(zeros=[dict(_ZERO, ord_beta=1.5)]), "integers >= 1"),
+    (_sig_dict(zeros=[dict(_ZERO, ord_beta=True)]), "integers >= 1"),
+    (_sig_dict(zeros=[dict(_ZERO, t=2.0), dict(_ZERO, t=1.0)]), "increase strictly"),
+    (_sig_dict(zeros=[_ZERO, _ZERO]), "increase strictly"),
+    (_sig_dict(zeros=[dict(_ZERO, t=4.5)]), "inside the domain"),
+    (_sig_dict(zeros=[dict(_ZERO, t=-0.5)]), "inside the domain"),
+    ([], "JSON object"),
+], ids=["reversed-domain", "infinite-domain", "huge-int-domain", "overflowing-width",
+        "three-ends", "string-end", "bool-end",
+        "closed-string", "closed-int", "flat-null", "no-domain", "no-zeros", "zeros-dict",
+        "zero-without-t", "zero-not-dict", "t-string", "t-nan", "t-huge-int", "unknown-kind",
+        "extra-order", "missing-order", "order-0", "order-float", "order-bool",
+        "out-of-order", "repeated", "past-b", "before-a", "not-a-dict"])
+def test_signature_from_dict_refuses_an_invalid_signature(data, message):
+    with pytest.raises(SignatureError, match=message):
+        signature_from_dict(data)
+
+
+# -- the signature memo ------------------------------------------------------
+
+
+def _entries():
+    return signatures._SIGNATURES._entries
+
+
+def test_a_curve_and_its_curvature_pair_share_one_signature(tape_runs):
+    curve = gallery("gamma_n", {"n": 4}).curve
+    sig = signature(curve)
+    tape_runs.clear()
+    assert signature(curve) is sig
+    assert signature(curve.curvature_pair()) is sig
+    assert tape_runs.runs == []  # a repeated question runs no tape
+
+
+def test_germ_signatures_at_several_zeros_run_one_search():
+    curve = gallery("gamma_n", {"n": 5}).curve
+    with mock.patch.object(signatures, "_search", wraps=signatures._search) as search:
+        germs = [germ_signature_of_curve(curve, z.t) for z in signature(curve).zeros[:3]]
+    assert germs == [GermSignature(0, 1)] * 3 and search.call_count == 1
+
+
+def test_the_signature_memo_keys_on_objects_domain_and_closed_flag():
+    curve = gallery("gamma_n", {"n": 3}).curve
+    sig = signature(curve)
+    pair = curve.curvature_pair()
+    # the same ASTs on another domain, or open, are other questions
+    half = CurvaturePair(pair.ell, pair.beta, (0.0, math.pi))
+    assert signature(half) is not sig and signature(half) is signature(half)
+    assert signature(half).domain == (0.0, math.pi)
+    opened = CurvaturePair(pair.ell, pair.beta, pair.domain, closed=False)
+    assert signature(opened) is not sig and not signature(opened).closed
+    # equal ASTs that are other objects are another entry, with the same answer
+    twin = load_curve(dump_curve(curve))
+    count = len(_entries())
+    assert signature(twin) == sig and signature(twin) is not sig
+    assert len(_entries()) == count + 1
+    # -0.0 and 0.0 are equal keys but print differently
+    zero = CurvaturePair(pair.ell, pair.beta, (0.0, 1.0))
+    negative_zero = CurvaturePair(pair.ell, pair.beta, (-0.0, 1.0))
+    assert dump_signature(signature(negative_zero)) != dump_signature(signature(zero))
+
+
+def test_a_refused_curve_is_refused_on_every_call():
+    pair = CurvaturePair.from_exprs("1", "0", (0.0, 1.0))
+    count = len(_entries())
+    with mock.patch.object(signatures, "_search", wraps=signatures._search) as search:
+        for _ in range(3):
+            with pytest.raises(DegenerateCurveError):
+                signature(pair)
+    assert search.call_count == 3 and len(_entries()) == count
+
+
+def test_the_signature_memo_entry_dies_with_its_curve():
+    curve = gallery("gamma_m", {"m": 2}).curve
+    signature(curve)
+    key = (id(curve._ell), id(curve._beta))
+    assert any(k[:2] == key for k in _entries())
+    del curve
+    gc.collect()
+    assert not any(k[:2] == key for k in _entries())
 
 
 def test_find_zeros_randomized_against_brute_force():
@@ -632,7 +757,7 @@ def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch,
 ], ids=["pair-order-6", "pair-orders-5-3", "pair-order-12", "type_nm-1-5",
         "type_nm-1-7", "type_nm-6-7"])
 def test_contact_orders_above_the_first_sweep_match_a_full_read(
-        source, orders, monkeypatch, tape_runs):
+        source, orders, monkeypatch, tape_runs, cold_signatures):
     tape_runs.clear()
     sig = signature(source)
     assert [(z.ord_ell, z.ord_beta) for z in sig.zeros] == orders
@@ -646,7 +771,7 @@ def test_contact_orders_above_the_first_sweep_match_a_full_read(
     assert signature(source) == sig
 
 
-def test_fresh_jets_in_place_of_newtons_give_the_same_signature(roster):
+def test_fresh_jets_in_place_of_newtons_give_the_same_signature(roster, cold_signatures):
     m = AffineMap(1.3, -0.4, 0.7, 0.9)
     curves = []
     for entry in roster:
@@ -658,7 +783,8 @@ def test_fresh_jets_in_place_of_newtons_give_the_same_signature(roster):
         assert [signature(curve) for curve in curves] == sigs
 
 
-def test_signature_is_the_same_with_the_trig_memo_cold_and_warm(roster, trig_calls):
+def test_signature_is_the_same_with_the_trig_memo_cold_and_warm(roster, trig_calls,
+                                                                cold_signatures):
     m = AffineMap(0.9, 0.5, -0.3, 1.2)
     curves = []
     for entry in roster:
@@ -795,9 +921,11 @@ _TRANSFORM_STEPS = st.one_of(
         lambda which: lambda curve: negate(curve, which)))
 
 
-@settings(max_examples=60)
+# cold_signatures holds for every example: each signature call searches.
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(index=st.integers(0, 7), steps=st.lists(_TRANSFORM_STEPS, min_size=1, max_size=3))
-def test_signature_key_invariant_under_transform_compositions(roster, index, steps):
+def test_signature_key_invariant_under_transform_compositions(roster, index, steps,
+                                                              cold_signatures):
     curve = roster[index].curve
     base = signature(curve).key()
     for step in steps:
