@@ -57,6 +57,15 @@ def _integers(*values) -> bool:
     return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
 
 
+def _finite(*values) -> bool:
+    """Whether every number is a finite float; an int beyond the float
+    range is not."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def _check_domain(domain) -> tuple[float, float]:
     a, b = (float(v) for v in domain)
     if not (math.isfinite(b - a) and a < b):
@@ -288,10 +297,11 @@ def load_curve(source) -> LegendreCurve:
              "domain": [a, b], "closed": bool, "params": {name: number}}
 
     A file that cannot be read or is not UTF-8, malformed JSON, fields of
-    the wrong type or length, non-finite numbers, a domain with a >= b and
-    invalid parameter names raise CurveError.  ``domain`` must be an array
-    of two numbers, ``closed`` a boolean and each ``params`` value a number;
-    a boolean is not a number.  JSON or expressions that nest too deeply
+    the wrong type or length, non-finite numbers (an integer beyond the
+    float range included), a domain with a >= b and invalid parameter names
+    raise CurveError.  ``domain`` must be an array of two numbers,
+    ``closed`` a boolean and each ``params`` value a number; a boolean is
+    not a number.  JSON or expressions that nest too deeply
     to read, or to write back as a spec (a 1000-term sum), raise
     LegendreError.
     """
@@ -332,8 +342,8 @@ def load_curve(source) -> LegendreCurve:
     for field, values in (("domain", domain), ("params", params.values())):
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
             raise CurveError(f"curve spec field {field!r} must hold numbers")
-    if not all(map(math.isfinite, params.values())):
-        raise CurveError("curve spec field 'params' must hold finite numbers")
+        if not _finite(*values):
+            raise CurveError(f"curve spec field {field!r} must hold finite numbers")
     closed = data.get("closed", False)
     if not isinstance(closed, bool):
         raise CurveError("curve spec field 'closed' must be true or false")

@@ -42,8 +42,11 @@ recurrence, and constant subtrees are folded.  A ``d`` node is the
 one-row shift ``jets.derivative``, so the tape runs one order higher per
 nested ``d``.  Each slot is released after its last use.  The tape is
 kept in a weak memo against the identity of the AST tuple and dropped when
-one of those ASTs is collected; :mod:`signatures` keeps each signature in
-one too.
+one of those ASTs is collected.  Its slot keys are the hash-consed form of
+the set, so on request it spells them out as bytes, an exact key of what
+it computes: :mod:`signatures` keys its memo on it.  An AST too deep for
+the compiler's recursion, or for ``substitute_var`` and
+``ast_derivative``, raises LegendreError.
 
 :class:`ScalarFun` is the evaluable function the rest of the package
 passes around, one AST run through the tape, every curvature law too.
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 import math
 import operator
+import pickle
 import re
 import weakref
 from dataclasses import dataclass
@@ -318,33 +322,40 @@ def pretty_print(ast: ExprAst) -> str:
 #
 # Tape layout: slot 0 holds the jet of ``t``, a constant slot holds a float
 # fixed at compile time, and every other slot is written by one instruction.
-# A node's key is its kernel plus its operand slots, literals being interned
-# constant slots, so the images of one ``substitute_var`` call inside several
-# components share a slot although they are distinct objects.
+# A node's key is its kernel's opcode plus its operand slots, literals being
+# interned constant slots, so the images of one ``substitute_var`` call
+# inside several components share a slot although they are distinct objects.
 
 
 class _Tape:
     """A compiled AST set: slot values known up front, instructions
     ``(kernel, destination slot, operand slot, operand slot or None, slots
-    released after it)``, the slot of each AST and the d-depth of the set."""
+    released after it)``, the slot of each AST and the d-depth of the set.
 
-    __slots__ = ("init", "code", "outputs", "depth")
+    ``slots`` holds the key of every slot after slot 0 in slot order,
+    ``(opcode, operand slot, operand slot or None)`` or the ``repr`` of a
+    constant: with the output slots it fixes what a run computes, and
+    :meth:`key` spells the two out.
+    """
+
+    __slots__ = ("init", "code", "outputs", "depth", "slots", "_key")
 
     def __init__(self, asts):
         self.init = init = [None]  # slot 0: the variable, bound per run
+        self._key = None
         code: list = []
-        keys: dict = {}           # (kernel, operand slots) or literal -> slot
+        self.slots = keys = {}    # (opcode, operand slots) or repr of a literal -> slot
         seen: dict = {}           # id(node) -> slot; shared subtrees compile once
         depth: list = [0]         # slot -> nesting depth of d nodes under it
-        derivative, sin_cos, pow_int = jets.derivative, jets.sin_cos, jets.pow_int
 
-        def emit(fn, a, b=None):
-            key = (fn, a, b)
+        def emit(op, a, b=None):
+            key = (op, a, b)
             slot = keys.get(key)
             if slot is None:
+                fn = _BY_OPCODE[op]
                 slot = keys[key] = len(init)
                 if b is None:
-                    depth.append(depth[a] + (fn is derivative))
+                    depth.append(depth[a] + (op == _D))
                     value = None if init[a] is None else fn(init[a])
                 else:  # constant operands fold
                     depth.append(max(depth[a], depth[b]))
@@ -355,7 +366,7 @@ class _Tape:
             return slot
 
         def const(value):
-            key = ("const", repr(value))
+            key = repr(value)
             slot = keys.get(key)
             if slot is None:
                 slot = keys[key] = len(init)
@@ -369,16 +380,16 @@ class _Tape:
                 return slot
             kind = type(node)
             if kind is Binary:  # the commonest node first
-                slot = emit(_kernel(node.op), visit(node.left), visit(node.right))
+                slot = emit(_opcode(node.op), visit(node.left), visit(node.right))
             elif kind is Number:
                 slot = const(float(node.value))
             elif kind is Unary and (node.op == "sin" or node.op == "cos"):
-                pair = emit(sin_cos, visit(node.child))
-                slot = emit(operator.getitem, pair, const(int(node.op == "cos")))
+                pair = emit(_SIN_COS, visit(node.child))
+                slot = emit(_ITEM, pair, const(int(node.op == "cos")))
             elif kind is Unary:
-                slot = emit(_kernel(node.op), visit(node.child))
+                slot = emit(_opcode(node.op), visit(node.child))
             elif kind is PowInt:
-                slot = emit(pow_int, visit(node.child), const(int(node.exponent)))
+                slot = emit(_POW, visit(node.child), const(int(node.exponent)))
             elif kind is Var:
                 if node.name != "t":
                     raise ValueError("bivariate expression evaluated as univariate")
@@ -392,6 +403,8 @@ class _Tape:
 
         try:
             self.outputs = [visit(ast) for ast in asts]
+        except RecursionError:
+            raise LegendreError(_TOO_DEEP) from None
         finally:
             del visit  # it refers to itself: unbind it so the work dicts die with the frame
         self.depth = max((depth[slot] for slot in self.outputs), default=0)
@@ -402,6 +415,17 @@ class _Tape:
             if slot is not None and self.init[slot] is None and slot not in self.outputs:
                 free[i].append(slot)
         self.code = [ins + (tuple(f),) for ins, f in zip(code, free)]
+
+    def key(self) -> bytes:
+        """The tape's structure as bytes, built on the first call: its slot
+        keys and output slots, pickled.  Tapes of equal keys hold the same
+        instructions on the same constants (a float's repr is exact, and
+        tells -0.0 from 0.0), so their runs agree bit for bit whatever ASTs
+        they came from.  No object occurs twice among the slot keys, so
+        pickle's memo shares none and equal structures give equal bytes."""
+        if self._key is None:
+            self._key = pickle.dumps((tuple(self.slots), self.outputs), 5)
+        return self._key
 
     def run(self, t0, order: int) -> list[np.ndarray]:
         """Jets of the compiled ASTs at t0 (a scalar or an array of points),
@@ -432,20 +456,25 @@ _KERNELS = {"neg": jets.neg, "exp": jets.exp, "sqrt": jets.sqrt, "atan": jets.at
             "d": jets.derivative,
             "add": jets.add, "sub": jets.sub, "mul": jets.mul, "div": jets.div}
 
+#: The tape's kernels by opcode: an AST operation's is its place in
+#: ``_KERNELS``; sin_cos, the pick of sin or cos and pow_int follow.
+_OPCODES = {op: code for code, op in enumerate(_KERNELS)}
+_BY_OPCODE = (*_KERNELS.values(), jets.sin_cos, operator.getitem, jets.pow_int)
+_SIN_COS, _ITEM, _POW = range(len(_KERNELS), len(_BY_OPCODE))
+_D = _OPCODES["d"]
 
-def _kernel(op: str):
+
+def _opcode(op: str) -> int:
     try:
-        return _KERNELS[op]
+        return _OPCODES[op]
     except KeyError:
         raise ValueError(f"unknown operation {op!r}") from None
 
 
 class _WeakMemo:
-    """Values keyed by the identity of a tuple of objects plus a hashable
-    tail; it holds the compiled tapes here and the signatures of
-    :mod:`signatures`.
+    """The compiled tapes, keyed by the identity of a tuple of ASTs.
 
-    An entry holds weak references to its objects: a hit must find the very
+    An entry holds weak references to its ASTs: a hit must find the very
     same objects, and the entry is dropped as soon as one of them is
     collected, so the memo never outlives what it serves.  A value is
     stored only when ``build`` returns it, so an input it refuses is
@@ -455,9 +484,9 @@ class _WeakMemo:
     def __init__(self):
         self._entries: dict = {}
 
-    def get(self, objs, build, tail=()):
-        """The value stored for ``objs`` and ``tail``, else ``build(objs)``."""
-        key = tuple(map(id, objs)) + tail
+    def get(self, objs, build):
+        """The value stored for ``objs``, else ``build(objs)``."""
+        key = tuple(map(id, objs))
         hit = self._entries.get(key)
         if hit is not None and all(ref() is obj for ref, obj in zip(hit[0], objs)):
             return hit[1]
@@ -526,7 +555,8 @@ def eval_bijet(ast: ExprAst, x0, y0) -> BiJet2:
 
 
 def _memoized(ast: ExprAst, step) -> ExprAst:
-    """``step(node, recurse)`` once per distinct node of ``ast``."""
+    """``step(node, recurse)`` once per distinct node of ``ast``; an AST
+    too deep for the recursion raises LegendreError."""
     memo: dict = {}  # id -> (node, image); holding node keeps its id unique
 
     def recurse(node):
@@ -537,6 +567,8 @@ def _memoized(ast: ExprAst, step) -> ExprAst:
 
     try:
         return recurse(ast)
+    except RecursionError:
+        raise LegendreError(_TOO_DEEP) from None
     finally:
         del recurse  # it refers to itself: unbind it so the memo dies with the frame
 

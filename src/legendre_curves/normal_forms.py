@@ -174,8 +174,9 @@ def germ_signature_of_curve(curve, t0: float = 0.0) -> GermSignature:
     and the orders of the zero ``signature`` records there, read through
     ``Signature.zero_at``, or (0, 0).  A ``t0`` off the domain or not
     finite is refused, as are the curves ``signature`` refuses.  The
-    signature is memoized per curve, so asking about several points of
-    one curve costs one zero search."""
+    signature is memoized by the structure of the curve's (ell, beta), so
+    asking about several points of one curve, or about a normal form built
+    again, costs one zero search."""
     t0, (a, b) = float(t0), curve.domain
     if not a <= t0 <= b:
         raise CurveError(f"t0 must be a point of the domain [{a!r}, {b!r}], got {t0!r}")

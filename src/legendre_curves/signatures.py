@@ -49,27 +49,32 @@ within ``_MERGE_TOL`` coincide.  All three run one search on one grid of ``_GRID
 ``reparametrize`` of t' against the domains' slope and
 ``pushforward_diffeo_curve`` of det J o gamma against its products.
 
-``signature`` is memoized per (ell, beta) AST object pair, domain and
-closed flag, in the weak memo that also holds the compiled tapes: an entry
-lives as long as both ASTs, and a curve and each of its
-``curvature_pair()`` share it, since they hold the same ASTs.  So
-equivalence questions over a fixed set of curves, or germ signatures at
-several points of one curve, run one zero search per curve.  Only a
-result is stored; a refusal is searched, and raised, again.
+``signature`` is memoized per question: the structure key of the
+compiled tape of (ell, beta) (its instructions, the repr of each constant
+and its output slots, pickled), the domain and the closed flag.  The
+key is exact and compared in full, and it is built only when
+``signature`` asks, from the tape it compiles or finds anyway.  Equal
+pairs share an entry however they were built: a curve and each of its
+``curvature_pair()``, a spec loaded twice, a normal form built again.  So
+equivalence questions over a set of curves, germ signatures at several
+points of one curve, or the classes of the local classification run one
+zero search per distinct question.  The memo keeps the ``_MEMO_SIZE``
+most recently asked, least recently used out first; only a result is
+stored, and a refusal is searched, and raised, again.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair, _check_domain, _integers, _require_finite
+from .curves import CurvaturePair, _check_domain, _finite, _integers, _require_finite
 from .errors import CurveError, DegenerateCurveError, RootScanError, SignatureError
-from .exprs import ScalarFun, _WeakMemo, eval_jet_many
+from .exprs import _TAPES, ScalarFun, _Tape, eval_jet_many
 from .jets import DEFAULT_ORDER
 
 #: Scale-free coefficient vanishing test of the contact-order rule.
@@ -395,7 +400,18 @@ def _first_significant(mags: np.ndarray, scales: np.ndarray) -> np.ndarray:
 # -- signatures ---------------------------------------------------------------
 
 
-_SIGNATURES = _WeakMemo()
+#: The signature memo holds at most this many signatures, least recently
+#: used first, so the 36 normal forms of the local classification with
+#: orders up to 5 stay in while one-off images pass through.  The key of a
+#: gallery curve's image and its signature take about 0.45 kB and 0.65 kB,
+#: so a full memo holds about 1.1 MB.
+_MEMO_SIZE = 1024
+
+#: The memo: each signature under its question, the structure key of the
+#: tape of (ell, beta) plus the repr of (a, b, closed), least recently used
+#: first; and the lock that keeps it whole.
+_SIGNATURES: dict = {}
+_SIGNATURES_LOCK = threading.Lock()
 
 
 def signature(source) -> Signature:
@@ -407,16 +423,36 @@ def signature(source) -> Signature:
     "both".  For a closed curve a zero sitting at both endpoints is
     recorded once.
 
-    The signature is memoized per (ell, beta) AST object pair, domain and
-    closed flag, for as long as both ASTs live: a curve and each of its
-    ``curvature_pair()`` share one search, and a repeated question returns
-    the same ``Signature`` object.  A refusal is not stored.
+    The signature is memoized per question: the structure of the compiled
+    tape of (ell, beta), the domain and the closed flag.  Equal pairs share
+    one search however they were built (a curve and its
+    ``curvature_pair()``, a spec loaded twice, a normal form built again),
+    and a repeated question returns the same ``Signature`` object while it
+    is among the ``_MEMO_SIZE`` most recently asked.  A refusal is not
+    stored.
     """
     pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
-    # repr tells -0.0 from 0.0 and True from 1, as the signature's JSON does
-    tail = tuple(map(repr, (*pair.domain, pair.closed)))
-    return _SIGNATURES.get((pair.ell.ast, pair.beta.ast),
-                           lambda asts: _search(asts, pair.domain, pair.closed), tail)
+    key = _memo_key(pair)
+    with _SIGNATURES_LOCK:
+        sig = _SIGNATURES.pop(key, None)
+        if sig is not None:
+            _SIGNATURES[key] = sig
+            return sig
+    sig = _search((pair.ell.ast, pair.beta.ast), pair.domain, pair.closed)
+    with _SIGNATURES_LOCK:
+        _SIGNATURES[key] = sig
+        while len(_SIGNATURES) > _MEMO_SIZE:
+            del _SIGNATURES[next(iter(_SIGNATURES))]
+    return sig
+
+
+def _memo_key(pair: CurvaturePair) -> bytes:
+    """The question ``signature`` asks of a pair: the structure key of the
+    tape of (ell, beta), compiled here or found in the tape memo, and the
+    repr of (a, b, closed), which tells -0.0 from 0.0 and True from 1 as the
+    signature's JSON does."""
+    tape = _TAPES.get((pair.ell.ast, pair.beta.ast), _Tape)
+    return tape.key() + repr((*pair.domain, pair.closed)).encode()
 
 
 def _search(asts, domain: tuple[float, float], closed: bool) -> Signature:
@@ -633,7 +669,7 @@ def signature_from_dict(data: dict) -> Signature:
             "domain", "closed", "ell_identically_zero", "zeros"))
     except KeyError as missing:
         raise SignatureError(f"signature is missing field {missing}") from None
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and _finite(*domain)):
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and _json_numbers(*domain)):
         raise SignatureError("signature field 'domain' must hold two finite numbers")
     try:
         a, b = _check_domain(domain)
@@ -651,21 +687,18 @@ def signature_from_dict(data: dict) -> Signature:
     return Signature(domain=(a, b), closed=closed, ell_identically_zero=flat, zeros=zeros)
 
 
-def _finite(*values) -> bool:
+def _json_numbers(*values) -> bool:
     """Whether every value is a JSON number (an int or a float, not a bool)
     that is a finite float."""
-    try:
-        return all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in values)
-    except OverflowError:  # an int beyond the float range
-        return False
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in values) and _finite(*values)
 
 
 def _zero_from_dict(z) -> ZeroPoint:
     if not (isinstance(z, dict) and "t" in z and "kind" in z):
         raise SignatureError(f"a signature zero must hold 't' and 'kind', got {z!r}")
     t, orders = z["t"], (z.get("ord_ell"), z.get("ord_beta"))
-    if not _finite(t):
+    if not _json_numbers(t):
         raise SignatureError(f"zero position {t!r} is not a finite number")
     if not all(o is None or (_integers(o) and o >= 1) for o in orders):
         raise SignatureError(f"contact orders {orders!r} must be integers >= 1")

@@ -36,7 +36,7 @@ def cold_signatures(monkeypatch):
     so every ``signature`` call runs its zero search."""
     from legendre_curves import signatures
 
-    monkeypatch.setattr(signatures._SIGNATURES, "_entries", _Forgetful())
+    monkeypatch.setattr(signatures, "_SIGNATURES", _Forgetful())
 
 
 @pytest.fixture

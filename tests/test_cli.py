@@ -425,10 +425,12 @@ def test_examples_get_non_integer_param(capsys):
     (["signature"], "n*cos(t)", "[0, Infinity]", '{"n": 1}', 1, "finite"),
     (["signature"], "n*cos(t)", "[0, 1]", '{"n": 1e400}', 1, "finite"),
     (["transform", "--swap"], "1e400*t", "[0, 1]", "{}", 2, "'1e400' overflows"),
+    (["signature"], "n*cos(t)", "[0, 1" + "0" * 400 + "]", '{"n": 1}', 1, "finite"),
+    (["signature"], "n*cos(t)", "[0, 1]", '{"n": 1' + "0" * 400 + "}", 1, "finite"),
     (["examples", "get", "type_nm", "--param", "f=nan"], None, None, None, 1, "finite"),
     (["examples", "get", "type_nm", "--param", "f=inf"], None, None, None, 1, "finite"),
 ], ids=["nan-domain", "infinite-domain", "overflowing-param", "overflowing-literal",
-        "nan-factor", "infinite-factor"])
+        "huge-integer-domain", "huge-integer-param", "nan-factor", "infinite-factor"])
 def test_non_finite_spec_values(tmp_path, capsys, args, x, domain, params, code, message):
     # a non-finite number is refused where it enters, not printed into a
     # spec that cannot be read back

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from legendre_curves import (AffineMap, CurvaturePair, LegendreCurve, ScalarFun,
                              check_closed, check_legendre,
-                             derive_nu, dump_curve, gallery, is_immersion,
-                             load_curve, pushforward_affine, sample_curve, type_nm_curve)
+                             derive_nu, dump_curve, eval_jet, gallery, is_immersion,
+                             load_curve, pushforward_affine, reparametrize, sample_curve,
+                             signature, type_nm_curve)
 from legendre_curves.cli import run
 from legendre_curves.errors import CurveError, ExprSyntaxError, LegendreError
 from legendre_curves.exprs import parse_expr
@@ -305,20 +306,40 @@ def test_spec_file_that_is_not_utf8_is_refused(tmp_path):
 
 
 _NESTED = "(" * 300 + "t" + ")" * 300
+_LONG_SUM = "+".join(["t"] * 1000)  # parsed by a loop, compiled by recursion
 
 
 @pytest.mark.parametrize("read", [
     lambda: parse_expr(_NESTED),
     lambda: load_curve({"x": _NESTED, "y": "t^3", "domain": [-1, 1]}),
-    lambda: load_curve({"x": "+".join(["t"] * 1000), "y": "t^3", "nu": ["0", "1"],
-                        "domain": [-1, 1]}),
+    lambda: load_curve({"x": _LONG_SUM, "y": "t^3", "nu": ["0", "1"], "domain": [-1, 1]}),
     lambda: load_curve('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"),
-], ids=["parse-parentheses", "spec-parentheses", "spec-long-sum", "spec-json-array"])
+    lambda: eval_jet(parse_expr(_LONG_SUM), 0.5, 1),
+    lambda: signature(CurvaturePair.from_exprs(_LONG_SUM, "1", (0, 1))),
+    lambda: reparametrize(LegendreCurve.from_exprs("t", "t^3", nu=("0", "1"), domain=(-1, 1)),
+                          _LONG_SUM, (0.0, 0.001)),
+], ids=["parse-parentheses", "spec-parentheses", "spec-long-sum", "spec-json-array",
+        "eval-jet-long-sum", "signature-long-sum", "reparametrize-long-sum"])
 def test_input_that_nests_too_deeply_is_a_legendre_error(read):
     # not a syntax error: legcurve keeps exit code 1 and its one error line
     with pytest.raises(LegendreError, match="^input nests too deeply$") as err:
         read()
     assert not isinstance(err.value, ExprSyntaxError)
+
+
+_HUGE = int("1" + "0" * 400)  # beyond the float range
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("domain", {"domain": [0, _HUGE]}),
+    ("domain", {"domain": [-_HUGE, 1]}),
+    ("params", {"domain": [0, 1], "params": {"n": _HUGE}}),
+], ids=["domain-end", "domain-start", "param"])
+def test_spec_integer_beyond_the_float_range_is_refused(field, spec):
+    spec = {"x": "n*t" if "params" in spec else "t", "y": "t^2", **spec}
+    for source in (spec, json.dumps(spec)):
+        with pytest.raises(CurveError, match=f"field '{field}' must hold finite numbers"):
+            load_curve(source)
 
 
 def test_spec_file_missing_field():

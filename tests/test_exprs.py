@@ -12,7 +12,7 @@ from legendre_curves import (ScalarFun, eval_jet, parse_expr, pretty_print,
 from legendre_curves.errors import ExprSyntaxError, LegendreError
 from legendre_curves import jets
 from legendre_curves.exprs import (Binary, Const, Number, PowInt, Unary, Var,
-                                   _kernel, ast_derivative, eval_bijet, neg,
+                                   _KERNELS, ast_derivative, eval_bijet, neg,
                                    substitute_var)
 
 from conftest import random_ast
@@ -233,6 +233,31 @@ def test_tape_cache_entry_dies_with_its_asts():
     assert key not in _TAPES._entries
 
 
+def test_tape_key_is_the_structure_of_the_compiled_set():
+    from legendre_curves.exprs import _TAPES, _Tape
+
+    def key(*asts):
+        return _Tape([parse_expr(a) if isinstance(a, str) else a for a in asts]).key()
+
+    assert key("sin(t)*t^2", "cos(t)") == key("sin(t)*t^2", "cos(t)")
+    shared = parse_expr("sin(t)")
+    assert key(Binary("add", shared, shared)) == key("sin(t) + sin(t)")
+    for a, b in [("sin(t)", "cos(t)"), ("t^2", "t^3"), ("t + 1", "1 + t"),
+                 ("t*0.1", "t*0.10000000000000002"), ("d(t^2)", "2*t"),
+                 ("exp(t)", "sqrt(t)"), (Binary("mul", Var("t"), Number(-0.0)),
+                                         Binary("mul", Var("t"), Number(0.0)))]:
+        assert key(a) != key(b), (a, b)
+    assert key("t", "t^2") != key("t^2", "t")  # the outputs' order counts
+    # an evaluation leaves the key unbuilt: only signature asks for it
+    ast = parse_expr("t*exp(t)")
+    eval_jet(ast, np.linspace(0.0, 1.0, 5), 1)
+    assert _TAPES.get((ast,), _Tape)._key is None
+    # the tape's own kernels are no AST operations
+    for op in ("sin_cos", "getitem", "pow", "foo"):
+        with pytest.raises(ValueError, match="unknown operation"):
+            _Tape([Unary(op, Var("t"))])
+
+
 # -- one representation per function ------------------------------------------
 
 _LIFTED = {"add": lambda f, g: f + g, "sub": lambda f, g: f - g,
@@ -254,7 +279,7 @@ def test_jet_rule_matches_tape_of_combined_ast(op, side):
     operands = (f,) if op in ("neg", "sqrt") else (f, g)
     for t0 in (0.4, np.linspace(-1.0, 1.0, 17)):
         for order in (0, 1, 12):
-            got = _kernel(op)(*(h.jet(t0, order) for h in operands))
+            got = _KERNELS[op](*(h.jet(t0, order) for h in operands))
             want = eval_jet(combined, t0, order)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -309,8 +334,8 @@ def test_derivative_node_beside_a_longer_operand(op):
     for order in (0, 3):
         df = jets.derivative(eval_jet(f, ts, order + 1))
         gj = eval_jet(g, ts, order)
-        for left, right, want in ((Unary("d", f), g, _kernel(op)(df, gj)),
-                                  (g, Unary("d", f), _kernel(op)(gj, df))):
+        for left, right, want in ((Unary("d", f), g, _KERNELS[op](df, gj)),
+                                  (g, Unary("d", f), _KERNELS[op](gj, df))):
             got = eval_jet(Binary(op, left, right), ts, order)
             assert np.array_equal(got, want), (op, order)
 

@@ -2,6 +2,8 @@ import contextlib
 import gc
 import json
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -9,11 +11,11 @@ import pytest
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair,
+from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair, GermData,
                              LegendreCurve, ScalarFun, Signature, ZeroPoint,
                              decide_equivalence, dump_curve, dump_signature,
                              find_zeros, gallery, germ_signature_of_curve,
-                             load_curve, negate,
+                             load_curve, local_normal_form, negate,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
@@ -251,7 +253,7 @@ def test_zero_of_any_order_between_grid_points_is_found_exactly(m, r):
     assert abs(zero.t - r) <= 1e-13
 
 
-def test_many_zeros_take_few_tape_runs(tape_runs):
+def test_many_zeros_take_few_tape_runs(tape_runs, cold_signatures):
     # The many-zeros shape: dozens of zeros cost the scan, the seed run and
     # at most one Newton run (find_zeros of sin(200 t), with 401 zeros, is
     # counted above).
@@ -597,27 +599,56 @@ def test_signature_from_dict_refuses_an_invalid_signature(data, message):
 # -- the signature memo ------------------------------------------------------
 
 
-def _entries():
-    return signatures._SIGNATURES._entries
+@pytest.fixture
+def signature_memo(monkeypatch):
+    """An empty signature memo in place of the process's, returned: it
+    holds exactly the entries the test's own calls store."""
+    entries = {}
+    monkeypatch.setattr(signatures, "_SIGNATURES", entries)
+    return entries
 
 
-def test_a_curve_and_its_curvature_pair_share_one_signature(tape_runs):
+def _key(source):
+    pair = source if isinstance(source, CurvaturePair) else source.curvature_pair()
+    return signatures._memo_key(pair)
+
+
+def test_a_curve_and_its_curvature_pair_share_one_signature(tape_runs, signature_memo):
     curve = gallery("gamma_n", {"n": 4}).curve
     sig = signature(curve)
+    assert signature_memo == {_key(curve): sig}
     tape_runs.clear()
     assert signature(curve) is sig
     assert signature(curve.curvature_pair()) is sig
     assert tape_runs.runs == []  # a repeated question runs no tape
 
 
-def test_germ_signatures_at_several_zeros_run_one_search():
+def test_germ_signatures_at_several_zeros_run_one_search(signature_memo):
     curve = gallery("gamma_n", {"n": 5}).curve
     with mock.patch.object(signatures, "_search", wraps=signatures._search) as search:
         germs = [germ_signature_of_curve(curve, z.t) for z in signature(curve).zeros[:3]]
     assert germs == [GermSignature(0, 1)] * 3 and search.call_count == 1
+    assert list(signature_memo) == [_key(curve)]
 
 
-def test_the_signature_memo_keys_on_objects_domain_and_closed_flag():
+def test_equal_curves_built_apart_share_one_search(signature_memo):
+    # a spec loaded twice and a normal form built again are the same
+    # questions: distinct AST objects, one tape structure
+    curve = gallery("gamma_n", {"n": 3}).curve
+    twin = load_curve(dump_curve(curve))
+    assert twin.curvature_pair().ell.ast is not curve.curvature_pair().ell.ast
+    germ = GermData("below-diagonal", 2, 3)
+    with mock.patch.object(signatures, "_search", wraps=signatures._search) as search:
+        sig = signature(curve)
+        assert signature(twin) is sig
+        assert signature(load_curve(dump_curve(curve))) is sig
+        germ_sig = signature(local_normal_form(germ))
+        assert signature(local_normal_form(germ)) is germ_sig
+    assert search.call_count == 2
+    assert list(signature_memo) == [_key(curve), _key(local_normal_form(germ))]
+
+
+def test_the_signature_memo_keys_on_structure_domain_and_closed_flag(signature_memo):
     curve = gallery("gamma_n", {"n": 3}).curve
     sig = signature(curve)
     pair = curve.curvature_pair()
@@ -627,35 +658,77 @@ def test_the_signature_memo_keys_on_objects_domain_and_closed_flag():
     assert signature(half).domain == (0.0, math.pi)
     opened = CurvaturePair(pair.ell, pair.beta, pair.domain, closed=False)
     assert signature(opened) is not sig and not signature(opened).closed
-    # equal ASTs that are other objects are another entry, with the same answer
-    twin = load_curve(dump_curve(curve))
-    count = len(_entries())
-    assert signature(twin) == sig and signature(twin) is not sig
-    assert len(_entries()) == count + 1
-    # -0.0 and 0.0 are equal keys but print differently
+    # -0.0 and 0.0 are equal numbers but print differently
     zero = CurvaturePair(pair.ell, pair.beta, (0.0, 1.0))
     negative_zero = CurvaturePair(pair.ell, pair.beta, (-0.0, 1.0))
     assert dump_signature(signature(negative_zero)) != dump_signature(signature(zero))
+    # a constant that differs in its last bit is another tape
+    plain = CurvaturePair.from_exprs("1", "cos(t) + 0.1", (0.0, 1.0))
+    nudged = CurvaturePair.from_exprs("1", "cos(t) + 0.10000000000000002", (0.0, 1.0))
+    assert _key(nudged) != _key(plain)
+    assert _key(CurvaturePair.from_exprs("1", "cos(t) + 0.1", (0.0, 1.0))) == _key(plain)
+    assert list(signature_memo) == [_key(s) for s in (
+        curve, half, opened, negative_zero, zero)]
+    assert signature(curve) is sig
 
 
-def test_a_refused_curve_is_refused_on_every_call():
+def test_a_refused_curve_is_refused_on_every_call(signature_memo):
     pair = CurvaturePair.from_exprs("1", "0", (0.0, 1.0))
-    count = len(_entries())
     with mock.patch.object(signatures, "_search", wraps=signatures._search) as search:
         for _ in range(3):
             with pytest.raises(DegenerateCurveError):
                 signature(pair)
-    assert search.call_count == 3 and len(_entries()) == count
+    assert search.call_count == 3 and signature_memo == {}
 
 
-def test_the_signature_memo_entry_dies_with_its_curve():
-    curve = gallery("gamma_m", {"m": 2}).curve
-    signature(curve)
-    key = (id(curve._ell), id(curve._beta))
-    assert any(k[:2] == key for k in _entries())
-    del curve
+def test_a_signature_leaves_the_memo_at_its_bound_not_with_its_curve(signature_memo,
+                                                                     monkeypatch):
+    monkeypatch.setattr(signatures, "_MEMO_SIZE", 2)
+    curves = [gallery("gamma_n", {"n": n}).curve for n in (2, 3, 4)]
+    keys = [_key(curve) for curve in curves]
+    sigs = [signature(curve) for curve in curves[:2]]
+    del curves[0]
     gc.collect()
-    assert not any(k[:2] == key for k in _entries())
+    assert list(signature_memo) == keys[:2]  # the entry outlives its curve
+    assert signature(gallery("gamma_n", {"n": 2}).curve) is sigs[0]  # a hit refreshes it
+    assert list(signature_memo) == [keys[1], keys[0]]
+    signature(curves[1])  # gamma_n[4]: the least recently used, gamma_n[3], leaves
+    assert list(signature_memo) == [keys[0], keys[2]]
+    assert signature(curves[0]) is not sigs[1]
+
+
+def test_the_signature_memo_under_threads(signature_memo, monkeypatch):
+    # more questions than the bound, so threads evict as they go; a stub
+    # search keeps them in the memo's own code
+    monkeypatch.setattr(signatures, "_MEMO_SIZE", 3)
+    monkeypatch.setattr(signatures, "_search",
+                        lambda asts, domain, closed: Signature(domain, closed, False, ()))
+    pair = CurvaturePair.from_exprs("1", "cos(t)", (0.0, 1.0))
+    questions = [CurvaturePair(pair.ell, pair.beta, (0.0, 1.0 + k)) for k in range(8)]
+    errors = []
+
+    def work(seed):
+        pick = np.random.default_rng(seed)
+        try:
+            for i in pick.integers(len(questions), size=2000):
+                q = questions[i]
+                assert signature(q).domain == q.domain
+        except Exception as err:  # reported to the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < len(signature_memo) <= 3
 
 
 def test_find_zeros_randomized_against_brute_force():
@@ -673,7 +746,8 @@ def test_find_zeros_randomized_against_brute_force():
             assert np.max(np.abs(np.array(found) - np.array(oracle))) <= 1e-7, text
 
 
-def test_signature_compiles_one_tape_and_runs_it_few_times(roster, tape_runs):
+def test_signature_compiles_one_tape_and_runs_it_few_times(roster, tape_runs,
+                                                         cold_signatures):
     # Every Newton run, residual check and the contact-order sweep
     # evaluate ell and beta together from the one tape of their ASTs,
     # which hold one level of derivative nodes.
@@ -687,7 +761,8 @@ def test_signature_compiles_one_tape_and_runs_it_few_times(roster, tape_runs):
         assert tape_runs.compiles == [(2, 1)], entry.name
 
 
-def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch, tape_runs):
+def test_signature_reads_only_the_orders_its_decisions_need(roster, monkeypatch, tape_runs,
+                                                           cold_signatures):
     # One order-0 scan of (ell, beta), a tape run at order 1 on the grid;
     # one seed run (tape order 2) at the ends of cells where min |f| is
     # small and at the starts; residuals and contact orders from Newton's
