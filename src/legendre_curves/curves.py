@@ -43,8 +43,10 @@ def _along_mu(vx, vy, nx, ny):
 
 
 def _require_finite(ts, what: str, *arrays, error=LegendreError) -> None:
-    """Raise ``error`` naming the first t at which a row of ``arrays``
-    (each of len(ts) rows) holds a value that is not finite."""
+    """Raise ``error`` naming the first t at which a row of ``arrays`` (each
+    of len(ts) rows) is not finite; the per-t pass runs only on a failure."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return
     ok = np.logical_and.reduce([np.isfinite(a).reshape(len(ts), -1).all(axis=1)
                                 for a in arrays])
     if not ok.all():

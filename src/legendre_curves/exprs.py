@@ -296,7 +296,15 @@ def parse_expr(text: str, arity: str = "one-var") -> ExprAst:
 
 
 def pretty_print(ast: ExprAst) -> str:
-    """Canonical fully-parenthesized text; parse_expr(pretty_print(a)) == a."""
+    """Canonical fully-parenthesized text; parse_expr(pretty_print(a)) == a.
+    An AST too deep for the recursion raises LegendreError."""
+    try:
+        return _pretty(ast)
+    except RecursionError:
+        raise LegendreError(_TOO_DEEP) from None
+
+
+def _pretty(ast: ExprAst) -> str:
     if isinstance(ast, Number):
         v = ast.value
         if float(v).is_integer() and abs(v) < 1e16:
@@ -308,13 +316,13 @@ def pretty_print(ast: ExprAst) -> str:
         return ast.name
     if isinstance(ast, Unary):
         if ast.op == "neg":
-            return f"(-{pretty_print(ast.child)})"
-        return f"{ast.op}({pretty_print(ast.child)})"
+            return f"(-{_pretty(ast.child)})"
+        return f"{ast.op}({_pretty(ast.child)})"
     if isinstance(ast, Binary):
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[ast.op]
-        return f"({pretty_print(ast.left)} {sym} {pretty_print(ast.right)})"
+        return f"({_pretty(ast.left)} {sym} {_pretty(ast.right)})"
     if isinstance(ast, PowInt):
-        return f"({pretty_print(ast.child)}^{ast.exponent})"
+        return f"({_pretty(ast.child)}^{ast.exponent})"
     raise TypeError(f"not an AST node: {ast!r}")
 
 

@@ -9,12 +9,14 @@ displacement:
 
 The integration constants are fixed to theta(a) = 0 and gamma(a) = (0, 0);
 any other choice differs by a rotation plus a translation, and the
-uniqueness theorem says that is the full ambiguity.  Both coordinates of
-gamma come from one cumulative Simpson pass over the block of the rows
-beta*sin(theta) and beta*cos(theta).  ``align_congruence`` recovers that
-rotation/translation between two curves and reports the worst-case
-residual, which is how round trips are validated; the motion acts on the
-x and y columns with the cosine and sine of its angle.
+uniqueness theorem says that is the full ambiguity.  nu is stacked from
+one (2, N) block of sin(theta) and cos(theta), which, scaled by beta in
+place, gives both coordinates of gamma in one cumulative Simpson pass.
+``align_congruence`` recovers that rotation/translation between two
+curves and reports the worst-case residual, which is how round trips are
+validated; the motion acts on the x and y columns with the cosine and
+sine of its angle.  Long rows go to a few reused buffers, each operation
+with the operand order of the plain expression, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
     Needs an even number of subintervals.  Even grid points accumulate the
     classic composite rule; odd points add the partial integral of the
     same interpolating parabola, so the whole prefix stays fourth order.
+    Both sums are formed in one half-length buffer, with the odd points of
+    the output as scratch until they are written.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[-1] - 1
@@ -99,12 +103,18 @@ def cumulative_simpson(values: np.ndarray, h: float) -> np.ndarray:
         raise ValueError("cumulative Simpson needs an even number of subintervals")
     out = np.empty_like(values)
     out[..., 0] = 0.0
-    f0 = values[..., 0:-1:2]
-    f1 = values[..., 1::2]
-    f2 = values[..., 2::2]
-    pair_integrals = (h / 3.0) * (f0 + 4.0 * f1 + f2)
-    np.cumsum(pair_integrals, axis=-1, out=out[..., 2::2])
-    out[..., 1::2] = out[..., 0:-1:2] + (h / 12.0) * (5.0 * f0 + 8.0 * f1 - f2)
+    f0, f1, f2 = values[..., 0:-1:2], values[..., 1::2], values[..., 2::2]
+    odd = out[..., 1::2]
+    acc = np.multiply(f1, 4.0)
+    acc += f0
+    acc += f2
+    acc *= h / 3.0
+    np.cumsum(acc, axis=-1, out=out[..., 2::2])
+    np.multiply(f0, 5.0, out=acc)
+    acc += np.multiply(f1, 8.0, out=odd)
+    acc -= f2
+    acc *= h / 12.0
+    np.add(out[..., 0:-1:2], acc, out=odd)
     return out
 
 
@@ -132,12 +142,17 @@ def reconstruct(ell, beta, domain: tuple[float, float], steps: int = 8192) -> Sa
         ell_vals, beta_vals = (j[0] for j in pair.jets(ts, 0))
         _require_finite(ts, "curvature", ell_vals, beta_vals, error=ReconstructionError)
         theta = cumulative_simpson(ell_vals, h)
-        cos, sin = np.cos(theta), np.sin(theta)
-        sin_int, cos_int = cumulative_simpson(beta_vals * np.stack([sin, cos]), h)
+        trig = np.empty((2, len(ts)))
+        np.sin(theta, out=trig[0])
+        np.cos(theta, out=trig[1])
+        nus = np.stack([trig[1], trig[0]], axis=-1)
+        trig *= beta_vals
+        sin_int, cos_int = cumulative_simpson(trig, h)
     _require_finite(ts, "integral of the curvature", theta, sin_int, cos_int,
                     error=ReconstructionError)
-    return SampledCurve(ts=ts, gammas=np.stack([-sin_int, cos_int], axis=-1),
-                        nus=np.stack([cos, sin], axis=-1))
+    gammas = np.stack([sin_int, cos_int], axis=-1)
+    np.negative(gammas[:, 0], out=gammas[:, 0])
+    return SampledCurve(ts=ts, gammas=gammas, nus=nus)
 
 
 def sample_curve(curve, ts) -> SampledCurve:
@@ -155,12 +170,13 @@ def align_congruence(curve1, curve2) -> AlignResult:
     The rotation is pinned by the frames at the first grid point (a unit
     frame determines an element of SO(2) uniquely); the residual then
     measures how well the motion matches everywhere, covering both the
-    curve and the frame.
+    curve and the frame.  Both residuals are computed in three reused
+    rows; the grids are compared only when they are distinct arrays.
     """
     s1, s2 = _as_sampled_pair(curve1, curve2)
     if len(s1.ts) != len(s2.ts):
         raise GridMismatchError("grid mismatch")
-    if float(np.max(np.abs(s1.ts - s2.ts))) > 1e-9:
+    if s1.ts is not s2.ts and float(np.max(np.abs(s1.ts - s2.ts))) > 1e-9:
         raise GridMismatchError("grid mismatch")
     n1 = s1.nus[0]
     n2 = s2.nus[0]
@@ -169,16 +185,30 @@ def align_congruence(curve1, curve2) -> AlignResult:
     motion = Congruence(angle, (float(s2.gammas[0, 0] - x0), float(s2.gammas[0, 1] - y0)))
     # |row|^2 as np.linalg.norm sums it; sqrt is monotone and correctly
     # rounded, so the root of the largest square is the largest norm
-    worst = max(_max_square(s2.gammas, motion._moved(s1.gammas)),
-                _max_square(s2.nus, _turn(angle, s1.nus[:, 0], s1.nus[:, 1])))
+    turn = np.cos(angle), np.sin(angle), [np.empty(len(s1.ts)) for _ in range(3)]
+    worst = max(_max_square(*turn, s1.gammas, s2.gammas, motion.translation),
+                _max_square(*turn, s1.nus, s2.nus))
     return AlignResult(congruence=motion, residual=math.sqrt(worst))
 
 
-def _max_square(points: np.ndarray, columns) -> float:
-    """max |row - (x, y)|^2 over the rows of ``points`` against the columns
-    ``(x, y)``, each squared length summed as ``np.linalg.norm`` sums it."""
-    dx, dy = points[:, 0] - columns[0], points[:, 1] - columns[1]
-    return float(np.max(dx * dx + dy * dy))
+def _max_square(c, s, work, points1, points2, shift=None) -> float:
+    """max |row2 - (c x - s y, s x + c y) - shift|^2 over the rows (x, y) of
+    ``points1`` and row2 of ``points2``, computed in the three rows of
+    ``work``; each squared length is summed as ``np.linalg.norm`` sums it."""
+    (x, y), (u, v, w) = points1.T, work
+    np.multiply(x, c, out=u)
+    u -= np.multiply(y, s, out=v)
+    np.multiply(x, s, out=v)
+    v += np.multiply(y, c, out=w)
+    if shift is not None:
+        u += shift[0]
+        v += shift[1]
+    np.subtract(points2[:, 0], u, out=u)
+    u *= u
+    np.subtract(points2[:, 1], v, out=v)
+    v *= v
+    u += v
+    return float(np.max(u))
 
 
 def _as_sampled_pair(curve1, curve2):

@@ -309,6 +309,10 @@ _NESTED = "(" * 300 + "t" + ")" * 300
 _LONG_SUM = "+".join(["t"] * 1000)  # parsed by a loop, compiled by recursion
 
 
+def _long_sum_curve():
+    return LegendreCurve.from_exprs(_LONG_SUM, "t^3", nu=("0", "1"), domain=(-1, 1))
+
+
 @pytest.mark.parametrize("read", [
     lambda: parse_expr(_NESTED),
     lambda: load_curve({"x": _NESTED, "y": "t^3", "domain": [-1, 1]}),
@@ -318,8 +322,12 @@ _LONG_SUM = "+".join(["t"] * 1000)  # parsed by a loop, compiled by recursion
     lambda: signature(CurvaturePair.from_exprs(_LONG_SUM, "1", (0, 1))),
     lambda: reparametrize(LegendreCurve.from_exprs("t", "t^3", nu=("0", "1"), domain=(-1, 1)),
                           _LONG_SUM, (0.0, 0.001)),
+    lambda: dump_curve(_long_sum_curve()),
+    lambda: repr(_long_sum_curve()),
+    lambda: repr(_long_sum_curve().x),
 ], ids=["parse-parentheses", "spec-parentheses", "spec-long-sum", "spec-json-array",
-        "eval-jet-long-sum", "signature-long-sum", "reparametrize-long-sum"])
+        "eval-jet-long-sum", "signature-long-sum", "reparametrize-long-sum",
+        "dump-long-sum", "repr-curve-long-sum", "repr-function-long-sum"])
 def test_input_that_nests_too_deeply_is_a_legendre_error(read):
     # not a syntax error: legcurve keeps exit code 1 and its one error line
     with pytest.raises(LegendreError, match="^input nests too deeply$") as err:

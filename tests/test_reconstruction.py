@@ -9,6 +9,7 @@ from legendre_curves import (AffineMap, Congruence, LegendreCurve,
                              pushforward_affine, reconstruct, reparametrize,
                              sample_curve, sampled_curvature, type_nm_curve)
 from legendre_curves import jets
+from legendre_curves.curves import _require_finite
 from legendre_curves.errors import GridMismatchError, ReconstructionError
 from legendre_curves.reconstruction import cumulative_simpson
 
@@ -190,6 +191,109 @@ def test_alignment_residual_matches_linalg_norm_bitwise(roster):
             np.max(np.linalg.norm(exact.gammas - motion.apply(sc.gammas), axis=1)),
             np.max(np.linalg.norm(exact.nus - motion.rotate(sc.nus), axis=1))))
         assert res.residual == want
+
+
+# -- bit identity with the reference expressions of the buffered code -------------
+
+def _simpson_reference(values, h):
+    """cumulative_simpson as the two textbook sums, each a fresh temporary."""
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    out[..., 0] = 0.0
+    f0, f1, f2 = values[..., 0:-1:2], values[..., 1::2], values[..., 2::2]
+    np.cumsum((h / 3.0) * (f0 + 4.0 * f1 + f2), axis=-1, out=out[..., 2::2])
+    out[..., 1::2] = out[..., 0:-1:2] + (h / 12.0) * (5.0 * f0 + 8.0 * f1 - f2)
+    return out
+
+
+def _reconstruct_reference(pair, steps):
+    a, b = pair.domain
+    ts = np.linspace(a, b, steps + 1)
+    h = (b - a) / steps
+    ell_vals, beta_vals = (j[0] for j in pair.jets(ts, 0))
+    theta = _simpson_reference(ell_vals, h)
+    cos, sin = np.cos(theta), np.sin(theta)
+    sin_int, cos_int = _simpson_reference(beta_vals * np.stack([sin, cos]), h)
+    return ts, np.stack([-sin_int, cos_int], -1), np.stack([cos, sin], -1)
+
+
+def _turn(angle, x, y):
+    c, s = np.cos(angle), np.sin(angle)
+    return c * x - s * y, s * x + c * y
+
+
+def _max_square(points, columns):
+    dx, dy = points[:, 0] - columns[0], points[:, 1] - columns[1]
+    return float(np.max(dx * dx + dy * dy))
+
+
+def _residual_reference(s1, s2):
+    n1, n2 = s1.nus[0], s2.nus[0]
+    angle = float(np.arctan2(n1[0] * n2[1] - n1[1] * n2[0], n1[0] * n2[0] + n1[1] * n2[1]))
+    x0, y0 = _turn(angle, *s1.gammas[0])
+    a1, a2 = float(s2.gammas[0, 0] - x0), float(s2.gammas[0, 1] - y0)
+    x, y = _turn(angle, s1.gammas[:, 0], s1.gammas[:, 1])
+    return math.sqrt(max(_max_square(s2.gammas, (x + a1, y + a2)),
+                         _max_square(s2.nus, _turn(angle, s1.nus[:, 0], s1.nus[:, 1]))))
+
+
+def _same_bits(got, want):
+    """Equal values, and equal bits: -0.0 is not 0.0 here."""
+    return np.array_equal(got, want) and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("steps", [16, 2048, 32768])
+def test_round_trip_matches_the_reference_expressions_bitwise(roster, steps):
+    for entry in roster:
+        curve = entry.curve
+        for pair in (curve.curvature_pair(), entry.curvature_closed_form):
+            sc = reconstruct(pair.ell, pair.beta, curve.domain, steps=steps)
+            ts, gammas, nus = _reconstruct_reference(pair, steps)
+            assert _same_bits(sc.ts, ts), entry.name
+            assert _same_bits(sc.gammas, gammas), entry.name
+            assert _same_bits(sc.nus, nus), entry.name
+            exact = sample_curve(curve, sc.ts)
+            assert align_congruence(sc, curve).residual == _residual_reference(sc, exact)
+            assert align_congruence(exact, sc).residual == _residual_reference(exact, sc)
+
+
+@pytest.mark.parametrize("shape", [(16 + 1,), (2, 2048 + 1), (3, 64 + 1)])
+def test_cumulative_simpson_matches_the_textbook_sums_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+    flat = values.reshape(-1)
+    picks = rng.permutation(flat.size)
+    flat[picks[:5]] = -0.0
+    flat[picks[5:10]] = rng.standard_normal(5) * 5e-324 * 2 ** 40  # subnormal
+    flat[picks[10:15]] = rng.uniform(-1.0, 1.0, 5) * 1e300
+    for h in (1.0 / (shape[-1] - 1), 5e-324, 3.7):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got, want = cumulative_simpson(values, h), _simpson_reference(values, h)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), h
+
+
+def _require_finite_reference(ts, what, *arrays):
+    ok = np.logical_and.reduce([np.isfinite(a).reshape(len(ts), -1).all(axis=1)
+                                for a in arrays])
+    return None if ok.all() else f"{what} is not finite at t={float(ts[np.argmin(ok)])!r}"
+
+
+def test_require_finite_names_the_first_bad_t_as_the_per_t_pass_does():
+    ts = np.linspace(0.0, 1.0, 9)
+    clean = [np.ones(9), np.ones((9, 2))]
+    last_nan = np.ones(9)
+    last_nan[[6, 3]] = np.nan
+    last_inf = np.ones((9, 2))
+    last_inf[8, 1] = -np.inf
+    for arrays in ([*clean, last_nan], [*clean, last_inf], [last_inf, *clean],
+                   [last_nan, last_inf, clean[0]], clean):
+        want = _require_finite_reference(ts, "x", *arrays)
+        if want is None:
+            _require_finite(ts, "x", *arrays, error=ReconstructionError)
+            continue
+        with pytest.raises(ReconstructionError) as err:
+            _require_finite(ts, "x", *arrays, error=ReconstructionError)
+        assert str(err.value) == want
 
 
 @pytest.mark.parametrize("ell, beta, domain, message", [
