@@ -112,11 +112,8 @@ class LegendreCurve:
         else:
             nxf, nyf = derive_nu(xf, yf, domain)
         curve = cls(xf, yf, nxf, nyf, domain, bool(closed))
-        if curve.closed:
-            rep = check_closed(curve, max_order=1, tol=1e-9)
-            if rep.closed_order < 1:
-                raise CurveError("curve is flagged closed but is not C^1-closed "
-                                 "at the endpoints")
+        if curve.closed and not _closes(curve):
+            raise CurveError("curve is flagged closed but is not C^1-closed at the endpoints")
         return curve
 
     # -- evaluation -----------------------------------------------------
@@ -268,25 +265,36 @@ class ClosedReport:
 
 def check_closed(curve, max_order: int = 8, tol: float = 1e-8) -> ClosedReport:
     """Compare one-sided derivatives of (gamma, nu) at the two endpoints,
-    read from one run of the four-component frame tape.
+    read from one run of the four-component frame tape, one order past
+    ``max_order``.
 
-    Each order is compared with a mixed absolute/relative tolerance, since
-    high-order derivatives of oscillatory components grow like n^k and an
-    absolute comparison would drown in float rounding.  A derivative that
-    is not finite, at or below the first order that differs, raises
-    ``CurveError`` naming its endpoint; orders past it decide nothing.
+    Order k of a component differs when |d_k(a) - d_k(b)| >
+    tol * (1 + max |d_k| + (b - a) max |d_{k+1}|), maxima over both ends.
+    The middle term absorbs the rounding of high derivatives, which grow
+    like n^k; the last is how far order k moves when an end shifts by
+    tol * (b - a), as rounding 2 pi or 1e7 * u shifts it, so the verdict
+    holds at every scale.  A derivative that is not finite, up to one order
+    past the first that differs, raises ``CurveError`` naming its endpoint.
     """
     ends = np.array(curve.domain)
-    factorials = np.array([float(math.factorial(k)) for k in range(max_order + 1)])
+    factorials = np.array([float(math.factorial(k)) for k in range(max_order + 2)])
     with np.errstate(over="ignore", invalid="ignore"):
-        derivs = np.moveaxis(_frame_jets(curve, ends, max_order), -1, 0) * factorials
-        da, db = derivs
-        differ = np.abs(da - db) > tol * (1.0 + np.maximum(np.abs(da), np.abs(db)))
-    flagged = (differ | ~np.isfinite(derivs).all(axis=0)).any(axis=0)
+        derivs = np.moveaxis(_frame_jets(curve, ends, max_order + 1), -1, 0) * factorials
+        size = np.abs(derivs).max(axis=0)
+        da, db = derivs[..., :-1]
+        differ = np.abs(da - db) > tol * (1.0 + size[:, :-1] + (ends[1] - ends[0]) * size[:, 1:])
+    finite = np.isfinite(derivs).all(axis=0)
+    flagged = (differ | ~finite[:, :-1] | ~finite[:, 1:]).any(axis=0)
     first = int(np.argmax(flagged)) if flagged.any() else max_order + 1
-    _require_finite(ends, "endpoint derivative", derivs[..., :first + 1], error=CurveError)
+    _require_finite(ends, "endpoint derivative", derivs[..., :first + 2], error=CurveError)
     closed_order = first - 1
     return ClosedReport(closed_order, max_order, closed_order == max_order)
+
+
+def _closes(curve) -> bool:
+    """The closedness rule of ``from_exprs`` and ``reparametrize``: the
+    frame pair is C^1-closed at tolerance 1e-9."""
+    return check_closed(curve, max_order=1, tol=1e-9).closed_order >= 1
 
 
 # -- curve spec files --------------------------------------------------------

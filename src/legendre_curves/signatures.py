@@ -209,7 +209,6 @@ def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
     components and the ``(components, order + 1, kept)`` array of their jets.
     """
     b = float(ts[-1])
-    cap = max(1, (len(ts) - 1) // 4)
     (lo, hi, x, sign, comp, row), jets = _candidates(asts, ts, values, scales, comps)
     x, jets = _newton(asts, x, jets, lo, hi, sign, comp, row)
     fx = jets[comp, 0, np.arange(len(x))]
@@ -220,10 +219,18 @@ def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
         found = _dedup(sorted(x[keep & (comp == c)].tolist()))
         if half_open:
             found = [r for r in found if abs(r - b) > 1e-9]
-        if len(found) > cap:
-            raise RootScanError(_NON_FINITE)
+        _refuse_past_cap(len(found), len(ts) - 1)
         roots[c] = found
     return roots, (x[keep], comp[keep], jets[:, :, keep])
+
+
+def _refuse_past_cap(count: int, grid_n: int) -> None:
+    """Refuse more kept zeros, sign changes or touch brackets of one
+    component than a quarter of the grid steps: the grid cannot resolve them."""
+    cap = max(1, grid_n // 4)
+    if count > cap:
+        raise RootScanError(f"more than {cap} zeros of one component on the {grid_n}-step "
+                            "grid: zero set appears non-finite or unresolved; refine or reject")
 
 
 def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
@@ -250,7 +257,6 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
     h = (b - a) / grid_n
-    cap = max(1, grid_n // 4)
     if any(scales[c] == 0.0 for c in comps):
         raise RootScanError(_NON_FINITE)
     # Critical points are touch-zero candidates only where |f| is already
@@ -269,8 +275,7 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     for c in comps:
         v = values[c]
         i = _sign_changes(v)
-        if len(i) + np.count_nonzero(v == 0.0) > cap:
-            raise RootScanError(_NON_FINITE)
+        _refuse_past_cap(len(i) + np.count_nonzero(v == 0.0), grid_n)
         # The false-position point.  f(lo) and f(hi) have opposite signs, so
         # the weight is in [0, 1], and 0 when f(lo) - f(hi) overflows.
         with np.errstate(over="ignore"):
@@ -289,8 +294,7 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
         touch = _sign_changes(dv)
         touch = touch[near[c][at[touch]]]
         crit = ((dv == 0.0) & (mags[c][at] <= pre_tols[c])).nonzero()[0]
-        if len(touch) + len(crit) > cap:
-            raise RootScanError(_NON_FINITE)
+        _refuse_past_cap(len(touch) + len(crit), grid_n)
         exact = np.concatenate([(v == 0.0).nonzero()[0], crit])
         # Exact grid zeros and the endpoints never produce a strict sign
         # change; they start where they are, inside [t, t] for the grid

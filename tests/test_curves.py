@@ -228,6 +228,12 @@ def test_checks_refuse_non_finite_values():
     curve = LegendreCurve.from_exprs("exp(700*t)", "0", nu=("0", "1"), domain=(0, 1))
     assert check_legendre(curve).max_defect == 0.0
     assert check_closed(curve).describe() == "not C0-closed"
+    # the values agree, but x' overflows at both ends: order 0's tolerance
+    # reads x', so order 0 is refused, not passed
+    curve = LegendreCurve.from_exprs("exp(709.7*t) + exp(709.7*(1 - t))", "0",
+                                     nu=("0", "1"), domain=(0, 1))
+    with pytest.raises(CurveError, match=r"endpoint derivative is not finite at t=0\.0"):
+        check_closed(curve, max_order=0)
 
 
 def test_check_closed_detects_anti_periodic_frame():

@@ -19,7 +19,7 @@ from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair, GermData,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict)
-from legendre_curves import GermSignature, exprs, jets, signatures
+from legendre_curves import GermSignature, cli, exprs, jets, signatures
 from legendre_curves.errors import (CurveError, DegenerateCurveError, LegendreError,
                                     RootScanError, SignatureError)
 
@@ -321,6 +321,22 @@ def test_find_zeros_is_the_one_component_search_of_signature(roster):
 def test_find_zeros_rejects_zero_function():
     with pytest.raises(RootScanError, match="non-finite"):
         find_zeros("0*t", (0, 1))
+
+
+def test_a_zero_set_past_the_cap_is_refused_naming_the_cap(tmp_path, capsys):
+    # beta = sin(600 t) has 1201 zeros on [0, 2 pi], more than the scan
+    # resolves on its grid; the refusal names the cap and the grid
+    pair = CurvaturePair.from_exprs("2+cos(t)", "sin(600*t)", (0, 6.283185307179586))
+    message = ("more than 1024 zeros of one component on the 4096-step grid: "
+               "zero set appears non-finite")
+    with pytest.raises(RootScanError, match=message):
+        signature(pair)
+    # a frame pair with beta = -600 sin(600 t), refused by the CLI with exit 1
+    spec = tmp_path / "flat.json"
+    spec.write_text(json.dumps({"x": "cos(600*t)", "y": "0", "nu": ["0", "1"],
+                                "domain": [0, 6.283185307179586]}))
+    assert cli.run(["signature", "--curve", str(spec)]) == 1
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("domain", [(1, 0), (0.5, 0.5), (0, math.inf), (math.nan, 1)],
@@ -955,6 +971,8 @@ def test_signature_key_is_invariant_under_homotheties(roster):
         key = signature(entry.curve).key()
         for k in range(-12, 13):
             image = pushforward_affine(entry.curve, AffineMap(10.0 ** k, 0, 0, 10.0 ** k)).curve
+            # the printed image reloads with the flag it was built with
+            assert load_curve(dump_curve(image)).closed == image.closed, (entry.name, k)
             try:
                 got = signature(image).key()
             except LegendreError:
@@ -1009,6 +1027,10 @@ def test_signature_key_invariant_under_transform_compositions(roster, index, ste
     assert sig.key() == base
     with _fresh_newton_jets():
         assert signature(curve) == sig
+    # the printed image reloads with its flag and its key
+    reloaded = load_curve(dump_curve(curve))
+    assert reloaded.closed == curve.closed
+    assert signature(reloaded).key() == base
 
 
 @settings(max_examples=40)

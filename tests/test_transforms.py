@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from legendre_curves import (AffineMap, DiffeoSpec, check_closed, check_legendre,
-                             derive_nu, gallery, is_immersion, negate,
+                             derive_nu, dump_curve, gallery, is_immersion, load_curve, negate,
                              pushforward_affine, pushforward_diffeo_curve,
                              pushforward_swap, reparametrize, signature,
                              type_nm_curve)
 from legendre_curves.curves import LegendreCurve
-from legendre_curves.errors import TransformError
+from legendre_curves.errors import CurveError, TransformError
 from legendre_curves.exprs import ScalarFun
 from legendre_curves.transforms import pushforward_diffeo
 
@@ -72,6 +72,21 @@ def test_reparametrize_decides_at_every_scale(circle, k):
     res = reparametrize(circle, f"{10 ** k!r}*t", (0.0, TWO_PI / 10 ** k))
     assert res.curve.closed
     assert signature(res.curve).key() == signature(circle).key()
+    # the printed image reloads with its flag: check_closed's tolerance
+    # follows the parameter's scale through (d - c) max |d_{k+1}|
+    assert load_curve(dump_curve(res.curve)).closed
+
+
+def test_printed_closed_images_reload_and_a_real_gap_is_refused(circle):
+    # t*(1+1e-10) moves the right end by 6.3e-10, inside the tolerance a
+    # spec flagged closed must meet: the image is closed and reloads so
+    image = reparametrize(gallery("gamma_n", {"n": 3}).curve, "t*(1+1e-10)",
+                          (0, 6.283185307179586)).curve
+    assert image.closed and load_curve(dump_curve(image)).closed
+    # a gap of 1e-8 at the seam is a gap, not rounding
+    with pytest.raises(CurveError, match="not C\\^1-closed"):
+        LegendreCurve.from_exprs("cos(t)", "sin(t)", domain=(0, TWO_PI - 1e-8), closed=True)
+    assert not reparametrize(circle, "t", (0, TWO_PI - 1e-8)).curve.closed
 
 
 @pytest.mark.parametrize("c", [-0.999, -0.9, -0.3, 0.0, 0.3, 0.7, 0.999, 1.5, -1.5, 3.0])
