@@ -45,11 +45,12 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
     """Deterministic SVG: the curve as a path, zeros of the curvature marked.
 
     Singular points are filled circles, inflection points open circles; a
-    point of both kinds gets both markers.  A degenerate bounding box falls
-    back to a unit box around the curve's midpoint.  A curve point that
-    is not finite raises ``LegendreError`` naming its t, and so does a
-    box whose width or height overflows or is lost to rounding (a flat
-    box padded at coordinates near the float limit).
+    point of both kinds gets both markers.  A side of the bounding box at
+    most 1e-12 times the largest |coordinate| on its axis is flat: it is
+    padded to the other side's length, or to 1 when both are flat.  A
+    curve point that is not finite raises ``LegendreError`` naming its t,
+    and so does a box whose width or height overflows or is lost to
+    rounding (a flat box padded at coordinates near the float limit).
     """
     ts = np.linspace(curve.domain[0], curve.domain[1], cfg.samples)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -58,13 +59,15 @@ def render_svg(curve, sig, cfg: RenderConfig) -> str:
     xmin, ymin = np.min(pts, axis=0)
     xmax, ymax = np.max(pts, axis=0)
     with np.errstate(over="ignore"):  # an infinite extent is refused below
-        if xmax - xmin < 1e-12 and ymax - ymin < 1e-12:
+        xflat = xmax - xmin <= 1e-12 * max(abs(xmin), abs(xmax))
+        yflat = ymax - ymin <= 1e-12 * max(abs(ymin), abs(ymax))
+        if xflat and yflat:
             xmin, xmax = xmin - 0.5, xmax + 0.5
             ymin, ymax = ymin - 0.5, ymax + 0.5
-        elif xmax - xmin < 1e-12:
+        elif xflat:
             pad = 0.5 * (ymax - ymin)
             xmin, xmax = xmin - pad, xmax + pad
-        elif ymax - ymin < 1e-12:
+        elif yflat:
             pad = 0.5 * (xmax - xmin)
             ymin, ymax = ymin - pad, ymax + pad
         width, height = xmax - xmin, ymax - ymin

@@ -59,6 +59,11 @@ def _integers(*values) -> bool:
     return all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values)
 
 
+def _reals(*values) -> bool:
+    """Whether every value is a real number; a bool is no number."""
+    return all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)
+
+
 def _finite(*values) -> bool:
     """Whether every number is a finite float; an int beyond the float
     range is not."""
@@ -74,6 +79,20 @@ def _check_domain(domain) -> tuple[float, float]:
         raise CurveError(f"domain must be a finite interval [a, b] with a < b, "
                          f"got [{a!r}, {b!r}]")
     return a, b
+
+
+_MERGE_TOL = 1e-8  # same-point tolerance, in parameter units
+
+
+def _param_unit(domain) -> float:
+    """(b - a) / 2 pi, 1 on the gallery's [0, 2 pi]: every decision in t
+    reads its tolerance in this unit of [a, b], so it holds under t -> s t."""
+    return (domain[1] - domain[0]) / TWO_PI
+
+
+def _same_point_tol(domain) -> float:
+    """How close two parameters of [a, b] must be to count as one point."""
+    return _MERGE_TOL * _param_unit(domain)
 
 
 @dataclass
@@ -350,7 +369,7 @@ def load_curve(source) -> LegendreCurve:
     if not isinstance(params, dict):
         raise CurveError("curve spec field 'params' must map names to numbers")
     for field, values in (("domain", domain), ("params", params.values())):
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+        if not _reals(*values):
             raise CurveError(f"curve spec field {field!r} must hold numbers")
         if not _finite(*values):
             raise CurveError(f"curve spec field {field!r} must hold finite numbers")

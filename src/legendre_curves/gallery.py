@@ -38,7 +38,6 @@ class GalleryEntry:
     name: str
     curve: LegendreCurve
     curvature_closed_form: Optional[CurvaturePair]
-    provenance: str
     spec: dict
 
 
@@ -67,8 +66,7 @@ def _int_param(params: dict, name: str, default: int) -> int:
 
 
 def _entry_from_template(name: str, x: str, y: str, nu: tuple[str, str],
-                         ell: str, beta: str, params: dict, closed: bool,
-                         provenance: str) -> GalleryEntry:
+                         ell: str, beta: str, params: dict, closed: bool) -> GalleryEntry:
     spec = {
         "x": substitute_params(x, params),
         "y": substitute_params(y, params),
@@ -82,8 +80,7 @@ def _entry_from_template(name: str, x: str, y: str, nu: tuple[str, str],
     pair = CurvaturePair.from_exprs(substitute_params(ell, params),
                                     substitute_params(beta, params),
                                     _TRIG_DOMAIN, closed)
-    return GalleryEntry(name=name, curve=curve, curvature_closed_form=pair,
-                        provenance=provenance, spec=spec)
+    return GalleryEntry(name=name, curve=curve, curvature_closed_form=pair, spec=spec)
 
 
 def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
@@ -99,8 +96,7 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
     if name == "circle":
         return _entry_from_template(
             "circle", "cos(t)", "sin(t)", ("cos(t)", "sin(t)"), "1", "1",
-            {}, closed=True,
-            provenance="unit circle with outward radial frame")
+            {}, closed=True)
     if name == "gamma_ab":
         a = _int_param(params, "a", 1)
         b = _int_param(params, "b", 2)
@@ -117,8 +113,7 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             (f"-b*cos(b*t)/sqrt({radic})", f"a*cos(a*t)/sqrt({radic})"),
             f"-a*b*(b*cos(a*t)*sin(b*t) - a*sin(a*t)*cos(b*t))/({radic})",
             f"-sqrt({radic})",
-            sub, closed=True,
-            provenance=f"Lissajous frontal (sin {a}t, sin {b}t)")
+            sub, closed=True)
     if name == "gamma_n":
         n = _int_param(params, "n", 3)
         if n < 2:
@@ -128,8 +123,7 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             "n*cos(t) - cos(n*t)", "n*sin(t) - sin(n*t)",
             ("sin((n+1)/2*t)", "-cos((n+1)/2*t)"),
             "(n+1)/2", "2*n*sin((n-1)/2*t)",
-            {"n": n}, closed=(n % 2 == 1),
-            provenance=f"epicycloid-type frontal with half-angle frame, index {n}")
+            {"n": n}, closed=(n % 2 == 1))
     if name == "gamma_m":
         m = _int_param(params, "m", 3)
         if m < 1:
@@ -139,8 +133,7 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
             "m*sin(t) - sin(m*t)", "m*cos(t) + cos(m*t)",
             ("-cos((m-1)/2*t)", "-sin((m-1)/2*t)"),
             "(m-1)/2", "2*m*sin((m+1)/2*t)",
-            {"m": m}, closed=(m % 2 == 1),
-            provenance=f"mirrored epicycloid-type frontal, index {m}")
+            {"m": m}, closed=(m % 2 == 1))
     # name == "type_nm"
     n = _int_param(params, "n", 2)
     m = _int_param(params, "m", 3)
@@ -152,7 +145,6 @@ def gallery(name: str, params: Optional[dict] = None) -> GalleryEntry:
                          curve.domain, curve.closed)
     return GalleryEntry(
         name=f"type_nm[{n},{m}]", curve=curve, curvature_closed_form=pair,
-        provenance=f"germ with component orders ({n}, {m}) and factor {f}",
         spec=curve.spec_dict())
 
 

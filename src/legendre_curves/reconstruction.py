@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CurvaturePair, _frame_jets, _integers, _require_finite
+from .curves import CurvaturePair, _frame_jets, _integers, _require_finite, _same_point_tol
 from .errors import GridMismatchError, ReconstructionError
 from .exprs import ScalarFun
 
@@ -171,12 +171,14 @@ def align_congruence(curve1, curve2) -> AlignResult:
     frame determines an element of SO(2) uniquely); the residual then
     measures how well the motion matches everywhere, covering both the
     curve and the frame.  Both residuals are computed in three reused
-    rows; the grids are compared only when they are distinct arrays.
+    rows; the grids are compared only when they are distinct arrays, and
+    must agree to ``curves._same_point_tol`` of the first.
     """
     s1, s2 = _as_sampled_pair(curve1, curve2)
     if len(s1.ts) != len(s2.ts):
         raise GridMismatchError("grid mismatch")
-    if s1.ts is not s2.ts and float(np.max(np.abs(s1.ts - s2.ts))) > 1e-9:
+    if s1.ts is not s2.ts and (float(np.max(np.abs(s1.ts - s2.ts)))
+                               > _same_point_tol((s1.ts[0], s1.ts[-1]))):
         raise GridMismatchError("grid mismatch")
     n1 = s1.nus[0]
     n2 = s2.nus[0]

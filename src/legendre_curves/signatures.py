@@ -41,9 +41,13 @@ is the zero function when its scale (max |f| on the grid) is <=
 ell in ``signature`` and ``is_immersion``, a turning rate with units other
 than beta's, is the zero function when its total turning, scale * (b - a),
 is <= ``_ZERO_FUN_REL`` rad; a candidate is a root when |f| <= ``_ROOT_TOL`` *
-scale; the contact order is the first coefficient above ``VANISH_REL`` *
-running prefix maximum (seeded with the scale) and ``VANISH_ABS``; zeros
-within ``_MERGE_TOL`` coincide.  All three run one search on one grid of ``_GRID_N`` steps.
+scale.  Decisions in t read the parameter unit L = (b - a) / 2 pi, so they
+hold under t -> s t: the contact order is the first k with |c_k| L^k above
+``VANISH_REL`` * running prefix maximum (seeded with the scale); points
+within ``curves._same_point_tol``, ``_MERGE_TOL`` * L, are one point (roots,
+the seam, zeros of ell and beta).
+Every tape run refuses a jet that is not finite, naming its t.  All three
+run one search on one grid of ``_GRID_N`` steps.
 ``_common_zeros`` alone answers "does it vanish somewhere on the domain":
 ``is_immersion`` asks it of (ell, beta), ``derive_nu`` of (x', y'),
 ``reparametrize`` of t' against the domains' slope and
@@ -72,14 +76,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .curves import CurvaturePair, _check_domain, _finite, _integers, _require_finite
+from .curves import (CurvaturePair, _check_domain, _finite, _integers, _param_unit,
+                     _reals, _require_finite, _same_point_tol)
 from .errors import CurveError, DegenerateCurveError, RootScanError, SignatureError
 from .exprs import _TAPES, ScalarFun, _Tape, eval_jet_many
 from .jets import DEFAULT_ORDER
 
 #: Scale-free coefficient vanishing test of the contact-order rule.
 VANISH_REL = 1e-9
-VANISH_ABS = 1e-12
 
 
 # -- data types ---------------------------------------------------------------
@@ -117,10 +121,12 @@ class Signature:
         return sum(1 for z in self.zeros if z.kind in ("singular", "both"))
 
     def zero_at(self, t: float) -> Optional[ZeroPoint]:
-        """The recorded zero within ``_MERGE_TOL`` of ``t``, or None; on a
-        closed signature the right end reads the seam zero, kept at the left."""
-        t = self.domain[0] if self.closed and abs(t - self.domain[1]) <= _MERGE_TOL else t
-        return next((z for z in self.zeros if abs(z.t - t) <= _MERGE_TOL), None)
+        """The recorded zero at the same point as ``t``, or None; on a closed
+        signature the two ends are one point, so either end reads the seam zero."""
+        tol = _same_point_tol(self.domain)
+        period = self.domain[1] - self.domain[0] if self.closed else 0.0
+        return next((z for z in self.zeros
+                     if min(abs(z.t - t), abs(abs(z.t - t) - period)) <= tol), None)
 
     def key(self):
         """The part of the signature invariant under reparametrization."""
@@ -152,7 +158,6 @@ _NEWTON_RUNS = 8       # at most this many tape runs in one Newton loop
 _FIRST_SWEEP = 4       # contact orders read first; gallery zeros have orders 1-3
 _GRID_N = 4096         # grid steps of the signature scan
 _ROOT_TOL = 1e-9       # a zero has |f| <= _ROOT_TOL * scale
-_MERGE_TOL = 1e-8      # zeros of ell and beta this close coincide
 _ZERO_FUN_REL = 1e-10  # zero function: scale vs the largest; ell: total turning, rad
 
 
@@ -164,8 +169,9 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
     tolerance: an order-0 scan of the grid gathers the candidates, one
     order-1 seed run reads f' near small |f| and the jets at Newton's
     starts, each later Newton run is one evaluation, and the residual
-    check reads Newton's final jets.  Roots are deduplicated
-    within 1e-9.  With ``half_open`` the right endpoint is excluded, which
+    check reads Newton's final jets.  Roots at the same point
+    (``curves._same_point_tol``) are one.  With ``half_open`` a root at the
+    right endpoint is left out when one at the left endpoint is kept, which
     is how closed curves record a seam zero once.
     """
     domain = _check_domain(domain)
@@ -208,7 +214,8 @@ def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
     not in ``comps``, and the final iterates Newton kept as zeros, their
     components and the ``(components, order + 1, kept)`` array of their jets.
     """
-    b = float(ts[-1])
+    a, b = float(ts[0]), float(ts[-1])
+    tol = _same_point_tol((a, b))
     (lo, hi, x, sign, comp, row), jets = _candidates(asts, ts, values, scales, comps)
     x, jets = _newton(asts, x, jets, lo, hi, sign, comp, row)
     fx = jets[comp, 0, np.arange(len(x))]
@@ -216,9 +223,9 @@ def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
 
     roots: list[list[float]] = [[] for _ in values]
     for c in comps:
-        found = _dedup(sorted(x[keep & (comp == c)].tolist()))
-        if half_open:
-            found = [r for r in found if abs(r - b) > 1e-9]
+        found = _dedup(sorted(x[keep & (comp == c)].tolist()), tol)
+        if half_open and len(found) > 1 and found[0] - a <= tol and b - found[-1] <= tol:
+            found.pop()  # the seam zero, kept at a
         _refuse_past_cap(len(found), len(ts) - 1)
         roots[c] = found
     return roots, (x[keep], comp[keep], jets[:, :, keep])
@@ -284,7 +291,7 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
         brackets.append((i, np.arange(first, first + len(i))))
         starts.append(np.minimum(np.maximum(ts[i] + (ts[i + 1] - ts[i]) * w, ts[i]), ts[i + 1]))
     pts = np.concatenate(starts + [[a, b]])
-    seed = np.stack(eval_jet_many(asts, pts, 1))
+    seed = _jets(asts, pts, 1)
     endpoint_cols = [len(pts) - 2, len(pts) - 1]
     groups = []
     for c, (i, fp_cols) in zip(comps, brackets):
@@ -312,8 +319,18 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     lo, hi, cols, sign, comp, row = (np.concatenate(col) for col in zip(*groups))
     x = pts[cols]
     # Newton on f' reads f''
-    jets = np.stack(eval_jet_many(asts, x, 2)) if row.max() == 1 else seed[:, :, cols]
+    jets = _jets(asts, x, 2) if row.max() == 1 else seed[:, :, cols]
     return (lo, hi, x, sign, comp, row), jets
+
+
+def _jets(asts, pts: np.ndarray, order: int) -> np.ndarray:
+    """One tape run of the search: the jets of every component at ``pts``,
+    one ``(components, order + 1, len(pts))`` array.  A jet that is not
+    finite raises ``RootScanError`` naming its t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jets = np.stack(eval_jet_many(asts, pts, order))
+    _require_finite(pts, "jet", jets.T, error=RootScanError)
+    return jets
 
 
 def _sign_changes(v: np.ndarray) -> np.ndarray:
@@ -370,15 +387,15 @@ def _newton(asts, x, jets, lo, hi, sign, comp, row):
             break
         x_prev, u_prev, x = x, u, np.where(live, xn, x)
         at = live.nonzero()[0]
-        jets[:, :, at] = eval_jet_many(asts, x[at], order)
+        jets[:, :, at] = _jets(asts, x[at], order)
     return x, jets
 
 
-def _dedup(sorted_roots: Sequence[float]) -> list[float]:
-    """Means of the runs of sorted roots that lie within 1e-9 of a neighbour."""
+def _dedup(sorted_roots: Sequence[float], tol: float) -> list[float]:
+    """Means of the runs of sorted roots that lie within ``tol`` of a neighbour."""
     runs: list[list[float]] = []
     for r in sorted_roots:
-        if runs and r - runs[-1][-1] <= 1e-9:
+        if runs and r - runs[-1][-1] <= tol:
             runs[-1].append(r)
         else:
             runs.append([r])
@@ -388,16 +405,22 @@ def _dedup(sorted_roots: Sequence[float]) -> list[float]:
 # -- contact orders -----------------------------------------------------------
 
 
-def _first_significant(mags: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """The contact-order rule: per row of |jet coefficients|, the first
-    index above max(VANISH_REL * running, VANISH_ABS), -1 if none.
+def _first_significant(coeffs: np.ndarray, scales: np.ndarray, unit: float) -> np.ndarray:
+    """The contact-order rule: per row of jet coefficients c_k, the first k
+    with |c_k| unit^k above VANISH_REL * running, -1 if none.
 
-    ``running`` is the prefix maximum seeded with the row's scale, not the
-    whole-jet maximum: coefficients of frame quotients can grow
-    geometrically, and rounding noise at index k stems from indices <= k.
+    ``running`` is the prefix maximum of |c_j| unit^j, j < k, seeded with
+    the row's scale, not the whole-jet maximum: coefficients of frame
+    quotients can grow geometrically, and rounding noise at index k stems
+    from indices <= k.
     """
-    running = np.maximum.accumulate(np.maximum(mags, scales.reshape(-1, 1)), axis=1)
-    above = mags > np.maximum(VANISH_REL * running, VANISH_ABS)
+    # unit^k is clipped to the float range, so a zero c_k reads 0; a product
+    # past the range reads inf, which passes
+    with np.errstate(over="ignore"):
+        powers = np.minimum(unit ** np.arange(coeffs.shape[1]), np.finfo(float).max)
+        mags = np.abs(coeffs) * powers
+    running = np.maximum.accumulate(np.column_stack([scales, mags[:, :-1]]), axis=1)
+    above = mags > VANISH_REL * running
     return np.where(above.any(axis=1), above.argmax(axis=1), -1)
 
 
@@ -468,8 +491,8 @@ def _search(asts, domain: tuple[float, float], closed: bool) -> Signature:
 
     comps = (1,) if ell_identically_zero else (0, 1)
     roots, newton = _zeros(asts, ts, values, scales, comps, closed)
-    orders = _contact_orders(asts, roots, scales, newton)
-    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1])
+    orders = _contact_orders(asts, roots, scales, _param_unit(domain), newton)
+    zeros = _merge_zeros(roots[0], orders[0], roots[1], orders[1], _same_point_tol(domain))
     return Signature(domain=domain, closed=closed,
                      ell_identically_zero=ell_identically_zero, zeros=tuple(zeros))
 
@@ -485,7 +508,7 @@ def _common_zeros(asts, domain: tuple[float, float], refs: int = 0, ell=False) -
     """Where all searched components of an AST tuple vanish together.
 
     One ``_scan``, the zero-function test (ell's for component 0 with
-    ``ell``), one joint ``_zeros`` search and the ``_MERGE_TOL`` coincidence.
+    ``ell``), one joint ``_zeros`` search and the same-point coincidence.
     The last ``refs`` components are only joined to those scales.  The
     witnesses are nine grid points when every searched component is the
     zero function; none, without a search, when one keeps its sign above
@@ -506,23 +529,24 @@ def _common_zeros(asts, domain: tuple[float, float], refs: int = 0, ell=False) -
     roots, (_, _, jets) = _zeros(asts, ts, values, scales, comps, False)
     min_combined = float(np.min(np.abs(jets[:n, 0]).max(axis=0), initial=min_combined))
     first, *others = (roots[c] for c in comps)
+    tol = _same_point_tol(domain)
     witnesses = sorted({r for r in first
-                        if all(any(abs(r - s) <= _MERGE_TOL for s in other) for other in others)})
+                        if all(any(abs(r - s) <= tol for s in other) for other in others)})
     return ImmersionReport(ok=(not witnesses), witnesses=tuple(witnesses),
                            min_combined=min_combined)
 
 
-def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
+def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray, unit: float,
                     newton) -> list[list[int]]:
     """Contact orders at the zeros of every component.
 
     The order of a zero is given by ``_first_significant`` against the
-    component's scale.  Its answer for coefficient k does not depend on
-    the truncation order.  So ``newton``, the final iterates ``_zeros``
-    kept, with their components and jets, settles every zero that is
-    bitwise one of those iterates of its component and whose order those
-    jets reach.  A sweep at ``_FIRST_SWEEP`` settles the rest of lower
-    order, and only the zeros it leaves open are evaluated again at
+    component's scale and the parameter unit.  Its answer for coefficient k
+    does not depend on the truncation order.  So ``newton``, the final
+    iterates ``_zeros`` kept, with their components and jets, settles every
+    zero that is bitwise one of those iterates of its component and whose
+    order those jets reach.  A sweep at ``_FIRST_SWEEP`` settles the rest of
+    lower order, and only the zeros it leaves open are evaluated again at
     ``DEFAULT_ORDER``.  Each read indexes Newton's or a sweep's jet array by
     zero, ``jets[comp, :, cols]``.  A read of order 0 is left to the sweeps,
     which report it.
@@ -537,14 +561,14 @@ def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
     known = same.any(axis=1).nonzero()[0]
     first = np.full(len(comp), -1)
     coeffs = jets[comp[known], :, same[known].argmax(axis=1)]
-    read = _first_significant(np.abs(coeffs), scales[comp[known]])
+    read = _first_significant(coeffs, scales[comp[known]], unit)
     first[known] = np.where(read > 0, read, -1)
     for order in (_FIRST_SWEEP, DEFAULT_ORDER):
         at = (first < 0).nonzero()[0]
         if not len(at):
             break
-        coeffs = np.stack(eval_jet_many(asts, pts[at], order))[comp[at], :, np.arange(len(at))]
-        first[at] = _first_significant(np.abs(coeffs), scales[comp[at]])
+        coeffs = _jets(asts, pts[at], order)[comp[at], :, np.arange(len(at))]
+        first[at] = _first_significant(coeffs, scales[comp[at]], unit)
     for c, r in zip(comp, first):
         if r < 0:
             raise SignatureError("contact order exceeds jet order")
@@ -554,13 +578,13 @@ def _contact_orders(asts, roots: list[list[float]], scales: np.ndarray,
     return orders
 
 
-def _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders):
+def _merge_zeros(ell_roots, ell_orders, beta_roots, beta_orders, tol):
     zeros: list[ZeroPoint] = []
     i = j = 0
     while i < len(ell_roots) or j < len(beta_roots):
         take_ell = i < len(ell_roots)
         take_beta = j < len(beta_roots)
-        if take_ell and take_beta and abs(ell_roots[i] - beta_roots[j]) <= _MERGE_TOL:
+        if take_ell and take_beta and abs(ell_roots[i] - beta_roots[j]) <= tol:
             t = 0.5 * (ell_roots[i] + beta_roots[j])
             zeros.append(ZeroPoint(t, "both", ord_ell=ell_orders[i],
                                    ord_beta=beta_orders[j]))
@@ -673,7 +697,8 @@ def signature_from_dict(data: dict) -> Signature:
             "domain", "closed", "ell_identically_zero", "zeros"))
     except KeyError as missing:
         raise SignatureError(f"signature is missing field {missing}") from None
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2 and _json_numbers(*domain)):
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2
+            and _reals(*domain) and _finite(*domain)):
         raise SignatureError("signature field 'domain' must hold two finite numbers")
     try:
         a, b = _check_domain(domain)
@@ -691,18 +716,11 @@ def signature_from_dict(data: dict) -> Signature:
     return Signature(domain=(a, b), closed=closed, ell_identically_zero=flat, zeros=zeros)
 
 
-def _json_numbers(*values) -> bool:
-    """Whether every value is a JSON number (an int or a float, not a bool)
-    that is a finite float."""
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool)
-               for v in values) and _finite(*values)
-
-
 def _zero_from_dict(z) -> ZeroPoint:
     if not (isinstance(z, dict) and "t" in z and "kind" in z):
         raise SignatureError(f"a signature zero must hold 't' and 'kind', got {z!r}")
     t, orders = z["t"], (z.get("ord_ell"), z.get("ord_beta"))
-    if not _json_numbers(t):
+    if not (_reals(t) and _finite(t)):
         raise SignatureError(f"zero position {t!r} is not a finite number")
     if not all(o is None or (_integers(o) and o >= 1) for o in orders):
         raise SignatureError(f"contact orders {orders!r} must be integers >= 1")

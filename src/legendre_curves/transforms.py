@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curves import CurvaturePair, LegendreCurve, _check_domain, _closes
+from .curves import CurvaturePair, LegendreCurve, _check_domain, _closes, _same_point_tol
 from .errors import TransformError
 from .exprs import ExprAst, Number, ScalarFun, ast_derivative, parse_expr, substitute_var
 
@@ -106,9 +106,10 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     zero function against (b - a) / (d - c), the slope that maps the new
     domain [c, d] onto the curve's [a, b].  So t is monotone and maps the
     new domain onto the interval between t(c) and t(d), which must lie in
-    the curve's domain.  The image is closed when the curve is and
-    ``curves._closes``, the rule a spec flagged closed must pass, accepts
-    it.  The returned law is ((ell o t) t', (beta o t) t').
+    the curve's domain up to ``curves._same_point_tol``.  The image is
+    closed when the curve is and ``curves._closes``, the rule a spec
+    flagged closed must pass, accepts it.  The returned law is
+    ((ell o t) t', (beta o t) t').
     """
     from .signatures import _common_zeros  # deferred: affine maps need not load it
     c, d = _check_domain(new_domain)
@@ -119,7 +120,7 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     if not _common_zeros((tprime.ast, slope), (c, d), refs=1).ok:
         raise TransformError("not a parameter change")
     tc, td = tfun.values(np.array([c, d])).tolist()
-    pad = 1e-9 * (1.0 + abs(b - a))
+    pad = _same_point_tol(curve.domain)
     if min(tc, td) < a - pad or max(tc, td) > b + pad:
         raise TransformError("parameter change leaves the curve's domain")
 

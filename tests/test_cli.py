@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import legendre_curves
-from legendre_curves import (DiffeoSpec, gallery, load_curve, pushforward_diffeo_curve,
-                             signature)
+from legendre_curves import (AffineMap, DiffeoSpec, gallery, load_curve, pushforward_affine,
+                             pushforward_diffeo_curve, signature)
 from legendre_curves.cli import RenderConfig, render_svg, run
 from legendre_curves.exprs import pretty_print
 
@@ -164,6 +164,21 @@ def test_transform_commands(specs, capsys):
         assert image.curvature_pair()(t) == pytest.approx(law(t), rel=0, abs=1e-8)
 
 
+def test_a_scaled_parameter_keeps_the_signature_and_the_verdict(specs, tmp_path, capsys):
+    # t = 1e10 u squeezes gamma_n[3] onto [0, 2 pi / 1e10]: its two singular
+    # points stay two zeros, and the image stays equivalent to gamma_n[3]
+    assert run(["transform", "--curve", specs["g3"], "--reparam", "1e10*t",
+                "--domain", "0:6.283185307179586e-10"]) == 0
+    image = tmp_path / "g3_scaled.json"
+    image.write_text(capsys.readouterr().out)
+    assert run(["signature", "--curve", str(image)]) == 0
+    zeros = json.loads(capsys.readouterr().out)["zeros"]
+    assert [z["kind"] for z in zeros] == ["singular", "singular"]
+    for other, equivalent in (("g3", True), ("circle", False)):
+        assert run(["equivalent", "--curve1", str(image), "--curve2", specs[other]]) == 0
+        assert json.loads(capsys.readouterr().out)["equivalent"] is equivalent, other
+
+
 def test_normal_form_emits_spec(capsys):
     assert run(["normal-form", "--case", "below-diagonal", "--n", "2", "--m", "3"]) == 0
     curve = load_curve(json.loads(capsys.readouterr().out))
@@ -225,6 +240,12 @@ def test_render_degenerate_bbox(tmp_path, capsys):
                                      domain=(0.0, 1.0))
     svg = render_svg(point, None, RenderConfig(samples=16))
     assert svg.startswith("<svg")
+    # a circle of radius 1e-13 is no point: each side is judged against the
+    # curve's own coordinates, so it fills the picture
+    tiny = pushforward_affine(gallery("circle").curve, AffineMap(1e-13, 0, 0, 1e-13)).curve
+    path = render_svg(tiny, None, RenderConfig(samples=16)).split('d="')[1].split('"')[0]
+    xs = [float(v) for v in path.replace("M", "").replace("L", "").replace("Z", "").split()[0::2]]
+    assert max(xs) - min(xs) > 400
 
 
 def test_exit_codes(specs, capsys):

@@ -8,7 +8,7 @@ from legendre_curves import (GERM_CASES, GermData, GermSignature, ZERO_FUNCTION,
                              check_legendre, gallery, germ_signature,
                              germ_signature_of_curve, local_normal_form,
                              signature, type_nm_curvature, type_nm_curve)
-from legendre_curves.curves import LegendreCurve
+from legendre_curves.curves import LegendreCurve, _same_point_tol
 from legendre_curves.errors import CurveError, LegendreError
 from legendre_curves.exprs import ScalarFun
 
@@ -150,19 +150,23 @@ def test_germ_signature_reads_the_seam_zero_at_either_end():
 
 
 def test_zero_at_on_open_and_closed_signatures():
+    # offsets in units of the same-point tolerance: 1e-8 / pi on [-1, 1],
+    # 1e-8 on [0, 2 pi]
     sig = signature(local_normal_form(GermData("below-diagonal", 3, 5)))
+    tol = _same_point_tol(sig.domain)
     (zero,) = sig.zeros
     assert sig.zero_at(0.0) is zero
-    assert sig.zero_at(zero.t + 5e-9) is zero
-    assert sig.zero_at(zero.t + 1e-7) is None
+    assert sig.zero_at(zero.t + 0.5 * tol) is zero
+    assert sig.zero_at(zero.t + 10 * tol) is None
     assert sig.zero_at(1.0) is None
 
     closed = signature(gallery("gamma_n", {"n": 3}).curve)
+    tol = _same_point_tol(closed.domain)
     seam = closed.zero_at(0.0)
     assert seam is closed.zeros[0] and seam.t == pytest.approx(0.0, abs=1e-9)
     assert closed.zero_at(2 * math.pi) is seam
-    assert closed.zero_at(2 * math.pi - 5e-9) is seam
-    assert closed.zero_at(2 * math.pi - 1e-7) is None
+    assert closed.zero_at(2 * math.pi - 0.5 * tol) is seam
+    assert closed.zero_at(2 * math.pi - 10 * tol) is None
     assert closed.zero_at(closed.zeros[1].t) is closed.zeros[1]
 
 

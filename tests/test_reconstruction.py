@@ -94,6 +94,14 @@ def test_grid_mismatch():
         align_congruence(s1, s3)
 
 
+def test_grid_check_follows_the_parameter_unit():
+    # on [0, 1e-12] the grids ts and 1.5 ts differ by half the domain
+    curve = gallery("circle").curve
+    ts = np.linspace(0.0, 1e-12, 65)
+    with pytest.raises(GridMismatchError, match="grid mismatch"):
+        align_congruence(sample_curve(curve, ts), sample_curve(curve, 1.5 * ts))
+
+
 def test_reconstruct_validates_steps():
     with pytest.raises(ReconstructionError, match="at least 16"):
         reconstruct("1", "1", (0, 1), steps=8)

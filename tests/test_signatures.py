@@ -18,7 +18,7 @@ from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair, GermData,
                              load_curve, local_normal_form, negate,
                              parity_check, pushforward_affine, pushforward_swap,
                              reparametrize, signature, signature_from_dict,
-                             signature_to_dict)
+                             signature_to_dict, type_nm_curve)
 from legendre_curves import GermSignature, cli, exprs, jets, signatures
 from legendre_curves.errors import (CurveError, DegenerateCurveError, LegendreError,
                                     RootScanError, SignatureError)
@@ -31,6 +31,22 @@ from conftest import brute_force_zeros
 def test_find_zeros_sine_half_open():
     roots = find_zeros("6*sin(t)", (0, TWO_PI), half_open=True)
     assert roots == pytest.approx([0.0, math.pi], abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [2e-9, 5e-9, 9e-9])
+def test_a_seam_zero_just_before_the_right_end_is_kept(d):
+    # gamma_n[3] shifted by d: beta = 6 sin(t + d) vanishes at 2 pi - d,
+    # within the same-point tolerance of b, while |beta(a)| = 6 sin(d) is
+    # past the root tolerance, so no root at a stands for the seam zero
+    u = f"(t + {d!r})"
+    curve = LegendreCurve.from_exprs(f"3*cos{u} - cos(3*{u})", f"3*sin{u} - sin(3*{u})",
+                                     (f"sin(2*{u})", f"-cos(2*{u})"), (0.0, TWO_PI), closed=True)
+    sig = signature(curve)
+    assert sig.key() == signature(gallery("gamma_n", {"n": 3}).curve).key()
+    assert sig.zeros[-1].t == pytest.approx(TWO_PI - d, abs=1e-12)
+    assert sig.zero_at(0.0) is sig.zero_at(TWO_PI) is sig.zeros[-1]
+    roots = find_zeros(f"6*sin{u}", (0, TWO_PI), half_open=True)
+    assert roots == pytest.approx([math.pi - d, TWO_PI - d], abs=1e-12)
 
 
 def test_find_zeros_lissajous_numerator():
@@ -283,14 +299,14 @@ def test_dedup_matches_loop_reference():
         return out
 
     rng = np.random.default_rng(3)
-    assert _dedup([]) == []
+    assert _dedup([], 1e-9) == []
     for _ in range(50):
         centres = np.sort(rng.uniform(-10.0, 10.0, rng.integers(1, 30)))
         sizes = rng.integers(1, 12, len(centres))
         roots = sorted(np.concatenate(
             [c + rng.uniform(0.0, 3e-9, k) for c, k in zip(centres, sizes)]).tolist())
         # Summation order differs from np.mean only for runs of 8 or more.
-        assert _dedup(roots) == pytest.approx(reference(roots, 1e-9), rel=1e-14, abs=1e-14)
+        assert _dedup(roots, 1e-9) == pytest.approx(reference(roots, 1e-9), rel=1e-14, abs=1e-14)
 
 
 def test_newton_step_that_overflows_is_dropped_without_a_warning():
@@ -979,6 +995,25 @@ def test_signature_key_is_invariant_under_homotheties(roster):
                 assert k < 0, (entry.name, k)
                 continue
             assert got == key, (entry.name, k)
+
+
+def test_signature_key_is_invariant_under_parameter_scalings(roster):
+    # t = s u scales the domain by 1/s and the jet coefficient c_k by
+    # s^(k+1); every decision in t reads the parameter unit (b - a) / 2 pi,
+    # so none moves.  Past the float range of the jets the image or its
+    # search is refused.
+    germs = [type_nm_curve(n, m, f) for n, m, f in ((2, 3, "1"), (3, 5, "1+t"), (2, 5, "2-t"))]
+    for curve in [entry.curve for entry in roster] + germs:
+        key, (a, b) = signature(curve).key(), curve.domain
+        for k in [*range(-12, 13), *range(-300, 301, 50)]:
+            s = 10.0 ** k
+            try:
+                image = reparametrize(curve, f"{s!r}*t", (a / s, b / s)).curve
+                got = signature(image).key()
+            except LegendreError:
+                assert abs(k) > 12, k
+                continue
+            assert got == key and image.closed == curve.closed, k
 
 
 def test_signature_of_curve_matches_its_curvature_pair(roster):

@@ -89,6 +89,15 @@ def test_printed_closed_images_reload_and_a_real_gap_is_refused(circle):
     assert not reparametrize(circle, "t", (0, TWO_PI - 1e-8)).curve.closed
 
 
+def test_the_domain_pad_follows_the_parameter_unit():
+    # the 1e10*t image of gamma_n[3] lives on [0, 6.3e-10]: a shift by
+    # 5e-10 leaves it by most of its width, however small that is
+    image = reparametrize(gallery("gamma_n", {"n": 3}).curve, "1e10*t",
+                          (0.0, TWO_PI / 1e10)).curve
+    with pytest.raises(TransformError, match="leaves the curve's domain"):
+        reparametrize(image, "t + 5e-10", image.domain)
+
+
 @pytest.mark.parametrize("c", [-0.999, -0.9, -0.3, 0.0, 0.3, 0.7, 0.999, 1.5, -1.5, 3.0])
 def test_fold_is_refused_where_det_j_has_a_zero(circle, c):
     # (x, (y - c)^2) has det J = 2 (sin t - c) on the circle, with a sign
