@@ -129,6 +129,25 @@ def _int_from(lo: int):
     return parse
 
 
+def _join_values(parser: argparse.ArgumentParser, argv) -> list:
+    """``argv`` with each option that takes a value, in any subcommand,
+    joined to the token after it (``--opt=value``, ``-ovalue``), so that
+    argparse reads that token as the value even when it begins with '-'."""
+    parsers, options = [parser], set()
+    for p in parsers:  # grows by the subcommands' parsers as it goes
+        for action in p._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.nargs != 0:
+                options.update(action.option_strings)
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token in options else None
+        joined.append(token if value is None
+                      else token + ("=" if token.startswith("--") else "") + value)
+    return joined
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="legcurve",
                                 description="Toolkit for plane curves with a unit "
@@ -248,7 +267,7 @@ def run(argv) -> int:
     """Entry point used by tests: run a subcommand, return an exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(parser, argv))
         if args.command == "transform":
             if args.domain is not None and args.reparam is None:
                 parser.error("transform: --domain applies only with --reparam")

@@ -50,8 +50,9 @@ the compiler's recursion, or for ``substitute_var`` and
 
 :class:`ScalarFun` is the evaluable function the rest of the package
 passes around, one AST run through the tape, every curvature law too.
-The zero searches of :mod:`signatures` take a tuple of such ASTs and
-evaluate it with :func:`eval_jet_many`, the same tape.
+The zero searches of :mod:`signatures` run the same tape on a tuple of
+such ASTs: the grid scan reads its ``terms`` too, and every later run
+goes through :func:`eval_jet_many`.
 :func:`eval_bijet` (``BiJet2`` value, gradient and Hessian of a
 two-variable AST) is on no data path; ``bench/tracer.py`` binds it.
 """
@@ -338,7 +339,8 @@ def _pretty(ast: ExprAst) -> str:
 class _Tape:
     """A compiled AST set: slot values known up front, instructions
     ``(kernel, destination slot, operand slot, operand slot or None, slots
-    released after it)``, the slot of each AST and the d-depth of the set.
+    released after it)``, each AST's slot and ``terms``, and the d-depth.
+    ``terms_code`` is ``code`` with no term released, for a run with terms.
 
     ``slots`` holds the key of every slot after slot 0 in slot order,
     ``(opcode, operand slot, operand slot or None)`` or the ``repr`` of a
@@ -346,7 +348,7 @@ class _Tape:
     :meth:`key` spells the two out.
     """
 
-    __slots__ = ("init", "code", "outputs", "depth", "slots", "_key")
+    __slots__ = ("init", "code", "terms_code", "outputs", "terms", "depth", "slots", "_key")
 
     def __init__(self, asts):
         self.init = init = [None]  # slot 0: the variable, bound per run
@@ -355,6 +357,7 @@ class _Tape:
         self.slots = keys = {}    # (opcode, operand slots) or repr of a literal -> slot
         seen: dict = {}           # id(node) -> slot; shared subtrees compile once
         depth: list = [0]         # slot -> nesting depth of d nodes under it
+        sums: dict = {}           # slot of a sum or difference -> its operand slots
 
         def emit(op, a, b=None):
             key = (op, a, b)
@@ -362,6 +365,8 @@ class _Tape:
             if slot is None:
                 fn = _BY_OPCODE[op]
                 slot = keys[key] = len(init)
+                if fn is jets.add or fn is jets.sub:
+                    sums[slot] = (a, b)
                 if b is None:
                     depth.append(depth[a] + (op == _D))
                     value = None if init[a] is None else fn(init[a])
@@ -416,6 +421,9 @@ class _Tape:
         finally:
             del visit  # it refers to itself: unbind it so the work dicts die with the frame
         self.depth = max((depth[slot] for slot in self.outputs), default=0)
+        # The operand slots of each output's outermost sum or difference, a
+        # folded one's too; the output's own slot twice if it is neither.
+        self.terms = [s for out in self.outputs for s in sums.get(out, (out, out))]
         # Release every computed slot after the instruction that reads it last.
         last = {slot: i for i, ins in enumerate(code) for slot in ins[2:]}
         free = [[] for _ in code]
@@ -423,6 +431,9 @@ class _Tape:
             if slot is not None and self.init[slot] is None and slot not in self.outputs:
                 free[i].append(slot)
         self.code = [ins + (tuple(f),) for ins, f in zip(code, free)]
+        self.terms_code = list(self.code)
+        for i in {last[s] for s in self.terms if s in last}:
+            self.terms_code[i] = code[i] + (tuple(s for s in free[i] if s not in self.terms),)
 
     def key(self) -> bytes:
         """The tape's structure as bytes, built on the first call: its slot
@@ -435,22 +446,23 @@ class _Tape:
             self._key = pickle.dumps((tuple(self.slots), self.outputs), 5)
         return self._key
 
-    def run(self, t0, order: int) -> list[np.ndarray]:
+    def run(self, t0, order: int, terms: bool = False) -> list[np.ndarray]:
         """Jets of the compiled ASTs at t0 (a scalar or an array of points),
-        from a run ``depth`` orders higher, since each d costs a row."""
+        from a run ``depth`` orders higher, since each d costs a row.  With
+        ``terms`` the jets of the ``terms`` slots follow, two per output."""
         t = np.asarray(t0, dtype=float)
         var = np.zeros((order + self.depth + 1, t.size))
         var[0] = t.ravel()
         var[1:2] = 1.0  # the slope row, if the run has one
         slots = list(self.init)
         slots[0] = var
-        for fn, dst, a, b, free in self.code:
+        for fn, dst, a, b, free in self.terms_code if terms else self.code:
             slots[dst] = fn(slots[a]) if b is None else fn(slots[a], slots[b])
             for i in free:
                 slots[i] = None
         shape = (order + 1,) + t.shape
         out = []
-        for slot in self.outputs:
+        for slot in self.outputs + self.terms if terms else self.outputs:
             value = slots[slot]
             if isinstance(value, np.ndarray):
                 value = value[:order + 1]

@@ -35,23 +35,24 @@ low-order sweep, and only the zeros it leaves open are evaluated again at
 the full jet order.
 
 Each zero decision has one rule here, shared by ``signature`` (which the
-germ signature reads), ``find_zeros`` and ``_common_zeros``: a component
-is the zero function when its scale (max |f| on the grid) is <=
-``_ZERO_FUN_REL`` times the largest scale, a reference's included, but
-ell in ``signature`` and ``is_immersion``, a turning rate with units other
-than beta's, is the zero function when its total turning, scale * (b - a),
-is <= ``_ZERO_FUN_REL`` rad; a candidate is a root when |f| <= ``_ROOT_TOL`` *
+germ signature reads), ``find_zeros`` and ``_common_zeros``: a component is
+the zero function when its scale (max |f| on the grid) is <=
+``_ZERO_FUN_REL`` times its reference, the larger of the scale of the two
+terms of its outermost sum or difference (its own if it is neither), read
+from the scan's tape run, and a floor in its own unit: 1 / (b - a) for ell,
+a total turning; 0 for beta; the caller's for the others.  No component is
+judged against another.  A candidate is a root when |f| <= ``_ROOT_TOL`` *
 scale.  Decisions in t read the parameter unit L = (b - a) / 2 pi, so they
 hold under t -> s t: the contact order is the first k with |c_k| L^k above
 ``VANISH_REL`` * running prefix maximum (seeded with the scale); points
-within ``curves._same_point_tol``, ``_MERGE_TOL`` * L, are one point (roots,
-the seam, zeros of ell and beta).
+within ``curves._same_point_tol``, ``_MERGE_TOL`` * L, are one point
+(roots, the seam, zeros of ell and beta).
 Every tape run refuses a jet that is not finite, naming its t.  All three
 run one search on one grid of ``_GRID_N`` steps.
 ``_common_zeros`` alone answers "does it vanish somewhere on the domain":
 ``is_immersion`` asks it of (ell, beta), ``derive_nu`` of (x', y'),
-``reparametrize`` of t' against the domains' slope and
-``pushforward_diffeo_curve`` of det J o gamma against its products.
+``reparametrize`` of t' with the domains' slope as its floor and
+``pushforward_diffeo_curve`` of det J o gamma.
 
 ``signature`` is memoized per question: the structure key of the
 compiled tape of (ell, beta) (its instructions, the repr of each constant
@@ -158,7 +159,7 @@ _NEWTON_RUNS = 8       # at most this many tape runs in one Newton loop
 _FIRST_SWEEP = 4       # contact orders read first; gallery zeros have orders 1-3
 _GRID_N = 4096         # grid steps of the signature scan
 _ROOT_TOL = 1e-9       # a zero has |f| <= _ROOT_TOL * scale
-_ZERO_FUN_REL = 1e-10  # zero function: scale vs the largest; ell: total turning, rad
+_ZERO_FUN_REL = 1e-10  # zero function: scale vs the reference
 
 
 def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[float]:
@@ -176,30 +177,33 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
     """
     domain = _check_domain(domain)
     asts = (ScalarFun.wrap(f).ast,)
-    ts, values, scales = _scan(asts, domain)
+    ts, values, scales, terms = _scan(asts, domain)
+    if _vanishing(scales, terms)[0]:
+        raise RootScanError(_NON_FINITE)
     return _zeros(asts, ts, values, scales, (0,), half_open)[0][0]
 
 
 def _scan(asts, domain: tuple[float, float]):
-    """The uniform grid of ``_GRID_N`` steps, the values of the ASTs on it
-    from one order-0 evaluation, and each component's scale (max |f|).
-    A value that is not finite raises ``RootScanError`` naming its t."""
+    """The uniform grid of ``_GRID_N`` steps, the values of the ASTs on it,
+    each one's scale (max |f|) and the larger scale of its two
+    ``_Tape.terms``, all from one order-0 tape run.  A value that is not
+    finite raises ``RootScanError`` naming its t; a finite sum has finite
+    terms."""
     ts = np.linspace(float(domain[0]), float(domain[1]), _GRID_N + 1)
+    n = len(asts)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = [jet[0] for jet in eval_jet_many(asts, ts, 0)]
-    scales = np.array([np.abs(v).max() for v in values])
-    if not np.isfinite(scales).all():  # max |f| is finite exactly when every f is
-        _require_finite(ts, "function value", *values, error=RootScanError)
-    return ts, values, scales
+        rows = [jet[0] for jet in _TAPES.get(tuple(asts), _Tape).run(ts, 0, terms=True)]
+    scales = np.array([np.abs(row).max() for row in rows])  # the components', then their terms'
+    if not np.isfinite(scales[:n]).all():  # max |f| is finite exactly when every f is
+        _require_finite(ts, "function value", *rows[:n], error=RootScanError)
+    return ts, rows[:n], scales[:n], scales[n:].reshape(n, 2).max(axis=1)
 
 
-def _vanishing(scales: np.ndarray, ell_domain=None) -> np.ndarray:
-    """The zero-function test: which components are identically zero; with
-    ``ell_domain``, component 0 is ell, tested by its total turning there."""
-    vanishing = scales <= _ZERO_FUN_REL * scales.max()
-    if ell_domain is not None:  # scales[0] * (b - a) may overflow
-        vanishing[0] = scales[0] <= _ZERO_FUN_REL / (ell_domain[1] - ell_domain[0])
-    return vanishing
+def _vanishing(scales: np.ndarray, terms: np.ndarray, floors=0.0) -> np.ndarray:
+    """The zero-function test: which components are identically zero, with
+    scales at most ``_ZERO_FUN_REL`` times the larger of their terms' scale
+    and their floors, the rounding bound of a sum."""
+    return scales <= _ZERO_FUN_REL * np.maximum(terms, floors)
 
 
 def _zeros(asts, ts: np.ndarray, values, scales: np.ndarray,
@@ -264,8 +268,6 @@ def _candidates(asts, ts: np.ndarray, values, scales: np.ndarray,
     grid_n = len(ts) - 1
     a, b = float(ts[0]), float(ts[-1])
     h = (b - a) / grid_n
-    if any(scales[c] == 0.0 for c in comps):
-        raise RootScanError(_NON_FINITE)
     # Critical points are touch-zero candidates only where |f| is already
     # small; the pre-filter keeps the derivative scan from chasing
     # noise-level sign changes of f' (a constant f has f' at rounding
@@ -484,8 +486,9 @@ def _memo_key(pair: CurvaturePair) -> bytes:
 
 def _search(asts, domain: tuple[float, float], closed: bool) -> Signature:
     """The zero search of ``signature`` on the AST pair (ell, beta)."""
-    ts, values, scales = _scan(asts, domain)
-    ell_identically_zero, degenerate = _vanishing(scales, domain).tolist()
+    ts, values, scales, terms = _scan(asts, domain)
+    floors = (1.0 / (domain[1] - domain[0]), 0.0)  # ell's total turning, in rad
+    ell_identically_zero, degenerate = _vanishing(scales, terms, floors).tolist()
     if degenerate:
         raise DegenerateCurveError("degenerate: constant curve")
 
@@ -500,34 +503,32 @@ def _search(asts, domain: tuple[float, float], closed: bool) -> Signature:
 def is_immersion(curve) -> ImmersionReport:
     """Check (ell, beta) != (0, 0) everywhere, by ``_common_zeros``: the
     witnesses are the common zeros, ``min_combined`` the least max(|ell|, |beta|)."""
-    pair = curve.curvature_pair()
-    return _common_zeros((pair.ell.ast, pair.beta.ast), curve.domain, ell=True)
+    pair, (a, b) = curve.curvature_pair(), curve.domain
+    return _common_zeros((pair.ell.ast, pair.beta.ast), curve.domain, (1.0 / (b - a), 0.0))
 
 
-def _common_zeros(asts, domain: tuple[float, float], refs: int = 0, ell=False) -> ImmersionReport:
-    """Where all searched components of an AST tuple vanish together.
+def _common_zeros(asts, domain: tuple[float, float], floors=0.0) -> ImmersionReport:
+    """Where all components of an AST tuple vanish together.
 
-    One ``_scan``, the zero-function test (ell's for component 0 with
-    ``ell``), one joint ``_zeros`` search and the same-point coincidence.
-    The last ``refs`` components are only joined to those scales.  The
-    witnesses are nine grid points when every searched component is the
-    zero function; none, without a search, when one keeps its sign above
-    the pre-filter, so that the search has no candidate of it; otherwise
-    the common zeros.  ``min_combined`` is the least max |f| of the
-    searched components on the grid and at the zeros Newton kept.
+    One ``_scan``, the zero-function test against ``floors``, one joint
+    ``_zeros`` search and the same-point coincidence.  The witnesses are
+    nine grid points when every component is the zero function; none,
+    without a search, when one keeps its sign above the pre-filter, so that
+    the search has no candidate of it; otherwise the common zeros.
+    ``min_combined`` is the least max |f| of the components on the grid
+    and at the zeros Newton kept.
     """
-    ts, values, scales = _scan(asts, domain)
-    n = len(values) - refs
-    min_combined = float(np.min(np.max(np.abs(values[:n]), axis=0)))
-    vanishing = _vanishing(scales, domain if ell else None)[:n]
+    ts, values, scales, terms = _scan(asts, domain)
+    min_combined = float(np.min(np.max(np.abs(values), axis=0)))
+    vanishing = _vanishing(scales, terms, floors)
     if vanishing.all():  # every point degenerate
         return ImmersionReport(False, tuple(float(t) for t in ts[::_GRID_N // 8]), min_combined)
-    comps = [c for c in range(n) if not vanishing[c]]
+    comps = [c for c in range(len(asts)) if not vanishing[c]]
     pre_tols = _pre_tols(scales, _GRID_N)
     if any(np.min(values[c] * np.sign(values[c][0])) > pre_tols[c] for c in comps):
         return ImmersionReport(True, (), min_combined)
     roots, (_, _, jets) = _zeros(asts, ts, values, scales, comps, False)
-    min_combined = float(np.min(np.abs(jets[:n, 0]).max(axis=0), initial=min_combined))
+    min_combined = float(np.min(np.abs(jets[:, 0]).max(axis=0), initial=min_combined))
     first, *others = (roots[c] for c in comps)
     tol = _same_point_tol(domain)
     witnesses = sorted({r for r in first

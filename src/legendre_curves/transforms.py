@@ -35,7 +35,7 @@ import numpy as np
 
 from .curves import CurvaturePair, LegendreCurve, _check_domain, _closes, _same_point_tol
 from .errors import TransformError
-from .exprs import ExprAst, Number, ScalarFun, ast_derivative, parse_expr, substitute_var
+from .exprs import ExprAst, ScalarFun, ast_derivative, parse_expr, substitute_var
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,7 @@ def reparametrize(curve: LegendreCurve, t_of_u, new_domain) -> TransformResult:
     tfun = ScalarFun.wrap(t_of_u)
     tprime = ScalarFun.from_ast(ast_derivative(tfun.ast))
     a, b = curve.domain
-    slope = Number(min((b - a) / (d - c), np.finfo(float).max))  # d - c may be subnormal
-    if not _common_zeros((tprime.ast, slope), (c, d), refs=1).ok:
+    if not _common_zeros((tprime.ast,), (c, d), (b - a) / (d - c)).ok:
         raise TransformError("not a parameter change")
     tc, td = tfun.values(np.array([c, d])).tolist()
     pad = _same_point_tol(curve.domain)
@@ -219,7 +218,7 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
     it carries jets of every order.  A map whose Jacobian determinant
     det J o gamma has a zero on the curve's domain, as the signature's
     zero search decides (``signatures._common_zeros``), or is the zero
-    function against its products d1phi1 d2phi2 and d1phi2 d2phi1 (a
+    function against its terms d1phi1 d2phi2 and d1phi2 d2phi1 (a
     rank-one map), is refused here, since a printed image is never
     evaluated.  The law spells out Phi's first and second partials along
     the curve in the same way.
@@ -233,9 +232,8 @@ def pushforward_diffeo_curve(curve: LegendreCurve, diffeo: DiffeoSpec) -> Transf
     partials = [[ast_derivative(phi, var) for var in ("x", "y")]
                 for phi in (diffeo.phi1, diffeo.phi2)]
     (d1phi1, d2phi1), (d1phi2, d2phi2) = ([along(d) for d in row] for row in partials)
-    p, q = d1phi1 * d2phi2, d1phi2 * d2phi1  # det J cancelling to noise is zero against p, q
-    jac = p - q
-    if not _common_zeros((jac.ast, p.ast, q.ast), curve.domain, refs=2).ok:
+    jac = d1phi1 * d2phi2 - d1phi2 * d2phi1
+    if not _common_zeros((jac.ast,), curve.domain).ok:
         raise TransformError("diffeomorphism degenerates along the curve")
     a, b = curve.nu_x, curve.nu_y
     nbx = d2phi2 * a - d1phi2 * b

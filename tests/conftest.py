@@ -95,10 +95,10 @@ def tape_runs(monkeypatch):
     log = TapeLog()
     run, init = exprs._Tape.run, exprs._Tape.__init__
 
-    def counted_run(self, t0, order):
+    def counted_run(self, t0, order, terms=False):
         log.runs.append(TapeRun(np.array(t0, dtype=float), order, self.depth,
                                 len(self.outputs)))
-        return run(self, t0, order)
+        return run(self, t0, order, terms)
 
     def counted_init(self, asts):
         init(self, asts)

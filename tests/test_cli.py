@@ -346,6 +346,24 @@ def test_reparam_requires_domain(specs, capsys):
     assert "--domain" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option, value", [
+    (["reconstruct", "--ell", "1", "--beta", "1", "--steps", "64"], "--domain", "-1:1"),
+    (["reconstruct", "--beta", "1", "--domain=0:1", "--steps", "64"], "--ell", "-t"),
+    (["reconstruct", "--beta", "1", "--domain=0:1", "--steps", "64"], "--ell", "-1"),
+    (["transform", "--curve", "CIRCLE"], "--affine", "-1,0,0,1"),
+    (["transform", "--curve", "CIRCLE", "--domain=-6.283185307179586:0"], "--reparam", "-t"),
+])
+def test_an_option_value_may_begin_with_a_minus(specs, capsys, argv, option, value):
+    # The token after an option that takes a value is that value, whatever
+    # its first character: both spellings print the same bytes.
+    argv = [specs["circle"] if a == "CIRCLE" else a for a in argv]
+    outputs = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        assert run(argv + spelling) == 0, spelling
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out
+
+
 # -- malformed spec files: `error: ...` on stderr, exit 1 ---------------------------
 
 

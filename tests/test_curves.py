@@ -103,6 +103,16 @@ def test_derive_nu_rejects_singular_curve():
         derive_nu("t^2", "t^3", (-1, 1))
 
 
+def test_derive_nu_reads_each_component_against_its_own_terms():
+    # x' = 0.3 - 0.1 * 3 is rounding noise of its two terms: with y' = 0
+    # the curve is singular everywhere
+    with pytest.raises(CurveError, match="singular point"):
+        derive_nu("0.3*t-0.1*3*t", "0", (0, 1))
+    # y' = 1e-12 is small against x' = 2 t but never zero, so gamma' is not
+    nux, nuy = derive_nu("t^2", "1e-12*t", (-1, 1))
+    assert (nux(0.0), nuy(0.0)) == (-1.0, 0.0)
+
+
 @given(st.integers(-12, 12))
 def test_derive_nu_decides_at_every_scale(k):
     # the singular-point decision reads the zero search on (x', y'), whose
@@ -175,11 +185,12 @@ def test_is_immersion_one_component_and_degenerate_cases():
 
 def test_is_immersion_is_invariant_under_homotheties(roster):
     # A homothety by s keeps ell, a turning rate, and scales beta, a speed,
-    # by s: ell's zero-function test reads its own total turning, so a
-    # large s does not make it the zero function and beta's zeros common.
+    # and both its terms by s: each component's zero-function test reads
+    # its own terms (and ell's total turning), so no s makes one of them
+    # the zero function and the other's zeros common.
     for entry in roster:
         want = is_immersion(entry.curve)
-        for k in range(-9, 13):
+        for k in range(-15, 13):
             image = pushforward_affine(entry.curve, AffineMap(10.0 ** k, 0, 0, 10.0 ** k)).curve
             got = is_immersion(image)
             assert (got.ok, len(got.witnesses)) == (want.ok, len(want.witnesses)), (entry.name, k)

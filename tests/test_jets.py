@@ -514,6 +514,17 @@ def test_sin_and_cos_share_one_recurrence():
     assert sum(1 for fn, *_ in tape.code if fn is jets.sin_cos) == 1
 
 
+def test_tape_terms_are_the_operands_of_the_outermost_sum():
+    # A folded constant keeps its terms; a component that is no sum or
+    # difference is its own term, twice.
+    tape = _Tape([parse_expr("0.3 - 0.1*3"), parse_expr("t^2 + sin(t)"), parse_expr("-(t - 1)")])
+    rows = [jet[0] for jet in tape.run(np.array([0.5]), 0, terms=True)]
+    assert [float(row[0]) for row in rows[3:]] == [
+        0.3, 0.1 * 3, 0.25, math.sin(0.5), 0.5, 0.5]
+    assert [np.array_equal(row, jet[0])
+            for row, jet in zip(rows, tape.run(np.array([0.5]), 0))] == [True] * 3
+
+
 def test_tape_releases_each_computed_slot_after_its_last_reader():
     curve = gallery("gamma_n", {"n": 3}).curve
     pair = curve.curvature_pair()
@@ -526,6 +537,11 @@ def test_tape_releases_each_computed_slot_after_its_last_reader():
     assert len(released) == len(set(released))
     computed = {dst for _, dst, *_ in tape.code} | {0}
     assert set(released) == computed - set(tape.outputs)
+    # a run with terms keeps them: ell and beta are each a difference of two products
+    assert len(set(tape.terms)) == 4
+    assert [ins[:4] for ins in tape.terms_code] == [ins[:4] for ins in tape.code]
+    released_in_scan = [slot for *_, free in tape.terms_code for slot in free]
+    assert set(released_in_scan) == set(released) - set(tape.terms)
     for i, (*_, free) in enumerate(tape.code):
         assert all(last[slot] == i for slot in free)
 
