@@ -35,14 +35,13 @@ __all__ = [
     "local_normal_form", "parity_check", "parse_expr", "pretty_print",
     "pushforward_affine", "pushforward_diffeo_curve",
     "pushforward_swap", "reconstruct", "reparametrize", "sample_curve",
-    "sampled_curvature", "signature", "signature_from_dict",
-    "signature_to_dict", "substitute_params", "type_nm_curvature",
-    "type_nm_curve",
+    "signature", "signature_from_dict", "signature_to_dict",
+    "substitute_params", "type_nm_curvature", "type_nm_curve",
 ]
 
 _LAZY = {name: module for module, names in (
     ("reconstruction", "AlignResult Congruence SampledCurve align_congruence reconstruct"
-     " sample_curve sampled_curvature"),
+     " sample_curve"),
     ("signatures", "EquivalenceVerdict Signature ZeroPoint decide_equivalence dump_signature"
      " find_zeros is_immersion parity_check signature signature_from_dict signature_to_dict"),
     ("transforms", "AffineMap DiffeoSpec TransformResult negate pushforward_affine"

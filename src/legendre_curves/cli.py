@@ -132,17 +132,22 @@ def _int_from(lo: int):
 def _join_values(parser: argparse.ArgumentParser, argv) -> list:
     """``argv`` with each option that takes a value, in any subcommand,
     joined to the token after it (``--opt=value``, ``-ovalue``), so that
-    argparse reads that token as the value even when it begins with '-'."""
-    parsers, options = [parser], set()
+    argparse reads that token as the value even when it begins with '-'.
+    A long option may be abbreviated to a prefix of no other option of any
+    subcommand; an ambiguous prefix is left to argparse."""
+    parsers, options, names = [parser], set(), set()
     for p in parsers:  # grows by the subcommands' parsers as it goes
         for action in p._actions:
             if isinstance(action, argparse._SubParsersAction):
                 parsers += action.choices.values()
             elif action.nargs != 0:
                 options.update(action.option_strings)
+            names.update(action.option_strings)
     joined, tokens = [], iter(argv)
     for token in tokens:
-        value = next(tokens, None) if token in options else None
+        hits = {n for n in names if n.startswith(token)} if token.startswith("--") else set()
+        takes_value = token in options or len(hits) == 1 and hits <= options
+        value = next(tokens, None) if takes_value else None
         joined.append(token if value is None
                       else token + ("=" if token.startswith("--") else "") + value)
     return joined

@@ -53,8 +53,9 @@ passes around, one AST run through the tape, every curvature law too.
 The zero searches of :mod:`signatures` run the same tape on a tuple of
 such ASTs: the grid scan reads its ``terms`` too, and every later run
 goes through :func:`eval_jet_many`.
-:func:`eval_bijet` (``BiJet2`` value, gradient and Hessian of a
-two-variable AST) is on no data path; ``bench/tracer.py`` binds it.
+:func:`eval_bijet`, the value, gradient and Hessian of a two-variable
+AST at one point, reads them from one such run along three lines through
+the point.  It is on no data path; ``bench/tracer.py`` binds it.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ import numpy as np
 
 from . import jets
 from .errors import _TOO_DEEP, ExprSyntaxError, LegendreError
-from .jets import BiJet2, DEFAULT_ORDER
+from .jets import DEFAULT_ORDER
 
 # -- AST ---------------------------------------------------------------------
 
@@ -405,7 +406,7 @@ class _Tape:
                 slot = emit(_POW, visit(node.child), const(int(node.exponent)))
             elif kind is Var:
                 if node.name != "t":
-                    raise ValueError("bivariate expression evaluated as univariate")
+                    raise ValueError(f"unbound variable {node.name}")
                 slot = 0
             elif kind is Const:
                 slot = const(float(np.pi))
@@ -539,36 +540,43 @@ def eval_jet_many(asts, t0, order: int) -> list[np.ndarray]:
     return _TAPES.get(tuple(asts), _Tape).run(t0, order)
 
 
-def eval_bijet(ast: ExprAst, x0, y0) -> BiJet2:
-    """Value, gradient and Hessian of a two-variable expression at (x0, y0)."""
-    if isinstance(ast, Number):
-        return BiJet2.constant(ast.value)
-    if isinstance(ast, Const):
-        return BiJet2.constant(np.pi)
-    if isinstance(ast, Var):
-        if ast.name == "x":
-            return BiJet2.var_x(x0)
-        if ast.name == "y":
-            return BiJet2.var_y(y0)
-        raise ValueError("univariate expression evaluated as bivariate")
-    if isinstance(ast, Unary):
-        child = eval_bijet(ast.child, x0, y0)
-        if ast.op == "neg":
-            return -child
-        return getattr(child, ast.op)()
-    if isinstance(ast, Binary):
-        a = eval_bijet(ast.left, x0, y0)
-        b = eval_bijet(ast.right, x0, y0)
-        if ast.op == "add":
-            return a + b
-        if ast.op == "sub":
-            return a - b
-        if ast.op == "mul":
-            return a * b
-        return a / b
-    if isinstance(ast, PowInt):
-        return eval_bijet(ast.child, x0, y0) ** ast.exponent
-    raise TypeError(f"not an AST node: {ast!r}")
+@dataclass(frozen=True)
+class BiJet2:
+    """Value, gradient and Hessian of a function of (x, y) at one point;
+    the mixed partial is stored once."""
+
+    value: float
+    dx: float
+    dy: float
+    dxx: float
+    dxy: float
+    dyy: float
+
+    @property
+    def grad(self):
+        return (self.dx, self.dy)
+
+    @property
+    def hess(self):
+        return (self.dxx, self.dxy, self.dyy)
+
+
+def eval_bijet(ast: ExprAst, x0: float, y0: float) -> BiJet2:
+    """Value, gradient and Hessian of a two-variable expression at (x0, y0).
+
+    One tape run at order 2 gives the jets c of the restrictions to the
+    lines through the point along x, y and x + y; f_xx = 2 c2(x),
+    f_yy = 2 c2(y) and f_xy = c2(x + y) - c2(x) - c2(y) (Griewank, Utke and
+    Walther, Math. Comp. 69, 2000).  A ``t`` in ``ast`` is refused.
+    """
+    x, y, t = Number(float(x0)), Number(float(y0)), Var("t")
+    xt, yt = Binary("add", x, t), Binary("add", y, t)
+    plain = substitute_var(ast, "t", Var("t in a two-variable expression"))
+    lines = [substitute_var(substitute_var(plain, "x", a), "y", b)
+             for a, b in ((xt, y), (x, yt), (xt, yt))]
+    fx, fy, fd = eval_jet_many(lines, 0.0, 2)
+    return BiJet2(*map(float, (fx[0], fx[1], fy[1], 2.0 * fx[2],
+                               fd[2] - fx[2] - fy[2], 2.0 * fy[2])))
 
 
 # -- structural helpers -------------------------------------------------------

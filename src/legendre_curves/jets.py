@@ -33,10 +33,9 @@ Every jet the package hands out is such an array: the compiled expression
 tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
 a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
 ``jet_elementary``, ``jet_sqrt`` and ``compose`` are an object API over the
-same kernels, and :class:`BiJet2` is a forward-mode value, gradient and
-Hessian in two variables.  No data path uses them: every curvature law,
-the diffeomorphism's too, is an expression.  They stay because the
-benchmark's tracer (``bench/tracer.py``) binds them.
+same kernels.  No data path uses them: every curvature law, the
+diffeomorphism's too, is an expression.  They stay because the benchmark's
+tracer (``bench/tracer.py``) binds them.
 """
 
 from __future__ import annotations
@@ -449,141 +448,3 @@ def compose(outer: TaylorJet, inner: TaylorJet) -> TaylorJet:
         result = mul(result, w)
         result[0] += g[i]
     return TaylorJet(result)
-
-
-# -- order-2 bivariate jets -------------------------------------------------
-
-
-class BiJet2:
-    """Value, gradient and Hessian of a function of (x, y) at one point.
-
-    Only the mixed second partial is stored once; symmetry is implicit.
-    """
-
-    __slots__ = ("value", "dx", "dy", "dxx", "dxy", "dyy")
-
-    def __init__(self, value, dx=0.0, dy=0.0, dxx=0.0, dxy=0.0, dyy=0.0):
-        self.value = value
-        self.dx = dx
-        self.dy = dy
-        self.dxx = dxx
-        self.dxy = dxy
-        self.dyy = dyy
-
-    @property
-    def grad(self):
-        return (self.dx, self.dy)
-
-    @property
-    def hess(self):
-        return (self.dxx, self.dxy, self.dyy)
-
-    @classmethod
-    def var_x(cls, x0):
-        return cls(x0, dx=1.0)
-
-    @classmethod
-    def var_y(cls, y0):
-        return cls(y0, dy=1.0)
-
-    @classmethod
-    def constant(cls, c):
-        return cls(c)
-
-    def _coerce(self, other):
-        if isinstance(other, BiJet2):
-            return other
-        return BiJet2.constant(float(other))
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        return BiJet2(self.value + b.value, self.dx + b.dx, self.dy + b.dy,
-                      self.dxx + b.dxx, self.dxy + b.dxy, self.dyy + b.dyy)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        return BiJet2(self.value - b.value, self.dx - b.dx, self.dy - b.dy,
-                      self.dxx - b.dxx, self.dxy - b.dxy, self.dyy - b.dyy)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __neg__(self):
-        return BiJet2(-self.value, -self.dx, -self.dy, -self.dxx, -self.dxy, -self.dyy)
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        a = self
-        return BiJet2(
-            a.value * b.value,
-            a.dx * b.value + a.value * b.dx,
-            a.dy * b.value + a.value * b.dy,
-            a.dxx * b.value + 2.0 * a.dx * b.dx + a.value * b.dxx,
-            a.dxy * b.value + a.dx * b.dy + a.dy * b.dx + a.value * b.dxy,
-            a.dyy * b.value + 2.0 * a.dy * b.dy + a.value * b.dyy,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if np.any(np.asarray(b.value) == 0.0):
-            raise JetDomainError("jet division by zero at expansion point")
-        return self * b._chain(1.0 / b.value, -1.0 / b.value ** 2, 2.0 / b.value ** 3)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, (int, np.integer)) or exponent < 0:
-            raise ValueError("jet exponent must be a non-negative integer")
-        result = BiJet2.constant(1.0)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
-
-    def _chain(self, f, fp, fpp):
-        """Compose with a scalar function given f(u), f'(u), f''(u)."""
-        return BiJet2(
-            f,
-            fp * self.dx,
-            fp * self.dy,
-            fp * self.dxx + fpp * self.dx * self.dx,
-            fp * self.dxy + fpp * self.dx * self.dy,
-            fp * self.dyy + fpp * self.dy * self.dy,
-        )
-
-    def sin(self):
-        u = self.value
-        return self._chain(np.sin(u), np.cos(u), -np.sin(u))
-
-    def cos(self):
-        u = self.value
-        return self._chain(np.cos(u), -np.sin(u), -np.cos(u))
-
-    def exp(self):
-        e = np.exp(self.value)
-        return self._chain(e, e, e)
-
-    def sqrt(self):
-        u = np.asarray(self.value)
-        if np.any(u <= 0.0):
-            raise JetDomainError("sqrt domain error")
-        r = np.sqrt(self.value)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.value))
-
-    def atan(self):
-        u = self.value
-        g = 1.0 + u * u
-        return self._chain(np.arctan(u), 1.0 / g, -2.0 * u / (g * g))
-
-    def __repr__(self):
-        return (f"BiJet2(value={self.value!r}, grad=({self.dx!r}, {self.dy!r}), "
-                f"hess=({self.dxx!r}, {self.dxy!r}, {self.dyy!r}))")

@@ -154,6 +154,37 @@ def brute_force_zeros(fun, domain, n=1_000_000, half_open=False, rel_tol=1e-9):
     return merged
 
 
+def sampled_curvature(sc) -> tuple[np.ndarray, np.ndarray]:
+    """Re-extract (ell, beta) from a ``SampledCurve`` by finite differences.
+
+    Uses fourth-order five-point stencils (one-sided at the edges), so the
+    result is independent of the jet machinery and serves as an oracle for
+    reconstruction round trips.
+    """
+    h = sc.step
+    dnu = np.stack([_derivative_5pt(sc.nus[:, 0], h),
+                    _derivative_5pt(sc.nus[:, 1], h)], axis=-1)
+    dgamma = np.stack([_derivative_5pt(sc.gammas[:, 0], h),
+                       _derivative_5pt(sc.gammas[:, 1], h)], axis=-1)
+    mu = np.stack([-sc.nus[:, 1], sc.nus[:, 0]], axis=-1)
+    ell = np.sum(dnu * mu, axis=1)
+    beta = np.sum(dgamma * mu, axis=1)
+    return ell, beta
+
+
+def _derivative_5pt(f: np.ndarray, h: float) -> np.ndarray:
+    n = len(f)
+    if n < 5:
+        raise ValueError("need at least 5 samples")
+    d = np.empty_like(f)
+    d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
+    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    return d
+
+
 def random_ast(rng: random.Random, depth: int, arity: str = "one-var"):
     """Seeded random AST; negation of a literal folds into the literal, the
     same canonical form the parser produces."""

@@ -306,12 +306,14 @@ def test_render_config_validation():
      "error: diffeomorphism degenerates along the curve"),
     (["transform", "--curve", "circle", "--diffeo", "x+3*y;0.1*x+0.3*y"], 1,
      "error: diffeomorphism degenerates along the curve"),
+    (["transform", "--curve", "circle", "--d", "-1:1"], 2,
+     "error: ambiguous option: --d could match --diffeo, --domain\n"),
 ], ids=["curvature-samples", "render-samples", "render-width",
         "germ-n", "affine-text", "affine-nan", "affine-det-overflow",
         "affine-norm-overflow", "germ-below", "germ-no-p", "type_nm", "diffeo-degenerate",
         "germ-stray-p", "domain-without-reparam", "gamma_n-stray-param",
         "circle-stray-param", "empty-affine", "empty-reparam", "empty-diffeo",
-        "diffeo-fold", "diffeo-rank-one"])
+        "diffeo-fold", "diffeo-rank-one", "ambiguous-option-prefix"])
 def test_out_of_range_flags_and_failed_assumptions(specs, tmp_path, capsys,
                                                    args, code, message):
     # out-of-range numbers are usage errors (exit 2), failed assumptions
@@ -352,10 +354,13 @@ def test_reparam_requires_domain(specs, capsys):
     (["reconstruct", "--beta", "1", "--domain=0:1", "--steps", "64"], "--ell", "-1"),
     (["transform", "--curve", "CIRCLE"], "--affine", "-1,0,0,1"),
     (["transform", "--curve", "CIRCLE", "--domain=-6.283185307179586:0"], "--reparam", "-t"),
+    (["reconstruct", "--ell", "1", "--beta", "1", "--steps", "64"], "--dom", "-1:1"),
+    (["transform", "--curve", "CIRCLE"], "--aff", "-1,0,0,1"),
 ])
 def test_an_option_value_may_begin_with_a_minus(specs, capsys, argv, option, value):
     # The token after an option that takes a value is that value, whatever
-    # its first character: both spellings print the same bytes.
+    # its first character, also after an unambiguous abbreviation of the
+    # option: both spellings print the same bytes.
     argv = [specs["circle"] if a == "CIRCLE" else a for a in argv]
     outputs = []
     for spelling in ([option, value], [f"{option}={value}"]):

@@ -13,7 +13,7 @@ from legendre_curves import (AffineMap, CurvaturePair, LegendreCurve, ScalarFun,
                              signature, type_nm_curve)
 from legendre_curves.cli import run
 from legendre_curves.errors import CurveError, ExprSyntaxError, LegendreError
-from legendre_curves.exprs import parse_expr
+from legendre_curves.exprs import eval_bijet, parse_expr
 
 TWO_PI = 2 * math.pi
 
@@ -336,6 +336,7 @@ def _long_sum_curve():
     lambda: load_curve({"x": _LONG_SUM, "y": "t^3", "nu": ["0", "1"], "domain": [-1, 1]}),
     lambda: load_curve('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}"),
     lambda: eval_jet(parse_expr(_LONG_SUM), 0.5, 1),
+    lambda: eval_bijet(parse_expr("+".join(["x", "y"] * 2500), "two-var"), 0.5, -0.5),
     lambda: signature(CurvaturePair.from_exprs(_LONG_SUM, "1", (0, 1))),
     lambda: reparametrize(LegendreCurve.from_exprs("t", "t^3", nu=("0", "1"), domain=(-1, 1)),
                           _LONG_SUM, (0.0, 0.001)),
@@ -343,7 +344,7 @@ def _long_sum_curve():
     lambda: repr(_long_sum_curve()),
     lambda: repr(_long_sum_curve().x),
 ], ids=["parse-parentheses", "spec-parentheses", "spec-long-sum", "spec-json-array",
-        "eval-jet-long-sum", "signature-long-sum", "reparametrize-long-sum",
+        "eval-jet-long-sum", "eval-bijet-long-sum", "signature-long-sum", "reparametrize-long-sum",
         "dump-long-sum", "repr-curve-long-sum", "repr-function-long-sum"])
 def test_input_that_nests_too_deeply_is_a_legendre_error(read):
     # not a syntax error: legcurve keeps exit code 1 and its one error line

@@ -425,20 +425,29 @@ def test_ast_derivative_is_folded_and_matches_the_derivative_node(seed):
 @settings(max_examples=200)
 @given(st.integers(0, 2**32 - 1))
 def test_partials_match_the_bijet_gradient(seed):
+    # the gradient and the Hessian, each against the value of a structural partial
     rng = random.Random(seed)
     phi = random_ast(rng, depth=rng.randrange(0, 5), arity="two-var")
     dx, dy = ast_derivative(phi, "x"), ast_derivative(phi, "y")
+    partials = (dx, dy, ast_derivative(dx, "x"), ast_derivative(dx, "y"),
+                ast_derivative(dy, "y"))
     for _ in range(4):
         x0, y0 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
         with np.errstate(all="ignore"):
             try:
                 want = eval_bijet(phi, x0, y0)
-                got = [float(eval_bijet(d, x0, y0).value) for d in (dx, dy)]
+                got = [eval_bijet(d, x0, y0).value for d in partials]
             except LegendreError:
                 continue
-        for g, w in zip(got, (float(want.dx), float(want.dy))):
+        for g, w in zip(got, (*want.grad, *want.hess)):
             if math.isfinite(w) and abs(w) < 1e12 and math.isfinite(g):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-9)
+
+
+def test_eval_bijet_refuses_t():
+    # a t of its own would read as the parameter of the lines eval_bijet runs on
+    with pytest.raises(ValueError):
+        eval_bijet(Binary("mul", Var("x"), Unary("sin", Var("t"))), 0.5, -0.5)
 
 
 def test_diffeomorphism_image_compiles_to_a_short_tape():

@@ -49,7 +49,7 @@ def test_bench_tracer_installs_and_restores_every_binding():
         assert owner.__dict__[attr] is original, (owner, attr)
     counts = tracer.counts
     assert counts["signatures.signature.calls"] == 1
-    # the law is an expression: BiJet2 is bound but never runs
+    # the law is an expression: eval_bijet is bound but never runs
     assert counts["transforms.calls"] >= 1 and counts["exprs.bijet.calls"] == 0
     assert counts["curves.gamma_jets.calls"] >= 1 and counts["exprs.eval.calls"] >= 1
 

@@ -7,11 +7,13 @@ import pytest
 from legendre_curves import (AffineMap, Congruence, LegendreCurve,
                              align_congruence, check_legendre, gallery,
                              pushforward_affine, reconstruct, reparametrize,
-                             sample_curve, sampled_curvature, type_nm_curve)
+                             sample_curve, type_nm_curve)
 from legendre_curves import jets
 from legendre_curves.curves import _require_finite
 from legendre_curves.errors import GridMismatchError, ReconstructionError
 from legendre_curves.reconstruction import cumulative_simpson
+
+from conftest import sampled_curvature
 
 TWO_PI = 2 * math.pi
 
