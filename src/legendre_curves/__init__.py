@@ -6,9 +6,9 @@ from importlib import import_module
 from .curves import (CurvaturePair, LegendreCurve, check_closed,
                      check_legendre, derive_nu, dump_curve, load_curve)
 from .errors import (CurveError, DegenerateCurveError, ExprSyntaxError,
-                     GridMismatchError, JetDomainError, JetOrderError,
-                     LegendreError, ReconstructionError, RootScanError,
-                     SignatureError, TransformError)
+                     GridMismatchError, JetDomainError, LegendreError,
+                     ReconstructionError, RootScanError, SignatureError,
+                     TransformError)
 from .exprs import ScalarFun, eval_jet, parse_expr, pretty_print, substitute_params
 from .gallery import (GALLERY_NAMES, GalleryEntry, check_ab_assumption,
                       default_gallery, gallery)
@@ -24,10 +24,10 @@ __all__ = [
     "DEFAULT_ORDER", "DegenerateCurveError", "DiffeoSpec",
     "EquivalenceVerdict", "ExprSyntaxError", "GALLERY_NAMES", "GERM_CASES",
     "GalleryEntry", "GermData", "GermSignature", "GridMismatchError",
-    "JetDomainError", "JetOrderError", "LegendreCurve", "LegendreError",
-    "ReconstructionError", "RootScanError", "SampledCurve", "ScalarFun",
-    "Signature", "SignatureError", "TransformError", "TransformResult",
-    "ZERO_FUNCTION", "ZeroPoint", "align_congruence", "check_ab_assumption",
+    "JetDomainError", "LegendreCurve", "LegendreError", "ReconstructionError",
+    "RootScanError", "SampledCurve", "ScalarFun", "Signature",
+    "SignatureError", "TransformError", "TransformResult", "ZERO_FUNCTION",
+    "ZeroPoint", "align_congruence", "check_ab_assumption",
     "check_closed", "check_legendre", "decide_equivalence",
     "default_gallery", "derive_nu", "dump_curve", "dump_signature",
     "eval_jet", "find_zeros", "gallery", "germ_signature",

@@ -130,21 +130,19 @@ def _int_from(lo: int):
 
 
 def _join_values(parser: argparse.ArgumentParser, argv) -> list:
-    """``argv`` with each option that takes a value, in any subcommand,
-    joined to the token after it (``--opt=value``, ``-ovalue``), so that
-    argparse reads that token as the value even when it begins with '-'.
-    A long option may be abbreviated to a prefix of no other option of any
-    subcommand; an ambiguous prefix is left to argparse."""
-    parsers, options, names = [parser], set(), set()
-    for p in parsers:  # grows by the subcommands' parsers as it goes
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers += action.choices.values()
-            elif action.nargs != 0:
-                options.update(action.option_strings)
-            names.update(action.option_strings)
-    joined, tokens = [], iter(argv)
+    """``argv`` with each option that takes a value joined to the token
+    after it (``--opt=value``, ``-ovalue``), so that argparse reads that
+    token as the value even when it begins with '-'.  The options are those
+    of the subcommand named so far, or of ``parser`` before one; a long
+    option may be abbreviated to a prefix of no other of them, and an
+    ambiguous prefix is left to argparse."""
+    joined, tokens, p = [], iter(argv), parser
     for token in tokens:
+        for action in p._actions:  # a subcommand's name switches to its parser
+            if isinstance(action, argparse._SubParsersAction) and token in action.choices:
+                p = action.choices[token]
+        names = {n for action in p._actions for n in action.option_strings}
+        options = {n for action in p._actions if action.nargs != 0 for n in action.option_strings}
         hits = {n for n in names if n.startswith(token)} if token.startswith("--") else set()
         takes_value = token in options or len(hits) == 1 and hits <= options
         value = next(tokens, None) if takes_value else None

@@ -19,10 +19,6 @@ class JetDomainError(LegendreError):
     """Jet arithmetic left the domain of an operation (division, sqrt)."""
 
 
-class JetOrderError(LegendreError):
-    """A derivative order beyond the jet truncation order was requested."""
-
-
 class ExprSyntaxError(LegendreError):
     """Malformed expression text. Carries the byte offset of the problem."""
 

@@ -51,11 +51,11 @@ the compiler's recursion, or for ``substitute_var`` and
 :class:`ScalarFun` is the evaluable function the rest of the package
 passes around, one AST run through the tape, every curvature law too.
 The zero searches of :mod:`signatures` run the same tape on a tuple of
-such ASTs: the grid scan reads its ``terms`` too, and every later run
-goes through :func:`eval_jet_many`.
-:func:`eval_bijet`, the value, gradient and Hessian of a two-variable
-AST at one point, reads them from one such run along three lines through
-the point.  It is on no data path; ``bench/tracer.py`` binds it.
+such ASTs: the grid scan reads its ``terms`` and ``gains`` too, and every
+later run goes through :func:`eval_jet_many`.
+:func:`eval_bijet` reads a two-variable AST's value, gradient and Hessian
+at one point (the six fields of :class:`BiJet2`) from one such run along
+three lines through the point; on no data path, ``bench/tracer.py`` binds it.
 """
 
 from __future__ import annotations
@@ -340,8 +340,9 @@ def _pretty(ast: ExprAst) -> str:
 class _Tape:
     """A compiled AST set: slot values known up front, instructions
     ``(kernel, destination slot, operand slot, operand slot or None, slots
-    released after it)``, each AST's slot and ``terms``, and the d-depth.
-    ``terms_code`` is ``code`` with no term released, for a run with terms.
+    released after it)``, each AST's slot, ``terms`` and ``gains``, and the
+    d-depth.  ``terms_code`` is ``code`` with no term released, for a run
+    with terms.
 
     ``slots`` holds the key of every slot after slot 0 in slot order,
     ``(opcode, operand slot, operand slot or None)`` or the ``repr`` of a
@@ -349,7 +350,8 @@ class _Tape:
     :meth:`key` spells the two out.
     """
 
-    __slots__ = ("init", "code", "terms_code", "outputs", "terms", "depth", "slots", "_key")
+    __slots__ = ("init", "code", "terms_code", "outputs", "terms", "gains", "depth",
+                 "slots", "_key")
 
     def __init__(self, asts):
         self.init = init = [None]  # slot 0: the variable, bound per run
@@ -358,7 +360,7 @@ class _Tape:
         self.slots = keys = {}    # (opcode, operand slots) or repr of a literal -> slot
         seen: dict = {}           # id(node) -> slot; shared subtrees compile once
         depth: list = [0]         # slot -> nesting depth of d nodes under it
-        sums: dict = {}           # slot of a sum or difference -> its operand slots
+        sums: dict = {}           # slot -> (operand slots of the sum below it, gain)
 
         def emit(op, a, b=None):
             key = (op, a, b)
@@ -367,7 +369,14 @@ class _Tape:
                 fn = _BY_OPCODE[op]
                 slot = keys[key] = len(init)
                 if fn is jets.add or fn is jets.sub:
-                    sums[slot] = (a, b)
+                    sums[slot] = (a, b), 1.0
+                elif fn is jets.neg and a in sums:
+                    sums[slot] = sums[a]
+                elif fn is jets.mul or fn is jets.div:  # x times or over a constant c != 0
+                    x, c = (b, a) if fn is jets.mul and a not in sums else (a, b)
+                    if x in sums and init[c]:
+                        gain = abs(init[c]) if fn is jets.mul else 1.0 / abs(init[c])
+                        sums[slot] = sums[x][0], sums[x][1] * gain
                 if b is None:
                     depth.append(depth[a] + (op == _D))
                     value = None if init[a] is None else fn(init[a])
@@ -422,9 +431,13 @@ class _Tape:
         finally:
             del visit  # it refers to itself: unbind it so the work dicts die with the frame
         self.depth = max((depth[slot] for slot in self.outputs), default=0)
-        # The operand slots of each output's outermost sum or difference, a
-        # folded one's too; the output's own slot twice if it is neither.
-        self.terms = [s for out in self.outputs for s in sums.get(out, (out, out))]
+        # The operand slots of the first sum or difference below each output
+        # through negations and constant factors or divisors, a folded one's
+        # too, and the product of those constants' gains; the output's own
+        # slot twice, at gain 1, if there is none.
+        paths = [sums.get(out, ((out, out), 1.0)) for out in self.outputs]
+        self.terms = [s for terms, _ in paths for s in terms]
+        self.gains = np.array([gain for _, gain in paths])
         # Release every computed slot after the instruction that reads it last.
         last = {slot: i for i, ins in enumerate(code) for slot in ins[2:]}
         free = [[] for _ in code]
@@ -551,14 +564,6 @@ class BiJet2:
     dxx: float
     dxy: float
     dyy: float
-
-    @property
-    def grad(self):
-        return (self.dx, self.dy)
-
-    @property
-    def hess(self):
-        return (self.dxx, self.dxy, self.dyy)
 
 
 def eval_bijet(ast: ExprAst, x0: float, y0: float) -> BiJet2:

@@ -9,9 +9,9 @@ classifying zeros by their vanishing order.
 
 The kernels below (``add``, ``sub``, ``mul``, ``div``, ``pow_int``,
 ``sin_cos``, ``exp``, ``sqrt``, ``atan`` and ``derivative``) are the one
-implementation of the Taylor recurrences.  They take coefficient arrays, or
-plain floats standing for constant functions, and broadcast over the point
-axes, so one code path serves a single point and a 4097-point grid alike.
+implementation of the Taylor recurrences.  They take coefficient arrays of
+one point shape, or plain floats standing for constant functions, so one
+code path serves a single point and a 4097-point grid alike.
 ``derivative`` drops a row, and a binary kernel cuts its longer operand:
 coefficient k of every recurrence depends on coefficients 0..k only.
 Products are shifted-slice updates, one array operation per order.  The
@@ -31,23 +31,21 @@ compare find it, and a hit returns the bytes a fresh computation gives,
 copied into the new jet.
 Every jet the package hands out is such an array: the compiled expression
 tape in :mod:`exprs` calls the kernels on raw arrays and returns them, and
-a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`,
-``jet_elementary``, ``jet_sqrt`` and ``compose`` are an object API over the
-same kernels.  No data path uses them: every curvature law, the
-diffeomorphism's too, is an expression.  They stay because the benchmark's
-tracer (``bench/tracer.py``) binds them.
+a consumer reads row ``k`` as ``jet[k]``.  :class:`TaylorJet`'s product and
+quotient, ``jet_elementary``, ``jet_sqrt`` and ``compose`` are an object
+API over the same kernels, on no data path: they hold exactly what the
+benchmark's tracer (``bench/tracer.py``) binds.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import threading
 from typing import Union
 
 import numpy as np
 
-from .errors import JetDomainError, JetOrderError
+from .errors import JetDomainError
 
 #: Default truncation order; covers the contact orders of interest with margin.
 DEFAULT_ORDER = 12
@@ -59,21 +57,11 @@ Coeffs = Union[float, np.ndarray]
 # -- kernels ------------------------------------------------------------------
 
 
-def _lift(a: np.ndarray, ndim: int) -> np.ndarray:
-    """Insert point axes of length 1 after the order axis, up to ``ndim``."""
-    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
-
-
 def _align(a: np.ndarray, b: np.ndarray):
-    """Cut two coefficient arrays to common rows and make their point axes
-    broadcast; a jet at one point pairs with every point of the other."""
+    """Cut two coefficient arrays of one point shape to their common rows."""
     if len(a) != len(b):
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
-    if a.ndim < b.ndim:
-        return _lift(a, b.ndim), b
-    if b.ndim < a.ndim:
-        return a, _lift(b, a.ndim)
     return a, b
 
 
@@ -324,10 +312,7 @@ class TaylorJet:
     __slots__ = ("array",)
 
     def __init__(self, coeffs):
-        try:
-            a = np.asarray(coeffs, dtype=float)
-        except ValueError:  # scalar rows beside array rows
-            a = np.array(np.broadcast_arrays(*coeffs), dtype=float)
+        a = np.asarray(coeffs, dtype=float)
         if a.ndim == 0 or len(a) == 0:
             raise ValueError("a jet needs at least the order-0 coefficient")
         self.array = a
@@ -340,50 +325,12 @@ class TaylorJet:
     def order(self) -> int:
         return len(self.array) - 1
 
-    @classmethod
-    def constant(cls, c, order: int) -> "TaylorJet":
-        a = np.zeros((order + 1,) + np.shape(c))
-        a[0] = c
-        return cls(a)
-
-    @classmethod
-    def variable(cls, t0, order: int) -> "TaylorJet":
-        """Jet of the identity function t -> t at t0."""
-        a = cls.constant(t0, order).array
-        if order:
-            a[1] = 1.0
-        return cls(a)
-
-    def derivative_value(self, k: int):
-        """k-th derivative at the expansion point, i.e. k! * coeffs[k]."""
-        if k > self.order:
-            raise JetOrderError("jet order exceeded")
-        return self.array[k] * float(math.factorial(k))
-
-    # -- arithmetic ---------------------------------------------------------
-
     def _operand(self, other) -> Coeffs:
         if isinstance(other, TaylorJet):
             if other.order != self.order:
                 raise ValueError("jets have different orders")
             return other.array
-        if isinstance(other, np.ndarray):
-            return TaylorJet.constant(other, self.order).array
         return float(other)
-
-    def __add__(self, other):
-        return TaylorJet(add(self.array, self._operand(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return TaylorJet(sub(self.array, self._operand(other)))
-
-    def __rsub__(self, other):
-        return TaylorJet(sub(self._operand(other), self.array))
-
-    def __neg__(self):
-        return TaylorJet(-self.array)
 
     def __mul__(self, other):
         return TaylorJet(mul(self.array, self._operand(other)))
@@ -392,17 +339,6 @@ class TaylorJet:
 
     def __truediv__(self, other):
         return TaylorJet(div(self.array, self._operand(other)))
-
-    def __rtruediv__(self, other):
-        return TaylorJet(div(self._operand(other), self.array))
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, (int, np.integer)) or exponent < 0:
-            raise ValueError("jet exponent must be a non-negative integer")
-        return TaylorJet(pow_int(self.array, int(exponent)))
-
-    def __repr__(self):
-        return f"TaylorJet({self.array.tolist()!r})"
 
 
 # -- elementary functions ---------------------------------------------------

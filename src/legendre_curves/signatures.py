@@ -38,15 +38,16 @@ Each zero decision has one rule here, shared by ``signature`` (which the
 germ signature reads), ``find_zeros`` and ``_common_zeros``: a component is
 the zero function when its scale (max |f| on the grid) is <=
 ``_ZERO_FUN_REL`` times its reference, the larger of the scale of the two
-terms of its outermost sum or difference (its own if it is neither), read
-from the scan's tape run, and a floor in its own unit: 1 / (b - a) for ell,
-a total turning; 0 for beta; the caller's for the others.  No component is
-judged against another.  A candidate is a root when |f| <= ``_ROOT_TOL`` *
-scale.  Decisions in t read the parameter unit L = (b - a) / 2 pi, so they
-hold under t -> s t: the contact order is the first k with |c_k| L^k above
-``VANISH_REL`` * running prefix maximum (seeded with the scale); points
-within ``curves._same_point_tol``, ``_MERGE_TOL`` * L, are one point
-(roots, the seam, zeros of ell and beta).
+terms of the first sum or difference below it through negations and
+constant factors or divisors, times those constants' gain (its own scale
+if there is none), read from the scan's tape run, and a floor in its own
+unit: 1 / (b - a) for ell, a total turning; 0 for beta; the caller's for
+the others.  No component is judged against another.  A candidate is a
+root when |f| <= ``_ROOT_TOL`` * scale.  Decisions in t read the parameter
+unit L = (b - a) / 2 pi, so they hold under t -> s t: the contact order is
+the first k with |c_k| L^k above ``VANISH_REL`` * running prefix maximum
+(seeded with the scale); points within ``curves._same_point_tol``,
+``_MERGE_TOL`` * L, are one point (roots, the seam, zeros of ell and beta).
 Every tape run refuses a jet that is not finite, naming its t.  All three
 run one search on one grid of ``_GRID_N`` steps.
 ``_common_zeros`` alone answers "does it vanish somewhere on the domain":
@@ -186,17 +187,18 @@ def find_zeros(f, domain: tuple[float, float], half_open: bool = False) -> list[
 def _scan(asts, domain: tuple[float, float]):
     """The uniform grid of ``_GRID_N`` steps, the values of the ASTs on it,
     each one's scale (max |f|) and the larger scale of its two
-    ``_Tape.terms``, all from one order-0 tape run.  A value that is not
-    finite raises ``RootScanError`` naming its t; a finite sum has finite
-    terms."""
+    ``_Tape.terms`` times its ``_Tape.gains``, all from one order-0 tape
+    run.  A value that is not finite raises ``RootScanError`` naming its t;
+    a finite sum has finite terms."""
     ts = np.linspace(float(domain[0]), float(domain[1]), _GRID_N + 1)
     n = len(asts)
+    tape = _TAPES.get(tuple(asts), _Tape)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = [jet[0] for jet in _TAPES.get(tuple(asts), _Tape).run(ts, 0, terms=True)]
-    scales = np.array([np.abs(row).max() for row in rows])  # the components', then their terms'
-    if not np.isfinite(scales[:n]).all():  # max |f| is finite exactly when every f is
-        _require_finite(ts, "function value", *rows[:n], error=RootScanError)
-    return ts, rows[:n], scales[:n], scales[n:].reshape(n, 2).max(axis=1)
+        rows = [jet[0] for jet in tape.run(ts, 0, terms=True)]
+        scales = np.array([np.abs(row).max() for row in rows])  # the components', then their terms'
+        if not np.isfinite(scales[:n]).all():  # max |f| is finite exactly when every f is
+            _require_finite(ts, "function value", *rows[:n], error=RootScanError)
+        return ts, rows[:n], scales[:n], scales[n:].reshape(n, 2).max(axis=1) * tape.gains
 
 
 def _vanishing(scales: np.ndarray, terms: np.ndarray, floors=0.0) -> np.ndarray:

@@ -356,6 +356,8 @@ def test_reparam_requires_domain(specs, capsys):
     (["transform", "--curve", "CIRCLE", "--domain=-6.283185307179586:0"], "--reparam", "-t"),
     (["reconstruct", "--ell", "1", "--beta", "1", "--steps", "64"], "--dom", "-1:1"),
     (["transform", "--curve", "CIRCLE"], "--aff", "-1,0,0,1"),
+    # unique among reconstruct's options, though transform has --diffeo and --domain
+    (["reconstruct", "--ell", "1", "--beta", "1", "--steps", "64"], "--d", "-1:1"),
 ])
 def test_an_option_value_may_begin_with_a_minus(specs, capsys, argv, option, value):
     # The token after an option that takes a value is that value, whatever

@@ -108,6 +108,8 @@ def test_derive_nu_reads_each_component_against_its_own_terms():
     # the curve is singular everywhere
     with pytest.raises(CurveError, match="singular point"):
         derive_nu("0.3*t-0.1*3*t", "0", (0, 1))
+    with pytest.raises(CurveError, match="singular point"):  # also times a constant
+        derive_nu("(0.3*t-0.1*3*t)*2", "0", (0, 1))
     # y' = 1e-12 is small against x' = 2 t but never zero, so gamma' is not
     nux, nuy = derive_nu("t^2", "1e-12*t", (-1, 1))
     assert (nux(0.0), nuy(0.0)) == (-1.0, 0.0)

@@ -20,8 +20,8 @@ from legendre_curves import (DEFAULT_ORDER, AffineMap, CurvaturePair, GermData,
                              reparametrize, signature, signature_from_dict,
                              signature_to_dict, type_nm_curve)
 from legendre_curves import GermSignature, cli, exprs, jets, signatures
-from legendre_curves.errors import (CurveError, DegenerateCurveError, LegendreError,
-                                    RootScanError, SignatureError)
+from legendre_curves.errors import (CurveError, DegenerateCurveError, JetDomainError,
+                                    LegendreError, RootScanError, SignatureError)
 
 TWO_PI = 2 * math.pi
 
@@ -341,9 +341,14 @@ def test_find_zeros_rejects_zero_function():
 
 def test_find_zeros_rejects_a_rounding_level_difference():
     # 0.3 t - (0.1 * 3) t is about 5.6e-17 t: rounding noise of its two
-    # terms, not a function with zeros
-    with pytest.raises(RootScanError, match="non-finite"):
-        find_zeros("0.3*t - 0.1*3*t", (-1, 1))
+    # terms, not a function with zeros, also under a negation or a constant
+    # factor or divisor, which scales the difference and its terms alike
+    for text in ("0.3*t - 0.1*3*t", "(0.3*t - 0.1*3*t)*2", "-(0.3*t - 0.1*3*t)",
+                 "(0.3*t - 0.1*3*t)/1", "1e20*(0.3*t - 0.1*3*t)"):
+        with pytest.raises(RootScanError, match="non-finite"):
+            find_zeros(text, (-1, 1))
+    with pytest.raises(JetDomainError, match="division by zero"):
+        find_zeros("(t-1)/0", (-1, 2))
 
 
 def test_an_aliased_beta_is_refused_by_the_cap_not_as_constant():
